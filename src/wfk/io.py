@@ -49,19 +49,22 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
         n = int(doc["n"])
         m = int(doc["m"])
         rho = float(doc["rho"])
-        raw = doc["factors"]
+        raw = list(doc["factors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed parameter document: {exc}") from exc
     if len(raw) != m:
         raise InvariantError(f"document claims m={m} but carries {len(raw)} factors")
-    factors = tuple(
-        Factor(
-            v=np.array([_from_pair(p) for p in entry["v"]]),
-            alpha=_from_pair(entry["alpha"]),
-        )
-        for entry in raw
-    )
-    return FilterParameters(n=n, rho=rho, factors=factors)
+    factors = []
+    for k, entry in enumerate(raw):
+        try:
+            v = np.array([_from_pair(p) for p in entry["v"]])
+            alpha = _from_pair(entry["alpha"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvariantError(
+                f"factor {k} must be an object with 'v' and 'alpha': {exc!r}"
+            ) from exc
+        factors.append(Factor(v=v, alpha=alpha))
+    return FilterParameters(n=n, rho=rho, factors=tuple(factors))
 
 
 def save_parameters(params: FilterParameters, path, box: BoxPoint | None = None) -> None:
@@ -160,15 +163,18 @@ def load_signal(path) -> np.ndarray:
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InvariantError(f"{path}:{lineno}: expected 're,im', got {line!r}")
-        samples.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            real, imag = line.split(",")
+            samples.append(complex(float(real), float(imag)))
+        except ValueError:
+            raise InvariantError(
+                f"{path}:{lineno}: expected 're,im', got {line!r}"
+            ) from None
     return np.array(samples, dtype=complex)
 
 
-def save_eval_csv(rows: list[tuple[complex, np.ndarray]], path) -> None:
-    """Write evaluation rows: ``z_re, z_im`` then row-major entry re/im pairs."""
+def format_eval_csv(rows: list[tuple[complex, np.ndarray]]) -> str:
+    """Evaluation rows as CSV: ``z_re, z_im`` then row-major entry re/im pairs."""
     lines = []
     for z, value in rows:
         cells = [repr(complex(z).real), repr(complex(z).imag)]
@@ -176,7 +182,11 @@ def save_eval_csv(rows: list[tuple[complex, np.ndarray]], path) -> None:
             cells.append(repr(float(c.real)))
             cells.append(repr(float(c.imag)))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_eval_csv(rows: list[tuple[complex, np.ndarray]], path) -> None:
+    Path(path).write_text(format_eval_csv(rows))
 
 
 def load_box(path, n: int, m: int, rho: float) -> BoxPoint:

@@ -113,24 +113,3 @@ def solve_linear(a, b) -> np.ndarray:
             f"solve overflowed (pivot condition estimate {_pivot_spread(a):.3e})"
         )
     return x
-
-
-def elimination_rank(a, rtol: float = 1e-9) -> int:
-    """Numerical rank by Gaussian elimination with complete pivoting.
-
-    A pivot is accepted while its modulus exceeds ``rtol`` times the
-    Frobenius norm of the input.
-    """
-    work = np.array(a, dtype=complex)
-    if work.size == 0:
-        return 0
-    tol = rtol * np.linalg.norm(work)
-    rank = 0
-    for _ in range(min(work.shape)):
-        i, j = np.unravel_index(np.argmax(np.abs(work)), work.shape)
-        piv = work[i, j]
-        if abs(piv) <= tol:
-            break
-        rank += 1
-        work = work - np.outer(work[:, j] / piv, work[i, :])
-    return rank

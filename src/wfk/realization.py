@@ -6,8 +6,13 @@ builds such realizations constructively: a permutation-based realization of
 the elementary filter, a bidiagonal core for each degree-one factor, and a
 series cascade that raises the index one factor at a time.  Verification
 tools certify the construction: a Stein-equation certificate for circle
-unitarity, controllability/observability ranks for minimality, and exact
-degree accounting.
+unitarity and exact degree accounting.  The same certificate decides
+minimality: when ``M* diag(H, I) M = diag(H, I)`` holds for the system
+matrix ``M`` with ``A`` stable and ``H > 0``, the ``H``-balanced system
+matrix is unitary, so both of its Gramians are the identity and the
+realization is minimal (the discrete-time bounded-real lemma).  ``H > 0``
+is tested with a relative margin, ``H > delta ||H||_1 I`` with
+``delta = 1e-12``; see :func:`stein_certificate`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .filters import FilterParameters, dft_matrix
-from .linalg import adjoint, as_matrix, elimination_rank, solve_linear
+from .linalg import adjoint, as_matrix, solve_linear
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -75,7 +80,9 @@ class SteinCertificate:
     ``h`` solves ``A* H A + C* C = H``; for a realization of a filter that
     is unitary on the circle the two remaining block identities
     ``A* H B + C* D = 0`` and ``B* H B + D* D = I`` hold as well, and the
-    three residual norms certify this numerically.
+    three residual norms certify this numerically.  ``positive_definite``
+    means ``H > delta ||H||_1 I`` (``delta = 1e-12``), which with the block
+    identities certifies that the realization is minimal.
     """
 
     h: np.ndarray
@@ -92,22 +99,6 @@ class SteinCertificate:
     @property
     def max_block_residual(self) -> float:
         return max(self.residual_state, self.residual_cross, self.residual_input)
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Controllability/observability ranks against the state dimension."""
-
-    state_dim: int
-    controllability_rank: int
-    observability_rank: int
-
-    @property
-    def minimal(self) -> bool:
-        return (
-            self.controllability_rank == self.state_dim
-            and self.observability_rank == self.state_dim
-        )
 
 
 def system_matrix(r: Realization) -> np.ndarray:
@@ -279,6 +270,13 @@ def spectral_radius(params: FilterParameters) -> float:
 
 _STEIN_MAX_DOUBLINGS = 64
 _STEIN_STOP = 1e-12
+# Relative margin of the positive-definiteness test.  On valid filters
+# lambda_min(H) / ||H||_1 measured >= 2.1e-2 up to (n, m, rho) = (4, 8, 0.9),
+# >= 5.6e-7 at (12, 16, 0.999) and >= 3.2e-9 at (16, 32, 0.999); with a
+# hidden (unobservable, uncontrollable) state in a random unitary basis it
+# measured between -9e-17 and 1.6e-16.  1e-12 sits over three decades from
+# both, where 1e-9 would leave a factor of 3 at (16, 32, 0.999).
+_PD_MARGIN = 1e-12
 
 
 def stein_certificate(r: Realization) -> SteinCertificate:
@@ -287,17 +285,20 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     ``H`` is accumulated from the convergent series ``sum_k (A*)**k C*C A**k``
     with doubling acceleration, which converges quadratically whenever the
     spectral radius of ``A`` is below one.  The certificate reports
-    Hermiticity, a condition estimate, and whether ``H`` admits a Cholesky
-    factorization (positive definiteness); an indefinite ``H`` is flagged,
-    not rejected.
+    Hermiticity, a condition estimate (infinite for singular ``H``), and
+    whether ``H > delta ||H||_1 I`` with ``delta = 1e-12``, tested by one
+    Cholesky factorization.  Together with the block identities this
+    certifies minimality: the ``H``-balanced system matrix is then unitary,
+    so both of its Gramians are the identity.  A plain Cholesky of ``H`` is
+    not enough, since rounding lets it succeed on ``H`` with a hidden state
+    and ``lambda_min(H) / ||H||_1`` near ``1e-17``.  A singular or
+    indefinite ``H`` is flagged, not rejected.
 
     Raises
     ------
     ConvergenceError
         If the series fails to settle within the iteration cap (state
         matrix not asymptotically stable).
-    SingularMatrixError
-        If the accumulated ``H`` is singular.
     """
     p = r.state_dim
     h = adjoint(r.c) @ r.c
@@ -325,25 +326,17 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         np.linalg.norm(adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs))
     )
     hermiticity = float(np.linalg.norm(h - adjoint(h)))
-    if p == 0:
-        return SteinCertificate(
-            h=h,
-            residual_state=residual_state,
-            residual_cross=residual_cross,
-            residual_input=residual_input,
-            hermiticity=hermiticity,
-            condition_estimate=1.0,
-            positive_definite=True,
-        )
-    h_inv = solve_linear(h, np.eye(p))
-    condition = float(
-        np.linalg.norm(h, ord=1) * np.linalg.norm(h_inv, ord=1)
-    )
-    try:
-        np.linalg.cholesky((h + adjoint(h)) / 2.0)
-        positive = True
-    except np.linalg.LinAlgError:
-        positive = False
+    condition, positive = 1.0, True
+    if p:
+        norm_h = float(np.linalg.norm(h, ord=1))
+        try:
+            condition = norm_h * float(np.linalg.norm(solve_linear(h, np.eye(p)), ord=1))
+        except SingularMatrixError:
+            condition = float("inf")
+        try:
+            np.linalg.cholesky((h + adjoint(h)) / 2.0 - _PD_MARGIN * norm_h * np.eye(p))
+        except np.linalg.LinAlgError:
+            positive = False
     return SteinCertificate(
         h=h,
         residual_state=residual_state,
@@ -352,29 +345,4 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         hermiticity=hermiticity,
         condition_estimate=condition,
         positive_definite=positive,
-    )
-
-
-def verify_minimality(r: Realization) -> MinimalityReport:
-    """Rank the block controllability and observability matrices.
-
-    The realization is minimal exactly when both ranks equal the state
-    dimension; ranks use pivoted elimination with a relative tolerance.
-    """
-    p = r.state_dim
-    ctrl_blocks = []
-    obs_blocks = []
-    reach = np.array(r.b)
-    observe = np.array(r.c)
-    for _ in range(max(p, 1)):
-        ctrl_blocks.append(reach)
-        obs_blocks.append(observe)
-        reach = r.a @ reach
-        observe = observe @ r.a
-    ctrl = np.hstack(ctrl_blocks) if p else np.zeros((0, r.inputs))
-    obs = np.vstack(obs_blocks) if p else np.zeros((r.outputs, 0))
-    return MinimalityReport(
-        state_dim=p,
-        controllability_rank=elimination_rank(ctrl),
-        observability_rank=elimination_rank(obs),
     )

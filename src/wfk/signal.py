@@ -15,7 +15,7 @@ conjugate transpose of the analysis filter on the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,14 +150,7 @@ def frequency_pr_check(
     report = check_paraunitary(
         lambda z: wavelet_eval(params, z), params.n, sample_points, tol, seed
     )
-    return CheckReport(
-        name="frequency_pr",
-        max_residual=report.max_residual,
-        tolerance=report.tolerance,
-        passed=report.passed,
-        sample_count=report.sample_count,
-        seed=report.seed,
-    )
+    return replace(report, name="frequency_pr")
 
 
 def simulate(r: Realization, inputs, x0=None) -> tuple[np.ndarray, np.ndarray]:

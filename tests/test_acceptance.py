@@ -48,7 +48,6 @@ from wfk import (
     synthesis_delay,
     synthesize,
     system_matrix,
-    verify_minimality,
     stein_certificate,
     wavelet_eval,
 )
@@ -206,7 +205,7 @@ def test_criterion_3_degree_law():
             expected = n * (n - 1) // 2 + n * m
             if r.state_dim != expected or r.state_dim != mcmillan_degree(p):
                 failures.append((n, m, "degree"))
-            if not verify_minimality(r).minimal:
+            if not stein_certificate(r).positive_definite:
                 failures.append((n, m, "minimality"))
     report(
         "3 (degree law)",

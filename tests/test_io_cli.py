@@ -1,6 +1,7 @@
 """Tests for file formats and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ class TestParameterFiles:
         with pytest.raises(InvariantError):
             wio.load_parameters(path)
 
+    def test_malformed_factor_exit_3(self, tmp_path, capsys):
+        doc = wio.parameters_to_dict(sample_parameters(2, 2, 2, 0.9))
+        good = doc["factors"][1]
+        for bad in ({"alpha": good["alpha"]}, {"v": good["v"]}, [1, 2], "factor"):
+            doc["factors"][1] = bad
+            with pytest.raises(InvariantError, match="factor 1"):
+                wio.parameters_from_dict(doc)
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(doc))
+            assert main(["realize", str(path), "-o", str(tmp_path / "r.json")]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "factor 1" in err
+
 
 class TestRealizationFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -111,6 +125,18 @@ class TestSignals:
         with pytest.raises(Exception):
             wio.load_signal(path)
 
+    def test_non_numeric_cell_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\nabc,3\n")
+        with pytest.raises(InvariantError, match=re.escape(f"{path}:2")):
+            wio.load_signal(path)
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n=2, rho=0.0, factors=()), params)
+        code = main(["analyze", str(params), "--signal", str(path), "--out", str(tmp_path / "b")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:2" in err
+
 
 class TestCliGen:
     def test_deterministic(self, tmp_path):
@@ -152,6 +178,13 @@ class TestCliGen:
         out_explicit = tmp_path / "explicit.json"
         main(["gen", "--n", "2", "--index", "2", "--rho", "0.5", "--seed", "31", "-o", str(out_explicit)])
         assert out_env.read_bytes() == out_explicit.read_bytes()
+
+    def test_env_seed_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WFK_SEED", "abc")
+        code = main(["gen", "--n", "2", "--index", "1", "-o", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "WFK_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestCliRealize:
@@ -218,6 +251,14 @@ class TestCliVerify:
         wio.save_realization(r, path)
         assert main(["verify", str(path), "--points", "64"]) == 0
 
+    def test_bad_tol_names_flag(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
+        for tol in ("nan", "inf", "-1"):
+            assert main(["verify", str(params), f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert "--tol" in captured.err and captured.out == ""
+
 
 class TestCliEval:
     def test_elementary_at_one(self, tmp_path):
@@ -251,6 +292,15 @@ class TestCliEval:
         a = np.loadtxt(out_p, delimiter=",")
         b = np.loadtxt(out_r, delimiter=",")
         assert np.abs(a - b).max() <= 1e-9
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(7, 2, 1, 0.9), params)
+        out = tmp_path / "e.csv"
+        assert main(["eval", str(params), "--circle", "8"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["eval", str(params), "--circle", "8", "-o", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
 
     def test_pole_exit_4(self, tmp_path):
         params = tmp_path / "p.json"

@@ -7,7 +7,6 @@ from wfk import (
     DimensionError,
     SingularMatrixError,
     adjoint,
-    elimination_rank,
     frobenius_distance,
     mat_mul,
     solve_linear,
@@ -133,20 +132,3 @@ class TestFrobenius:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             frobenius_distance(np.eye(2), np.eye(3))
-
-
-class TestEliminationRank:
-    def test_full_rank(self):
-        assert elimination_rank(Q4) == 4
-
-    def test_zero(self):
-        assert elimination_rank(np.zeros((3, 4))) == 0
-
-    def test_constructed_rank_two(self):
-        rng = np.random.default_rng(4)
-        u = rng.uniform(-1, 1, (4, 2)) + 1j * rng.uniform(-1, 1, (4, 2))
-        v = rng.uniform(-1, 1, (2, 5)) + 1j * rng.uniform(-1, 1, (2, 5))
-        assert elimination_rank(u @ v) == 2
-
-    def test_empty(self):
-        assert elimination_rank(np.zeros((0, 3))) == 0

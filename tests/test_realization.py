@@ -39,7 +39,6 @@ from wfk import (
     spectral_radius,
     stein_certificate,
     system_matrix,
-    verify_minimality,
     wavelet_eval,
 )
 
@@ -180,7 +179,7 @@ class TestRealizeWavelet:
         p = sample_parameters(100 * n + m, n, m, 0.5)
         r = realize_wavelet(p)
         assert r.state_dim == mcmillan_degree(p)
-        assert verify_minimality(r).minimal
+        assert stein_certificate(r).positive_definite
 
     def test_transfer_matches_evaluation(self):
         for seed in range(12):
@@ -327,22 +326,37 @@ class TestStein:
 
 class TestMinimality:
     def test_two_band_fixture(self):
-        report = verify_minimality(realize_elementary_wavelet(2))
-        assert report.controllability_rank == 1
-        assert report.observability_rank == 1
-        assert report.minimal
+        assert stein_certificate(realize_elementary_wavelet(2)).positive_definite
+
+    @staticmethod
+    def _padded(r):
+        # one hidden state: neither reachable from the input nor seen at the output
+        p = r.state_dim
+        a = np.zeros((p + 1, p + 1), dtype=complex)
+        a[:p, :p] = r.a
+        a[p, p] = 0.1
+        return Realization(
+            a=a,
+            b=np.vstack([r.b, np.zeros((1, r.inputs))]),
+            c=np.hstack([r.c, np.zeros((r.outputs, 1))]),
+            d=r.d,
+        )
 
     def test_padded_state_is_flagged(self):
-        r = realize_elementary_wavelet(2)
-        a = np.zeros((2, 2), dtype=complex)
-        a[:1, :1] = r.a
-        a[1, 1] = 0.1
-        padded = Realization(
-            a=a, b=np.vstack([r.b, np.zeros((1, 2))]), c=np.hstack([r.c, np.zeros((2, 1))]), d=r.d
+        axis = self._padded(realize_elementary_wavelet(2))
+        # the hidden state of a (4, 8, 0.9) filter in a random unitary basis:
+        # lambda_min(H) is rounding noise, which a plain Cholesky can accept
+        hidden = self._padded(realize_wavelet(sample_parameters(3, 4, 8, 0.9)))
+        rng = np.random.default_rng(3)
+        p = hidden.state_dim
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        rotated = Realization(
+            a=adjoint(q) @ hidden.a @ q, b=adjoint(q) @ hidden.b, c=hidden.c @ q, d=hidden.d
         )
-        report = verify_minimality(padded)
-        assert not report.minimal
-        assert report.controllability_rank == 1
+        for padded in (axis, rotated):
+            cert = stein_certificate(padded)
+            assert cert.max_block_residual <= 1e-9
+            assert not cert.positive_definite
 
     def test_sampled_realizations_minimal(self):
         count = 0
@@ -350,7 +364,7 @@ class TestMinimality:
             n = 2 + seed % 2
             m = seed % 4
             p = sample_parameters(seed, n, m, (0.0, 0.5, 0.9)[seed % 3])
-            assert verify_minimality(realize_wavelet(p)).minimal
+            assert stein_certificate(realize_wavelet(p)).positive_definite
             count += 1
         assert count == 50
 
