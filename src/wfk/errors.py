@@ -21,6 +21,10 @@ class InvariantError(WfkError, ValueError):
     """A domain value violates one of its declared invariants."""
 
 
+class FormatError(WfkError, ValueError):
+    """An input file is missing or is not in its expected format."""
+
+
 class FirRequiredError(WfkError, ValueError):
     """An operation restricted to FIR filters received IIR parameters."""
 

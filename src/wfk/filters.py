@@ -18,7 +18,7 @@ point counts exceed that for every filter this package constructs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -197,23 +197,41 @@ class ModulationStructure:
 
 @dataclass(frozen=True)
 class SubbandFilterSet:
-    """N scalar FIR impulse responses: the first column of a polynomial filter."""
+    """The N subband filters of a polynomial filter, kept as its FIR factors.
+
+    ``vectors`` holds one unit vector per factor, row ``j`` for ``V_{j+1}``,
+    in stored order; it is the only data.  The impulse responses (the first
+    column of the filter as a polynomial in ``1/z``) and their maximal
+    length are derived from it on first use.  Built by
+    :func:`subband_filters`.
+    """
 
     n: int
-    responses: tuple[np.ndarray, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if len(self.responses) != self.n:
-            raise InvariantError(
-                f"expected {self.n} responses, got {len(self.responses)}"
-            )
-        responses = tuple(
-            _frozen(np.asarray(h, dtype=complex).reshape(-1)) for h in self.responses
-        )
-        for h in responses:
-            if h.size == 0 or not np.isfinite(h).all():
-                raise InvariantError("impulse responses must be nonempty and finite")
-        object.__setattr__(self, "responses", responses)
+        vectors = np.asarray(self.vectors, dtype=complex).reshape(-1, self.n)
+        object.__setattr__(self, "vectors", _frozen(vectors))
+
+    @cached_property
+    def responses(self) -> tuple[np.ndarray, ...]:
+        """First-column taps, each trimmed after its last nonzero tap."""
+        n = self.n
+        # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
+        c = np.zeros((n, n * (self.vectors.shape[0] + 1)), dtype=complex)
+        c[np.arange(n), np.arange(n)] = 1.0 / np.sqrt(n)
+        for v in self.vectors:
+            # I + (z**-n - 1) v v*: a delay of n taps on the v-component
+            s = v.conj() @ c
+            d = -s
+            d[n:] += s[:-n]
+            c += np.outer(v, d)
+        responses = []
+        for coeffs in c:
+            last = np.nonzero(np.abs(coeffs) > 0.0)[0]
+            end = last[-1] + 1 if last.size else 1
+            responses.append(_frozen(coeffs[:end]))
+        return tuple(responses)
 
     @property
     def max_length(self) -> int:
@@ -509,27 +527,20 @@ def quotient_decimation_check(
 
 
 def subband_filters(params: FilterParameters) -> SubbandFilterSet:
-    """Extract the N scalar FIR impulse responses of a polynomial filter.
+    """The N subband filters of a polynomial filter, kept as its factors.
 
-    The responses are the first-column coefficients of the filter as a
-    polynomial in ``1/z``, read off the impulse response of its state-space
-    realization; the length never exceeds ``state dimension + 1``.
+    For ``alpha = 0`` each factor is ``V(w) = I + (1/w - 1) v v*``: one
+    inner product and one unit delay on the polyphase components, which is
+    all :func:`wfk.signal.analyze` and :func:`wfk.signal.synthesize` need.
+    The impulse responses are read off the same factors (see
+    :class:`SubbandFilterSet`); the length never exceeds ``n*(m + 1)``.
 
     Raises
     ------
     FirRequiredError
         If any ``alpha_j`` is nonzero (the filter is not polynomial).
     """
-    from .realization import impulse_response, realize_wavelet
-
     if not params.is_fir():
         raise FirRequiredError("subband impulse responses require all alpha = 0")
-    real = realize_wavelet(params)
-    taps = impulse_response(real, real.state_dim + 1)
-    responses = []
-    for k in range(params.n):
-        coeffs = np.array([h[k, 0] for h in taps])
-        last = np.nonzero(np.abs(coeffs) > 0.0)[0]
-        end = last[-1] + 1 if last.size else 1
-        responses.append(coeffs[:end])
-    return SubbandFilterSet(n=params.n, responses=tuple(responses))
+    vectors = np.array([f.v for f in params.factors], dtype=complex)
+    return SubbandFilterSet(n=params.n, vectors=vectors)

@@ -13,9 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import FormatError, InvariantError
 from .filters import BoxPoint, CheckReport, Factor, FilterParameters
 from .realization import Realization
+
+
+def read_json(path):
+    """Parse a JSON file; a missing file or invalid JSON raises ``FormatError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise FormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _pair(c: complex) -> list[float]:
@@ -74,7 +86,7 @@ def save_parameters(params: FilterParameters, path, box: BoxPoint | None = None)
 
 
 def load_parameters(path) -> FilterParameters:
-    return parameters_from_dict(json.loads(Path(path).read_text()))
+    return parameters_from_dict(read_json(path))
 
 
 def _block_to_dict(m: np.ndarray) -> dict:
@@ -127,7 +139,7 @@ def save_realization(r: Realization, path) -> None:
 
 
 def load_realization(path) -> Realization:
-    return realization_from_dict(json.loads(Path(path).read_text()))
+    return realization_from_dict(read_json(path))
 
 
 def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float) -> dict:
@@ -191,14 +203,17 @@ def save_eval_csv(rows: list[tuple[complex, np.ndarray]], path) -> None:
 
 def load_box(path, n: int, m: int, rho: float) -> BoxPoint:
     """Read box coordinates from a JSON file (flat array or ``{"box": [...]}``)."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("box")
     if not isinstance(doc, list):
-        raise InvariantError("box file must hold a flat array of coordinates")
-    coords = np.array([float(x) for x in doc], dtype=float)
+        raise InvariantError(f"{path}: box file must hold a flat array of coordinates")
+    try:
+        coords = np.array([float(x) for x in doc], dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantError(f"{path}: box coordinates must be numbers") from None
     if coords.size != m * 2 * n:
         raise InvariantError(
-            f"box file has {coords.size} coordinates, expected {m * 2 * n}"
+            f"{path}: box file has {coords.size} coordinates, expected {m * 2 * n}"
         )
     return BoxPoint(n=n, rho=rho, coords=coords.reshape(m, 2 * n))

@@ -1,12 +1,20 @@
 """Apply filters to sampled signals: subband analysis/synthesis and LTI runs.
 
+FIR subband analysis runs as the polyphase lattice of the factorization
+``W(z) = V_m(z**n) ... V_1(z**n) diag(1, 1/z, ..., z**-(n-1)) Q``: the
+polyphase components of the signal pass through the factors in
+``w = z**n``, and each factor ``I + (1/w - 1) v v*`` costs one inner
+product and one unit delay (Vaidyanathan, Nguyen, Doganata & Saramaki,
+IEEE Trans. ASSP 37(7), 1989).  The work is O(L*m) for a signal of length
+L, whatever the tap length.  Synthesis applies the adjoint lattice.
+
 The subband path is circular (periodic) by design: with a signal length
-divisible by the band count, filtering, lattice decimation, expansion and
-the mirrored synthesis filters compose to an exact circular delay, so
+divisible by the band count the round trip is an exact circular delay, so
 perfect reconstruction is an equality rather than an edge-effect estimate.
-Analysis and synthesis each carry a ``sqrt(n)`` gain; the pair compensates
-the factor ``1/n`` lost by keeping only every n-th sample, which makes the
-analysis map an isometry and the round trip a pure delay.
+Analysis carries a ``sqrt(n)`` gain, which compensates the factor ``1/n``
+lost by keeping only every n-th sample and makes it an isometry.
+:func:`circular_convolve`, :func:`decimate` and :func:`expand` give the
+same bands by direct filtering; they are kept as the reference.
 
 Time-domain processing is offered for FIR filters only; filters with poles
 are checked in the frequency domain, where the synthesis filter is the
@@ -93,21 +101,62 @@ def circular_convolve(x, h) -> np.ndarray:
     return y
 
 
+def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``."""
+    cols = x.reshape(-1, n).T  # cols[r, j] = x[n*j + r]
+    y = np.empty(cols.shape, dtype=complex)
+    y[0] = cols[0]
+    y[1:, 1:] = cols[:0:-1, :-1]
+    y[1:, :1] = cols[:0:-1, -1:]
+    return y
+
+
+def _interleave(y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_polyphase`."""
+    n = y.shape[0]
+    x = np.empty(y.size, dtype=complex)
+    cols = x.reshape(-1, n)  # cols[j, r] = x[n*j + r]
+    cols[:, 0] = y[0]
+    cols[:-1, :0:-1] = y[1:, 1:].T
+    cols[-1:, :0:-1] = y[1:, :1].T
+    return x
+
+
+def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
+    """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
+
+    ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
+    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place.
+    """
+    for v in vectors:
+        s = v.conj() @ y
+        d = np.empty_like(s)
+        d[shift:] = s[:-shift]
+        d[:shift] = s[-shift:]
+        d -= s
+        for row, vi in zip(y, v):
+            row += vi * d
+
+
 def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     """Split ``x`` into subbands: filter, decimate, and scale by ``sqrt(n)``.
 
-    The signal length must be divisible by the band count so the circular
-    lattice is well defined.
+    Runs as the polyphase lattice of the factorization: the rows
+    ``y_i[j] = x[n*j - i]`` (circularly) pass through ``V_1 .. V_m`` in
+    ``w = z**n``, one inner product and one unit delay per factor, so the
+    work is O(L*m) whatever the tap length.  The ``sqrt(n)`` gain cancels
+    the ``1/sqrt(n)`` of the first column of ``Q``, so the rows are the
+    bands.  Equals ``sqrt(n) * decimate(circular_convolve(x, h), n)`` for
+    each response ``h``.  The signal length must be divisible by the band
+    count so the circular lattice is well defined.
     """
     x = _as_signal(x)
     n = filters.n
     if x.size % n != 0:
         raise DimensionError(f"signal length {x.size} not divisible by {n}")
-    gain = np.sqrt(n)
-    bands = tuple(
-        gain * decimate(circular_convolve(x, h), n) for h in filters.responses
-    )
-    return SubbandSet(n=n, bands=bands)
+    y = _polyphase(x, n)
+    _lattice(y, filters.vectors, 1)
+    return SubbandSet(n=n, bands=tuple(y))
 
 
 def synthesis_delay(filters: SubbandFilterSet) -> int:
@@ -119,20 +168,17 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     """Rebuild a signal from subbands; the result is the input delayed by
     ``synthesis_delay(filters)`` samples (circularly).
 
-    Each band is expanded back onto the sample lattice and filtered with
-    the conjugate time-reversal of its analysis response, all bands sharing
-    one delay so the sum telescopes to a circular shift.
+    Applies the adjoint of :func:`analyze`: the adjoint factors in reverse
+    order, then the rows interleaved back onto the sample lattice.  Equals
+    the sum over bands of each band expanded by ``n`` and filtered with the
+    conjugate time-reversal of its response, all responses padded to one
+    shared delay, times ``sqrt(n)``.
     """
     if bands.n != filters.n:
         raise DimensionError(f"band count {bands.n} != filter count {filters.n}")
-    delay = synthesis_delay(filters)
-    out = np.zeros(filters.n * bands.band_length, dtype=complex)
-    gain = np.sqrt(filters.n)
-    for band, h in zip(bands.bands, filters.responses):
-        g = np.zeros(delay + 1, dtype=complex)
-        g[delay - (h.size - 1) :] = np.conj(h[::-1])
-        out += circular_convolve(expand(band, filters.n), g)
-    return gain * out
+    y = np.array(bands.bands)
+    _lattice(y, filters.vectors[::-1], -1)
+    return np.roll(_interleave(y), synthesis_delay(filters))
 
 
 def frequency_pr_check(

@@ -165,6 +165,35 @@ class TestCliGen:
         assert np.abs(v - np.array([0.0, 1.0])).max() <= 1e-12
         assert doc["factors"][0]["alpha"] == [0.0, 0.0]
 
+    def test_box_not_json_exit_2(self, tmp_path, capsys):
+        box = tmp_path / "box.json"
+        out = tmp_path / "p.json"
+        for content in (b"not json", b"\xff\xfe", None):
+            if content is None:
+                box.unlink()
+                box.mkdir()
+            else:
+                box.write_bytes(content)
+            code = main(
+                ["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(box), "-o", str(out)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "box.json" in err
+            assert not out.exists()
+
+    def test_box_non_numeric_exit_3(self, tmp_path, capsys):
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps(["a", 0, 0, 0]))
+        out = tmp_path / "p.json"
+        code = main(
+            ["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(box), "-o", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "box.json" in err
+        assert not out.exists()
+
     def test_bad_rho_names_flag(self, tmp_path, capsys):
         code = main(["gen", "--n", "2", "--index", "1", "--rho", "2", "-o", str(tmp_path / "x.json")])
         assert code == 2
@@ -244,6 +273,25 @@ class TestCliVerify:
         failed = {c["name"] for c in doc["checks"] if not c["passed"]}
         assert "paraunitary" in failed
         assert "stein_blocks" in failed
+
+    def test_unstable_realization_fails_checks(self, tmp_path, capsys):
+        from wfk import Realization
+
+        unstable = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
+        path = tmp_path / "r.json"
+        wio.save_realization(unstable, path)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", str(path), "-o", str(report_path)]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        doc = json.loads(report_path.read_text())
+        assert printed == doc and not doc["passed"]
+        checks = {c["name"]: c for c in doc["checks"]}
+        for name in ("stein_blocks", "stein_hermiticity", "minimality"):
+            assert not checks[name]["passed"]
+        assert checks["stein_blocks"]["max_residual"] == float("inf")
+        # the circle checks still measure the transfer function itself
+        assert not checks["paraunitary"]["passed"]
+        assert checks["degree"]["passed"]
 
     def test_realization_input_passes(self, tmp_path, capsys):
         r = realize_wavelet(sample_parameters(6, 3, 1, 0.9))

@@ -153,6 +153,81 @@ class TestSynthesize:
             assert err <= 1e-9 * np.linalg.norm(x)
 
 
+def _unit(n, k):
+    e = np.zeros(n)
+    e[k] = 1.0
+    return e
+
+
+# FIR draws up to n = 8 plus factors along basis vectors, whose taps have
+# exact interior zeros and so test the trimming.
+LATTICE_CASES = [
+    (n, m, seed) for n in (2, 3, 4, 5, 8) for m in (0, 1, 3, 6) for seed in (0, 1)
+]
+UNIT_FACTORS = [
+    (2, (E2,)),
+    (2, (E1,)),
+    (2, (E2, E1, E1)),
+    (3, (_unit(3, 2), _unit(3, 0), _unit(3, 1))),
+    (4, (_unit(4, 1), _unit(4, 1), _unit(4, 3))),
+]
+
+
+def lattice_params():
+    for n, m, seed in LATTICE_CASES:
+        yield sample_parameters(700 + 10 * n + m + 100 * seed, n, m, 0.0)
+    for n, vs in UNIT_FACTORS:
+        yield FilterParameters(n=n, rho=0.0, factors=tuple(Factor(v, 0.0) for v in vs))
+
+
+def realized_taps(p):
+    """First-column taps from the state-space impulse response, trimmed."""
+    r = realize_wavelet(p)
+    columns = np.array([h[:, 0] for h in impulse_response(r, r.state_dim + 1)]).T
+    out = []
+    for coeffs in columns:
+        last = np.nonzero(np.abs(coeffs) > 0.0)[0]
+        out.append(coeffs[: last[-1] + 1 if last.size else 1])
+    return out
+
+
+class TestLatticeReference:
+    """The lattice against the realization and the convolution reference."""
+
+    def test_taps_match_realization(self):
+        for p in lattice_params():
+            fs = subband_filters(p)
+            ref = realized_taps(p)
+            assert [h.size for h in fs.responses] == [h.size for h in ref]
+            for h, g in zip(fs.responses, ref):
+                assert np.abs(h - g).max() <= 1e-14
+
+    def test_analyze_matches_convolution(self):
+        for k, p in enumerate(lattice_params()):
+            fs = subband_filters(p)
+            x = random_signal(p.n * (p.m + 3), 400 + k)
+            got = np.array(analyze(x, fs).bands)
+            ref = np.array(
+                [np.sqrt(p.n) * decimate(circular_convolve(x, h), p.n) for h in fs.responses]
+            )
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_synthesize_matches_convolution(self):
+        for k, p in enumerate(lattice_params()):
+            fs = subband_filters(p)
+            bands = SubbandSet(
+                n=p.n, bands=tuple(random_signal(p.m + 3, 500 + 10 * k + i) for i in range(p.n))
+            )
+            delay = synthesis_delay(fs)
+            ref = np.zeros(p.n * bands.band_length, dtype=complex)
+            for band, h in zip(bands.bands, fs.responses):
+                g = np.zeros(delay + 1, dtype=complex)
+                g[delay - (h.size - 1) :] = np.conj(h[::-1])
+                ref += np.sqrt(p.n) * circular_convolve(expand(band, p.n), g)
+            got = synthesize(bands, fs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestFrequencyPr:
     def test_sampled_iir_filters_pass(self):
         for seed in (1, 2, 3):
