@@ -168,6 +168,8 @@ def _verify_realization(real, n, points, tol, seed):
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points!r}")
     doc = _load_document(args.file)
     if "factors" in doc:
         target = wio.parameters_from_dict(doc)
@@ -210,8 +212,8 @@ def _cmd_eval(args) -> int:
             raise UsageError("--circle must be >= 1")
         zs = np.exp(2j * np.pi * np.arange(args.circle) / args.circle)
     else:
-        zs = [_parse_z(args.z)]
-    rows = [(z, fn(z)) for z in zs]
+        zs = np.array([_parse_z(args.z)])
+    rows = list(zip(zs, fn(zs)))
     if args.output:
         wio.save_eval_csv(rows, args.output)
     else:

@@ -1,4 +1,4 @@
-"""Parameter space and pointwise evaluation of N-band wavelet filters.
+"""Parameter space and evaluation of N-band wavelet filters.
 
 A wavelet filter here is an N x N rational matrix function that is unitary
 on the unit circle and whose columns are the rotates ``f(z), f(eps z), ...,
@@ -12,7 +12,9 @@ parametrization over a real box, convenient for sampling and optimization.
 Identities between the rational functions here are decided by sampled
 evaluation, never symbolically: sampling a degree-``d`` rational identity
 at more than ``2*d + 8`` circle points is a sound test, and the default
-point counts exceed that for every filter this package constructs.
+point counts exceed that for every filter this package constructs.  The
+evaluators take a point or an array of points, and each check evaluates
+all of its points in one call.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
+    DimensionError,
     FirRequiredError,
     InvariantError,
     PoleError,
     SamplingError,
     SingularMatrixError,
 )
-from .linalg import TOL, adjoint, as_matrix, solve_linear
+from .linalg import TOL, adjoint
 
 _UNIT_NORM_TOL = 1e-12
 # Pole guard for Blaschke factors and the z = 0 pole of the elementary filter.
@@ -116,6 +119,21 @@ class FilterParameters:
     def is_fir(self) -> bool:
         """True when every pole parameter vanishes (polynomial filter)."""
         return all(f.alpha == 0 for f in self.factors)
+
+    @cached_property
+    def _factor_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factors as arrays for :func:`wavelet_eval`, built on first use.
+
+        ``(columns, rows, alphas)``: the vectors as ``(m, n, 1)`` columns,
+        their conjugates as ``(m, n)`` rows and the poles as ``(m, 1)``.
+        """
+        vectors = np.array([f.v for f in self.factors], dtype=complex).reshape(-1, self.n)
+        alphas = np.array([f.alpha for f in self.factors], dtype=complex)
+        return (
+            _frozen(vectors[:, :, None]),
+            _frozen(vectors.conj()),
+            _frozen(alphas[:, None]),
+        )
 
 
 @dataclass(frozen=True)
@@ -248,6 +266,8 @@ class CheckReport:
     passed: bool
     sample_count: int
     seed: int
+    # circle points redrawn because a draw hit a pole (or a singular F_a)
+    resampled: int = 0
 
     def __post_init__(self):
         if self.passed != (self.max_residual <= self.tolerance):
@@ -259,6 +279,11 @@ def dft_matrix(n: int) -> np.ndarray:
     if n < 2:
         raise InvariantError(f"band count must be >= 2, got {n!r}")
     return _dft_cached(int(n)).copy()
+
+
+@lru_cache(maxsize=None)
+def _negative_range(n: int) -> np.ndarray:
+    return _frozen(-np.arange(n))
 
 
 @lru_cache(maxsize=None)
@@ -288,55 +313,86 @@ def modulation_structure(n: int) -> ModulationStructure:
     )
 
 
-def blaschke(alpha: complex, w: complex) -> complex:
-    """Scalar all-pass factor ``(1 - conj(alpha) w) / (w - alpha)``."""
-    alpha = complex(alpha)
-    w = complex(w)
-    if abs(w - alpha) <= _POLE_TOL * max(1.0, abs(w)):
-        raise PoleError(f"all-pass factor evaluated at its pole (w = {w!r})")
-    return (1.0 - np.conj(alpha) * w) / (w - alpha)
-
-
-def elementary_wavelet_eval(n: int, z: complex) -> np.ndarray:
-    """Value at ``z`` of the minimal-degree filter ``diag(z**0..z**-(n-1)) @ Q``."""
-    z = complex(z)
-    if abs(z) <= _POLE_TOL:
-        raise PoleError("elementary filter has a pole at z = 0")
-    powers = z ** -np.arange(n)
-    return powers[:, None] * dft_matrix(n)
-
-
-def elementary_unitary_eval(v, alpha: complex, z: complex) -> np.ndarray:
-    """Value of the rank-one perturbation ``I + (phi_alpha(z) - 1) v v*``."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    scale = blaschke(alpha, z) - 1.0
-    return np.eye(v.size) + scale * np.outer(v, v.conj())
-
-
-def decimated_unitary_eval(v, alpha: complex, n: int, z: complex) -> np.ndarray:
-    """Same factor with ``z**n`` substituted; depends on ``z`` only through ``z**n``."""
-    return elementary_unitary_eval(v, alpha, complex(z) ** n)
-
-
-def wavelet_eval(params: FilterParameters, z: complex) -> np.ndarray:
-    """Evaluate the filter described by ``params`` at the point ``z``.
-
-    The stored factors compose as ``factors[m-1] @ ... @ factors[0] @ base``
-    so that appending a factor multiplies on the left and raises the index
-    by one.  ``z**n`` is computed once and shared by every factor.
+def blaschke(alpha, w):
+    """All-pass factor ``(1 - conj(alpha) w) / (w - alpha)``, broadcast over arrays.
 
     Raises
     ------
     PoleError
-        At ``z = 0`` or when ``z**n`` hits one of the ``alpha_j``.
+        If any ``w`` lies within ``1e-14 * max(1, |w|)`` of its ``alpha``.
     """
-    z = complex(z)
-    w = elementary_wavelet_eval(params.n, z)
-    zn = z ** params.n
-    for f in params.factors:
-        scale = blaschke(f.alpha, zn) - 1.0
-        w = w + scale * np.outer(f.v, f.v.conj() @ w)
-    return w
+    den = w - alpha
+    near = np.abs(den) <= _POLE_TOL * np.maximum(1.0, np.abs(w))
+    if near.any():
+        at = np.broadcast_to(w, near.shape)[near][0]
+        raise PoleError(f"all-pass factor evaluated at its pole (w = {complex(at)!r})")
+    return (1.0 - np.conj(alpha) * w) / den
+
+
+def _reject_origin(z: np.ndarray) -> None:
+    if (np.abs(z) <= _POLE_TOL).any():
+        raise PoleError("elementary filter has a pole at z = 0")
+
+
+def elementary_wavelet_eval(n: int, z) -> np.ndarray:
+    """Value of the minimal-degree filter ``diag(z**0..z**-(n-1)) @ Q``.
+
+    ``z`` may be a point or an array of points; the result has shape
+    ``z.shape + (n, n)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    _reject_origin(z)
+    powers = z[..., None] ** _negative_range(n)
+    return powers[..., :, None] * _dft_cached(int(n))
+
+
+def elementary_unitary_eval(v, alpha: complex, z) -> np.ndarray:
+    """Value of the rank-one perturbation ``I + (phi_alpha(z) - 1) v v*``.
+
+    ``z`` may be a point or an array of points; the result has shape
+    ``z.shape + (n, n)``.
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    scale = blaschke(complex(alpha), np.asarray(z, dtype=complex)) - 1.0
+    return np.eye(v.size) + scale[..., None, None] * np.outer(v, v.conj())
+
+
+def decimated_unitary_eval(v, alpha: complex, n: int, z) -> np.ndarray:
+    """Same factor with ``z**n`` substituted; depends on ``z`` only through ``z**n``."""
+    return elementary_unitary_eval(v, alpha, np.asarray(z, dtype=complex) ** n)
+
+
+def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
+    """Evaluate the filter described by ``params`` at a point or an array of points.
+
+    The stored factors compose as ``factors[m-1] @ ... @ factors[0] @ base``
+    so that appending a factor multiplies on the left and raises the index
+    by one.  ``z`` may have any shape; the result has shape
+    ``z.shape + (n, n)``, so a scalar ``z`` gives one ``n x n`` matrix.
+    The points are evaluated together: ``z**n`` and the ``m`` all-pass
+    scales are computed once for all of them, and each factor is one
+    rank-one update of the ``n x (K*n)`` row-stacked values.
+
+    Raises
+    ------
+    PoleError
+        When any point is ``0`` or has ``z**n`` at one of the ``alpha_j``.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = params.n
+    points = z.reshape(-1)
+    _reject_origin(points)
+    # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
+    powers = points ** _negative_range(n)[:, None]
+    w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
+    if params.factors:
+        columns, rows, alphas = params._factor_stack
+        scales = blaschke(alphas, points ** n) - 1.0
+        w2 = w.reshape(n, -1)
+        for vc, v in zip(rows, (columns * scales[:, None, :])[..., None]):
+            # W += scale * v (v* W) at every point at once
+            w += v * (vc @ w2).reshape(w.shape[1:])
+    return w.transpose(1, 0, 2).reshape(z.shape + (n, n))
 
 
 def _wrap_angle(x: float) -> float:
@@ -451,20 +507,58 @@ def unit_circle_points(count: int, seed: int = 0) -> np.ndarray:
 _RETRIES = 8
 
 
-def _max_circle_residual(point_residual, points: np.ndarray, seed: int) -> float:
-    """Max of ``point_residual(z)`` over ``points``, resampling failed points."""
+def _sample_residuals(residual, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``residual(points)`` and a mask of the points at which it raised.
+
+    ``residual`` takes all points in one call; when it raises a pole or
+    singularity error the points are halved until the failing ones are
+    isolated, so a single bad point costs about ``log2(K)`` extra calls.
+    """
+    try:
+        return residual(points), np.zeros(points.size, dtype=bool)
+    except (PoleError, SingularMatrixError):
+        if points.size == 1:
+            return np.zeros(1), np.ones(1, dtype=bool)
+        half = points.size // 2
+        (ra, fa), (rb, fb) = (
+            _sample_residuals(residual, part) for part in (points[:half], points[half:])
+        )
+        return np.concatenate([ra, rb]), np.concatenate([fa, fb])
+
+
+def _max_circle_residual(residual, points: np.ndarray, seed: int) -> tuple[float, int]:
+    """Max of ``residual`` over ``points`` and the number of redrawn points.
+
+    Only the points where ``residual`` hit a pole or a singular matrix are
+    redrawn, from an rng seeded by ``seed``, for at most ``_RETRIES``
+    rounds; a point redrawn in two rounds counts twice.
+    """
     rng = np.random.default_rng(seed ^ 0x5EED)
-    worst = 0.0
-    for z in points:
-        for _ in range(_RETRIES + 1):
-            try:
-                worst = max(worst, point_residual(z))
-                break
-            except (PoleError, SingularMatrixError):
-                z = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        else:
-            raise SamplingError("exhausted retries while avoiding poles on the circle")
-    return worst
+    values, failed = _sample_residuals(residual, points)
+    worst = float(values[~failed].max(initial=0.0))
+    resampled = 0
+    for _ in range(_RETRIES):
+        if not failed.any():
+            break
+        redraw = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=int(failed.sum())))
+        resampled += redraw.size
+        values, failed = _sample_residuals(residual, redraw)
+        worst = max(worst, float(values[~failed].max(initial=0.0)))
+    if failed.any():
+        raise SamplingError("exhausted retries while avoiding poles on the circle")
+    return worst, resampled
+
+
+def _values(eval_fn, points: np.ndarray, n: int) -> np.ndarray:
+    """``eval_fn`` at all points as a ``(K, n, n)`` stack; ``(n, n)`` broadcasts."""
+    values = np.asarray(eval_fn(points), dtype=complex)
+    if values.shape not in ((n, n), (points.size, n, n)):
+        raise DimensionError(
+            f"expected {points.size} values of shape ({n}, {n}), got {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise DimensionError("matrix entries must be finite (no NaN/Inf)")
+    return np.broadcast_to(values, (points.size, n, n))
 
 
 def check_symmetry(
@@ -472,34 +566,41 @@ def check_symmetry(
 ) -> CheckReport:
     """Check the column-rotation symmetry ``F(eps z) = F(z) P`` on the circle.
 
-    ``eval_fn`` maps a complex point to an ``n x n`` matrix.  The report
-    carries the max Frobenius residual over the sampled points.
+    ``eval_fn`` maps an array of ``K`` points to a ``(K, n, n)`` stack of
+    values (a constant ``(n, n)`` result broadcasts); it is called with all
+    points at once.  The report carries the max Frobenius residual over the
+    sampled points and the number of points redrawn at poles.
     """
     struct = modulation_structure(n)
 
-    def residual(z):
-        return float(
-            np.linalg.norm(eval_fn(struct.root * z) - eval_fn(z) @ struct.shift)
-        )
+    def residual(zs):
+        values = _values(eval_fn, np.concatenate([struct.root * zs, zs]), n)
+        rotated, plain = np.split(values, 2)
+        return np.linalg.norm(rotated - plain @ struct.shift, axis=(1, 2))
 
     points = unit_circle_points(sample_points, seed)
-    worst = _max_circle_residual(residual, points, seed)
-    return CheckReport("symmetry", worst, tol, worst <= tol, sample_points, seed)
+    worst, resampled = _max_circle_residual(residual, points, seed)
+    return CheckReport("symmetry", worst, tol, worst <= tol, sample_points, seed, resampled)
 
 
 def check_paraunitary(
     eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
 ) -> CheckReport:
-    """Check unitarity ``F(z)* F(z) = I`` over sampled points of the circle."""
+    """Check unitarity ``F(z)* F(z) = I`` over sampled points of the circle.
+
+    ``eval_fn`` follows the contract of :func:`check_symmetry`.
+    """
     eye = np.eye(n)
 
-    def residual(z):
-        f = as_matrix(eval_fn(z), rows=n, cols=n)
-        return float(np.linalg.norm(adjoint(f) @ f - eye))
+    def residual(zs):
+        f = _values(eval_fn, zs, n)
+        return np.linalg.norm(np.swapaxes(f.conj(), 1, 2) @ f - eye, axis=(1, 2))
 
     points = unit_circle_points(sample_points, seed)
-    worst = _max_circle_residual(residual, points, seed)
-    return CheckReport("paraunitary", worst, tol, worst <= tol, sample_points, seed)
+    worst, resampled = _max_circle_residual(residual, points, seed)
+    return CheckReport(
+        "paraunitary", worst, tol, worst <= tol, sample_points, seed, resampled
+    )
 
 
 def quotient_decimation_check(
@@ -509,21 +610,32 @@ def quotient_decimation_check(
 
     For filters sharing the column-rotation symmetry the quotient is a
     function of ``z**n`` alone, so its value must agree at ``z`` and
-    ``eps z``.  Singular ``F_a`` samples are redrawn.
+    ``eps z``.  ``fa`` and ``fb`` follow the ``eval_fn`` contract of
+    :func:`check_symmetry`; the points where ``F_a`` is singular are
+    redrawn.
     """
     struct = modulation_structure(n)
 
-    def quotient(z):
-        a = as_matrix(fa(z), rows=n, cols=n)
-        b = as_matrix(fb(z), rows=n, cols=n)
-        return solve_linear(a.T, b.T).T
+    def quotient(zs):
+        a = np.swapaxes(_values(fa, zs, n), 1, 2)
+        b = np.swapaxes(_values(fb, zs, n), 1, 2)
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("F_a is singular at a sampled point") from None
+        if not np.isfinite(x).all():
+            raise SingularMatrixError("F_a is numerically singular at a sampled point")
+        return np.swapaxes(x, 1, 2)
 
-    def residual(z):
-        return float(np.linalg.norm(quotient(struct.root * z) - quotient(z)))
+    def residual(zs):
+        rotated, plain = np.split(quotient(np.concatenate([struct.root * zs, zs])), 2)
+        return np.linalg.norm(rotated - plain, axis=(1, 2))
 
     points = unit_circle_points(sample_points, seed)
-    worst = _max_circle_residual(residual, points, seed)
-    return CheckReport("quotient_decimation", worst, tol, worst <= tol, sample_points, seed)
+    worst, resampled = _max_circle_residual(residual, points, seed)
+    return CheckReport(
+        "quotient_decimation", worst, tol, worst <= tol, sample_points, seed, resampled
+    )
 
 
 def subband_filters(params: FilterParameters) -> SubbandFilterSet:

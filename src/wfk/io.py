@@ -18,15 +18,24 @@ from .filters import BoxPoint, CheckReport, Factor, FilterParameters
 from .realization import Realization
 
 
-def read_json(path):
-    """Parse a JSON file; a missing file or invalid JSON raises ``FormatError``."""
+def _read_text(path) -> str:
+    """File contents; a missing or unreadable file raises ``FormatError``."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}") from None
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc})") from None
+
+
+def read_json(path):
+    """Parse a JSON file; a missing file or invalid JSON raises ``FormatError``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -124,6 +133,9 @@ def realization_from_dict(doc: dict) -> Realization:
         state_dim = int(doc["state_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
+    for name, block in blocks.items():
+        if not np.isfinite(block).all():
+            raise InvariantError(f"block '{name}' has a non-finite entry")
     r = Realization(**blocks)
     if r.state_dim != state_dim:
         raise InvariantError(
@@ -156,6 +168,7 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
                 "passed": c.passed,
                 "sample_count": c.sample_count,
                 "seed": c.seed,
+                "resampled": c.resampled,
             }
             for c in checks
         ],
@@ -170,8 +183,9 @@ def save_signal(x, path) -> None:
 
 
 def load_signal(path) -> np.ndarray:
+    """Read one ``re,im`` sample per line; a missing file raises ``FormatError``."""
     samples = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

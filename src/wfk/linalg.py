@@ -2,9 +2,12 @@
 
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries,
 treated as immutable after construction.  All functions here are pure and
-carry no filter semantics.  Linear solves go through LAPACK's
-partial-pivot LU (``numpy.linalg.solve``); nothing in the package uses an
-eigensolver or an SVD.
+carry no filter semantics.  Every linear solve in the package is LAPACK's
+partial-pivot LU (``numpy.linalg.solve``): single systems go through
+:func:`solve_linear`, while the evaluations over many circle points
+(``realization.eval_realization`` and ``filters.quotient_decimation_check``)
+call it on stacks of small systems directly.  Nothing in the package uses
+an eigensolver or an SVD.
 """
 
 from __future__ import annotations

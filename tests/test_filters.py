@@ -12,6 +12,7 @@ from wfk import (
     FirRequiredError,
     InvariantError,
     PoleError,
+    SamplingError,
     adjoint,
     box_to_params,
     check_paraunitary,
@@ -215,6 +216,37 @@ class TestWaveletEval:
             assert np.abs(wavelet_eval(p, z) - closed_form_wb(z, alpha, beta)).max() <= 1e-13
 
 
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (3, 2, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_array_matches_points(self, n, m, rho):
+        p = sample_parameters(50 + n + m, n, m, rho)
+        pts = circle(40, seed=n)
+        stacked = np.array([wavelet_eval(p, z) for z in pts])
+        assert np.abs(wavelet_eval(p, pts) - stacked).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_elementary_array_matches_points(self, n):
+        pts = circle(24, seed=40 + n)
+        stacked = np.array([elementary_wavelet_eval(n, z) for z in pts])
+        assert np.abs(elementary_wavelet_eval(n, pts) - stacked).max() <= 1e-14
+
+    def test_shapes(self):
+        p = sample_parameters(3, 3, 2, 0.9)
+        assert wavelet_eval(p, 0.3 + 0.9j).shape == (3, 3)
+        assert elementary_wavelet_eval(3, 1j).shape == (3, 3)
+        grid = circle(6, seed=1).reshape(2, 3)
+        values = wavelet_eval(p, grid)
+        assert values.shape == (2, 3, 3, 3)
+        assert np.abs(values[1, 2] - wavelet_eval(p, grid[1, 2])).max() <= 1e-14
+
+    def test_pole_anywhere_raises(self):
+        p = wa_params(0.25)
+        with pytest.raises(PoleError):
+            wavelet_eval(p, np.array([1.0, 0.5, 1j]))
+        with pytest.raises(PoleError):
+            wavelet_eval(p, np.array([1.0, 0.0]))
+
+
 class TestBoxMap:
     def test_two_band_formula(self):
         delta, phase, theta, r = 0.7, 1.1, 2.0, 0.3
@@ -383,7 +415,7 @@ class TestChecks:
         l1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
         def fn(z):
-            w = z ** 3
+            w = z[:, None, None] ** 3
             return (l0 + w * l1) @ elementary_wavelet_eval(3, z)
 
         assert check_symmetry(fn, 3, 32, 1e-9, 0).passed
@@ -394,7 +426,7 @@ class TestChecks:
         p = cyclic_shift_matrix(3)
 
         def fn(z):
-            w = z ** 3
+            w = z[:, None, None] ** 3
             r = np.eye(3) + 0.5 * w * p + (0.1 + 0.2j) * p @ p
             return elementary_wavelet_eval(3, z) @ r
 
@@ -426,6 +458,52 @@ class TestChecks:
         assert report.sample_count == 17
         assert report.seed == 99
         assert report.passed == (report.max_residual <= report.tolerance)
+
+    def test_redraws_only_the_failing_points(self):
+        p = sample_parameters(14, 3, 2, 0.9)
+        points = unit_circle_points(64, seed=5)
+        bad = points[[3, 40, 61]]
+        evaluated = []
+
+        def fn(z):
+            if np.isin(z, bad).any():
+                raise PoleError("chosen point")
+            evaluated.append(z)
+            return wavelet_eval(p, z)
+
+        report = check_paraunitary(fn, 3, 64, 1e-9, 5)
+        assert report.passed and report.resampled == 3
+        seen = np.concatenate(evaluated)
+        redrawn = seen[~np.isin(seen, points)]
+        assert np.isin(np.setdiff1d(points, bad), seen).all()
+        assert not np.isin(bad, seen).any()
+        assert redrawn.size == 3 and np.abs(np.abs(redrawn) - 1.0).max() <= 1e-15
+
+    def test_singular_quotient_points_are_redrawn(self):
+        points = unit_circle_points(32, seed=0)
+        bad = points[[1, 20]]
+
+        def fa(z):
+            mask = np.where(np.isin(z, bad), 0.0, 1.0)[:, None, None]
+            return mask * elementary_wavelet_eval(2, z)
+
+        report = quotient_decimation_check(
+            fa, lambda z: elementary_wavelet_eval(2, z), 2, 32, 1e-9, 0
+        )
+        assert report.passed and report.resampled == 2
+
+    def test_clean_check_redraws_nothing(self):
+        p = sample_parameters(15, 2, 2, 0.9)
+        fn = lambda z: wavelet_eval(p, z)  # noqa: E731
+        assert check_symmetry(fn, 2, 32, 1e-9, 0).resampled == 0
+        assert check_paraunitary(fn, 2, 32, 1e-9, 0).resampled == 0
+
+    def test_exhausted_retries_raise(self):
+        def fn(z):
+            raise PoleError("every point")
+
+        with pytest.raises(SamplingError):
+            check_paraunitary(fn, 2, 8, 1e-9, 0)
 
     def test_quotient_trivial(self):
         fn = lambda z: elementary_wavelet_eval(2, z)  # noqa: E731
@@ -463,7 +541,8 @@ class TestChecks:
         w3 = sample_parameters(22, 2, 3, 0.9)
 
         def fn(z):
-            return wavelet_eval(w1, z) @ adjoint(wavelet_eval(w2, z)) @ wavelet_eval(w3, z)
+            inverse = wavelet_eval(w2, z).conj().swapaxes(-1, -2)
+            return wavelet_eval(w1, z) @ inverse @ wavelet_eval(w3, z)
 
         assert check_symmetry(fn, 2, 48, 1e-9, 2).passed
         assert check_paraunitary(fn, 2, 48, 1e-9, 2).passed

@@ -10,6 +10,7 @@ from wfk import (
     CheckReport,
     Factor,
     FilterParameters,
+    FormatError,
     InvariantError,
     realize_wavelet,
     sample_box,
@@ -86,6 +87,20 @@ class TestRealizationFiles:
         for name in ("a", "b", "c", "d"):
             assert np.array_equal(getattr(q, name), getattr(r, name))
 
+    def test_non_finite_entry_exit_3(self, tmp_path, capsys):
+        r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
+        path = tmp_path / "r.json"
+        wio.save_realization(r, path)
+        doc = json.loads(path.read_text())
+        doc["a"]["entries"][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvariantError, match="'a'"):
+            wio.load_realization(path)
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1 and "'a'" in captured.err
+
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
         path = tmp_path / "r.json"
@@ -136,6 +151,32 @@ class TestSignals:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:2" in err
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        with pytest.raises(FormatError):
+            wio.load_signal(tmp_path / "missing.csv")
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n=2, rho=0.0, factors=()), params)
+        missing = tmp_path / "missing.csv"
+        code = main(["analyze", str(params), "--signal", str(missing), "--out", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.csv" in err
+
+    def test_missing_reference_exit_2(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n=2, rho=0.0, factors=()), params)
+        sig = tmp_path / "x.csv"
+        wio.save_signal(np.ones(8), sig)
+        bands = tmp_path / "bands"
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(bands)]) == 0
+        code = main(
+            ["synthesize", str(params), "--bands", str(bands), "--out", str(tmp_path / "r.csv"),
+             "--reference", str(tmp_path / "missing.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.csv" in err
 
 
 class TestCliGen:
@@ -298,6 +339,21 @@ class TestCliVerify:
         path = tmp_path / "r.json"
         wio.save_realization(r, path)
         assert main(["verify", str(path), "--points", "64"]) == 0
+
+    def test_report_counts_redrawn_points(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 2, 0.9), params)
+        assert main(["verify", str(params), "--points", "32"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(c["resampled"] == 0 for c in doc["checks"])
+
+    def test_bad_points_names_flag(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
+        for points in ("0", "-3"):
+            assert main(["verify", str(params), f"--points={points}"]) == 2
+            captured = capsys.readouterr()
+            assert "--points" in captured.err and captured.out == ""
 
     def test_bad_tol_names_flag(self, tmp_path, capsys):
         params = tmp_path / "p.json"

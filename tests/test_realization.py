@@ -53,7 +53,14 @@ def circle(count, seed=0):
 
 
 def transfer_distance(r, fn, points):
-    return max(np.abs(eval_realization(r, z) - fn(z)).max() for z in points)
+    """Max entry distance between the realization and ``fn``, both evaluated
+    on all ``points`` in one call."""
+    return np.abs(eval_realization(r, points) - fn(points)).max()
+
+
+def pointwise(fn):
+    """Array closure of a one-point function."""
+    return lambda points: np.array([fn(z) for z in points])
 
 
 class TestElementaryRealization:
@@ -201,7 +208,7 @@ class TestRealizeWavelet:
         r = realize_wavelet(p)
         assert r.state_dim == 3
         pts = circle(32, seed=5)
-        assert transfer_distance(r, lambda z: closed_form_wa(z, 0.5), pts) <= 1e-12
+        assert transfer_distance(r, pointwise(lambda z: closed_form_wa(z, 0.5)), pts) <= 1e-12
 
     def test_wb_transfer(self):
         alpha, beta = 0.5, 0.3 + 0.1j
@@ -212,7 +219,7 @@ class TestRealizeWavelet:
         r = realize_wavelet(p)
         assert r.state_dim == 7
         pts = circle(32, seed=6)
-        assert transfer_distance(r, lambda z: closed_form_wb(z, alpha, beta), pts) <= 1e-12
+        assert transfer_distance(r, pointwise(lambda z: closed_form_wb(z, alpha, beta)), pts) <= 1e-12
 
 
 class TestEvalRealization:
@@ -235,6 +242,50 @@ class TestEvalRealization:
         r = realize_elementary_wavelet(2)
         with pytest.raises(PoleError):
             eval_realization(r, 0.0)
+        with pytest.raises(PoleError, match="z = 0j"):
+            eval_realization(r, np.array([1.0, 0.0, 1j]))
+
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (3, 2, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_array_matches_points(self, n, m, rho):
+        r = realize_wavelet(sample_parameters(60 + n + m, n, m, rho))
+        assert r.upper_triangular
+        pts = circle(40, seed=n)
+        stacked = np.array([eval_realization(r, z) for z in pts])
+        assert np.abs(eval_realization(r, pts) - stacked).max() <= 1e-14
+
+    def test_dense_state_matrix_is_one_block(self):
+        # the same filter in a random unitary state basis: A is full, so the
+        # back-substitution is a single LU block
+        r = realize_wavelet(sample_parameters(3, 4, 8, 0.9))
+        rng = np.random.default_rng(4)
+        p = r.state_dim
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        rotated = Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
+        assert not rotated.upper_triangular
+        blocks, _ = rotated._solve_plan
+        assert [(lo, hi) for lo, hi, *_ in blocks] == [(0, p)]
+        pts = circle(40, seed=9)
+        values = eval_realization(rotated, pts)
+        stacked = np.array([eval_realization(rotated, z) for z in pts])
+        assert np.abs(values - stacked).max() <= 1e-14
+        assert np.abs(values - eval_realization(r, pts)).max() <= 1e-12
+
+    def test_shapes(self):
+        r = realize_wavelet(sample_parameters(5, 3, 2, 0.9))
+        assert eval_realization(r, 0.3 + 0.9j).shape == (3, 3)
+        grid = circle(6, seed=2).reshape(3, 2)
+        values = eval_realization(r, grid)
+        assert values.shape == (3, 2, 3, 3)
+        assert np.abs(values[2, 1] - eval_realization(r, grid[2, 1])).max() <= 1e-14
+
+    def test_many_points_span_chunks(self):
+        r = realize_wavelet(sample_parameters(6, 8, 16, 0.99))
+        _, chunk = r._solve_plan
+        pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
+        values = eval_realization(r, pts)
+        assert values.shape == (pts.size, 8, 8)
+        for k in (0, chunk - 1, chunk, pts.size - 1):
+            assert np.abs(values[k] - eval_realization(r, pts[k])).max() <= 1e-14
 
 
 class TestImpulseResponse:
