@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,22 +105,38 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
+class _Stopwatch:
+    """Stamps each check with the wall time since the previous stamp.
+
+    The first stamp counts from creation.  A check read off an earlier
+    computation (``frequency_pr`` from ``paraunitary``; ``stein_hermiticity``
+    and ``minimality`` from the Stein certificate) gets about 0 ms.
+    """
+
+    def __init__(self):
+        self._last = time.perf_counter()
+
+    def stamp(self, check: CheckReport) -> CheckReport:
+        now = time.perf_counter()
+        wall_ms, self._last = (now - self._last) * 1e3, now
+        return dataclasses.replace(check, wall_ms=wall_ms)
+
+
 def _verify_params(params, points, tol, seed):
-    para = check_paraunitary(lambda z: wavelet_eval(params, z), params.n, points, tol, seed)
-    checks = [
-        check_symmetry(lambda z: wavelet_eval(params, z), params.n, points, tol, seed),
-        para,
-        # on the circle reconstruction is exact precisely when W is unitary,
-        # so the perfect-reconstruction check is the same computation
-        dataclasses.replace(para, name="frequency_pr"),
-    ]
+    watch = _Stopwatch()
+    fn = lambda z: wavelet_eval(params, z)  # noqa: E731
+    checks = [watch.stamp(check_symmetry(fn, params.n, points, tol, seed))]
+    para = watch.stamp(check_paraunitary(fn, params.n, points, tol, seed))
+    # on the circle reconstruction is exact precisely when W is unitary,
+    # so the perfect-reconstruction check is the same computation
+    checks += [para, watch.stamp(dataclasses.replace(para, name="frequency_pr"))]
     real = realize_wavelet(params)
     degree_gap = abs(real.state_dim - mcmillan_degree(params))
     checks.append(
-        _scalar_check("degree", float(degree_gap), 0.0, points, seed)
+        watch.stamp(_scalar_check("degree", float(degree_gap), 0.0, points, seed))
     )
-    checks.extend(_verify_realization_core(real, points, tol, seed))
-    return checks
+    core, stein = _verify_realization_core(real, points, tol, seed)
+    return checks + core, stein
 
 
 def _scalar_check(name, residual, tol, points, seed):
@@ -134,35 +151,53 @@ def _scalar_check(name, residual, tol, points, seed):
 
 
 def _verify_realization_core(real, points, tol, seed):
+    """The Stein and minimality checks, and the certificate's report entry.
+
+    The entry holds the certificate's condition estimate, its
+    positive-definiteness flag and ``||H||_1``; it is None when the Stein
+    series diverges.
+    """
+    watch = _Stopwatch()
     # minimality: H > 0 together with the block identities (lossless case)
     try:
         cert = stein_certificate(real)
         blocks, hermiticity = cert.max_block_residual, cert.hermiticity
         minimal = cert.positive_definite
+        stein = {
+            "condition_estimate": cert.condition_estimate,
+            "positive_definite": cert.positive_definite,
+            "norm_h": cert.norm_h,
+        }
     except ConvergenceError:
         # an unstable state matrix has no Stein solution: the Stein
         # residuals are infinite and minimality is not certified
         blocks = hermiticity = float("inf")
         minimal = False
-    return [
-        _scalar_check("stein_blocks", blocks, tol, points, seed),
-        _scalar_check("stein_hermiticity", hermiticity, 1e-10, points, seed),
-        _scalar_check("minimality", 0.0 if minimal else 1.0, 0.0, points, seed),
+        stein = None
+    checks = [
+        watch.stamp(_scalar_check("stein_blocks", blocks, tol, points, seed)),
+        watch.stamp(_scalar_check("stein_hermiticity", hermiticity, 1e-10, points, seed)),
+        watch.stamp(_scalar_check("minimality", 0.0 if minimal else 1.0, 0.0, points, seed)),
     ]
+    return checks, stein
 
 
 def _verify_realization(real, n, points, tol, seed):
+    watch = _Stopwatch()
+    fn = lambda z: eval_realization(real, z)  # noqa: E731
     checks = [
-        check_symmetry(lambda z: eval_realization(real, z), n, points, tol, seed),
-        check_paraunitary(lambda z: eval_realization(real, z), n, points, tol, seed),
+        watch.stamp(check_symmetry(fn, n, points, tol, seed)),
+        watch.stamp(check_paraunitary(fn, n, points, tol, seed)),
     ]
     # Degree quantization: the state dimension must be n*(n-1)/2 plus a
     # whole number of n-state factor cores.
     extra = real.state_dim - n * (n - 1) // 2
     quantized = extra >= 0 and extra % n == 0
-    checks.append(_scalar_check("degree", 0.0 if quantized else 1.0, 0.0, points, seed))
-    checks.extend(_verify_realization_core(real, points, tol, seed))
-    return checks
+    checks.append(
+        watch.stamp(_scalar_check("degree", 0.0 if quantized else 1.0, 0.0, points, seed))
+    )
+    core, stein = _verify_realization_core(real, points, tol, seed)
+    return checks + core, stein
 
 
 def _cmd_verify(args) -> int:
@@ -173,13 +208,16 @@ def _cmd_verify(args) -> int:
     doc = _load_document(args.file)
     if "factors" in doc:
         target = wio.parameters_from_dict(doc)
-        checks = _verify_params(target, args.points, args.tol, args.seed)
+        checks, stein = _verify_params(target, args.points, args.tol, args.seed)
     elif "state_dim" in doc:
         real = wio.realization_from_dict(doc)
-        checks = _verify_realization(real, real.outputs, args.points, args.tol, args.seed)
+        checks, stein = _verify_realization(
+            real, real.outputs, args.points, args.tol, args.seed
+        )
     else:
         raise UsageError(f"{args.file}: neither a parameter nor a realization file")
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
+    report["stein"] = stein
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.output:

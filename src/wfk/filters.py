@@ -268,6 +268,8 @@ class CheckReport:
     seed: int
     # circle points redrawn because a draw hit a pole (or a singular F_a)
     resampled: int = 0
+    # wall time of the check in milliseconds, where the caller measured it
+    wall_ms: float = 0.0
 
     def __post_init__(self):
         if self.passed != (self.max_residual <= self.tolerance):

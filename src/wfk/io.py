@@ -169,23 +169,51 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
                 "sample_count": c.sample_count,
                 "seed": c.seed,
                 "resampled": c.resampled,
+                "wall_ms": c.wall_ms,
             }
             for c in checks
         ],
     }
 
 
+# Characters that numpy's reader takes for whitespace inside a cell where the
+# line loop does not: the line breaks of str.splitlines other than "\n"
+# (reading text already maps "\r" to "\n"), and "\x1f", which float() does
+# not strip.
+_LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
+
+
 def save_signal(x, path) -> None:
     """Write one complex sample per line as ``re,im``."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    lines = [f"{float(c.real)!r},{float(c.imag)!r}" for c in x]
-    Path(path).write_text("\n".join(lines) + "\n")
+    x = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+    text = ("%r,%r\n" * x.size) % tuple(x.view(float).tolist())
+    Path(path).write_text(text or "\n")
 
 
 def load_signal(path) -> np.ndarray:
-    """Read one ``re,im`` sample per line; a missing file raises ``FormatError``."""
+    """Read one ``re,im`` sample per line; a missing file raises ``FormatError``.
+
+    numpy's C reader parses the file; a file it rejects or does not read as
+    two columns (whitespace-only lines, ``1_0``-style digits, a malformed
+    line) goes through the line loop, which accepts what Python's
+    ``float`` accepts and names the first bad line.
+    """
+    text = _read_text(path)
+    if not text or text.isspace():
+        return np.array([], dtype=complex)
+    cells = None
+    if not any(c in text for c in _LOOP_ONLY):
+        # read the file again: numpy streams it, where a StringIO of the text
+        # would hold a second, wider copy of it
+        try:
+            with open(path) as stream:
+                cells = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+        except (OSError, ValueError):
+            pass
+    if cells is not None and cells.shape[1] == 2:
+        return np.ascontiguousarray(cells).view(complex).reshape(-1)
     samples = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

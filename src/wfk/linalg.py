@@ -2,12 +2,14 @@
 
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries,
 treated as immutable after construction.  All functions here are pure and
-carry no filter semantics.  Every linear solve in the package is LAPACK's
-partial-pivot LU (``numpy.linalg.solve``): single systems go through
-:func:`solve_linear`, while the evaluations over many circle points
-(``realization.eval_realization`` and ``filters.quotient_decimation_check``)
-call it on stacks of small systems directly.  Nothing in the package uses
-an eigensolver or an SVD.
+carry no filter semantics.  Single linear systems go through
+:func:`solve_linear`, LAPACK's partial-pivot LU (``numpy.linalg.solve``).
+``filters.quotient_decimation_check`` calls that LU on stacks of small
+systems directly, and so does ``realization.eval_realization`` on a call
+with few points or a state matrix that is not upper triangular.  Otherwise
+``eval_realization`` needs no factorization: ``zI - A`` is triangular, so it
+back-substitutes state by state, dividing by ``z - a_ii``.  Nothing in the
+package uses an eigensolver or an SVD.
 """
 
 from __future__ import annotations

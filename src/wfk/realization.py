@@ -33,14 +33,21 @@ from .filters import FilterParameters, dft_matrix
 from .linalg import adjoint, as_matrix, solve_linear
 
 
-# eval_realization: diagonal blocks hold at most _BLOCK states, and a chunk
-# of points keeps each stacked work array at or below _CHUNK_ENTRIES entries.
-# Smaller blocks save LU work when many points are solved together, larger
-# ones save the per-block call overhead of a single point; 20 splits the
-# state dimension 38 of (n, m) = (4, 8) into two blocks, which measured no
-# slower than one dense LU for a single point.
+# eval_realization picks its solver by the number of points in a call.  From
+# _ROW_MIN_POINTS points on, an upper-triangular A is solved state by state
+# (one vectorized update per row of A), which is several times cheaper than
+# LU once the points amortize the Python loop over the rows; below it (one
+# point at a time, as a sweep evaluates) and for any A that is not upper
+# triangular, diagonal blocks of at most _BLOCK states get one stacked LU
+# each.  20 splits the state dimension 38 of (n, m) = (4, 8) into two
+# blocks, which measured no slower than one dense LU for a single point.
+# The points go through in chunks: a state-by-state chunk holds at most
+# _ROW_ENTRIES entries of X, a block chunk at most _CHUNK_ENTRIES entries
+# of its largest stacked array.
 _BLOCK = 20
 _CHUNK_ENTRIES = 1 << 16
+_ROW_MIN_POINTS = 8
+_ROW_ENTRIES = 1 << 18
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -119,6 +126,36 @@ class Realization:
         chunk = max(1, _CHUNK_ENTRIES // max(size * size, p * self.inputs, 1))
         return blocks, chunk
 
+    @cached_property
+    def _row_plan(self) -> tuple[tuple, np.ndarray, np.ndarray, int]:
+        """Rows for the state-by-state solve of :func:`eval_realization`.
+
+        Returns the rows, the diagonal of ``A``, the row scales and the points
+        per chunk.  A row is ``(i, lo, hi, coefficients, b_i)``, listed last
+        first: ``[lo, hi)`` is the nonzero span of row ``i`` of ``A`` right of
+        the diagonal (empty when ``lo == hi``), the coefficients are
+        ``A[i, lo:hi]`` and ``b_i`` is row ``i`` of ``B``, or None when it is
+        zero.  A row whose span is one entry keeps that entry as its scale
+        (the scale is 1 for every other row), so the solve folds it into
+        ``1 / (z - a_ii)``.  Used only when ``A`` is upper triangular.
+        """
+        p = self.state_dim
+        row, col = np.nonzero(np.triu(self.a, 1))
+        lo, hi = np.full(p, p), np.zeros(p, dtype=int)
+        np.minimum.at(lo, row, col)
+        np.maximum.at(hi, row, col + 1)
+        lo = np.minimum(lo, hi)  # a row with no entry gets lo == hi == 0
+        single = hi - lo == 1
+        scale = np.ones(p, dtype=complex)
+        scale[single] = self.a[single, lo[single]]
+        spans = zip(range(p), lo.tolist(), hi.tolist(), self.b.any(axis=1).tolist())
+        rows = tuple(
+            (i, l, h, self.a[i, l:h], self.b[i] if has_b else None)
+            for i, l, h, has_b in reversed(list(spans))
+        )
+        chunk = max(1, _ROW_ENTRIES // max(p * self.inputs, 1))
+        return rows, np.diagonal(self.a).copy(), scale, chunk
+
 
 @dataclass(frozen=True)
 class SteinCertificate:
@@ -129,7 +166,8 @@ class SteinCertificate:
     ``A* H B + C* D = 0`` and ``B* H B + D* D = I`` hold as well, and the
     three residual norms certify this numerically.  ``positive_definite``
     means ``H > delta ||H||_1 I`` (``delta = 1e-12``), which with the block
-    identities certifies that the realization is minimal.
+    identities certifies that the realization is minimal; ``norm_h`` is that
+    ``||H||_1``.
     """
 
     h: np.ndarray
@@ -139,6 +177,7 @@ class SteinCertificate:
     hermiticity: float
     condition_estimate: float
     positive_definite: bool
+    norm_h: float
 
     def __post_init__(self):
         object.__setattr__(self, "h", _frozen(self.h))
@@ -278,12 +317,15 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     """Transfer-function value ``C (zI - A)**-1 B + D`` at a point or an array of points.
 
     ``z`` may have any shape; the result has shape ``z.shape + (N_out, N_in)``,
-    so a scalar ``z`` gives one matrix.  ``(zI - A) X = B`` is solved by
-    block back-substitution over diagonal blocks of at most 20 states, each
-    block one stacked ``numpy.linalg.solve`` over the points.  A state
-    matrix that is not upper triangular is a single block, which is plain
-    LU.  The points go through in chunks that keep each work array at or
-    below 65536 entries.
+    so a scalar ``z`` gives one matrix.  When ``A`` is upper triangular, as
+    every cascade is, and the call has at least 8 points, ``(zI - A) X = B``
+    is solved one state at a time, last state first:
+    ``x_i = (b_i + A[i, lo:hi] x[lo:hi]) / (z - a_ii)`` over the nonzero span
+    ``[lo, hi)`` of row ``i``, for all points at once.  Fewer points go by
+    block back-substitution over diagonal blocks of at most 20 states, one
+    stacked ``numpy.linalg.solve`` per block; a state matrix that is not upper
+    triangular is a single block, which is plain LU.  The points go through
+    in chunks that keep the work arrays at a few MB.
 
     Raises
     ------
@@ -292,15 +334,14 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     points = z.reshape(-1)
-    blocks, chunk = r._solve_plan
+    if r.upper_triangular and points.size >= _ROW_MIN_POINTS:
+        solve, chunk = _sweep, r._row_plan[3]
+    else:
+        solve, chunk = _transfer, r._solve_plan[1]
+    values = np.empty((points.size,) + r.d.shape, dtype=complex)
     try:
-        if points.size <= chunk:
-            values = _transfer(r, blocks, points)
-        else:
-            values = np.concatenate(
-                [_transfer(r, blocks, points[k : k + chunk])
-                 for k in range(0, points.size, chunk)]
-            )
+        for k in range(0, points.size, chunk):
+            solve(r, points[k : k + chunk], values[k : k + chunk])
     except np.linalg.LinAlgError:
         values = None
     if values is None or not np.isfinite(values).all():
@@ -312,15 +353,51 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     return values.reshape(z.shape + r.d.shape)
 
 
-def _transfer(r: Realization, blocks, points: np.ndarray) -> np.ndarray:
+def _transfer(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
     """``C X + D`` for one chunk of points, back-substituting block by block."""
     p = r.state_dim
     x = np.empty((points.size, p, r.inputs), dtype=complex)
     zs = points[:, None, None]
-    for lo, hi, a_ii, a_right, b_i, eye in blocks:
+    for lo, hi, a_ii, a_right, b_i, eye in r._solve_plan[0]:
         rhs = b_i + a_right @ x[:, hi:] if hi < p else b_i
         x[:, lo:hi] = np.linalg.solve(zs * eye - a_ii, rhs)
-    return r.c @ x + r.d
+    np.add(r.c @ x, r.d, out=out)
+
+
+def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
+    """``C X + D`` for one chunk of points, solving state by state.
+
+    ``X`` is kept state-major, shape ``(p, K, N_in)``, so each state's
+    values are one contiguous slice.  A zero divisor ``z - a_ii`` raises
+    ``LinAlgError``, as a singular LU would.
+    """
+    rows, diagonal, scale, _ = r._row_plan
+    p, k, n_in = r.state_dim, points.size, r.inputs
+    divisor = points[None, :] - diagonal[:, None]
+    if not divisor.all():
+        raise np.linalg.LinAlgError("zI - A is singular")
+    x = np.empty((p, k, n_in), dtype=complex)
+    with np.errstate(all="ignore"):
+        inverse = 1.0 / divisor
+        gain = (inverse * scale[:, None])[:, :, None]
+        inverse = inverse[:, :, None]
+        for i, lo, hi, coef, b_i in rows:
+            x_i = x[i]
+            if hi - lo == 1:
+                np.multiply(x[lo], gain[i], out=x_i)
+                if b_i is not None:
+                    x_i += inverse[i] * b_i
+            elif hi > lo:
+                np.matmul(coef, x[lo:hi].reshape(hi - lo, k * n_in), out=x_i.reshape(-1))
+                if b_i is not None:
+                    x_i += b_i
+                x_i *= inverse[i]
+            elif b_i is not None:
+                np.multiply(inverse[i], b_i, out=x_i)
+            else:
+                x_i.fill(0.0)
+        y = r.c @ x.reshape(p, k * n_in)
+    np.add(y.reshape(-1, k, n_in).transpose(1, 0, 2), r.d, out=out)
 
 
 def impulse_response(r: Realization, horizon: int) -> list[np.ndarray]:
@@ -410,7 +487,7 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         np.linalg.norm(adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs))
     )
     hermiticity = float(np.linalg.norm(h - adjoint(h)))
-    condition, positive = 1.0, True
+    condition, positive, norm_h = 1.0, True, 0.0
     if p:
         norm_h = float(np.linalg.norm(h, ord=1))
         try:
@@ -429,4 +506,5 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         hermiticity=hermiticity,
         condition_estimate=condition,
         positive_definite=positive,
+        norm_h=norm_h,
     )

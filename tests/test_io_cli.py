@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,56 @@ class TestSignals:
         path = tmp_path / "x.csv"
         wio.save_signal(x, path)
         assert np.array_equal(wio.load_signal(path), x)
+
+    def test_special_values_round_trip_byte_for_byte(self, tmp_path):
+        x = np.array([complex(-0.0, np.inf), complex(5e-324, -np.inf), 1e300 - 1e-300j])
+        path = tmp_path / "x.csv"
+        wio.save_signal(x, path)
+        assert path.read_text() == "-0.0,inf\n5e-324,-inf\n1e+300,-1e-300\n"
+        back = wio.load_signal(path)
+        assert back.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+        wio.save_signal([], path)
+        assert path.read_text() == "\n"
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1,2\n  \n3,4\n", [1 + 2j, 3 + 4j]),  # whitespace-only line
+            ("1_0,2\n", [10 + 2j]),  # underscore digits, as float() reads them
+            ("1,2\x0c3,4\n", [1 + 2j, 3 + 4j]),  # a line break of str.splitlines
+            ("\n\n 1 , -2 \n\n", [1 - 2j]),
+        ],
+    )
+    def test_lines_the_fast_reader_rejects(self, tmp_path, text, expected):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        assert wio.load_signal(path).tolist() == expected
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+    def test_empty_file_is_empty_signal(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = wio.load_signal(path)
+        assert x.shape == (0,) and x.dtype == complex
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1,2\n3,4,5\n", 2),
+            ("1,2\n\n7\n", 3),
+            # numpy would strip these around a number; the line loop does not
+            ("1,2\n3\x1f,4\n", 2),
+            ("1,2\n3\x0c,4\n", 2),
+            ("1,2\n3\u2028,4\n", 2),
+        ],
+    )
+    def test_bad_line_is_named(self, tmp_path, text, line):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(InvariantError, match=re.escape(f"{path}:{line}:")):
+            wio.load_signal(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -333,6 +384,31 @@ class TestCliVerify:
         # the circle checks still measure the transfer function itself
         assert not checks["paraunitary"]["passed"]
         assert checks["degree"]["passed"]
+
+    def test_report_times_checks_and_keeps_certificate(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        p = sample_parameters(3, 3, 2, 0.9)
+        wio.save_parameters(p, params)
+        real = tmp_path / "r.json"
+        wio.save_realization(realize_wavelet(p), real)
+        for path in (params, real):
+            assert main(["verify", str(path), "--points", "32"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert all(c["wall_ms"] >= 0.0 for c in doc["checks"])
+            stein = doc["stein"]
+            assert stein["positive_definite"] is True
+            assert stein["norm_h"] > 0.0 and stein["condition_estimate"] >= 1.0
+
+    def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
+        from wfk import Realization
+
+        unstable = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
+        path = tmp_path / "r.json"
+        wio.save_realization(unstable, path)
+        assert main(["verify", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"] is None
+        assert "wall_ms" in doc["checks"][0]
 
     def test_realization_input_passes(self, tmp_path, capsys):
         r = realize_wavelet(sample_parameters(6, 3, 1, 0.9))

@@ -1,5 +1,8 @@
 """Tests for state-space construction, cascades and certificates."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,7 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
+from wfk.realization import _ROW_MIN_POINTS
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -56,6 +60,26 @@ def transfer_distance(r, fn, points):
     """Max entry distance between the realization and ``fn``, both evaluated
     on all ``points`` in one call."""
     return np.abs(eval_realization(r, points) - fn(points)).max()
+
+
+def rotate(r, seed):
+    """The same system in a random unitary state basis (a dense ``A``)."""
+    rng = np.random.default_rng(seed)
+    p = r.state_dim
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+    return Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
+
+
+def gapped_triangular(seed, p=12):
+    """A 2x3 system whose triangular ``A`` has a gapped, dense strictly-upper part."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = 0.3 * np.triu(cplx(p, p), 1) * (rng.uniform(size=(p, p)) < 0.6)
+    a[np.diag_indices(p)] = 0.6 * rng.uniform(size=p) * np.exp(2j * np.pi * rng.uniform(size=p))
+    return Realization(a=a, b=cplx(p, 3), c=cplx(2, p), d=cplx(2, 3))
 
 
 def pointwise(fn):
@@ -228,6 +252,8 @@ class TestEvalRealization:
             a=np.zeros((0, 0)), b=np.zeros((0, 2)), c=np.zeros((2, 0)), d=np.eye(2)
         )
         assert np.array_equal(eval_realization(r, 3.7j), np.eye(2))
+        many = eval_realization(r, circle(2 * _ROW_MIN_POINTS))
+        assert np.array_equal(many, np.broadcast_to(np.eye(2), (2 * _ROW_MIN_POINTS, 2, 2)))
 
     def test_two_band_fixture_at_one(self):
         val = eval_realization(realize_elementary_wavelet(2), 1.0)
@@ -257,13 +283,10 @@ class TestEvalRealization:
         # the same filter in a random unitary state basis: A is full, so the
         # back-substitution is a single LU block
         r = realize_wavelet(sample_parameters(3, 4, 8, 0.9))
-        rng = np.random.default_rng(4)
-        p = r.state_dim
-        q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
-        rotated = Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
+        rotated = rotate(r, seed=4)
         assert not rotated.upper_triangular
         blocks, _ = rotated._solve_plan
-        assert [(lo, hi) for lo, hi, *_ in blocks] == [(0, p)]
+        assert [(lo, hi) for lo, hi, *_ in blocks] == [(0, r.state_dim)]
         pts = circle(40, seed=9)
         values = eval_realization(rotated, pts)
         stacked = np.array([eval_realization(rotated, z) for z in pts])
@@ -279,13 +302,57 @@ class TestEvalRealization:
         assert np.abs(values[2, 1] - eval_realization(r, grid[2, 1])).max() <= 1e-14
 
     def test_many_points_span_chunks(self):
+        # many points on a triangular A take the state-by-state solve
         r = realize_wavelet(sample_parameters(6, 8, 16, 0.99))
-        _, chunk = r._solve_plan
+        chunk = r._row_plan[-1]
         pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
         values = eval_realization(r, pts)
         assert values.shape == (pts.size, 8, 8)
-        for k in (0, chunk - 1, chunk, pts.size - 1):
+        for k in (0, chunk - 1, chunk, 2 * chunk, pts.size - 1):
             assert np.abs(values[k] - eval_realization(r, pts[k])).max() <= 1e-14
+
+    def test_dense_many_points_span_chunks(self):
+        r = rotate(realize_wavelet(sample_parameters(6, 4, 8, 0.9)), seed=6)
+        _, chunk = r._solve_plan
+        pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
+        values = eval_realization(r, pts)
+        for k in (0, chunk - 1, chunk, 2 * chunk, pts.size - 1):
+            assert np.abs(values[k] - eval_realization(r, pts[k])).max() <= 1e-14
+
+    def test_gapped_triangular_matches_dense_basis(self):
+        # a dense strictly-upper part with zeros inside the row spans: every
+        # span entry and every wide-row coupling must reach the solve
+        r = gapped_triangular(seed=1)
+        rows = r._row_plan[0]
+        assert any(hi - lo > 1 and not coef.all() for _, lo, hi, coef, _ in rows)
+        rotated = rotate(r, seed=2)
+        assert r.upper_triangular and not rotated.upper_triangular
+        pts = circle(40, seed=5)
+        values = eval_realization(r, pts)
+        dense = eval_realization(rotated, pts)
+        assert values.shape == (40, 2, 3)
+        assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_pole_among_many_points_is_named(self):
+        r = realize_wavelet(sample_parameters(11, 4, 8, 0.9))
+        diagonal = np.diagonal(r.a)
+        pole = diagonal[np.abs(diagonal).argmax()]
+        pts = circle(40, seed=3)
+        pts[17] = pole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError, match=re.escape(f"z = {complex(pole)!r}")):
+                eval_realization(r, pts)
+
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_agrees_across_point_threshold(self, n, m, rho):
+        r = realize_wavelet(sample_parameters(70 + n, n, m, rho))
+        pts = circle(_ROW_MIN_POINTS, seed=n)
+        stacked = np.array([eval_realization(r, z) for z in pts])
+        below = eval_realization(r, pts[:-1])
+        above = eval_realization(r, pts)
+        assert np.abs(below - stacked[:-1]).max() <= 1e-14
+        assert np.abs(above - stacked).max() <= 1e-14
 
 
 class TestImpulseResponse:
