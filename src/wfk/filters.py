@@ -213,6 +213,22 @@ class ModulationStructure:
         object.__setattr__(self, "dft", _frozen(self.dft))
 
 
+def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
+    """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
+
+    ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
+    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place.
+    """
+    for v in vectors:
+        s = v.conj() @ y
+        d = np.empty_like(s)
+        d[shift:] = s[:-shift]
+        d[:shift] = s[-shift:]
+        d -= s
+        for row, vi in zip(y, v):
+            row += vi * d
+
+
 @dataclass(frozen=True)
 class SubbandFilterSet:
     """The N subband filters of a polynomial filter, kept as its FIR factors.
@@ -233,19 +249,20 @@ class SubbandFilterSet:
 
     @cached_property
     def responses(self) -> tuple[np.ndarray, ...]:
-        """First-column taps, each trimmed after its last nonzero tap."""
+        """First-column taps, each trimmed after its last nonzero tap.
+
+        The impulse runs through :func:`_lattice` laid out as ``y[i, r, j]``
+        = tap ``n*j + r`` of band ``i``, so the delay ``z**-n`` of a factor
+        is a shift by one in ``j``.  The shift never wraps a nonzero tap:
+        before factor ``k`` only ``j < k`` is filled.
+        """
         n = self.n
+        y = np.zeros((n, n, self.vectors.shape[0] + 1), dtype=complex)
         # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
-        c = np.zeros((n, n * (self.vectors.shape[0] + 1)), dtype=complex)
-        c[np.arange(n), np.arange(n)] = 1.0 / np.sqrt(n)
-        for v in self.vectors:
-            # I + (z**-n - 1) v v*: a delay of n taps on the v-component
-            s = v.conj() @ c
-            d = -s
-            d[n:] += s[:-n]
-            c += np.outer(v, d)
+        y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
+        _lattice(y.reshape(n, -1), self.vectors, 1)
         responses = []
-        for coeffs in c:
+        for coeffs in y.transpose(0, 2, 1).reshape(n, -1):
             last = np.nonzero(np.abs(coeffs) > 0.0)[0]
             end = last[-1] + 1 if last.size else 1
             responses.append(_frozen(coeffs[:end]))

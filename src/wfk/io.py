@@ -106,12 +106,14 @@ def _block_to_dict(m: np.ndarray) -> dict:
     }
 
 
-def _block_from_dict(doc: dict) -> np.ndarray:
+def _block_from_dict(doc: dict, name: str) -> np.ndarray:
     rows, cols = int(doc["rows"]), int(doc["cols"])
+    if rows < 0 or cols < 0:
+        raise InvariantError(f"block '{name}' declares negative size {rows}x{cols}")
     entries = [_from_pair(p) for p in doc["entries"]]
     if len(entries) != rows * cols:
         raise InvariantError(
-            f"block declares {rows}x{cols} but carries {len(entries)} entries"
+            f"block '{name}' declares {rows}x{cols} but carries {len(entries)} entries"
         )
     return np.array(entries, dtype=complex).reshape(rows, cols)
 
@@ -129,13 +131,23 @@ def realization_to_dict(r: Realization) -> dict:
 
 def realization_from_dict(doc: dict) -> Realization:
     try:
-        blocks = {k: _block_from_dict(doc[k]) for k in ("a", "b", "c", "d")}
+        blocks = {k: _block_from_dict(doc[k], k) for k in ("a", "b", "c", "d")}
         state_dim = int(doc["state_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
     for name, block in blocks.items():
         if not np.isfinite(block).all():
             raise InvariantError(f"block '{name}' has a non-finite entry")
+    (p, cols), (outputs, inputs) = blocks["a"].shape, blocks["d"].shape
+    if cols != p:
+        raise InvariantError(f"block 'a' must be square, got {p}x{cols}")
+    for name, want in (("b", (p, inputs)), ("c", (outputs, p))):
+        got = blocks[name].shape
+        if got != want:
+            raise InvariantError(
+                f"block '{name}' is {got[0]}x{got[1]}, expected {want[0]}x{want[1]} "
+                f"for a {p}x{p} 'a' and a {outputs}x{inputs} 'd'"
+            )
     r = Realization(**blocks)
     if r.state_dim != state_dim:
         raise InvariantError(

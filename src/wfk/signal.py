@@ -32,6 +32,7 @@ from .filters import (
     CheckReport,
     FilterParameters,
     SubbandFilterSet,
+    _lattice,
     check_paraunitary,
     wavelet_eval,
 )
@@ -120,22 +121,6 @@ def _interleave(y: np.ndarray) -> np.ndarray:
     cols[:-1, :0:-1] = y[1:, 1:].T
     cols[-1:, :0:-1] = y[1:, :1].T
     return x
-
-
-def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
-    """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
-
-    ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
-    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place.
-    """
-    for v in vectors:
-        s = v.conj() @ y
-        d = np.empty_like(s)
-        d[shift:] = s[:-shift]
-        d[:shift] = s[-shift:]
-        d -= s
-        for row, vi in zip(y, v):
-            row += vi * d
 
 
 def analyze(x, filters: SubbandFilterSet) -> SubbandSet:

@@ -102,6 +102,35 @@ class TestRealizationFiles:
             captured = capsys.readouterr()
             assert captured.err.count("\n") == 1 and "'a'" in captured.err
 
+    @pytest.mark.parametrize(
+        "block, edit",
+        [
+            ("b", lambda r: r.b[:-1]),
+            ("c", lambda r: r.c[:, :-1]),
+            ("d", lambda r: np.vstack([r.d, r.d[:1]])),
+            ("a", lambda r: np.zeros((0, 0))),
+            ("a", lambda r: r.a[:, :-1]),
+            ("b", None),
+        ],
+        ids=["b-rows", "c-cols", "d-rows", "a-empty", "a-not-square", "b-negative"],
+    )
+    def test_block_shapes_exit_3(self, tmp_path, capsys, block, edit):
+        r = realize_wavelet(sample_parameters(1, 2, 1, 0.9))
+        doc = wio.realization_to_dict(r)
+        if edit is None:
+            doc[block].update(rows=-1, cols=-1, entries=[[1.0, 0.0]])
+        else:
+            doc[block] = wio._block_to_dict(np.asarray(edit(r), dtype=complex))
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        named = f"'{block}'"
+        with pytest.raises(InvariantError, match=named):
+            wio.load_realization(path)
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and named in err
+
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
         path = tmp_path / "r.json"

@@ -434,6 +434,13 @@ class TestStein:
         with pytest.raises(ConvergenceError):
             stein_certificate(r)
 
+    @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_condition_estimate_is_one_norm_condition(self, n, m, rho):
+        cert = stein_certificate(realize_wavelet(sample_parameters(1, n, m, rho)))
+        h = cert.h
+        expected = np.linalg.norm(h, 1) * np.linalg.norm(np.linalg.inv(h), 1)
+        assert cert.condition_estimate == pytest.approx(expected, rel=1e-12)
+
     def test_scaled_realization_fails_certificate(self):
         p = FilterParameters(n=2, rho=0.9, factors=(Factor(E2, 0.5),))
         r = realize_wavelet(p)
@@ -475,6 +482,10 @@ class TestMinimality:
             cert = stein_certificate(padded)
             assert cert.max_block_residual <= 1e-9
             assert not cert.positive_definite
+
+    def test_singular_certificate_has_infinite_condition(self):
+        cert = stein_certificate(self._padded(realize_elementary_wavelet(2)))
+        assert cert.condition_estimate == float("inf")
 
     def test_sampled_realizations_minimal(self):
         count = 0
