@@ -153,20 +153,26 @@ def _scalar_check(name, residual, tol, points, seed):
 def _verify_realization_core(real, points, tol, seed):
     """The Stein and minimality checks, and the certificate's report entry.
 
-    The entry holds the certificate's condition estimate, its
-    positive-definiteness flag and ``||H||_1``; it is None when the Stein
-    series diverges.
+    ``stein_blocks`` gates the largest Stein block residual and
+    ``stein_hermiticity`` gates ``||H - H*||_F``, both relative to
+    ``max(1, ||H||_1)``: rounding in ``A* H A`` grows with ``H``, and below
+    ``||H||_1 = 1`` the gates are the absolute ones.  The entry holds the
+    certificate's condition estimate, its positive-definiteness flag,
+    ``||H||_1``, the solution ``method`` and ``residual_abs``, the absolute
+    largest block residual; it is None when the Stein series diverges.
     """
     watch = _Stopwatch()
     # minimality: H > 0 together with the block identities (lossless case)
     try:
         cert = stein_certificate(real)
-        blocks, hermiticity = cert.max_block_residual, cert.hermiticity
+        blocks, hermiticity = cert.relative_block_residual, cert.relative_hermiticity
         minimal = cert.positive_definite
         stein = {
             "condition_estimate": cert.condition_estimate,
             "positive_definite": cert.positive_definite,
             "norm_h": cert.norm_h,
+            "method": cert.method,
+            "residual_abs": cert.max_block_residual,
         }
     except ConvergenceError:
         # an unstable state matrix has no Stein solution: the Stein

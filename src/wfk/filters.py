@@ -65,7 +65,7 @@ class Factor:
             raise InvariantError("factor vector must have finite entries")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > _UNIT_NORM_TOL:
-            raise InvariantError(f"factor vector must have unit norm, got {nrm!r}")
+            raise InvariantError(f"factor vector must have unit norm, got {float(nrm)!r}")
         alpha = complex(self.alpha)
         if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
             raise InvariantError("alpha must be finite")

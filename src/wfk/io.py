@@ -65,13 +65,24 @@ def parameters_to_dict(params: FilterParameters, box: BoxPoint | None = None) ->
     return doc
 
 
+def _integer(doc: dict, key: str, where: str = "") -> int:
+    """``doc[key]`` as an int; a bool or a non-integral value raises ``InvariantError``."""
+    value = doc[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    field = f"{where} field '{key}'" if where else f"field '{key}'"
+    raise InvariantError(f"{field} must be an integer, got {value!r}")
+
+
 def parameters_from_dict(doc: dict) -> FilterParameters:
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
+        n = _integer(doc, "n")
+        m = _integer(doc, "m")
         rho = float(doc["rho"])
         raw = list(doc["factors"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed parameter document: {exc}") from exc
     if len(raw) != m:
         raise InvariantError(f"document claims m={m} but carries {len(raw)} factors")
@@ -80,11 +91,14 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
         try:
             v = np.array([_from_pair(p) for p in entry["v"]])
             alpha = _from_pair(entry["alpha"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvariantError(
                 f"factor {k} must be an object with 'v' and 'alpha': {exc!r}"
             ) from exc
-        factors.append(Factor(v=v, alpha=alpha))
+        try:
+            factors.append(Factor(v=v, alpha=alpha))
+        except InvariantError as exc:
+            raise InvariantError(f"factor {k}: {exc}") from exc
     return FilterParameters(n=n, rho=rho, factors=tuple(factors))
 
 
@@ -107,10 +121,27 @@ def _block_to_dict(m: np.ndarray) -> dict:
 
 
 def _block_from_dict(doc: dict, name: str) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    """Block ``name`` of a realization document as a ``rows x cols`` matrix.
+
+    Entries that numpy converts to a finite ``(rows*cols, 2)`` float array
+    are viewed as complex in one step (numpy reads a number, or a string,
+    as ``float`` does); anything else goes through the per-pair loop, which
+    names the first bad pair.  Both give the same bits.  A non-finite value
+    takes the loop because numpy reads ``None`` as NaN, where ``float``
+    rejects it.
+    """
+    rows = _integer(doc, "rows", f"block '{name}'")
+    cols = _integer(doc, "cols", f"block '{name}'")
     if rows < 0 or cols < 0:
         raise InvariantError(f"block '{name}' declares negative size {rows}x{cols}")
-    entries = [_from_pair(p) for p in doc["entries"]]
+    raw = doc["entries"]
+    try:
+        pairs = np.ascontiguousarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is not None and pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
+        return pairs.view(complex).reshape(rows, cols)
+    entries = [_from_pair(p) for p in raw]
     if len(entries) != rows * cols:
         raise InvariantError(
             f"block '{name}' declares {rows}x{cols} but carries {len(entries)} entries"
@@ -132,8 +163,8 @@ def realization_to_dict(r: Realization) -> dict:
 def realization_from_dict(doc: dict) -> Realization:
     try:
         blocks = {k: _block_from_dict(doc[k], k) for k in ("a", "b", "c", "d")}
-        state_dim = int(doc["state_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        state_dim = _integer(doc, "state_dim")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
     for name, block in blocks.items():
         if not np.isfinite(block).all():

@@ -6,7 +6,9 @@ builds such realizations constructively: a permutation-based realization of
 the elementary filter, a bidiagonal core for each degree-one factor, and a
 series cascade that raises the index one factor at a time.  Verification
 tools certify the construction: a Stein-equation certificate for circle
-unitarity and exact degree accounting.  The same certificate decides
+unitarity and exact degree accounting.  A cascade of lossless sections has
+a block-diagonal Stein solution, one block per section, which the
+certificate solves block by block.  The same certificate decides
 minimality: when ``M* diag(H, I) M = diag(H, I)`` holds for the system
 matrix ``M`` with ``A`` stable and ``H > 0``, the ``H``-balanced system
 matrix is unitary, so both of its Gramians are the identity and the
@@ -29,7 +31,7 @@ from .errors import (
     PoleError,
 )
 from .filters import FilterParameters, dft_matrix
-from .linalg import adjoint, as_matrix
+from .linalg import TOL, adjoint, as_matrix
 
 
 # eval_realization picks its solver by the number of points in a call.  From
@@ -163,11 +165,17 @@ class SteinCertificate:
     ``h`` solves ``A* H A + C* C = H``; for a realization of a filter that
     is unitary on the circle the two remaining block identities
     ``A* H B + C* D = 0`` and ``B* H B + D* D = I`` hold as well, and the
-    three residual norms certify this numerically.  ``positive_definite``
-    means ``H > delta ||H||_1 I`` (``delta = 1e-12``), which with the block
+    three residual norms certify this numerically.  The residuals and
+    ``hermiticity`` (``||H - H*||_F``) are absolute; rounding in ``A* H A``
+    grows with ``H``, so they are gated relative to ``scale``, which is
+    ``max(1, ||H||_1)``: ``relative_block_residual`` and
+    ``relative_hermiticity`` divide by it.  ``positive_definite`` means
+    ``H > delta ||H||_1 I`` (``delta = 1e-12``), which with the block
     identities certifies that the realization is minimal; ``norm_h`` is that
     ``||H||_1``.  ``condition_estimate`` is the 1-norm condition number
-    ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.
+    ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.  ``method`` is
+    ``"block"`` when ``H`` was solved block by block over the cascade
+    layout and ``"dense"`` when it came from the doubling series.
     """
 
     h: np.ndarray
@@ -178,6 +186,7 @@ class SteinCertificate:
     condition_estimate: float
     positive_definite: bool
     norm_h: float
+    method: str
 
     def __post_init__(self):
         object.__setattr__(self, "h", _frozen(self.h))
@@ -185,6 +194,19 @@ class SteinCertificate:
     @property
     def max_block_residual(self) -> float:
         return max(self.residual_state, self.residual_cross, self.residual_input)
+
+    @property
+    def scale(self) -> float:
+        """``max(1, ||H||_1)``, the norm the residuals are gated against."""
+        return max(1.0, self.norm_h)
+
+    @property
+    def relative_block_residual(self) -> float:
+        return self.max_block_residual / self.scale
+
+    @property
+    def relative_hermiticity(self) -> float:
+        return self.hermiticity / self.scale
 
 
 def system_matrix(r: Realization) -> np.ndarray:
@@ -443,17 +465,36 @@ _PD_MARGIN = 1e-12
 def stein_certificate(r: Realization) -> SteinCertificate:
     """Solve ``A* H A + C* C = H`` and report the three Stein block residuals.
 
-    ``H`` is accumulated from the convergent series ``sum_k (A*)**k C*C A**k``
-    with doubling acceleration, which converges quadratically whenever the
-    spectral radius of ``A`` is below one.  The certificate reports
-    Hermiticity, the 1-norm condition number of ``H`` (``inf`` if singular),
-    and whether ``H > delta ||H||_1 I`` with ``delta = 1e-12``, tested by
-    one Cholesky factorization.  Together with the block identities this
-    certifies minimality: the ``H``-balanced system matrix is then unitary,
-    so both of its Gramians are the identity.  A plain Cholesky of ``H`` is
-    not enough, since rounding lets it succeed on ``H`` with a hidden state
-    and ``lambda_min(H) / ||H||_1`` near ``1e-17``.  A singular or
-    indefinite ``H`` is flagged, not rejected.
+    A realization in the cascade layout (``A`` upper triangular with
+    ``n*(n-1)/2 + k*n`` states for ``n`` outputs, as :func:`realize_wavelet`
+    builds and a realization file keeps) first gets the block-diagonal
+    solution ``diag(H_1, ..., H_k, H_e)`` of a cascade of lossless
+    sections: ``k`` blocks of ``n`` states, then the ``n*(n-1)/2`` states of
+    the elementary filter.  The diagonal blocks are solved top first from
+    ``H_jj - A_jj* H_jj A_jj = (C*C)_jj + A[:lo, j]* H[:lo, :lo] A[:lo, j]``
+    (see :func:`_triangular_stein`).  Every residual is then computed on the
+    full realization, so the block structure cannot create a false pass.
+    Each block is replaced by its Hermitian part, which solves the block
+    equation at least as well, so the block solution is Hermitian.  It is
+    kept when its state-equation residual is at most ``TOL`` (1e-9)
+    relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``.  A stable
+    ``A`` has exactly one solution of the state equation, so a block
+    solution that passes it is that solution, and a failed cross or input
+    identity is the realization's own.  Otherwise, and for every other
+    layout, ``H`` is accumulated from the convergent series
+    ``sum_k (A*)**k C*C A**k`` with doubling acceleration, which converges
+    quadratically whenever the spectral radius of ``A`` is below one, and
+    the certificate of that ``H`` is returned.
+
+    The certificate reports Hermiticity, the 1-norm condition number of
+    ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I`` with
+    ``delta = 1e-12``, tested by one Cholesky factorization.  Together with
+    the block identities this certifies minimality: the ``H``-balanced
+    system matrix is then unitary, so both of its Gramians are the
+    identity.  A plain Cholesky of ``H`` is not enough, since rounding lets
+    it succeed on ``H`` with a hidden state and ``lambda_min(H) / ||H||_1``
+    near ``1e-17``.  A singular or indefinite ``H`` is flagged, not
+    rejected.
 
     Raises
     ------
@@ -461,7 +502,89 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         If the series fails to settle within the iteration cap (state
         matrix not asymptotically stable).
     """
-    p = r.state_dim
+    edges = _cascade_edges(r)
+    if edges is not None:
+        h = _block_solution(r, edges)
+        if h is not None:
+            cert = _certificate(r, h, "block")
+            if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
+                return cert
+    return _certificate(r, _series_solution(r), "dense")
+
+
+def _cascade_edges(r: Realization) -> list[int] | None:
+    """Block edges of the cascade layout, or None when ``r`` is not in it.
+
+    The layout is an upper-triangular ``A`` with ``n*(n-1)/2 + k*n`` states
+    for ``n`` outputs: ``k`` factor cores of ``n`` states, top first, then
+    the elementary block.
+    """
+    n, p = r.outputs, r.state_dim
+    elementary = n * (n - 1) // 2
+    if n == 0 or p < elementary or (p - elementary) % n or not r.upper_triangular:
+        return None
+    return list(range(0, p - elementary + 1, n)) + ([p] if elementary else [])
+
+
+def _block_solution(r: Realization, edges: list[int]) -> np.ndarray | None:
+    """The block-diagonal Stein solution over ``edges``, or None if it breaks down.
+
+    Above each block lie only ``n``-state cores, so their coupling term
+    ``sum_i A_ij* H_ii A_ij`` is one stacked product over the cores solved
+    so far.  A singular block equation or a non-finite block gives None.
+    """
+    n, p = r.outputs, r.state_dim
+    a, c = r.a, r.c
+    cores = np.empty((len(edges) - 1, n, n), dtype=complex)
+    h = np.zeros((p, p), dtype=complex)
+    with np.errstate(all="ignore"):
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            c_j = c[:, lo:hi]
+            q = c_j.conj().T @ c_j
+            if lo:
+                a_j = a[:lo, lo:hi]
+                coupled = cores[:j] @ a_j.reshape(j, n, hi - lo)
+                q += a_j.conj().T @ coupled.reshape(lo, hi - lo)
+            try:
+                h_j = _triangular_stein(a[lo:hi, lo:hi], q)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(h_j).all():
+                return None
+            # the equation commutes with the adjoint, so the Hermitian part
+            # of a block has at most its residual
+            h_j = (h_j + h_j.conj().T) / 2.0
+            h[lo:hi, lo:hi] = h_j
+            if hi - lo == n:
+                cores[j] = h_j
+    return h
+
+
+def _triangular_stein(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve ``X - A* X A = Q`` for an upper-triangular ``A``, column by column.
+
+    Column ``j`` of the equation is
+    ``(I - a_jj A*) x_j = q_j + A* X[:, :j] A[:j, j]``, whose matrix is lower
+    triangular, so the columns follow in order, each from one solve
+    (Kitagawa, Int. J. Control 25(5), 1977; Barraud, IEEE TAC 22(5), 1977,
+    on the Schur form).  A zero ``a_jj``, as in the nilpotent elementary
+    block, leaves the identity and needs no solve.
+    """
+    size = a.shape[0]
+    a_h = a.conj().T
+    eye = np.eye(size)
+    x = np.empty_like(q)
+    for j in range(size):
+        rhs = q[:, j] + a_h @ (x[:, :j] @ a[:j, j])
+        x[:, j] = np.linalg.solve(eye - a[j, j] * a_h, rhs) if a[j, j] else rhs
+    return x
+
+
+def _series_solution(r: Realization) -> np.ndarray:
+    """``H = sum_k (A*)**k C*C A**k`` by the doubling series.
+
+    Raises ``ConvergenceError`` if the series diverges or does not settle.
+    """
     h = adjoint(r.c) @ r.c
     power = np.array(r.a)
     for _ in range(_STEIN_MAX_DOUBLINGS):
@@ -475,12 +598,16 @@ def stein_certificate(r: Realization) -> SteinCertificate:
                 "Stein series diverged; spectral radius appears to be >= 1"
             )
         if h.size == 0 or np.abs(inc).max() <= _STEIN_STOP * max(1.0, scale):
-            break
+            return h
         power = power @ power
-    else:
-        raise ConvergenceError(
-            "Stein series did not converge; spectral radius appears to be >= 1"
-        )
+    raise ConvergenceError(
+        "Stein series did not converge; spectral radius appears to be >= 1"
+    )
+
+
+def _certificate(r: Realization, h: np.ndarray, method: str) -> SteinCertificate:
+    """The residuals, conditioning and definiteness of ``h`` on the full ``r``."""
+    p = r.state_dim
     residual_state = float(np.linalg.norm(adjoint(r.a) @ h @ r.a + adjoint(r.c) @ r.c - h))
     residual_cross = float(np.linalg.norm(adjoint(r.a) @ h @ r.b + adjoint(r.c) @ r.d))
     residual_input = float(
@@ -504,4 +631,5 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         condition_estimate=condition,
         positive_definite=positive,
         norm_h=norm_h,
+        method=method,
     )

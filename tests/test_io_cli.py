@@ -79,6 +79,39 @@ class TestParameterFiles:
             assert err.count("\n") == 1 and "factor 1" in err
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.7), ("n", True), ("m", 1.5), ("m", False), ("n", "2")],
+        ids=["n-float", "n-bool", "m-float", "m-bool", "n-string"],
+    )
+    def test_non_integer_field_exit_3(self, tmp_path, capsys, field, value):
+        doc = wio.parameters_to_dict(sample_parameters(2, 2, 1, 0.9))
+        doc[field] = value
+        with pytest.raises(InvariantError, match=f"field '{field}' must be an integer"):
+            wio.parameters_from_dict(doc)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["realize", str(path), "-o", str(tmp_path / "r.json")]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"field '{field}'" in err
+
+    def test_integral_float_field_loads(self):
+        doc = wio.parameters_to_dict(sample_parameters(2, 2, 1, 0.9))
+        doc["n"], doc["m"] = 2.0, 1.0
+        p = wio.parameters_from_dict(doc)
+        assert p.n == 2 and type(p.n) is int and p.m == 1
+
+    def test_bad_factor_names_index_and_prints_float(self, tmp_path, capsys):
+        doc = wio.parameters_to_dict(sample_parameters(2, 2, 2, 0.9))
+        doc["factors"][0]["v"] = [[0.6, 0.0], [0.0, 0.0]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "invariant violation: factor 0: factor vector must have unit norm, got 0.6\n"
+
+
 class TestRealizationFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         r = realize_wavelet(sample_parameters(3, 3, 2, 0.9))
@@ -130,6 +163,58 @@ class TestRealizationFiles:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [(None, "state_dim", 3.5), (None, "state_dim", True), ("a", "rows", True),
+         ("b", "cols", 2.5), ("c", "rows", "2")],
+        ids=["state_dim-float", "state_dim-bool", "a-rows-bool", "b-cols-float", "c-rows-string"],
+    )
+    def test_non_integer_field_exit_3(self, tmp_path, capsys, where, field, value):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        (doc if where is None else doc[where])[field] = value
+        named = f"field '{field}' must be an integer"
+        if where is not None:
+            named = f"block '{where}' {named}"
+        with pytest.raises(InvariantError, match=named):
+            wio.realization_from_dict(doc)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+    def test_block_fast_path_matches_pair_loop(self):
+        r = realize_wavelet(sample_parameters(6, 4, 3, 0.9))
+        doc = wio.realization_to_dict(r)
+        doc["a"]["entries"][1] = [1, -0.0]  # an int and a negative zero
+        doc["a"]["entries"][2] = ["0.25", "1_0"]  # strings float() accepts
+        for name in ("a", "b", "c", "d"):
+            block = doc[name]
+            fast = wio._block_from_dict(block, name)
+            loop = np.array([wio._from_pair(p) for p in block["entries"]], dtype=complex)
+            assert fast.shape == (block["rows"], block["cols"])
+            assert fast.reshape(-1).view(np.uint64).tolist() == loop.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("pair", [[1.0, None], [None, None], [1.0, [2.0]], [1, 2, 3]])
+    def test_bad_pair_keeps_loop_message(self, pair):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        doc["a"]["entries"][0] = pair
+        try:
+            [wio._from_pair(p) for p in doc["a"]["entries"]]
+        except (TypeError, ValueError, InvariantError) as exc:
+            expected = str(exc)
+        with pytest.raises(InvariantError) as info:
+            wio.realization_from_dict(doc)
+        assert str(info.value).endswith(expected)
+
+    def test_huge_integer_entry_exit_3(self, tmp_path, capsys):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        doc["a"]["entries"][0] = [10**400, 0]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
@@ -427,6 +512,10 @@ class TestCliVerify:
             stein = doc["stein"]
             assert stein["positive_definite"] is True
             assert stein["norm_h"] > 0.0 and stein["condition_estimate"] >= 1.0
+            assert stein["method"] == "block"
+            blocks = next(c for c in doc["checks"] if c["name"] == "stein_blocks")
+            scale = max(1.0, stein["norm_h"])
+            assert blocks["max_residual"] == stein["residual_abs"] / scale
 
     def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
         from wfk import Realization
@@ -438,6 +527,59 @@ class TestCliVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stein"] is None
         assert "wall_ms" in doc["checks"][0]
+
+    def test_north_star_rung_verdicts(self, tmp_path, capsys):
+        # (12, 16, 0.999): ||H||_1 is about 1.5e3, so the absolute residual
+        # exceeds 1e-9 while the relative one is far below it
+        params = tmp_path / "p.json"
+        argv = ["gen", "--n", "12", "--index", "16", "--rho", "0.999", "--seed", "1"]
+        assert main(argv + ["-o", str(params)]) == 0
+        p = wio.load_parameters(params)
+        r = realize_wavelet(p)
+        from wfk import Realization
+
+        real, scaled = tmp_path / "r.json", tmp_path / "scaled.json"
+        wio.save_realization(r, real)
+        wio.save_realization(Realization(a=r.a, b=1.01 * r.b, c=r.c, d=r.d), scaled)
+        for path, code in ((params, 0), (real, 0), (scaled, 1)):
+            assert main(["verify", str(path)]) == code
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["stein"]["method"] == "block"
+            failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+            if code:
+                assert "stein_blocks" in failed and "minimality" not in failed
+            else:
+                assert doc["stein"]["norm_h"] > 1e3
+
+    def test_sixteen_bands_index_thirty_two_passes(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        argv = ["gen", "--n", "16", "--index", "32", "--rho", "0.999", "--seed", "5"]
+        assert main(argv + ["-o", str(params)]) == 0
+        assert main(["verify", str(params)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"]["method"] == "block" and doc["stein"]["residual_abs"] > 1e-9
+
+    def test_hidden_core_realization_fails_minimality(self, tmp_path, capsys):
+        from wfk import Realization
+
+        r = realize_wavelet(sample_parameters(3, 4, 8, 0.9))
+        n, p = r.outputs, r.state_dim
+        a = np.zeros((p + n, p + n), dtype=complex)
+        a[:n, :n] = 0.5 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        a[n:, n:] = r.a
+        hidden = Realization(
+            a=a,
+            b=np.vstack([np.zeros((n, r.inputs)), r.b]),
+            c=np.hstack([np.zeros((r.outputs, n)), r.c]),
+            d=r.d,
+        )
+        path = tmp_path / "r.json"
+        wio.save_realization(hidden, path)
+        assert main(["verify", str(path), "--points", "32"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"]["method"] == "dense"
+        failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+        assert failed == {"minimality"}
 
     def test_realization_input_passes(self, tmp_path, capsys):
         r = realize_wavelet(sample_parameters(6, 3, 1, 0.9))

@@ -44,7 +44,7 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
-from wfk.realization import _ROW_MIN_POINTS
+from wfk.realization import _ROW_MIN_POINTS, _cascade_edges, _series_solution
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -447,6 +447,83 @@ class TestStein:
         bad = Realization(a=1.01 * r.a, b=r.b, c=r.c, d=r.d)
         cert = stein_certificate(bad)
         assert cert.max_block_residual > 1e-9
+
+
+class TestBlockStein:
+    """The block-diagonal Stein solution of the cascade layout."""
+
+    @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_block_solution_matches_series(self, n, m, rho):
+        r = realize_wavelet(sample_parameters(1, n, m, rho))
+        cert = stein_certificate(r)
+        assert cert.method == "block"
+        dense = _series_solution(r)
+        assert np.linalg.norm(cert.h - dense, 1) <= 1e-10 * np.linalg.norm(dense, 1)
+        # the cascade's solution is block diagonal: n-state cores, then the
+        # elementary block
+        edges = _cascade_edges(r)
+        assert edges[-1] == r.state_dim and len(edges) == m + 1 + (n > 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            assert not cert.h[lo:hi, hi:].any()
+
+    def test_relative_residuals_use_norm_of_h(self):
+        cert = stein_certificate(realize_wavelet(sample_parameters(1, 4, 8, 0.9)))
+        assert cert.norm_h > 1.0 and cert.scale == cert.norm_h
+        assert cert.relative_block_residual == cert.max_block_residual / cert.norm_h
+        assert cert.relative_hermiticity == cert.hermiticity / cert.norm_h
+        small = stein_certificate(realize_elementary_wavelet(3))
+        assert small.scale == 1.0
+        assert small.relative_block_residual == small.max_block_residual
+
+    def test_scaled_input_keeps_block_solution_and_fails(self):
+        # B does not enter the state equation, so the block solution stands
+        # and the cross and input identities fail on their own
+        r = realize_wavelet(sample_parameters(2, 4, 8, 0.9))
+        bad = Realization(a=r.a, b=1.01 * r.b, c=r.c, d=r.d)
+        cert = stein_certificate(bad)
+        assert cert.method == "block" and cert.positive_definite
+        assert cert.residual_state <= 1e-9 * cert.scale
+        assert cert.relative_block_residual > 1e-6
+
+    def test_hidden_core_on_top_takes_dense_path(self):
+        r = realize_wavelet(sample_parameters(3, 4, 8, 0.9))
+        n, p = r.outputs, r.state_dim
+        # n hidden states on top: stable, triangular, unreachable, unseen
+        a = np.zeros((p + n, p + n), dtype=complex)
+        a[:n, :n] = 0.5 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        a[n:, n:] = r.a
+        hidden = Realization(
+            a=a,
+            b=np.vstack([np.zeros((n, r.inputs)), r.b]),
+            c=np.hstack([np.zeros((r.outputs, n)), r.c]),
+            d=r.d,
+        )
+        assert _cascade_edges(hidden) is not None
+        cert = stein_certificate(hidden)
+        assert cert.method == "dense"
+        assert cert.max_block_residual <= 1e-9
+        assert not cert.positive_definite
+
+    def test_unquantized_or_dense_state_matrix_takes_dense_path(self):
+        r = realize_wavelet(sample_parameters(4, 3, 2, 0.9))
+        padded = TestMinimality._padded(r)
+        rng = np.random.default_rng(4)
+        p = r.state_dim
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        rotated = Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
+        assert _cascade_edges(padded) is None and _cascade_edges(rotated) is None
+        assert stein_certificate(padded).method == "dense"
+        cert = stein_certificate(rotated)
+        assert cert.method == "dense" and cert.positive_definite
+        assert cert.max_block_residual <= 1e-9
+
+    def test_unstable_cascade_layout_raises(self):
+        # the block equation is solvable but its H is indefinite, so the
+        # series runs and diverges
+        r = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
+        assert _cascade_edges(r) is not None
+        with pytest.raises(ConvergenceError):
+            stein_certificate(r)
 
 
 class TestMinimality:
