@@ -9,7 +9,9 @@ Exit codes are a function of outcome only:
 * 4 - numeric singularity (evaluation at a pole)
 * 5 - unsupported mode (e.g. time-domain subbands for a non-FIR filter)
 
-The environment variable ``WFK_SEED`` supplies the default seed.
+The environment variable ``WFK_SEED`` supplies the default seed of the
+commands that take ``--seed``; it is read only when such a command runs
+without ``--seed``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +40,7 @@ from .errors import (
 from .filters import (
     CheckReport,
     box_to_params,
-    check_paraunitary,
-    check_symmetry,
+    circle_checks,
     sample_box,
     subband_filters,
     wavelet_eval,
@@ -109,8 +111,10 @@ class _Stopwatch:
     """Stamps each check with the wall time since the previous stamp.
 
     The first stamp counts from creation.  A check read off an earlier
-    computation (``frequency_pr`` from ``paraunitary``; ``stein_hermiticity``
-    and ``minimality`` from the Stein certificate) gets about 0 ms.
+    computation gets about 0 ms: ``paraunitary`` comes from the circle
+    evaluation of ``symmetry`` (see :func:`wfk.filters.circle_checks`),
+    ``frequency_pr`` from ``paraunitary``, and ``stein_hermiticity`` and
+    ``minimality`` from the Stein certificate.
     """
 
     def __init__(self):
@@ -125,11 +129,10 @@ class _Stopwatch:
 def _verify_params(params, points, tol, seed):
     watch = _Stopwatch()
     fn = lambda z: wavelet_eval(params, z)  # noqa: E731
-    checks = [watch.stamp(check_symmetry(fn, params.n, points, tol, seed))]
-    para = watch.stamp(check_paraunitary(fn, params.n, points, tol, seed))
+    checks = [watch.stamp(c) for c in circle_checks(fn, params.n, points, tol, seed)]
     # on the circle reconstruction is exact precisely when W is unitary,
     # so the perfect-reconstruction check is the same computation
-    checks += [para, watch.stamp(dataclasses.replace(para, name="frequency_pr"))]
+    checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
     real = realize_wavelet(params)
     degree_gap = abs(real.state_dim - mcmillan_degree(params))
     checks.append(
@@ -159,7 +162,9 @@ def _verify_realization_core(real, points, tol, seed):
     ``||H||_1 = 1`` the gates are the absolute ones.  The entry holds the
     certificate's condition estimate, its positive-definiteness flag,
     ``||H||_1``, the solution ``method`` and ``residual_abs``, the absolute
-    largest block residual; it is None when the Stein series diverges.
+    largest block residual, and ``worst_block``, the factor index or
+    ``"elementary"`` of the block with the largest residual rows (null on
+    the dense path); it is None when the Stein series diverges.
     """
     watch = _Stopwatch()
     # minimality: H > 0 together with the block identities (lossless case)
@@ -173,6 +178,7 @@ def _verify_realization_core(real, points, tol, seed):
             "norm_h": cert.norm_h,
             "method": cert.method,
             "residual_abs": cert.max_block_residual,
+            "worst_block": cert.worst_block,
         }
     except ConvergenceError:
         # an unstable state matrix has no Stein solution: the Stein
@@ -191,10 +197,7 @@ def _verify_realization_core(real, points, tol, seed):
 def _verify_realization(real, n, points, tol, seed):
     watch = _Stopwatch()
     fn = lambda z: eval_realization(real, z)  # noqa: E731
-    checks = [
-        watch.stamp(check_symmetry(fn, n, points, tol, seed)),
-        watch.stamp(check_paraunitary(fn, n, points, tol, seed)),
-    ]
+    checks = [watch.stamp(c) for c in circle_checks(fn, n, points, tol, seed)]
     # Degree quantization: the state dimension must be n*(n-1)/2 plus a
     # whole number of n-state factor cores.
     extra = real.state_dim - n * (n - 1) // 2
@@ -308,19 +311,24 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wfk`` argument parser, built once per process.
+
+    ``--seed`` defaults to None; :func:`main` resolves it from ``WFK_SEED``
+    only for a command that takes it and was run without it.
+    """
     parser = argparse.ArgumentParser(
         prog="wfk",
         description="Construct, realize and verify N-band paraunitary wavelet filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("gen", help="draw or convert filter parameters")
     p.add_argument("--n", type=int, required=True, help="band count (>= 2)")
     p.add_argument("--index", type=int, required=True, help="number of factors (>= 0)")
     p.add_argument("--rho", type=float, default=0.0, help="spectral-radius bound in [0, 1]")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--box", help="JSON file of box coordinates instead of sampling")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--tol", type=float, default=TOL)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)
 
@@ -364,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -287,6 +287,8 @@ class CheckReport:
     resampled: int = 0
     # wall time of the check in milliseconds, where the caller measured it
     wall_ms: float = 0.0
+    # circle point of the largest residual; None for a check off the circle
+    argmax_z: complex | None = None
 
     def __post_init__(self):
         if self.passed != (self.max_residual <= self.tolerance):
@@ -526,46 +528,55 @@ def unit_circle_points(count: int, seed: int = 0) -> np.ndarray:
 _RETRIES = 8
 
 
-def _sample_residuals(residual, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``residual(points)`` and a mask of the points at which it raised.
+def _sample_residuals(residual, points: np.ndarray) -> tuple[list, np.ndarray]:
+    """``residual`` at the points where it does not raise, and the points where it does.
 
     ``residual`` takes all points in one call; when it raises a pole or
     singularity error the points are halved until the failing ones are
     isolated, so a single bad point costs about ``log2(K)`` extra calls.
+    Returns the ``(points, residuals)`` pairs of the calls that succeeded
+    and the array of failed points.
     """
     try:
-        return residual(points), np.zeros(points.size, dtype=bool)
+        return [(points, residual(points))], points[:0]
     except (PoleError, SingularMatrixError):
         if points.size == 1:
-            return np.zeros(1), np.ones(1, dtype=bool)
+            return [], points
         half = points.size // 2
-        (ra, fa), (rb, fb) = (
+        (ga, fa), (gb, fb) = (
             _sample_residuals(residual, part) for part in (points[:half], points[half:])
         )
-        return np.concatenate([ra, rb]), np.concatenate([fa, fb])
+        return ga + gb, np.concatenate([fa, fb])
 
 
-def _max_circle_residual(residual, points: np.ndarray, seed: int) -> tuple[float, int]:
-    """Max of ``residual`` over ``points`` and the number of redrawn points.
+def _max_circle_residual(
+    residual, points: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Column-wise max of ``residual`` over ``points``, where it is reached, and the redraws.
 
-    Only the points where ``residual`` hit a pole or a singular matrix are
+    ``residual`` maps ``K`` points to ``K`` residuals, or to a ``(K, c)``
+    array of ``c`` residuals per point.  Returns the ``c`` maxima, the
+    point at which each is reached and the number of redrawn points.  Only
+    the points where ``residual`` hit a pole or a singular matrix are
     redrawn, from an rng seeded by ``seed``, for at most ``_RETRIES``
     rounds; a point redrawn in two rounds counts twice.
     """
     rng = np.random.default_rng(seed ^ 0x5EED)
-    values, failed = _sample_residuals(residual, points)
-    worst = float(values[~failed].max(initial=0.0))
+    groups, failed = _sample_residuals(residual, points)
     resampled = 0
     for _ in range(_RETRIES):
-        if not failed.any():
+        if not failed.size:
             break
-        redraw = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=int(failed.sum())))
+        redraw = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=failed.size))
         resampled += redraw.size
-        values, failed = _sample_residuals(residual, redraw)
-        worst = max(worst, float(values[~failed].max(initial=0.0)))
-    if failed.any():
+        more, failed = _sample_residuals(residual, redraw)
+        groups += more
+    if failed.size:
         raise SamplingError("exhausted retries while avoiding poles on the circle")
-    return worst, resampled
+    zs = np.concatenate([z for z, _ in groups])
+    values = np.concatenate([np.reshape(v, (z.size, -1)) for z, v in groups])
+    at = values.argmax(axis=0)
+    return values[at, np.arange(values.shape[1])], zs[at], resampled
 
 
 def _values(eval_fn, points: np.ndarray, n: int) -> np.ndarray:
@@ -580,6 +591,32 @@ def _values(eval_fn, points: np.ndarray, n: int) -> np.ndarray:
     return np.broadcast_to(values, (points.size, n, n))
 
 
+def _symmetry_residual(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``||F(eps z) - F(z) P||_F`` per point from the stack ``[F(eps z); F(z)]``."""
+    rotated, plain = np.split(values, 2)
+    return np.linalg.norm(rotated - plain @ shift, axis=(1, 2))
+
+
+def _unitarity_residual(values: np.ndarray) -> np.ndarray:
+    """``||F(z)* F(z) - I||_F`` per point of the stack ``F(z)``."""
+    eye = np.eye(values.shape[-1])
+    return np.linalg.norm(np.swapaxes(values.conj(), 1, 2) @ values - eye, axis=(1, 2))
+
+
+def _circle_reports(names, residual, sample_points, tol, seed) -> list[CheckReport]:
+    """One report per column of ``residual`` over ``sample_points`` circle points."""
+    worst, where, resampled = _max_circle_residual(
+        residual, unit_circle_points(sample_points, seed), seed
+    )
+    return [
+        CheckReport(
+            name, float(w), tol, float(w) <= tol, sample_points, seed, resampled,
+            argmax_z=complex(z),
+        )
+        for name, w, z in zip(names, worst, where)
+    ]
+
+
 def check_symmetry(
     eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
 ) -> CheckReport:
@@ -588,18 +625,16 @@ def check_symmetry(
     ``eval_fn`` maps an array of ``K`` points to a ``(K, n, n)`` stack of
     values (a constant ``(n, n)`` result broadcasts); it is called with all
     points at once.  The report carries the max Frobenius residual over the
-    sampled points and the number of points redrawn at poles.
+    sampled points, the point where it is reached and the number of points
+    redrawn at poles.
     """
     struct = modulation_structure(n)
 
     def residual(zs):
         values = _values(eval_fn, np.concatenate([struct.root * zs, zs]), n)
-        rotated, plain = np.split(values, 2)
-        return np.linalg.norm(rotated - plain @ struct.shift, axis=(1, 2))
+        return _symmetry_residual(values, struct.shift)
 
-    points = unit_circle_points(sample_points, seed)
-    worst, resampled = _max_circle_residual(residual, points, seed)
-    return CheckReport("symmetry", worst, tol, worst <= tol, sample_points, seed, resampled)
+    return _circle_reports(["symmetry"], residual, sample_points, tol, seed)[0]
 
 
 def check_paraunitary(
@@ -609,17 +644,35 @@ def check_paraunitary(
 
     ``eval_fn`` follows the contract of :func:`check_symmetry`.
     """
-    eye = np.eye(n)
 
     def residual(zs):
-        f = _values(eval_fn, zs, n)
-        return np.linalg.norm(np.swapaxes(f.conj(), 1, 2) @ f - eye, axis=(1, 2))
+        return _unitarity_residual(_values(eval_fn, zs, n))
 
-    points = unit_circle_points(sample_points, seed)
-    worst, resampled = _max_circle_residual(residual, points, seed)
-    return CheckReport(
-        "paraunitary", worst, tol, worst <= tol, sample_points, seed, resampled
-    )
+    return _circle_reports(["paraunitary"], residual, sample_points, tol, seed)[0]
+
+
+def circle_checks(
+    eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
+) -> tuple[CheckReport, CheckReport]:
+    """:func:`check_symmetry` and :func:`check_paraunitary` from one evaluation.
+
+    The symmetry check evaluates ``F`` at ``eps z`` and at ``z``; the
+    unitarity residual is read off the values at ``z``, so ``eval_fn`` is
+    called once per pass instead of twice.  With no pole on the circle the
+    two reports equal those of the separate checks; a point where either
+    value hits a pole is redrawn for both, so both carry the same
+    ``resampled`` count.
+    """
+    struct = modulation_structure(n)
+
+    def residual(zs):
+        values = _values(eval_fn, np.concatenate([struct.root * zs, zs]), n)
+        plain = values[zs.size :]
+        return np.stack(
+            [_symmetry_residual(values, struct.shift), _unitarity_residual(plain)], axis=1
+        )
+
+    return tuple(_circle_reports(["symmetry", "paraunitary"], residual, sample_points, tol, seed))
 
 
 def quotient_decimation_check(
@@ -650,11 +703,7 @@ def quotient_decimation_check(
         rotated, plain = np.split(quotient(np.concatenate([struct.root * zs, zs])), 2)
         return np.linalg.norm(rotated - plain, axis=(1, 2))
 
-    points = unit_circle_points(sample_points, seed)
-    worst, resampled = _max_circle_residual(residual, points, seed)
-    return CheckReport(
-        "quotient_decimation", worst, tol, worst <= tol, sample_points, seed, resampled
-    )
+    return _circle_reports(["quotient_decimation"], residual, sample_points, tol, seed)[0]
 
 
 def subband_filters(params: FilterParameters) -> SubbandFilterSet:

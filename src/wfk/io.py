@@ -213,6 +213,7 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
                 "seed": c.seed,
                 "resampled": c.resampled,
                 "wall_ms": c.wall_ms,
+                "argmax_z": None if c.argmax_z is None else _pair(c.argmax_z),
             }
             for c in checks
         ],

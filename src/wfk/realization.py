@@ -176,6 +176,11 @@ class SteinCertificate:
     ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.  ``method`` is
     ``"block"`` when ``H`` was solved block by block over the cascade
     layout and ``"dense"`` when it came from the doubling series.
+    ``worst_block`` names the block whose rows of the full residual
+    ``[A B; C D]* diag(H, I) [A B; C D] - diag(H, I)`` have the largest
+    Frobenius norm: the 0-based index ``i`` of the factor whose core it is
+    (``factors[i]`` of the parameters, ``i`` cores above the elementary
+    block) or ``"elementary"``; it is None on the dense path.
     """
 
     h: np.ndarray
@@ -187,6 +192,7 @@ class SteinCertificate:
     positive_definite: bool
     norm_h: float
     method: str
+    worst_block: int | str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "h", _frozen(self.h))
@@ -472,12 +478,18 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     sections: ``k`` blocks of ``n`` states, then the ``n*(n-1)/2`` states of
     the elementary filter.  The diagonal blocks are solved top first from
     ``H_jj - A_jj* H_jj A_jj = (C*C)_jj + A[:lo, j]* H[:lo, :lo] A[:lo, j]``
-    (see :func:`_triangular_stein`).  Every residual is then computed on the
-    full realization, so the block structure cannot create a false pass.
-    Each block is replaced by its Hermitian part, which solves the block
-    equation at least as well, so the block solution is Hermitian.  It is
-    kept when its state-equation residual is at most ``TOL`` (1e-9)
-    relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``.  A stable
+    (see :func:`_triangular_stein`).  Each block is replaced by its
+    Hermitian part, which solves the block equation at least as well, so
+    the block solution is Hermitian.  Its certificate is taken block by
+    block (see :func:`_block_certificate`): ``diag(H, I)`` multiplies the
+    system matrix one block row at a time and one product with the adjoint
+    of the full system matrix gives all three residuals, so every entry of
+    ``A``, ``B``, ``C`` and ``D`` enters them and the block structure cannot
+    create a false pass; ``||H||_1``, ``||H^-1||_1``, the Hermiticity and
+    the Cholesky test of ``H`` are taken per block, which is exact for a
+    block-diagonal ``H``.  The block solution is kept when its
+    state-equation residual is at most ``TOL`` (1e-9) relative to
+    ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``.  A stable
     ``A`` has exactly one solution of the state equation, so a block
     solution that passes it is that solution, and a failed cross or input
     identity is the realization's own.  Otherwise, and for every other
@@ -504,9 +516,9 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     """
     edges = _cascade_edges(r)
     if edges is not None:
-        h = _block_solution(r, edges)
-        if h is not None:
-            cert = _certificate(r, h, "block")
+        blocks = _block_solution(r, edges)
+        if blocks is not None:
+            cert = _block_certificate(r, *blocks)
             if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
                 return cert
     return _certificate(r, _series_solution(r), "dense")
@@ -526,17 +538,22 @@ def _cascade_edges(r: Realization) -> list[int] | None:
     return list(range(0, p - elementary + 1, n)) + ([p] if elementary else [])
 
 
-def _block_solution(r: Realization, edges: list[int]) -> np.ndarray | None:
-    """The block-diagonal Stein solution over ``edges``, or None if it breaks down.
+def _block_solution(
+    r: Realization, edges: list[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The diagonal blocks of the Stein solution over ``edges``, or None if it breaks down.
 
-    Above each block lie only ``n``-state cores, so their coupling term
-    ``sum_i A_ij* H_ii A_ij`` is one stacked product over the cores solved
-    so far.  A singular block equation or a non-finite block gives None.
+    Returns the ``k`` core blocks stacked as ``(k, n, n)``, top first, and
+    the elementary block (``0 x 0`` when ``n = 1``).  Above each block lie
+    only ``n``-state cores, so their coupling term ``sum_i A_ij* H_ii A_ij``
+    is one stacked product over the cores solved so far.  A singular block
+    equation or a non-finite block gives None.
     """
     n, p = r.outputs, r.state_dim
     a, c = r.a, r.c
-    cores = np.empty((len(edges) - 1, n, n), dtype=complex)
-    h = np.zeros((p, p), dtype=complex)
+    k = (p - n * (n - 1) // 2) // n
+    cores = np.empty((k, n, n), dtype=complex)
+    elementary = np.zeros((0, 0), dtype=complex)
     with np.errstate(all="ignore"):
         for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             c_j = c[:, lo:hi]
@@ -554,10 +571,11 @@ def _block_solution(r: Realization, edges: list[int]) -> np.ndarray | None:
             # the equation commutes with the adjoint, so the Hermitian part
             # of a block has at most its residual
             h_j = (h_j + h_j.conj().T) / 2.0
-            h[lo:hi, lo:hi] = h_j
-            if hi - lo == n:
+            if j < k:
                 cores[j] = h_j
-    return h
+            else:
+                elementary = h_j
+    return cores, elementary
 
 
 def _triangular_stein(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -602,6 +620,75 @@ def _series_solution(r: Realization) -> np.ndarray:
         power = power @ power
     raise ConvergenceError(
         "Stein series did not converge; spectral radius appears to be >= 1"
+    )
+
+
+def _stack_adjoint(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _block_certificate(
+    r: Realization, cores: np.ndarray, elementary: np.ndarray
+) -> SteinCertificate:
+    """The certificate of ``H = diag(cores[0], ..., cores[k-1], elementary)``.
+
+    With ``S = [A B; C D]`` the system matrix, the residual
+    ``R = S* (diag(H, I) S) - diag(H, I)`` holds the state equation in
+    ``R[:p, :p]``, the cross identity in ``R[:p, p:]`` and the input
+    identity in ``R[p:, p:]``.  ``diag(H, I) S`` is formed one block row at
+    a time, one stacked product over the cores, and ``R`` by one full-size
+    product, so every entry of ``S`` enters the residuals.  The norms, the
+    inverse, the Hermiticity and the Cholesky test of ``H`` are taken per
+    block: for a block-diagonal ``H`` each is the dense one.
+    """
+    k, n, _ = cores.shape
+    kn, p = k * n, r.state_dim
+    system = system_matrix(r)
+    width = system.shape[1]
+    scaled = system.copy()  # diag(H, I) S: the rows of [C D] stay
+    scaled[:kn] = (cores @ system[:kn].reshape(k, n, width)).reshape(kn, width)
+    scaled[kn:p] = elementary @ system[kn:p]
+    residual = system.conj().T @ scaled
+    h = np.zeros((p, p), dtype=complex)
+    for j in range(k):
+        h[j * n : (j + 1) * n, j * n : (j + 1) * n] = cores[j]
+    h[kn:, kn:] = elementary
+    residual[:p, :p] -= h
+    residual[p:, p:] -= _eye(r.inputs)
+    stacks = [s for s in (cores, elementary[None]) if s.size]
+    hermiticity = float(np.linalg.norm([np.linalg.norm(s - _stack_adjoint(s)) for s in stacks]))
+    condition, positive, norm_h, worst = 1.0, True, 0.0, None
+    if p:
+        norm_h = max(float(np.abs(s).sum(axis=1).max()) for s in stacks)
+        try:
+            inverse = max(float(np.abs(np.linalg.inv(s)).sum(axis=1).max()) for s in stacks)
+        except np.linalg.LinAlgError:
+            inverse = float("inf")
+        condition = norm_h * inverse
+        try:
+            for s in stacks:
+                margin = _PD_MARGIN * norm_h * _eye(s.shape[-1])
+                np.linalg.cholesky((s + _stack_adjoint(s)) / 2.0 - margin)
+        except np.linalg.LinAlgError:
+            positive = False
+        # squared Frobenius norm of each block's rows of R, cores top first
+        rows = np.square(np.abs(residual[:p])).sum(axis=1)
+        energy = list(rows[:kn].reshape(k, n).sum(axis=1))
+        if elementary.size:
+            energy.append(rows[kn:].sum())
+        top = int(np.argmax(energy))
+        worst = k - 1 - top if top < k else "elementary"
+    return SteinCertificate(
+        h=h,
+        residual_state=float(np.linalg.norm(residual[:p, :p])),
+        residual_cross=float(np.linalg.norm(residual[:p, p:])),
+        residual_input=float(np.linalg.norm(residual[p:, p:])),
+        hermiticity=hermiticity,
+        condition_estimate=condition,
+        positive_definite=positive,
+        norm_h=norm_h,
+        method="block",
+        worst_block=worst,
     )
 
 

@@ -7,6 +7,7 @@ from reference_matrices import closed_form_wa, closed_form_wb
 
 from wfk import (
     BoxPoint,
+    CheckReport,
     Factor,
     FilterParameters,
     FirRequiredError,
@@ -22,14 +23,17 @@ from wfk import (
     dft_matrix,
     elementary_unitary_eval,
     elementary_wavelet_eval,
+    eval_realization,
     modulation_structure,
     params_to_box,
     quotient_decimation_check,
+    realize_wavelet,
     sample_parameters,
     subband_filters,
     unit_circle_points,
     wavelet_eval,
 )
+from wfk.filters import circle_checks
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -558,6 +562,55 @@ class TestChecks:
                 g1 = wavelet_eval(pb, z) @ adjoint(wavelet_eval(pa, z))
                 g2 = wavelet_eval(pb, eps * z) @ adjoint(wavelet_eval(pa, eps * z))
                 assert np.abs(g1 - g2).max() <= 1e-9
+
+
+class TestSharedCirclePass:
+    @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (3, 2, 0.9), (4, 8, 0.9)])
+    def test_equals_separate_checks(self, n, m, rho):
+        p = sample_parameters(7 * n + m, n, m, rho)
+        r = realize_wavelet(p)
+        for fn in (lambda z: wavelet_eval(p, z), lambda z: eval_realization(r, z)):
+            shared = circle_checks(fn, n, 64, 1e-9, 3)
+            alone = (check_symmetry(fn, n, 64, 1e-9, 3), check_paraunitary(fn, n, 64, 1e-9, 3))
+            for one, other in zip(shared, alone):
+                assert one.name == other.name and one.passed == other.passed
+                assert abs(one.max_residual - other.max_residual) <= 1e-14
+                assert one.resampled == other.resampled == 0
+                assert (one.sample_count, one.seed, one.tolerance) == (64, 3, 1e-9)
+
+    def test_pole_on_the_grid_is_redrawn_for_both(self):
+        p = sample_parameters(14, 3, 2, 0.9)
+        pole = unit_circle_points(64, seed=5)[7]
+
+        def fn(z):
+            if np.isclose(z, pole, rtol=0.0, atol=1e-12).any():
+                raise PoleError("chosen point")
+            return wavelet_eval(p, z)
+
+        symmetry, unitarity = circle_checks(fn, 3, 64, 1e-9, 5)
+        assert symmetry.passed and unitarity.passed
+        assert symmetry.resampled == unitarity.resampled >= 1
+        assert check_symmetry(fn, 3, 64, 1e-9, 5).resampled == symmetry.resampled
+
+    def test_argmax_z_names_a_planted_defect(self):
+        p = sample_parameters(16, 3, 2, 0.9)
+        points = unit_circle_points(64, seed=2)
+        defect = points[11]
+
+        def fn(z):
+            values = wavelet_eval(p, z)
+            return np.where(np.isin(z, defect)[:, None, None], 1.1 * values, values)
+
+        alone = check_paraunitary(fn, 3, 64, 1e-9, 2)
+        symmetry, unitarity = circle_checks(fn, 3, 64, 1e-9, 2)
+        assert not alone.passed and not unitarity.passed
+        assert alone.argmax_z == unitarity.argmax_z == defect
+        # the symmetry residual sees the defect at z and at z / eps
+        eps = np.exp(2j * np.pi / 3)
+        assert min(abs(symmetry.argmax_z - z) for z in (defect, defect / eps)) <= 1e-15
+
+    def test_argmax_z_defaults_to_none(self):
+        assert CheckReport("degree", 0.0, 0.0, True, 8, 0).argmax_z is None
 
 
 class TestSubbandFilters:

@@ -414,6 +414,28 @@ class TestCliGen:
         main(["gen", "--n", "2", "--index", "2", "--rho", "0.5", "--seed", "31", "-o", str(out_explicit)])
         assert out_env.read_bytes() == out_explicit.read_bytes()
 
+    def test_env_seed_read_on_each_call(self, tmp_path, monkeypatch):
+        outs = {}
+        for seed in ("31", "32"):
+            monkeypatch.setenv("WFK_SEED", seed)
+            outs[seed] = tmp_path / f"env{seed}.json"
+            main(["gen", "--n", "2", "--index", "2", "--rho", "0.5", "-o", str(outs[seed])])
+        monkeypatch.delenv("WFK_SEED")
+        for seed, out in outs.items():
+            explicit = tmp_path / f"explicit{seed}.json"
+            argv = ["gen", "--n", "2", "--index", "2", "--rho", "0.5", "--seed", seed]
+            main(argv + ["-o", str(explicit)])
+            assert out.read_bytes() == explicit.read_bytes()
+        assert outs["31"].read_bytes() != outs["32"].read_bytes()
+
+    def test_bad_env_seed_ignored_where_no_seed_is_needed(self, tmp_path, monkeypatch, capsys):
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.5), params)
+        monkeypatch.setenv("WFK_SEED", "abc")
+        assert main(["realize", str(params), "-o", str(real)]) == 0
+        assert main(["verify", str(params), "--seed", "3", "--points", "16"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
     def test_env_seed_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WFK_SEED", "abc")
         code = main(["gen", "--n", "2", "--index", "1", "-o", str(tmp_path / "p.json")])
@@ -516,6 +538,24 @@ class TestCliVerify:
             blocks = next(c for c in doc["checks"] if c["name"] == "stein_blocks")
             scale = max(1.0, stein["norm_h"])
             assert blocks["max_residual"] == stein["residual_abs"] / scale
+
+    def test_report_locates_worst_point_and_block(self, tmp_path, capsys):
+        from wfk import Realization
+
+        r = realize_wavelet(sample_parameters(2, 4, 8, 0.9))
+        scaled = tmp_path / "scaled.json"
+        wio.save_realization(Realization(a=r.a, b=1.01 * r.b, c=r.c, d=r.d), scaled)
+        assert main(["verify", str(scaled), "--points", "32"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        checks = {c["name"]: c for c in doc["checks"]}
+        for name in ("symmetry", "paraunitary"):
+            re_im = checks[name]["argmax_z"]
+            assert len(re_im) == 2 and abs(abs(complex(*re_im)) - 1.0) <= 1e-12
+        assert checks["paraunitary"]["resampled"] == checks["symmetry"]["resampled"]
+        for name in ("degree", "stein_blocks", "stein_hermiticity", "minimality"):
+            assert checks[name]["argmax_z"] is None
+        assert isinstance(doc["stein"]["worst_block"], int)
+        assert 0 <= doc["stein"]["worst_block"] < 8
 
     def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
         from wfk import Realization

@@ -44,7 +44,14 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
-from wfk.realization import _ROW_MIN_POINTS, _cascade_edges, _series_solution
+from wfk.realization import (
+    _ROW_MIN_POINTS,
+    _block_certificate,
+    _block_solution,
+    _cascade_edges,
+    _certificate,
+    _series_solution,
+)
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -516,6 +523,78 @@ class TestBlockStein:
         cert = stein_certificate(rotated)
         assert cert.method == "dense" and cert.positive_definite
         assert cert.max_block_residual <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, m, rho",
+        [(2, 3, 0.0), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (4, 0, 0.0)],
+    )
+    def test_structured_certificate_equals_dense(self, n, m, rho):
+        r = realize_wavelet(sample_parameters(1, n, m, rho))
+        cores, elementary = _block_solution(r, _cascade_edges(r))
+        assert cores.shape == (m, n, n) and elementary.shape == (n * (n - 1) // 2,) * 2
+        block = _block_certificate(r, cores, elementary)
+        dense = _certificate(r, block.h, "dense")
+        assert np.array_equal(block.h, dense.h)
+        for lo in range(0, m * n, n):
+            assert np.array_equal(block.h[lo : lo + n, lo : lo + n], cores[lo // n])
+        assert np.array_equal(block.h[m * n :, m * n :], elementary)
+        for name in ("residual_state", "residual_cross", "residual_input", "hermiticity"):
+            assert abs(getattr(block, name) - getattr(dense, name)) <= 1e-12 * dense.scale, name
+        assert block.norm_h == dense.norm_h
+        assert block.condition_estimate == pytest.approx(dense.condition_estimate, rel=1e-10)
+        assert block.positive_definite == dense.positive_definite
+        assert block.method == "block" and dense.worst_block is None
+
+    def test_coupling_entry_is_checked_on_the_full_state_equation(self):
+        # a perturbed entry of A right of a core's diagonal block, in the row
+        # that couples it to the states below: A stays triangular and the
+        # block solution still satisfies every diagonal block of the state
+        # equation, so only its off-diagonal blocks reveal the change
+        r = realize_wavelet(sample_parameters(2, 4, 8, 0.9))
+        n = r.outputs
+        a = np.array(r.a)
+        row = n - 1
+        col = n + int(np.flatnonzero(a[row, n:])[0])
+        a[row, col] += 1e-3
+        bad = Realization(a=a, b=r.b, c=r.c, d=r.d)
+        assert bad.upper_triangular and _cascade_edges(bad) == _cascade_edges(r)
+        blocks = _block_solution(bad, _cascade_edges(bad))
+        block = _block_certificate(bad, *blocks)
+        state = adjoint(bad.a) @ block.h @ bad.a + adjoint(bad.c) @ bad.c - block.h
+        edges = _cascade_edges(bad)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            assert np.linalg.norm(state[lo:hi, lo:hi]) <= 1e-12 * block.scale
+        assert block.residual_state > 1e-6 * block.scale
+        cert = stein_certificate(bad)
+        assert cert.method == "dense"
+        assert cert.relative_block_residual > 1e-9
+
+    def test_worst_block_names_a_factor_of_a_scaled_input(self):
+        params = sample_parameters(2, 4, 8, 0.9)
+        r = realize_wavelet(params)
+        bad = Realization(a=r.a, b=1.01 * r.b, c=r.c, d=r.d)
+        cert = stein_certificate(bad)
+        assert cert.method == "block"
+        factor = cert.worst_block
+        assert isinstance(factor, int) and 0 <= factor < params.m
+        # factor i's core lies i cores above the elementary block
+        n, k = params.n, params.m
+        lo = (k - 1 - factor) * n
+        f = params.factors[factor]
+        core = realize_decimated_unitary(f.v, f.alpha, n)
+        assert np.allclose(r.a[lo : lo + n, lo : lo + n], core.a)
+        # the block rows of the state and cross residuals, formed densely
+        h, a_h = cert.h, adjoint(bad.a)
+        state = a_h @ h @ bad.a + adjoint(bad.c) @ bad.c - h
+        cross = a_h @ h @ bad.b + adjoint(bad.c) @ bad.d
+        rows = (np.abs(np.hstack([state, cross])) ** 2).sum(axis=1)
+        energy = [rows[(k - 1 - i) * n : (k - i) * n].sum() for i in range(k)]
+        assert int(np.argmax(energy)) == factor
+        assert max(energy) >= rows[k * n :].sum()
+
+    def test_worst_block_is_none_on_the_dense_path(self):
+        r = realize_wavelet(sample_parameters(4, 3, 2, 0.9))
+        assert stein_certificate(TestMinimality._padded(r)).worst_block is None
 
     def test_unstable_cascade_layout_raises(self):
         # the block equation is solvable but its H is indefinite, so the
