@@ -74,6 +74,33 @@ def _default_seed() -> int:
         raise UsageError(f"WFK_SEED must be an integer, got {raw!r}") from None
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@lru_cache(maxsize=None)
+def _environment() -> dict:
+    """Where a verify report's numbers came from, built once per process.
+
+    The fields and their sources are those of the benchmark's stamp
+    (``perfbench/run.py``): Python and numpy versions, ``os.cpu_count()``,
+    the CPUs this process may run on, numpy's BLAS library and the BLAS
+    thread variables (null when unset).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(affinity(0)) if affinity else os.cpu_count(),
+        "blas": blas,
+        "blas_threads": {k: os.environ.get(k) for k in _BLAS_THREAD_VARIABLES},
+    }
+
+
 def _load_document(path: str) -> dict:
     doc = wio.read_json(path)
     if not isinstance(doc, dict):
@@ -227,6 +254,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"{args.file}: neither a parameter nor a realization file")
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
     report["stein"] = stein
+    report["environment"] = _environment()
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.output:

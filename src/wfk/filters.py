@@ -63,7 +63,8 @@ class Factor:
         v = np.asarray(self.v, dtype=complex).reshape(-1)
         if not np.isfinite(v).all():
             raise InvariantError("factor vector must have finite entries")
-        nrm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # a huge entry gives inf, rejected below
+            nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > _UNIT_NORM_TOL:
             raise InvariantError(f"factor vector must have unit norm, got {float(nrm)!r}")
         alpha = complex(self.alpha)

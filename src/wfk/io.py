@@ -65,15 +65,25 @@ def parameters_to_dict(params: FilterParameters, box: BoxPoint | None = None) ->
     return doc
 
 
-def _integer(doc: dict, key: str, where: str = "") -> int:
-    """``doc[key]`` as an int; a bool or a non-integral value raises ``InvariantError``."""
-    value = doc[key]
+def _integral(value) -> int | None:
+    """``value`` as an int when it is an int or an integral float, else None.
+
+    A bool is not an integer here, although Python counts it as one.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    field = f"{where} field '{key}'" if where else f"field '{key}'"
-    raise InvariantError(f"{field} must be an integer, got {value!r}")
+    return None
+
+
+def _integer(doc: dict, key: str, where: str = "") -> int:
+    """``doc[key]`` as an int; a bool or a non-integral value raises ``InvariantError``."""
+    value = _integral(doc[key])
+    if value is None:
+        field = f"{where} field '{key}'" if where else f"field '{key}'"
+        raise InvariantError(f"{field} must be an integer, got {doc[key]!r}")
+    return value
 
 
 def parameters_from_dict(doc: dict) -> FilterParameters:
@@ -112,41 +122,113 @@ def load_parameters(path) -> FilterParameters:
     return parameters_from_dict(read_json(path))
 
 
+_BLOCKS = ("a", "b", "c", "d")
+
+
 def _block_to_dict(m: np.ndarray) -> dict:
+    """Block ``m`` by its nonzeros.
+
+    ``index`` lists the row-major positions ``i*cols + j`` of the entries
+    whose bits are not all zero, in increasing order, and ``entries`` holds
+    those entries as ``[re, im]`` pairs.  Every position not listed is
+    ``+0.0``; ``-0.0`` has a nonzero bit, so it is listed and the block
+    reads back bit for bit.
+    """
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "entries": [_pair(c) for c in m.reshape(-1)],
+        "index": index.tolist(),
+        "entries": flat[index].view(float).reshape(-1, 2).tolist(),
     }
+
+
+def _block_shape(doc: dict, name: str) -> tuple[int, int]:
+    rows = _integer(doc, "rows", f"block '{name}'")
+    cols = _integer(doc, "cols", f"block '{name}'")
+    if rows < 0 or cols < 0:
+        raise InvariantError(f"block '{name}' declares negative size {rows}x{cols}")
+    return rows, cols
+
+
+def _block_index(raw, name: str, rows: int, cols: int) -> np.ndarray:
+    """The ``index`` of block ``name``: strictly increasing positions below ``rows*cols``."""
+    if not isinstance(raw, list):
+        raise InvariantError(
+            f"block '{name}' field 'index' must be a list, got {type(raw).__name__}"
+        )
+    if not all(type(i) is int for i in raw):
+        for k, value in enumerate(raw):
+            if _integral(value) is None:
+                raise InvariantError(
+                    f"block '{name}' index {k} must be an integer, got {value!r}"
+                )
+        raw = [_integral(value) for value in raw]
+    size = rows * cols
+    if raw and not 0 <= min(raw) <= max(raw) < size:
+        bad = next(i for i in raw if not 0 <= i < size)
+        raise InvariantError(
+            f"block '{name}' index {bad} is outside its {rows}x{cols} entries"
+        )
+    index = np.array(raw, dtype=np.int64)
+    back = np.flatnonzero(np.diff(index) <= 0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise InvariantError(
+            f"block '{name}' index {index[k]} at position {k} follows {index[k - 1]}: "
+            "indices must be strictly increasing"
+        )
+    return index
 
 
 def _block_from_dict(doc: dict, name: str) -> np.ndarray:
     """Block ``name`` of a realization document as a ``rows x cols`` matrix.
 
-    Entries that numpy converts to a finite ``(rows*cols, 2)`` float array
-    are viewed as complex in one step (numpy reads a number, or a string,
-    as ``float`` does); anything else goes through the per-pair loop, which
-    names the first bad pair.  Both give the same bits.  A non-finite value
-    takes the loop because numpy reads ``None`` as NaN, where ``float``
-    rejects it.
+    A block with an ``index`` carries only the entries at those positions
+    (see :func:`_block_to_dict`).  A block without one is dense: its
+    entries fill every position ``0 .. rows*cols - 1`` in order.  Entries
+    that numpy converts to a finite ``(count, 2)`` float array are viewed
+    as complex in one step (numpy reads a number, or a string, as
+    ``float`` does); anything else goes through the per-pair loop, which
+    names the first bad pair.  Both give the same bits.  A non-finite
+    value takes the loop because numpy reads ``None`` as NaN, where
+    ``float`` rejects it.
     """
-    rows = _integer(doc, "rows", f"block '{name}'")
-    cols = _integer(doc, "cols", f"block '{name}'")
-    if rows < 0 or cols < 0:
-        raise InvariantError(f"block '{name}' declares negative size {rows}x{cols}")
+    rows, cols = _block_shape(doc, name)
+    index = _block_index(doc["index"], name, rows, cols) if "index" in doc else None
+    count = rows * cols if index is None else index.size
     raw = doc["entries"]
     try:
         pairs = np.ascontiguousarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pairs = None
-    if pairs is not None and pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
-        return pairs.view(complex).reshape(rows, cols)
-    entries = [_from_pair(p) for p in raw]
-    if len(entries) != rows * cols:
+    if pairs is not None and pairs.shape == (count, 2) and np.isfinite(pairs).all():
+        values = pairs.view(complex).reshape(-1)
+    else:
+        entries = []
+        for k, p in enumerate(raw):
+            try:
+                entries.append(_from_pair(p))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvariantError(f"block '{name}' entry {k}: {exc}") from None
+        if len(entries) != count:
+            declared = f"{rows}x{cols}" if index is None else f"{count} indices"
+            raise InvariantError(
+                f"block '{name}' declares {declared} but carries {len(entries)} entries"
+            )
+        values = np.array(entries, dtype=complex)
+    if index is None:
+        return values.reshape(rows, cols)
+    try:
+        block = np.zeros(rows * cols, dtype=complex)
+    except (MemoryError, ValueError):
+        # MemoryError, or ValueError when the byte count overflows
         raise InvariantError(
-            f"block '{name}' declares {rows}x{cols} but carries {len(entries)} entries"
-        )
-    return np.array(entries, dtype=complex).reshape(rows, cols)
+            f"block '{name}' declares {rows}x{cols}, too large to allocate"
+        ) from None
+    block[index] = values
+    return block.reshape(rows, cols)
 
 
 def realization_to_dict(r: Realization) -> dict:
@@ -161,30 +243,37 @@ def realization_to_dict(r: Realization) -> dict:
 
 
 def realization_from_dict(doc: dict) -> Realization:
+    """The realization a document describes, dense or sparse blocks alike.
+
+    Every block's declared shape is checked against the others and against
+    ``state_dim`` before any block is read, so a short file cannot make
+    the loader allocate a matrix the blocks' shapes do not agree on.
+    """
     try:
-        blocks = {k: _block_from_dict(doc[k], k) for k in ("a", "b", "c", "d")}
         state_dim = _integer(doc, "state_dim")
+        shapes = {name: _block_shape(doc[name], name) for name in _BLOCKS}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
-    for name, block in blocks.items():
-        if not np.isfinite(block).all():
-            raise InvariantError(f"block '{name}' has a non-finite entry")
-    (p, cols), (outputs, inputs) = blocks["a"].shape, blocks["d"].shape
+    (p, cols), (outputs, inputs) = shapes["a"], shapes["d"]
     if cols != p:
         raise InvariantError(f"block 'a' must be square, got {p}x{cols}")
     for name, want in (("b", (p, inputs)), ("c", (outputs, p))):
-        got = blocks[name].shape
+        got = shapes[name]
         if got != want:
             raise InvariantError(
                 f"block '{name}' is {got[0]}x{got[1]}, expected {want[0]}x{want[1]} "
                 f"for a {p}x{p} 'a' and a {outputs}x{inputs} 'd'"
             )
-    r = Realization(**blocks)
-    if r.state_dim != state_dim:
-        raise InvariantError(
-            f"document claims state_dim={state_dim} but blocks give {r.state_dim}"
-        )
-    return r
+    if p != state_dim:
+        raise InvariantError(f"document claims state_dim={state_dim} but blocks give {p}")
+    try:
+        blocks = {name: _block_from_dict(doc[name], name) for name in _BLOCKS}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvariantError(f"malformed realization document: {exc}") from exc
+    for name, block in blocks.items():
+        if not np.isfinite(block).all():
+            raise InvariantError(f"block '{name}' has a non-finite entry")
+    return Realization(**blocks)
 
 
 def save_realization(r: Realization, path) -> None:

@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from wfk import (
 from wfk import io as wio
 from wfk.cli import main
 
+from legacy_format import dense_document
+
+DATA = Path(__file__).resolve().parent / "data"
 E2 = np.array([0.0, 1.0])
 R2 = 1 / np.sqrt(2)
 
@@ -111,6 +115,16 @@ class TestParameterFiles:
         err = capsys.readouterr().err
         assert err == "invariant violation: factor 0: factor vector must have unit norm, got 0.6\n"
 
+    def test_overflowing_vector_norm_exit_3_without_warning(self, tmp_path, capsys):
+        # the squared norm overflows; the tier-1 run turns a RuntimeWarning into an error
+        doc = wio.parameters_to_dict(sample_parameters(2, 2, 2, 0.9))
+        doc["factors"][1]["v"][0] = [1e308, 1e308]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "invariant violation: factor 1: factor vector must have unit norm, got inf\n"
+
 
 class TestRealizationFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -121,12 +135,10 @@ class TestRealizationFiles:
         for name in ("a", "b", "c", "d"):
             assert np.array_equal(getattr(q, name), getattr(r, name))
 
-    def test_non_finite_entry_exit_3(self, tmp_path, capsys):
-        r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
-        path = tmp_path / "r.json"
-        wio.save_realization(r, path)
-        doc = json.loads(path.read_text())
+    @staticmethod
+    def _check_non_finite_entry_exit_3(tmp_path, capsys, doc):
         doc["a"]["entries"][0] = [float("nan"), 0.0]
+        path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InvariantError, match="'a'"):
             wio.load_realization(path)
@@ -134,6 +146,14 @@ class TestRealizationFiles:
             assert main(argv) == 3
             captured = capsys.readouterr()
             assert captured.err.count("\n") == 1 and "'a'" in captured.err
+
+    def test_non_finite_entry_exit_3(self, tmp_path, capsys):
+        r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
+        self._check_non_finite_entry_exit_3(tmp_path, capsys, dense_document(r))
+
+    def test_non_finite_entry_exit_3_sparse(self, tmp_path, capsys):
+        r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
+        self._check_non_finite_entry_exit_3(tmp_path, capsys, wio.realization_to_dict(r))
 
     @pytest.mark.parametrize(
         "block, edit",
@@ -184,21 +204,31 @@ class TestRealizationFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
 
-    def test_block_fast_path_matches_pair_loop(self):
-        r = realize_wavelet(sample_parameters(6, 4, 3, 0.9))
-        doc = wio.realization_to_dict(r)
-        doc["a"]["entries"][1] = [1, -0.0]  # an int and a negative zero
-        doc["a"]["entries"][2] = ["0.25", "1_0"]  # strings float() accepts
+    @staticmethod
+    def _check_fast_path_matches_pair_loop(doc):
         for name in ("a", "b", "c", "d"):
             block = doc[name]
             fast = wio._block_from_dict(block, name)
-            loop = np.array([wio._from_pair(p) for p in block["entries"]], dtype=complex)
+            loop = np.zeros(block["rows"] * block["cols"], dtype=complex)
+            loop[block.get("index", slice(None))] = [wio._from_pair(p) for p in block["entries"]]
             assert fast.shape == (block["rows"], block["cols"])
             assert fast.reshape(-1).view(np.uint64).tolist() == loop.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("pair", [[1.0, None], [None, None], [1.0, [2.0]], [1, 2, 3]])
-    def test_bad_pair_keeps_loop_message(self, pair):
-        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+    def test_block_fast_path_matches_pair_loop(self):
+        doc = dense_document(realize_wavelet(sample_parameters(6, 4, 3, 0.9)))
+        doc["a"]["entries"][1] = [1, -0.0]  # an int and a negative zero
+        doc["a"]["entries"][2] = ["0.25", "1_0"]  # strings float() accepts
+        assert "index" not in doc["a"]
+        self._check_fast_path_matches_pair_loop(doc)
+
+    def test_block_fast_path_matches_pair_loop_sparse(self):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(6, 4, 3, 0.9)))
+        doc["a"]["entries"][1] = [1, -0.0]
+        doc["a"]["entries"][2] = ["0.25", "1_0"]
+        self._check_fast_path_matches_pair_loop(doc)
+
+    @staticmethod
+    def _check_bad_pair_keeps_loop_message(doc, pair):
         doc["a"]["entries"][0] = pair
         try:
             [wio._from_pair(p) for p in doc["a"]["entries"]]
@@ -207,14 +237,158 @@ class TestRealizationFiles:
         with pytest.raises(InvariantError) as info:
             wio.realization_from_dict(doc)
         assert str(info.value).endswith(expected)
+        assert "block 'a' entry 0: " in str(info.value)
 
-    def test_huge_integer_entry_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pair", [[1.0, None], [None, None], [1.0, [2.0]], [1, 2, 3]])
+    def test_bad_pair_keeps_loop_message(self, pair):
+        doc = dense_document(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        self._check_bad_pair_keeps_loop_message(doc, pair)
+
+    @pytest.mark.parametrize("pair", [[1.0, None], [None, None], [1.0, [2.0]], [1, 2, 3]])
+    def test_bad_pair_keeps_loop_message_sparse(self, pair):
         doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        self._check_bad_pair_keeps_loop_message(doc, pair)
+
+    @staticmethod
+    def _check_huge_integer_entry_exit_3(tmp_path, capsys, doc):
         doc["a"]["entries"][0] = [10**400, 0]
         path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 3
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "block 'a' entry 0" in err
+
+    def test_huge_integer_entry_exit_3(self, tmp_path, capsys):
+        doc = dense_document(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        self._check_huge_integer_entry_exit_3(tmp_path, capsys, doc)
+
+    def test_huge_integer_entry_exit_3_sparse(self, tmp_path, capsys):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(1, 2, 1, 0.9)))
+        self._check_huge_integer_entry_exit_3(tmp_path, capsys, doc)
+
+    def test_sparse_roundtrip_bit_exact_with_negative_zero_and_no_states(self, tmp_path):
+        from wfk import Realization
+
+        r = realize_wavelet(sample_parameters(2, 3, 2, 0.9))
+        a = np.array(r.a)
+        a[-1, 0] = complex(-0.0, 0.0)  # below the diagonal, where the cascade has +0.0
+        a[-1, 1] = complex(0.0, -0.0)
+        stateless = Realization(
+            a=np.zeros((0, 0)), b=np.zeros((0, 3)), c=np.zeros((3, 0)), d=r.d
+        )
+        for real in (Realization(a=a, b=r.b, c=r.c, d=r.d), stateless):
+            path = tmp_path / "r.json"
+            wio.save_realization(real, path)
+            doc = json.loads(path.read_text())
+            for name in ("a", "b", "c", "d"):
+                block = np.ascontiguousarray(getattr(real, name))
+                assert doc[name]["index"] == np.flatnonzero(
+                    block.reshape(-1).view(np.uint64).reshape(-1, 2).any(axis=1)
+                ).tolist()
+            q = wio.load_realization(path)
+            for name in ("a", "b", "c", "d"):
+                want = np.ascontiguousarray(getattr(real, name)).view(np.uint64)
+                got = np.ascontiguousarray(getattr(q, name)).view(np.uint64)
+                assert got.shape == want.shape and np.array_equal(got, want)
+        assert len(json.loads((tmp_path / "r.json").read_text())["a"]["index"]) == 0
+
+    def test_dense_file_of_earlier_versions_loads_bit_exact(self, tmp_path):
+        # written by save_realization before blocks were stored by their nonzeros
+        path = DATA / "dense_realization.json"
+        doc = json.loads(path.read_text())
+        q = wio.load_realization(path)
+        for name in ("a", "b", "c", "d"):
+            assert "index" not in doc[name]
+            want = np.array([wio._from_pair(p) for p in doc[name]["entries"]], dtype=complex)
+            assert getattr(q, name).reshape(-1).view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+        assert np.array_equal(q.a, realize_wavelet(sample_parameters(3, 2, 1, 0.5)).a)
+        resaved = tmp_path / "r.json"
+        wio.save_realization(q, resaved)
+        again = wio.load_realization(resaved)
+        for name in ("a", "b", "c", "d"):
+            assert np.array_equal(
+                getattr(again, name).view(np.uint64), getattr(q, name).view(np.uint64)
+            )
+
+    def test_realization_file_size_tracks_nonzeros(self, tmp_path):
+        r = realize_wavelet(box_to_params(sample_box(5, 12, 16, 0.999)))
+        path = tmp_path / "r.json"
+        wio.save_realization(r, path)
+        assert path.stat().st_size < 250_000
+
+    @pytest.mark.parametrize(
+        "block, edit, message",
+        [
+            ("a", lambda b: b.update(index={"0": 1}), "field 'index' must be a list"),
+            ("a", lambda b: b.update(index=None), "field 'index' must be a list"),
+            ("b", lambda b: b["index"].__setitem__(0, True), "index 0 must be an integer"),
+            ("b", lambda b: b["index"].__setitem__(1, "1"), "index 1 must be an integer"),
+            ("c", lambda b: b["index"].__setitem__(0, 0.5), "index 0 must be an integer"),
+            ("c", lambda b: b["index"].__setitem__(0, float("nan")), "must be an integer"),
+            ("a", lambda b: b["index"].__setitem__(0, -1), "index -1 is outside"),
+            ("a", lambda b: b["index"].__setitem__(-1, b["rows"] * b["cols"]), "is outside"),
+            ("a", lambda b: b["index"].__setitem__(-1, 10**30), "is outside"),
+            ("d", lambda b: b["index"].__setitem__(1, b["index"][0]), "strictly increasing"),
+            ("d", lambda b: b["index"].reverse(), "strictly increasing"),
+            ("a", lambda b: b["index"].pop(), "declares"),
+            ("b", lambda b: b["entries"].pop(), "declares"),
+            ("c", lambda b: b["entries"].__setitem__(0, [1.0]), "entry 0"),
+        ],
+        ids=["index-dict", "index-null", "index-bool", "index-string", "index-fraction",
+             "index-nan", "index-negative", "index-at-size", "index-huge", "index-repeated",
+             "index-reversed", "fewer-indices", "fewer-entries", "bad-pair"],
+    )
+    def test_malformed_sparse_block_exit_3(self, tmp_path, capsys, block, edit, message):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(2, 3, 1, 0.9)))
+        edit(doc[block])
+        named = f"block '{block}'"
+        with pytest.raises(InvariantError, match=named) as info:
+            wio.realization_from_dict(doc)
+        assert message in str(info.value)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1 and named in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_integral_float_index_loads(self):
+        r = realize_wavelet(sample_parameters(2, 3, 1, 0.9))
+        doc = wio.realization_to_dict(r)
+        doc["a"]["index"] = [float(i) for i in doc["a"]["index"]]
+        assert np.array_equal(wio.realization_from_dict(doc).a, r.a)
+
+    @pytest.mark.parametrize("size", [10**7, 10**10], ids=["memory", "too-big"])
+    def test_huge_declared_size_exit_3(self, tmp_path, capsys, size):
+        # shapes that agree with each other but that no host could allocate
+        doc = {
+            "n": 1,
+            "state_dim": size,
+            "a": {"rows": size, "cols": size, "index": [], "entries": []},
+            "b": {"rows": size, "cols": 1, "index": [], "entries": []},
+            "c": {"rows": 1, "cols": size, "index": [], "entries": []},
+            "d": {"rows": 1, "cols": 1, "index": [0], "entries": [[1.0, 0.0]]},
+        }
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")))
+        assert path.stat().st_size < 300
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "block 'a'" in err and "too large" in err
+
+    def test_shapes_checked_before_any_block_is_read(self):
+        doc = {
+            "n": 1,
+            "state_dim": 2,
+            "a": {"rows": 10**7, "cols": 10**7, "index": [], "entries": []},
+            "b": {"rows": 10**7, "cols": 1, "index": [], "entries": []},
+            "c": {"rows": 1, "cols": 10**7, "index": [], "entries": []},
+            "d": {"rows": 1, "cols": 1, "entries": "not read"},
+        }
+        with pytest.raises(InvariantError, match="state_dim=2"):
+            wio.realization_from_dict(doc)
 
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
@@ -556,6 +730,37 @@ class TestCliVerify:
             assert checks[name]["argmax_z"] is None
         assert isinstance(doc["stein"]["worst_block"], int)
         assert 0 <= doc["stein"]["worst_block"] < 8
+
+    def test_report_stamps_environment(self, tmp_path, capsys, monkeypatch):
+        import platform
+
+        from wfk import cli
+
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
+        real = tmp_path / "r.json"
+        wio.save_realization(realize_wavelet(sample_parameters(3, 2, 1, 0.9)), real)
+        cli._environment.cache_clear()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        stamps = []
+        for path in (params, real):
+            assert main(["verify", str(path), "--points", "16"]) == 0
+            stamps.append(json.loads(capsys.readouterr().out)["environment"])
+        assert stamps[0] == stamps[1]
+        env = stamps[0]
+        assert set(env) == {"python", "numpy", "nproc", "cpus_usable", "blas", "blas_threads"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["nproc"] >= env["cpus_usable"] >= 1
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        # built once: a later change of the environment does not show
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["verify", str(params), "--points", "16"]) == 0
+        assert json.loads(capsys.readouterr().out)["environment"] == env
+        assert cli._environment.cache_info().misses == 1
 
     def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
         from wfk import Realization
