@@ -124,24 +124,34 @@ def load_parameters(path) -> FilterParameters:
 
 _BLOCKS = ("a", "b", "c", "d")
 
+# The most entries that a realization's blocks with an ``index`` may expand
+# to, over all four blocks: 2**22 complex entries, 64 MiB, which holds
+# ``state_dim + n`` up to 2048 (the cascade at n=16, m=32 has 632 states).
+# A block with an ``index`` need not carry the memory it asks for, so
+# without a ceiling a file of a few hundred bytes could ask for gigabytes.
+# A larger realization is written in the dense form, which carries every
+# entry and so loads at the file's own size.
+_MAX_SPARSE_ENTRIES = 1 << 22
 
-def _block_to_dict(m: np.ndarray) -> dict:
-    """Block ``m`` by its nonzeros.
+
+def _block_to_dict(m: np.ndarray, sparse: bool = True) -> dict:
+    """Block ``m`` by its nonzeros, or with every entry when not ``sparse``.
 
     ``index`` lists the row-major positions ``i*cols + j`` of the entries
     whose bits are not all zero, in increasing order, and ``entries`` holds
     those entries as ``[re, im]`` pairs.  Every position not listed is
     ``+0.0``; ``-0.0`` has a nonzero bit, so it is listed and the block
-    reads back bit for bit.
+    reads back bit for bit.  The dense form has no ``index`` and lists all
+    ``rows*cols`` entries in row-major order.
     """
     flat = np.ascontiguousarray(m, dtype=complex).reshape(-1)
-    index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "index": index.tolist(),
-        "entries": flat[index].view(float).reshape(-1, 2).tolist(),
-    }
+    doc = {"rows": m.shape[0], "cols": m.shape[1]}
+    if sparse:
+        index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
+        doc["index"] = index.tolist()
+        flat = flat[index]
+    doc["entries"] = flat.view(float).reshape(-1, 2).tolist()
+    return doc
 
 
 def _block_shape(doc: dict, name: str) -> tuple[int, int]:
@@ -158,20 +168,20 @@ def _block_index(raw, name: str, rows: int, cols: int) -> np.ndarray:
         raise InvariantError(
             f"block '{name}' field 'index' must be a list, got {type(raw).__name__}"
         )
-    if not all(type(i) is int for i in raw):
-        for k, value in enumerate(raw):
-            if _integral(value) is None:
-                raise InvariantError(
-                    f"block '{name}' index {k} must be an integer, got {value!r}"
-                )
-        raw = [_integral(value) for value in raw]
     size = rows * cols
-    if raw and not 0 <= min(raw) <= max(raw) < size:
-        bad = next(i for i in raw if not 0 <= i < size)
-        raise InvariantError(
-            f"block '{name}' index {bad} is outside its {rows}x{cols} entries"
-        )
-    index = np.array(raw, dtype=np.int64)
+    positions = []
+    for k, value in enumerate(raw):
+        i = _integral(value)
+        if i is None:
+            raise InvariantError(
+                f"block '{name}' index {k} must be an integer, got {value!r}"
+            )
+        if not 0 <= i < size:
+            raise InvariantError(
+                f"block '{name}' index {i} is outside its {rows}x{cols} entries"
+            )
+        positions.append(i)
+    index = np.array(positions, dtype=np.int64)
     back = np.flatnonzero(np.diff(index) <= 0)
     if back.size:
         k = int(back[0]) + 1
@@ -218,40 +228,35 @@ def _block_from_dict(doc: dict, name: str) -> np.ndarray:
                 f"block '{name}' declares {declared} but carries {len(entries)} entries"
             )
         values = np.array(entries, dtype=complex)
+        if not np.isfinite(values).all():
+            raise InvariantError(f"block '{name}' has a non-finite entry")
     if index is None:
         return values.reshape(rows, cols)
-    try:
-        block = np.zeros(rows * cols, dtype=complex)
-    except (MemoryError, ValueError):
-        # MemoryError, or ValueError when the byte count overflows
-        raise InvariantError(
-            f"block '{name}' declares {rows}x{cols}, too large to allocate"
-        ) from None
+    block = np.zeros(rows * cols, dtype=complex)
     block[index] = values
     return block.reshape(rows, cols)
 
 
 def realization_to_dict(r: Realization) -> dict:
-    return {
-        "n": r.outputs,
-        "state_dim": r.state_dim,
-        "a": _block_to_dict(r.a),
-        "b": _block_to_dict(r.b),
-        "c": _block_to_dict(r.c),
-        "d": _block_to_dict(r.d),
-    }
+    """``r`` with its blocks by their nonzeros, or dense past ``_MAX_SPARSE_ENTRIES``."""
+    sparse = sum(getattr(r, name).size for name in _BLOCKS) <= _MAX_SPARSE_ENTRIES
+    doc = {"n": r.outputs, "state_dim": r.state_dim}
+    doc.update((name, _block_to_dict(getattr(r, name), sparse)) for name in _BLOCKS)
+    return doc
 
 
 def realization_from_dict(doc: dict) -> Realization:
     """The realization a document describes, dense or sparse blocks alike.
 
     Every block's declared shape is checked against the others and against
-    ``state_dim`` before any block is read, so a short file cannot make
-    the loader allocate a matrix the blocks' shapes do not agree on.
+    ``state_dim``, and the blocks with an ``index`` against
+    ``_MAX_SPARSE_ENTRIES``, before any block is read, so a short file
+    cannot make the loader allocate more than that ceiling.
     """
     try:
         state_dim = _integer(doc, "state_dim")
         shapes = {name: _block_shape(doc[name], name) for name in _BLOCKS}
+        sparse = [name for name in _BLOCKS if "index" in doc[name]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
     (p, cols), (outputs, inputs) = shapes["a"], shapes["d"]
@@ -266,13 +271,20 @@ def realization_from_dict(doc: dict) -> Realization:
             )
     if p != state_dim:
         raise InvariantError(f"document claims state_dim={state_dim} but blocks give {p}")
+    total = 0
+    for name in sparse:
+        rows, cols = shapes[name]
+        total += rows * cols
+        if total > _MAX_SPARSE_ENTRIES:
+            raise InvariantError(
+                f"block '{name}' declares {rows}x{cols}, too large for blocks stored "
+                f"by their nonzeros, which may expand to {_MAX_SPARSE_ENTRIES} entries "
+                "in all; a realization that large is stored dense"
+            )
     try:
         blocks = {name: _block_from_dict(doc[name], name) for name in _BLOCKS}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed realization document: {exc}") from exc
-    for name, block in blocks.items():
-        if not np.isfinite(block).all():
-            raise InvariantError(f"block '{name}' has a non-finite entry")
     return Realization(**blocks)
 
 

@@ -329,6 +329,7 @@ class TestRealizationFiles:
             ("a", lambda b: b["index"].__setitem__(0, -1), "index -1 is outside"),
             ("a", lambda b: b["index"].__setitem__(-1, b["rows"] * b["cols"]), "is outside"),
             ("a", lambda b: b["index"].__setitem__(-1, 10**30), "is outside"),
+            ("a", lambda b: b["index"].__setitem__(-1, 2**63), "index 9223372036854775808 is"),
             ("d", lambda b: b["index"].__setitem__(1, b["index"][0]), "strictly increasing"),
             ("d", lambda b: b["index"].reverse(), "strictly increasing"),
             ("a", lambda b: b["index"].pop(), "declares"),
@@ -336,7 +337,8 @@ class TestRealizationFiles:
             ("c", lambda b: b["entries"].__setitem__(0, [1.0]), "entry 0"),
         ],
         ids=["index-dict", "index-null", "index-bool", "index-string", "index-fraction",
-             "index-nan", "index-negative", "index-at-size", "index-huge", "index-repeated",
+             "index-nan", "index-negative", "index-at-size", "index-huge", "index-int64",
+             "index-repeated",
              "index-reversed", "fewer-indices", "fewer-entries", "bad-pair"],
     )
     def test_malformed_sparse_block_exit_3(self, tmp_path, capsys, block, edit, message):
@@ -377,6 +379,56 @@ class TestRealizationFiles:
         assert main(["verify", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "block 'a'" in err and "too large" in err
+
+    def test_sparse_size_above_ceiling_exit_3(self, tmp_path, capsys):
+        # 2049 states: one more than the ceiling holds; nothing is allocated
+        size = 2049
+        doc = {
+            "n": 1,
+            "state_dim": size,
+            "a": {"rows": size, "cols": size, "index": [], "entries": []},
+            "b": {"rows": size, "cols": 1, "index": [], "entries": []},
+            "c": {"rows": 1, "cols": size, "index": [], "entries": []},
+            "d": {"rows": 1, "cols": 1, "index": [0], "entries": [[1.0, 0.0]]},
+        }
+        assert size * size > wio._MAX_SPARSE_ENTRIES
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1 and "block 'a'" in captured.err
+            assert "too large" in captured.err and "Traceback" not in captured.err
+
+    def test_sparse_ceiling_counts_all_blocks(self, monkeypatch):
+        r = realize_wavelet(sample_parameters(2, 3, 1, 0.9))
+        total = sum(getattr(r, name).size for name in ("a", "b", "c", "d"))
+        doc = wio.realization_to_dict(r)
+        monkeypatch.setattr(wio, "_MAX_SPARSE_ENTRIES", total)
+        assert np.array_equal(wio.realization_from_dict(doc).a, r.a)
+        monkeypatch.setattr(wio, "_MAX_SPARSE_ENTRIES", total - 1)
+        with pytest.raises(InvariantError, match="block 'd' declares 3x3, too large"):
+            wio.realization_from_dict(doc)
+        # dense blocks carry their entries and do not count
+        doc["a"] = dense_document(r)["a"]
+        assert np.array_equal(wio.realization_from_dict(doc).a, r.a)
+
+    def test_realization_past_ceiling_is_saved_dense(self, tmp_path, monkeypatch):
+        r = realize_wavelet(sample_parameters(2, 3, 1, 0.9))
+        total = sum(getattr(r, name).size for name in ("a", "b", "c", "d"))
+        path = tmp_path / "r.json"
+        for limit, sparse in ((total, True), (total - 1, False)):
+            monkeypatch.setattr(wio, "_MAX_SPARSE_ENTRIES", limit)
+            wio.save_realization(r, path)
+            doc = json.loads(path.read_text())
+            assert all(("index" in doc[name]) == sparse for name in ("a", "b", "c", "d"))
+            if not sparse:
+                assert doc == dense_document(r)
+            q = wio.load_realization(path)
+            for name in ("a", "b", "c", "d"):
+                assert np.array_equal(
+                    getattr(q, name).view(np.uint64), getattr(r, name).view(np.uint64)
+                )
 
     def test_shapes_checked_before_any_block_is_read(self):
         doc = {
