@@ -17,13 +17,14 @@ without ``--seed``.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,17 @@ from .errors import (
     WfkError,
 )
 from .filters import (
+    TOL,
     CheckReport,
+    FilterParameters,
     box_to_params,
     circle_checks,
     sample_box,
     subband_filters,
     wavelet_eval,
 )
-from .linalg import TOL
 from .realization import (
+    cascade_index,
     eval_realization,
     mcmillan_degree,
     realize_wavelet,
@@ -101,17 +104,6 @@ def _environment() -> dict:
     }
 
 
-def _load_document(path: str) -> dict:
-    doc = wio.read_json(path)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _load_params_file(path: str):
-    return wio.parameters_from_dict(_load_document(path))
-
-
 def _cmd_gen(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
@@ -129,7 +121,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    params = _load_params_file(args.params)
+    params = wio.load_parameters(args.params)
     wio.save_realization(realize_wavelet(params), args.output)
     return EXIT_OK
 
@@ -153,20 +145,10 @@ class _Stopwatch:
         return dataclasses.replace(check, wall_ms=wall_ms)
 
 
-def _verify_params(params, points, tol, seed):
-    watch = _Stopwatch()
-    fn = lambda z: wavelet_eval(params, z)  # noqa: E731
-    checks = [watch.stamp(c) for c in circle_checks(fn, params.n, points, tol, seed)]
-    # on the circle reconstruction is exact precisely when W is unitary,
-    # so the perfect-reconstruction check is the same computation
-    checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
-    real = realize_wavelet(params)
-    degree_gap = abs(real.state_dim - mcmillan_degree(params))
-    checks.append(
-        watch.stamp(_scalar_check("degree", float(degree_gap), 0.0, points, seed))
-    )
-    core, stein = _verify_realization_core(real, points, tol, seed)
-    return checks + core, stein
+def _evaluator(target):
+    """The batched evaluator of a parameter point or a realization."""
+    fn = wavelet_eval if isinstance(target, FilterParameters) else eval_realization
+    return partial(fn, target)
 
 
 def _scalar_check(name, residual, tol, points, seed):
@@ -180,8 +162,13 @@ def _scalar_check(name, residual, tol, points, seed):
     )
 
 
-def _verify_realization_core(real, points, tol, seed):
-    """The Stein and minimality checks, and the certificate's report entry.
+def _verify(target, points, tol, seed):
+    """The checks of ``wfk verify`` and the report's Stein entry.
+
+    A parameter point adds ``frequency_pr``, its ``degree`` is the exact
+    gap to :func:`mcmillan_degree` and its Stein checks run on its cascade;
+    a realization's ``degree`` is 0 when :func:`cascade_index` finds a whole
+    number of factor cores in its state dimension and 1 otherwise.
 
     ``stein_blocks`` gates the largest Stein block residual and
     ``stein_hermiticity`` gates ``||H - H*||_F``, both relative to
@@ -194,6 +181,19 @@ def _verify_realization_core(real, points, tol, seed):
     the dense path); it is None when the Stein series diverges.
     """
     watch = _Stopwatch()
+    params = target if isinstance(target, FilterParameters) else None
+    n = target.outputs if params is None else params.n
+    checks = [watch.stamp(c) for c in circle_checks(_evaluator(target), n, points, tol, seed)]
+    if params is None:
+        real = target
+        degree = 0.0 if cascade_index(real) is not None else 1.0
+    else:
+        # on the circle reconstruction is exact precisely when W is unitary,
+        # so the perfect-reconstruction check is the same computation
+        checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
+        real = realize_wavelet(params)
+        degree = float(abs(real.state_dim - mcmillan_degree(params)))
+    checks.append(watch.stamp(_scalar_check("degree", degree, 0.0, points, seed)))
     # minimality: H > 0 together with the block identities (lossless case)
     try:
         cert = stein_certificate(real)
@@ -213,7 +213,7 @@ def _verify_realization_core(real, points, tol, seed):
         blocks = hermiticity = float("inf")
         minimal = False
         stein = None
-    checks = [
+    checks += [
         watch.stamp(_scalar_check("stein_blocks", blocks, tol, points, seed)),
         watch.stamp(_scalar_check("stein_hermiticity", hermiticity, 1e-10, points, seed)),
         watch.stamp(_scalar_check("minimality", 0.0 if minimal else 1.0, 0.0, points, seed)),
@@ -221,37 +221,13 @@ def _verify_realization_core(real, points, tol, seed):
     return checks, stein
 
 
-def _verify_realization(real, n, points, tol, seed):
-    watch = _Stopwatch()
-    fn = lambda z: eval_realization(real, z)  # noqa: E731
-    checks = [watch.stamp(c) for c in circle_checks(fn, n, points, tol, seed)]
-    # Degree quantization: the state dimension must be n*(n-1)/2 plus a
-    # whole number of n-state factor cores.
-    extra = real.state_dim - n * (n - 1) // 2
-    quantized = extra >= 0 and extra % n == 0
-    checks.append(
-        watch.stamp(_scalar_check("degree", 0.0 if quantized else 1.0, 0.0, points, seed))
-    )
-    core, stein = _verify_realization_core(real, points, tol, seed)
-    return checks + core, stein
-
-
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points!r}")
-    doc = _load_document(args.file)
-    if "factors" in doc:
-        target = wio.parameters_from_dict(doc)
-        checks, stein = _verify_params(target, args.points, args.tol, args.seed)
-    elif "state_dim" in doc:
-        real = wio.realization_from_dict(doc)
-        checks, stein = _verify_realization(
-            real, real.outputs, args.points, args.tol, args.seed
-        )
-    else:
-        raise UsageError(f"{args.file}: neither a parameter nor a realization file")
+    target = wio.load_filter(args.file)
+    checks, stein = _verify(target, args.points, args.tol, args.seed)
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
     report["stein"] = stein
     report["environment"] = _environment()
@@ -267,21 +243,16 @@ def _parse_z(raw: str) -> complex:
     if len(parts) != 2:
         raise UsageError("--z expects 're,im'")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        raise UsageError("--z expects numeric 're,im'")
+        raise UsageError("--z expects numeric 're,im'") from None
+    if not cmath.isfinite(z):
+        raise UsageError(f"--z must be a finite point, got {raw!r}")
+    return z
 
 
 def _cmd_eval(args) -> int:
-    doc = _load_document(args.file)
-    if "factors" in doc:
-        params = wio.parameters_from_dict(doc)
-        fn = lambda z: wavelet_eval(params, z)  # noqa: E731
-    elif "state_dim" in doc:
-        real = wio.realization_from_dict(doc)
-        fn = lambda z: eval_realization(real, z)  # noqa: E731
-    else:
-        raise UsageError(f"{args.file}: neither a parameter nor a realization file")
+    fn = _evaluator(wio.load_filter(args.file))
     if args.circle is not None:
         if args.circle < 1:
             raise UsageError("--circle must be >= 1")
@@ -297,7 +268,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = _load_params_file(args.params)
+    params = wio.load_parameters(args.params)
     filters = subband_filters(params)
     x = wio.load_signal(args.signal)
     bands = analyze(x, filters)
@@ -309,7 +280,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    params = _load_params_file(args.params)
+    params = wio.load_parameters(args.params)
     filters = subband_filters(params)
     band_dir = Path(args.bands)
     bands = []

@@ -32,8 +32,9 @@ from .errors import (
     SamplingError,
     SingularMatrixError,
 )
-from .linalg import TOL, adjoint
 
+# Default tolerance of every verification check.
+TOL = 1e-9
 _UNIT_NORM_TOL = 1e-12
 # Pole guard for Blaschke factors and the z = 0 pole of the elementary filter.
 _POLE_TOL = 1e-14
@@ -208,7 +209,7 @@ class ModulationStructure:
                 raise InvariantError("shift permutation has order below n")
         if not np.allclose(power @ self.shift, eye):
             raise InvariantError("shift permutation does not have order n")
-        if np.linalg.norm(adjoint(self.dft) @ self.dft - eye) > 1e-12:
+        if np.linalg.norm(self.dft.conj().T @ self.dft - eye) > 1e-12:
             raise InvariantError("DFT matrix is not unitary")
         object.__setattr__(self, "shift", _frozen(self.shift))
         object.__setattr__(self, "dft", _frozen(self.dft))
@@ -325,8 +326,13 @@ def cyclic_shift_matrix(n: int) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=None)
 def modulation_structure(n: int) -> ModulationStructure:
-    """Bundle the root of unity, cyclic shift and DFT matrix for ``n`` bands."""
+    """Bundle the root of unity, cyclic shift and DFT matrix for ``n`` bands.
+
+    Built and validated once per ``n``; the structure is frozen and its
+    arrays are read-only, so every caller shares it.
+    """
     return ModulationStructure(
         n=int(n),
         root=complex(np.exp(2j * np.pi / n)),

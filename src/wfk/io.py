@@ -39,6 +39,14 @@ def read_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _read_object(path) -> dict:
+    """The JSON object in ``path``; any other JSON value raises ``FormatError``."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return doc
+
+
 def _pair(c: complex) -> list[float]:
     c = complex(c)
     return [c.real, c.imag]
@@ -119,7 +127,7 @@ def save_parameters(params: FilterParameters, path, box: BoxPoint | None = None)
 
 
 def load_parameters(path) -> FilterParameters:
-    return parameters_from_dict(read_json(path))
+    return parameters_from_dict(_read_object(path))
 
 
 _BLOCKS = ("a", "b", "c", "d")
@@ -295,7 +303,17 @@ def save_realization(r: Realization, path) -> None:
 
 
 def load_realization(path) -> Realization:
-    return realization_from_dict(read_json(path))
+    return realization_from_dict(_read_object(path))
+
+
+def load_filter(path) -> FilterParameters | Realization:
+    """The parameter point (a ``factors`` key) or realization (``state_dim``) in ``path``."""
+    doc = _read_object(path)
+    if "factors" in doc:
+        return parameters_from_dict(doc)
+    if "state_dim" in doc:
+        return realization_from_dict(doc)
+    raise FormatError(f"{path}: neither a parameter nor a realization file")
 
 
 def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float) -> dict:
@@ -397,8 +415,8 @@ def load_box(path, n: int, m: int, rho: float) -> BoxPoint:
         raise InvariantError(f"{path}: box file must hold a flat array of coordinates")
     try:
         coords = np.array([float(x) for x in doc], dtype=float)
-    except (TypeError, ValueError):
-        raise InvariantError(f"{path}: box coordinates must be numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError(f"{path}: box coordinates must be finite numbers") from None
     if coords.size != m * 2 * n:
         raise InvariantError(
             f"{path}: box file has {coords.size} coordinates, expected {m * 2 * n}"

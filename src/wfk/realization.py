@@ -30,8 +30,7 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import FilterParameters, dft_matrix
-from .linalg import TOL, adjoint, as_matrix
+from .filters import TOL, FilterParameters, dft_matrix
 
 
 # eval_realization picks its solver by the number of points in a call.  From
@@ -49,6 +48,25 @@ _BLOCK = 20
 _CHUNK_ENTRIES = 1 << 16
 _ROW_MIN_POINTS = 8
 _ROW_ENTRIES = 1 << 18
+
+
+def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Coerce ``a`` to a 2-D complex matrix, checking finiteness and shape."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise DimensionError("matrix entries must be finite (no NaN/Inf)")
+    if rows is not None and m.shape[0] != rows:
+        raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
+    if cols is not None and m.shape[1] != cols:
+        raise DimensionError(f"expected {cols} cols, got {m.shape[1]}")
+    return m
+
+
+def adjoint(a) -> np.ndarray:
+    """Complex conjugate transpose."""
+    return as_matrix(a).conj().T
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -445,6 +463,15 @@ def mcmillan_degree(params: FilterParameters) -> int:
     return params.n * (params.n - 1) // 2 + params.n * params.m
 
 
+def cascade_index(r: Realization) -> int | None:
+    """The number ``k`` of factor cores in ``n*(n-1)/2 + k*n`` states, ``n`` outputs, or None."""
+    n = r.outputs
+    extra = r.state_dim - n * (n - 1) // 2
+    if n == 0 or extra < 0 or extra % n:
+        return None
+    return extra // n
+
+
 def spectral_radius(params: FilterParameters) -> float:
     """Largest eigenvalue modulus of the realized state matrix.
 
@@ -496,7 +523,7 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     layout, ``H`` is accumulated from the convergent series
     ``sum_k (A*)**k C*C A**k`` with doubling acceleration, which converges
     quadratically whenever the spectral radius of ``A`` is below one, and
-    the certificate of that ``H`` is returned.
+    the same routine certifies that ``H`` as a single block.
 
     The certificate reports Hermiticity, the 1-norm condition number of
     ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I`` with
@@ -521,7 +548,7 @@ def stein_certificate(r: Realization) -> SteinCertificate:
             cert = _block_certificate(r, *blocks)
             if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
                 return cert
-    return _certificate(r, _series_solution(r), "dense")
+    return _block_certificate(r, np.zeros((0, 0, 0)), _series_solution(r), "dense")
 
 
 def _cascade_edges(r: Realization) -> list[int] | None:
@@ -531,11 +558,10 @@ def _cascade_edges(r: Realization) -> list[int] | None:
     for ``n`` outputs: ``k`` factor cores of ``n`` states, top first, then
     the elementary block.
     """
-    n, p = r.outputs, r.state_dim
-    elementary = n * (n - 1) // 2
-    if n == 0 or p < elementary or (p - elementary) % n or not r.upper_triangular:
+    k, n, p = cascade_index(r), r.outputs, r.state_dim
+    if k is None or not r.upper_triangular:
         return None
-    return list(range(0, p - elementary + 1, n)) + ([p] if elementary else [])
+    return list(range(0, k * n + 1, n)) + ([p] if k * n < p else [])
 
 
 def _block_solution(
@@ -549,9 +575,8 @@ def _block_solution(
     is one stacked product over the cores solved so far.  A singular block
     equation or a non-finite block gives None.
     """
-    n, p = r.outputs, r.state_dim
+    n, k = r.outputs, cascade_index(r)
     a, c = r.a, r.c
-    k = (p - n * (n - 1) // 2) // n
     cores = np.empty((k, n, n), dtype=complex)
     elementary = np.zeros((0, 0), dtype=complex)
     with np.errstate(all="ignore"):
@@ -628,11 +653,12 @@ def _stack_adjoint(x: np.ndarray) -> np.ndarray:
 
 
 def _block_certificate(
-    r: Realization, cores: np.ndarray, elementary: np.ndarray
+    r: Realization, cores: np.ndarray, last: np.ndarray, method: str = "block"
 ) -> SteinCertificate:
-    """The certificate of ``H = diag(cores[0], ..., cores[k-1], elementary)``.
+    """The certificate of ``H = diag(cores[0], ..., cores[k-1], last)``.
 
-    With ``S = [A B; C D]`` the system matrix, the residual
+    ``last`` is the elementary block, or all of ``H`` with no cores on the
+    dense path, where ``worst_block`` stays None.  With ``S = [A B; C D]``,
     ``R = S* (diag(H, I) S) - diag(H, I)`` holds the state equation in
     ``R[:p, :p]``, the cross identity in ``R[:p, p:]`` and the input
     identity in ``R[p:, p:]``.  ``diag(H, I) S`` is formed one block row at
@@ -647,34 +673,36 @@ def _block_certificate(
     width = system.shape[1]
     scaled = system.copy()  # diag(H, I) S: the rows of [C D] stay
     scaled[:kn] = (cores @ system[:kn].reshape(k, n, width)).reshape(kn, width)
-    scaled[kn:p] = elementary @ system[kn:p]
+    scaled[kn:p] = last @ system[kn:p]
     residual = system.conj().T @ scaled
     h = np.zeros((p, p), dtype=complex)
     for j in range(k):
         h[j * n : (j + 1) * n, j * n : (j + 1) * n] = cores[j]
-    h[kn:, kn:] = elementary
+    h[kn:, kn:] = last
     residual[:p, :p] -= h
     residual[p:, p:] -= _eye(r.inputs)
-    stacks = [s for s in (cores, elementary[None]) if s.size]
+    stacks = [s for s in (cores, last[None]) if s.size]
     hermiticity = float(np.linalg.norm([np.linalg.norm(s - _stack_adjoint(s)) for s in stacks]))
     condition, positive, norm_h, worst = 1.0, True, 0.0, None
     if p:
         norm_h = max(float(np.abs(s).sum(axis=1).max()) for s in stacks)
         try:
-            inverse = max(float(np.abs(np.linalg.inv(s)).sum(axis=1).max()) for s in stacks)
+            condition = norm_h * max(
+                float(np.abs(np.linalg.inv(s)).sum(axis=1).max()) for s in stacks
+            )
         except np.linalg.LinAlgError:
-            inverse = float("inf")
-        condition = norm_h * inverse
+            condition = float("inf")
         try:
             for s in stacks:
                 margin = _PD_MARGIN * norm_h * _eye(s.shape[-1])
                 np.linalg.cholesky((s + _stack_adjoint(s)) / 2.0 - margin)
         except np.linalg.LinAlgError:
             positive = False
+    if p and method == "block":
         # squared Frobenius norm of each block's rows of R, cores top first
         rows = np.square(np.abs(residual[:p])).sum(axis=1)
         energy = list(rows[:kn].reshape(k, n).sum(axis=1))
-        if elementary.size:
+        if last.size:
             energy.append(rows[kn:].sum())
         top = int(np.argmax(energy))
         worst = k - 1 - top if top < k else "elementary"
@@ -687,36 +715,6 @@ def _block_certificate(
         condition_estimate=condition,
         positive_definite=positive,
         norm_h=norm_h,
-        method="block",
-        worst_block=worst,
-    )
-
-
-def _certificate(r: Realization, h: np.ndarray, method: str) -> SteinCertificate:
-    """The residuals, conditioning and definiteness of ``h`` on the full ``r``."""
-    p = r.state_dim
-    residual_state = float(np.linalg.norm(adjoint(r.a) @ h @ r.a + adjoint(r.c) @ r.c - h))
-    residual_cross = float(np.linalg.norm(adjoint(r.a) @ h @ r.b + adjoint(r.c) @ r.d))
-    residual_input = float(
-        np.linalg.norm(adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs))
-    )
-    hermiticity = float(np.linalg.norm(h - adjoint(h)))
-    condition, positive, norm_h = 1.0, True, 0.0
-    if p:
-        norm_h = float(np.linalg.norm(h, ord=1))
-        condition = float(np.linalg.cond(h, 1))
-        try:
-            np.linalg.cholesky((h + adjoint(h)) / 2.0 - _PD_MARGIN * norm_h * np.eye(p))
-        except np.linalg.LinAlgError:
-            positive = False
-    return SteinCertificate(
-        h=h,
-        residual_state=residual_state,
-        residual_cross=residual_cross,
-        residual_input=residual_input,
-        hermiticity=hermiticity,
-        condition_estimate=condition,
-        positive_definite=positive,
-        norm_h=norm_h,
         method=method,
+        worst_block=worst,
     )

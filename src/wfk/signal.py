@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError
 from .filters import (
+    TOL,
     CheckReport,
     FilterParameters,
     SubbandFilterSet,
@@ -36,7 +37,6 @@ from .filters import (
     check_paraunitary,
     wavelet_eval,
 )
-from .linalg import TOL
 from .realization import Realization
 
 

@@ -12,6 +12,7 @@ from wfk import (
     FilterParameters,
     FirRequiredError,
     InvariantError,
+    ModulationStructure,
     PoleError,
     SamplingError,
     adjoint,
@@ -98,6 +99,13 @@ class TestCyclicShift:
         s = modulation_structure(3)
         assert s.root == pytest.approx(np.exp(2j * np.pi / 3))
         assert np.linalg.norm(adjoint(s.dft) @ s.dft - np.eye(3)) <= 1e-12
+
+    def test_structure_is_built_once_and_read_only(self):
+        s = modulation_structure(5)
+        assert modulation_structure(5) is s
+        assert not s.shift.flags.writeable and not s.dft.flags.writeable
+        with pytest.raises(InvariantError):
+            ModulationStructure(n=3, root=s.root, shift=np.eye(3), dft=dft_matrix(3))
 
 
 class TestElementaryWavelet:

@@ -1,12 +1,12 @@
 """Property test: a mutated input file never ends in a traceback.
 
-Valid parameter files, realization files in both block forms and signal
-CSVs are mutated a little (a value replaced, removed, inserted or nudged;
-characters of a CSV inserted, removed or replaced) and run through the
-CLI.  Every run must end with a documented exit code, and exits 2 and 3
-must print exactly one line to stderr.  The examples are derandomized, so
-the suite is repeatable; raise ``max_examples`` or drop ``derandomize`` to
-search further.
+Valid parameter files, realization files in both block forms, box files
+and signal CSVs are mutated a little (a value replaced, removed, inserted
+or nudged; characters of a CSV inserted, removed or replaced) and run
+through the CLI.  Every run must end with a documented exit code, and
+exits 2 and 3 must print exactly one line to stderr.  The examples are
+derandomized, so the suite is repeatable; raise ``max_examples`` or drop
+``derandomize`` to search further.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wfk import io as wio
-from wfk import realize_wavelet, sample_parameters
+from wfk import params_to_box, realize_wavelet, sample_parameters
 from wfk.cli import main
 
 from legacy_format import dense_document
@@ -165,6 +165,23 @@ def test_mutated_dense_realization_file(tmp_path, data):
         ["verify", str(path), "--points", "8"],
         ["eval", str(path), "--z", "0.6,0.8"],
     ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_box_file(tmp_path, data):
+    # a box file is a flat list of numbers, so half of the mutations put an
+    # extreme value in place of a coordinate
+    doc = params_to_box(_PARAMS).coords.reshape(-1).tolist()
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.booleans()):
+            doc[data.draw(st.integers(0, len(doc) - 1))] = data.draw(_EXTREMES)
+        else:
+            _mutate_json(data, doc)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    _check(*_run(["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(path),
+                  "-o", str(tmp_path / "p.json")]))
 
 
 @FUZZ

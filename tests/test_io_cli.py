@@ -14,6 +14,7 @@ from wfk import (
     FilterParameters,
     FormatError,
     InvariantError,
+    Realization,
     realize_wavelet,
     sample_box,
     sample_parameters,
@@ -451,6 +452,42 @@ class TestRealizationFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvariantError):
             wio.load_realization(path)
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+    @pytest.mark.parametrize("load", ["load_parameters", "load_realization", "load_filter"])
+    def test_non_object_raises_format_error(self, tmp_path, load, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="expected a JSON object"):
+            getattr(wio, load)(path)
+
+    def test_load_filter_tells_the_kinds_apart(self, tmp_path):
+        p = sample_parameters(2, 3, 1, 0.9)
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        wio.save_parameters(p, params)
+        wio.save_realization(realize_wavelet(p), real)
+        loaded = wio.load_filter(params)
+        assert isinstance(loaded, FilterParameters)
+        assert [f.v.tolist() for f in loaded.factors] == [f.v.tolist() for f in p.factors]
+        loaded = wio.load_filter(real)
+        assert isinstance(loaded, Realization)
+        assert np.array_equal(loaded.a, wio.load_realization(real).a)
+        neither = tmp_path / "n.json"
+        neither.write_text('{"n": 3}')
+        with pytest.raises(FormatError, match="neither a parameter nor a realization"):
+            wio.load_filter(neither)
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "realize"])
+    def test_non_object_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_text("[1, 2]")
+        argv = [command, str(path)] + {
+            "verify": [], "eval": ["--z", "1,0"], "realize": ["-o", str(tmp_path / "r.json")]
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
 
 
 class TestReports:
@@ -954,6 +991,22 @@ class TestCliEval:
         params = tmp_path / "p.json"
         wio.save_parameters(sample_parameters(9, 2, 1, 0.9), params)
         assert main(["eval", str(params), "--z", "0,0", "-o", str(tmp_path / "e.csv")]) == 4
+
+    @pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf", "1e400,0"])
+    @pytest.mark.parametrize("kind", ["parameters", "realization"])
+    def test_non_finite_z_exit_2(self, tmp_path, capsys, kind, z):
+        p = sample_parameters(9, 2, 1, 0.9)
+        path = tmp_path / "f.json"
+        if kind == "parameters":
+            wio.save_parameters(p, path)
+        else:
+            wio.save_realization(realize_wavelet(p), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", str(path), "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--z" in captured.err
 
 
 class TestCliSubbands:

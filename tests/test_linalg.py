@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wfk import DimensionError, adjoint
-from wfk.linalg import as_matrix
+from wfk.realization import as_matrix
 
 Q4 = 0.5 * np.array(
     [

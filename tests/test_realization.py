@@ -49,7 +49,6 @@ from wfk.realization import (
     _block_certificate,
     _block_solution,
     _cascade_edges,
-    _certificate,
     _series_solution,
 )
 
@@ -533,17 +532,32 @@ class TestBlockStein:
         cores, elementary = _block_solution(r, _cascade_edges(r))
         assert cores.shape == (m, n, n) and elementary.shape == (n * (n - 1) // 2,) * 2
         block = _block_certificate(r, cores, elementary)
-        dense = _certificate(r, block.h, "dense")
-        assert np.array_equal(block.h, dense.h)
+        # the same H certified as one dense block, as the series solution is
+        single = _block_certificate(r, np.zeros((0, 0, 0)), block.h, "dense")
+        assert np.array_equal(block.h, single.h)
         for lo in range(0, m * n, n):
             assert np.array_equal(block.h[lo : lo + n, lo : lo + n], cores[lo // n])
         assert np.array_equal(block.h[m * n :, m * n :], elementary)
-        for name in ("residual_state", "residual_cross", "residual_input", "hermiticity"):
-            assert abs(getattr(block, name) - getattr(dense, name)) <= 1e-12 * dense.scale, name
-        assert block.norm_h == dense.norm_h
-        assert block.condition_estimate == pytest.approx(dense.condition_estimate, rel=1e-10)
-        assert block.positive_definite == dense.positive_definite
-        assert block.method == "block" and dense.worst_block is None
+        # the dense formulas, written out
+        h, a_h, c_h = block.h, adjoint(r.a), adjoint(r.c)
+        dense = {
+            "residual_state": np.linalg.norm(a_h @ h @ r.a + c_h @ r.c - h),
+            "residual_cross": np.linalg.norm(a_h @ h @ r.b + c_h @ r.d),
+            "residual_input": np.linalg.norm(
+                adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs)
+            ),
+            "hermiticity": np.linalg.norm(h - adjoint(h)),
+        }
+        norm_h = np.linalg.norm(h, 1)
+        positive = np.linalg.eigvalsh(h).min() > 1e-12 * norm_h
+        for cert in (block, single):
+            for name, value in dense.items():
+                assert abs(getattr(cert, name) - value) <= 1e-12 * max(1.0, norm_h), name
+            assert cert.norm_h == norm_h
+            assert cert.condition_estimate == pytest.approx(np.linalg.cond(h, 1), rel=1e-10)
+            assert cert.positive_definite == positive
+        assert block.method == "block" and single.method == "dense"
+        assert single.worst_block is None
 
     def test_coupling_entry_is_checked_on_the_full_state_equation(self):
         # a perturbed entry of A right of a core's diagonal block, in the row
