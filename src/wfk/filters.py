@@ -9,12 +9,16 @@ with ``Q`` the unitary DFT matrix.  ``FilterParameters`` stores exactly the
 data of that factorization; ``BoxPoint`` is the equivalent coordinate
 parametrization over a real box, convenient for sampling and optimization.
 
-Identities between the rational functions here are decided by sampled
-evaluation, never symbolically: sampling a degree-``d`` rational identity
-at more than ``2*d + 8`` circle points is a sound test, and the default
-point counts exceed that for every filter this package constructs.  The
-evaluators take a point or an array of points, and each check evaluates
-all of its points in one call.
+Identities between the rational functions here are checked by sampled
+evaluation, never symbolically.  More than ``2*d + 8`` circle points would
+decide a degree-``d`` identity, but for ``d = n*(n-1)/2 + n*m`` the
+default counts fall short: ``wfk verify``'s 256 from ``(n, m) = (8, 16)``
+on and the 64 here from ``(4, 8)`` on.  Half of the points are drawn at
+random angles, which makes a false pass improbable, not impossible.  On a
+realization file the Stein certificate of :mod:`wfk.realization` proves
+unitarity algebraically, so only ``symmetry`` rests on sampling alone.
+The evaluators take a point or an array of points, and each check
+evaluates all of its points in one call.
 """
 
 from __future__ import annotations

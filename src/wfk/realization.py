@@ -8,7 +8,7 @@ series cascade that raises the index one factor at a time.  Verification
 tools certify the construction: a Stein-equation certificate for circle
 unitarity and exact degree accounting.  A cascade of lossless sections has
 a block-diagonal Stein solution, one block per section, which the
-certificate solves block by block.  The same certificate decides
+certificate takes in closed form.  The same certificate decides
 minimality: when ``M* diag(H, I) M = diag(H, I)`` holds for the system
 matrix ``M`` with ``A`` stable and ``H > 0``, the ``H``-balanced system
 matrix is unitary, so both of its Gramians are the identity and the
@@ -36,14 +36,16 @@ from .filters import TOL, FilterParameters, dft_matrix
 # eval_realization picks its solver by the number of points in a call.  From
 # _ROW_MIN_POINTS points on, an upper-triangular A is solved state by state
 # (one vectorized update per row of A), which is several times cheaper than
-# LU once the points amortize the Python loop over the rows; below it (one
-# point at a time, as a sweep evaluates) and for any A that is not upper
+# LU once the points amortize the Python loop over the rows.  Below it (one
+# point at a time, as a sweep evaluates) the loop costs more than it saves:
+# over 512 one-point calls (one BLAS thread, best of 7) it measured 2.0-2.4x
+# slower than block LU at (n, m, rho) = (4, 8, 0.9), 1.5x at (8, 16, 0.99)
+# and 1.1x at (12, 16, 0.999).  There, and for any A that is not upper
 # triangular, diagonal blocks of at most _BLOCK states get one stacked LU
-# each.  20 splits the state dimension 38 of (n, m) = (4, 8) into two
-# blocks, which measured no slower than one dense LU for a single point.
-# The points go through in chunks: a state-by-state chunk holds at most
-# _ROW_ENTRIES entries of X, a block chunk at most _CHUNK_ENTRIES entries
-# of its largest stacked array.
+# each; 20 splits the 38 states of (4, 8) into two blocks, which measured no
+# slower than one dense LU for a single point.  A state-by-state chunk holds
+# at most _ROW_ENTRIES entries of X, a block chunk at most _CHUNK_ENTRIES
+# entries of its largest stacked array.
 _BLOCK = 20
 _CHUNK_ENTRIES = 1 << 16
 _ROW_MIN_POINTS = 8
@@ -146,34 +148,39 @@ class Realization:
         return blocks, chunk
 
     @cached_property
-    def _row_plan(self) -> tuple[tuple, np.ndarray, np.ndarray, int]:
-        """Rows for the state-by-state solve of :func:`eval_realization`.
+    def _row_plan(self) -> tuple[tuple, np.ndarray, np.ndarray, object, int]:
+        """Rows, diagonal, row scales, nonzero columns of ``C`` and points per
+        chunk for the state-by-state solve of an upper-triangular ``A``.
 
-        Returns the rows, the diagonal of ``A``, the row scales and the points
-        per chunk.  A row is ``(i, lo, hi, coefficients, b_i)``, listed last
-        first: ``[lo, hi)`` is the nonzero span of row ``i`` of ``A`` right of
-        the diagonal (empty when ``lo == hi``), the coefficients are
-        ``A[i, lo:hi]`` and ``b_i`` is row ``i`` of ``B``, or None when it is
-        zero.  A row whose span is one entry keeps that entry as its scale
-        (the scale is 1 for every other row), so the solve folds it into
-        ``1 / (z - a_ii)``.  Used only when ``A`` is upper triangular.
+        A row ``(i, cols, A[i, cols], b_i)`` lists the nonzero columns of row
+        ``i`` of ``A`` right of the diagonal (see :func:`_columns`; None if
+        there are none) and row ``i`` of ``B`` (None if zero), last row
+        first.  A single such entry is kept as the row's scale (1 elsewhere)
+        and its column as an int, so the solve folds it into ``1/(z - a_ii)``.
         """
         p = self.state_dim
         row, col = np.nonzero(np.triu(self.a, 1))
-        lo, hi = np.full(p, p), np.zeros(p, dtype=int)
-        np.minimum.at(lo, row, col)
-        np.maximum.at(hi, row, col + 1)
-        lo = np.minimum(lo, hi)  # a row with no entry gets lo == hi == 0
-        single = hi - lo == 1
+        starts = np.searchsorted(row, np.arange(p + 1)).tolist()
         scale = np.ones(p, dtype=complex)
-        scale[single] = self.a[single, lo[single]]
-        spans = zip(range(p), lo.tolist(), hi.tolist(), self.b.any(axis=1).tolist())
-        rows = tuple(
-            (i, l, h, self.a[i, l:h], self.b[i] if has_b else None)
-            for i, l, h, has_b in reversed(list(spans))
-        )
+        has_b = self.b.any(axis=1).tolist()
+        rows = []
+        for i in reversed(range(p)):
+            cols = col[starts[i] : starts[i + 1]]
+            if cols.size == 1:
+                scale[i] = self.a[i, cols[0]]
+            where = int(cols[0]) if cols.size == 1 else _columns(cols) if cols.size else None
+            coef = self.a[i, cols] if cols.size > 1 else None
+            rows.append((i, where, coef, self.b[i] if has_b[i] else None))
+        c_cols = _columns(np.flatnonzero(self.c.any(axis=0)))
         chunk = max(1, _ROW_ENTRIES // max(p * self.inputs, 1))
-        return rows, np.diagonal(self.a).copy(), scale, chunk
+        return tuple(rows), np.diagonal(self.a).copy(), scale, c_cols, chunk
+
+
+def _columns(cols: np.ndarray) -> slice | np.ndarray:
+    """Sorted column indices as a slice when they are contiguous, else as they are."""
+    if cols.size and cols[-1] - cols[0] == cols.size - 1:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -185,15 +192,14 @@ class SteinCertificate:
     ``A* H B + C* D = 0`` and ``B* H B + D* D = I`` hold as well, and the
     three residual norms certify this numerically.  The residuals and
     ``hermiticity`` (``||H - H*||_F``) are absolute; rounding in ``A* H A``
-    grows with ``H``, so they are gated relative to ``scale``, which is
-    ``max(1, ||H||_1)``: ``relative_block_residual`` and
-    ``relative_hermiticity`` divide by it.  ``positive_definite`` means
+    grows with ``H``, so the ``relative_*`` properties divide them by
+    ``scale = max(1, ||H||_1)``.  ``positive_definite`` means
     ``H > delta ||H||_1 I`` (``delta = 1e-12``), which with the block
     identities certifies that the realization is minimal; ``norm_h`` is that
     ``||H||_1``.  ``condition_estimate`` is the 1-norm condition number
     ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.  ``method`` is
-    ``"block"`` when ``H`` was solved block by block over the cascade
-    layout and ``"dense"`` when it came from the doubling series.
+    ``"block"`` when ``H`` is the closed-form block-diagonal solution of the
+    cascade layout and ``"dense"`` when it came from the doubling series.
     ``worst_block`` names the block whose rows of the full residual
     ``[A B; C D]* diag(H, I) [A B; C D] - diag(H, I)`` have the largest
     Frobenius norm: the 0-based index ``i`` of the factor whose core it is
@@ -365,13 +371,13 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     ``z`` may have any shape; the result has shape ``z.shape + (N_out, N_in)``,
     so a scalar ``z`` gives one matrix.  When ``A`` is upper triangular, as
     every cascade is, and the call has at least 8 points, ``(zI - A) X = B``
-    is solved one state at a time, last state first:
-    ``x_i = (b_i + A[i, lo:hi] x[lo:hi]) / (z - a_ii)`` over the nonzero span
-    ``[lo, hi)`` of row ``i``, for all points at once.  Fewer points go by
-    block back-substitution over diagonal blocks of at most 20 states, one
-    stacked ``numpy.linalg.solve`` per block; a state matrix that is not upper
-    triangular is a single block, which is plain LU.  The points go through
-    in chunks that keep the work arrays at a few MB.
+    is solved one state at a time, last first, for all points at once:
+    ``x_i = (b_i + A[i, J] x[J]) / (z - a_ii)`` over the nonzero columns
+    ``J`` of row ``i`` right of the diagonal; ``C X`` reads only the nonzero
+    columns of ``C``.  Fewer points go by block back-substitution over
+    diagonal blocks of at most 20 states, one stacked ``numpy.linalg.solve``
+    each; a state matrix that is not upper triangular is one block (plain
+    LU).  The points go through in chunks of a few MB of work arrays.
 
     Raises
     ------
@@ -381,7 +387,7 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     points = z.reshape(-1)
     if r.upper_triangular and points.size >= _ROW_MIN_POINTS:
-        solve, chunk = _sweep, r._row_plan[3]
+        solve, chunk = _sweep, r._row_plan[-1]
     else:
         solve, chunk = _transfer, r._solve_plan[1]
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
@@ -414,10 +420,11 @@ def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
     """``C X + D`` for one chunk of points, solving state by state.
 
     ``X`` is kept state-major, shape ``(p, K, N_in)``, so each state's
-    values are one contiguous slice.  A zero divisor ``z - a_ii`` raises
-    ``LinAlgError``, as a singular LU would.
+    values are one contiguous slice; each row reads only its nonzero
+    columns of ``A``, and ``C X`` only the nonzero columns of ``C``.  A zero
+    divisor ``z - a_ii`` raises ``LinAlgError``, as a singular LU would.
     """
-    rows, diagonal, scale, _ = r._row_plan
+    rows, diagonal, scale, c_cols, _ = r._row_plan
     p, k, n_in = r.state_dim, points.size, r.inputs
     divisor = points[None, :] - diagonal[:, None]
     if not divisor.all():
@@ -427,22 +434,22 @@ def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
         inverse = 1.0 / divisor
         gain = (inverse * scale[:, None])[:, :, None]
         inverse = inverse[:, :, None]
-        for i, lo, hi, coef, b_i in rows:
+        for i, cols, coef, b_i in rows:
             x_i = x[i]
-            if hi - lo == 1:
-                np.multiply(x[lo], gain[i], out=x_i)
-                if b_i is not None:
-                    x_i += inverse[i] * b_i
-            elif hi > lo:
-                np.matmul(coef, x[lo:hi].reshape(hi - lo, k * n_in), out=x_i.reshape(-1))
+            if coef is not None:
+                np.matmul(coef, x[cols].reshape(coef.size, k * n_in), out=x_i.reshape(-1))
                 if b_i is not None:
                     x_i += b_i
                 x_i *= inverse[i]
+            elif cols is not None:
+                np.multiply(x[cols], gain[i], out=x_i)
+                if b_i is not None:
+                    x_i += inverse[i] * b_i
             elif b_i is not None:
                 np.multiply(inverse[i], b_i, out=x_i)
             else:
                 x_i.fill(0.0)
-        y = r.c @ x.reshape(p, k * n_in)
+        y = r.c[:, c_cols] @ x[c_cols].reshape(-1, k * n_in)
     np.add(y.reshape(-1, k, n_in).transpose(1, 0, 2), r.d, out=out)
 
 
@@ -488,10 +495,13 @@ _STEIN_MAX_DOUBLINGS = 64
 _STEIN_STOP = 1e-12
 # Relative margin of the positive-definiteness test.  On valid filters
 # lambda_min(H) / ||H||_1 measured >= 2.1e-2 up to (n, m, rho) = (4, 8, 0.9),
-# >= 5.6e-7 at (12, 16, 0.999) and >= 3.2e-9 at (16, 32, 0.999); with a
-# hidden (unobservable, uncontrollable) state in a random unitary basis it
-# measured between -9e-17 and 1.6e-16.  1e-12 sits over three decades from
-# both, where 1e-9 would leave a factor of 3 at (16, 32, 0.999).
+# >= 5.6e-7 at (12, 16, 0.999) and >= 3.2e-9 at (16, 32, 0.999); the closed
+# form's H gave 1.9e-2, 8.8e-5, 5.6e-7 and 3.3e-9 at (4, 8), (8, 16),
+# (12, 16) and (16, 32) with every |alpha| = 1 - e, the same for each e from
+# 1e-3 to 1e-13.  With a hidden (unobservable, uncontrollable) state in a
+# random unitary basis it measured between -9e-17 and 1.6e-16.  1e-12 sits
+# over three decades from both, where 1e-9 would leave a factor of 3 at
+# (16, 32, 0.999).
 _PD_MARGIN = 1e-12
 
 
@@ -500,40 +510,31 @@ def stein_certificate(r: Realization) -> SteinCertificate:
 
     A realization in the cascade layout (``A`` upper triangular with
     ``n*(n-1)/2 + k*n`` states for ``n`` outputs, as :func:`realize_wavelet`
-    builds and a realization file keeps) first gets the block-diagonal
-    solution ``diag(H_1, ..., H_k, H_e)`` of a cascade of lossless
-    sections: ``k`` blocks of ``n`` states, then the ``n*(n-1)/2`` states of
-    the elementary filter.  The diagonal blocks are solved top first from
-    ``H_jj - A_jj* H_jj A_jj = (C*C)_jj + A[:lo, j]* H[:lo, :lo] A[:lo, j]``
-    (see :func:`_triangular_stein`).  Each block is replaced by its
-    Hermitian part, which solves the block equation at least as well, so
-    the block solution is Hermitian.  Its certificate is taken block by
-    block (see :func:`_block_certificate`): ``diag(H, I)`` multiplies the
-    system matrix one block row at a time and one product with the adjoint
-    of the full system matrix gives all three residuals, so every entry of
-    ``A``, ``B``, ``C`` and ``D`` enters them and the block structure cannot
-    create a false pass; ``||H||_1``, ``||H^-1||_1``, the Hermiticity and
-    the Cholesky test of ``H`` are taken per block, which is exact for a
-    block-diagonal ``H``.  The block solution is kept when its
-    state-equation residual is at most ``TOL`` (1e-9) relative to
-    ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``.  A stable
-    ``A`` has exactly one solution of the state equation, so a block
-    solution that passes it is that solution, and a failed cross or input
-    identity is the realization's own.  Otherwise, and for every other
-    layout, ``H`` is accumulated from the convergent series
+    builds and a realization file keeps) first gets the closed-form
+    candidate ``diag(H_1, ..., H_k, I)`` of :func:`_block_solution`; no
+    Stein equation is solved for it.  :func:`_block_certificate` sums
+    ``S* diag(H, I) S`` over the nonzero columns of each block row of the
+    system matrix ``S``, so every entry of ``A``, ``B``, ``C`` and ``D``
+    enters the residuals and the block structure cannot create a false
+    pass.  The candidate is kept when its state-equation residual is at
+    most ``TOL`` (1e-9) relative to ``max(1, ||H||_1)`` and
+    ``H > delta ||H||_1 I``: a stable ``A`` has exactly one solution of the
+    state equation, so a kept candidate is that solution, and a failed
+    cross or input identity is the realization's own.  Otherwise (as for a
+    cascade-layout file whose cores are not in the bidiagonal normal form)
+    and for every other layout, ``H`` is summed from the series
     ``sum_k (A*)**k C*C A**k`` with doubling acceleration, which converges
-    quadratically whenever the spectral radius of ``A`` is below one, and
-    the same routine certifies that ``H`` as a single block.
+    quadratically when the spectral radius of ``A`` is below one, and the
+    same routine certifies it as a single block.
 
     The certificate reports Hermiticity, the 1-norm condition number of
-    ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I`` with
-    ``delta = 1e-12``, tested by one Cholesky factorization.  Together with
-    the block identities this certifies minimality: the ``H``-balanced
-    system matrix is then unitary, so both of its Gramians are the
-    identity.  A plain Cholesky of ``H`` is not enough, since rounding lets
-    it succeed on ``H`` with a hidden state and ``lambda_min(H) / ||H||_1``
-    near ``1e-17``.  A singular or indefinite ``H`` is flagged, not
-    rejected.
+    ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I``
+    (``delta = 1e-12``, one Cholesky factorization per block), which with
+    the block identities certifies minimality: the ``H``-balanced system
+    matrix is then unitary, so both of its Gramians are the identity.  A
+    plain Cholesky is not enough: rounding lets it succeed on ``H`` with a
+    hidden state and ``lambda_min(H) / ||H||_1`` near ``1e-17``.  A
+    singular or indefinite ``H`` is flagged, not rejected.
 
     Raises
     ------
@@ -541,9 +542,8 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         If the series fails to settle within the iteration cap (state
         matrix not asymptotically stable).
     """
-    edges = _cascade_edges(r)
-    if edges is not None:
-        blocks = _block_solution(r, edges)
+    if _cascade_edges(r) is not None:
+        blocks = _block_solution(r)
         if blocks is not None:
             cert = _block_certificate(r, *blocks)
             if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
@@ -552,97 +552,69 @@ def stein_certificate(r: Realization) -> SteinCertificate:
 
 
 def _cascade_edges(r: Realization) -> list[int] | None:
-    """Block edges of the cascade layout, or None when ``r`` is not in it.
-
-    The layout is an upper-triangular ``A`` with ``n*(n-1)/2 + k*n`` states
-    for ``n`` outputs: ``k`` factor cores of ``n`` states, top first, then
-    the elementary block.
-    """
+    """Block edges of the cascade layout, ``k`` cores of ``n`` states top first
+    and then the elementary block, or None when ``A`` is not upper triangular
+    with ``n*(n-1)/2 + k*n`` states for ``n`` outputs."""
     k, n, p = cascade_index(r), r.outputs, r.state_dim
     if k is None or not r.upper_triangular:
         return None
     return list(range(0, k * n + 1, n)) + ([p] if k * n < p else [])
 
 
-def _block_solution(
-    r: Realization, edges: list[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The diagonal blocks of the Stein solution over ``edges``, or None if it breaks down.
+def _block_solution(r: Realization) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed-form diagonal blocks of the cascade's Stein solution, or None.
 
     Returns the ``k`` core blocks stacked as ``(k, n, n)``, top first, and
-    the elementary block (``0 x 0`` when ``n = 1``).  Above each block lie
-    only ``n``-state cores, so their coupling term ``sum_i A_ij* H_ii A_ij``
-    is one stacked product over the cores solved so far.  A singular block
-    equation or a non-finite block gives None.
+    the identity for the elementary block, whose system matrix is a
+    permutation times the DFT.  A core in the bidiagonal normal form of
+    :func:`realize_allpass_core` is similar to the lattice all-pass section
+    (Gray & Markel, IEEE Trans. AU-21(6), 1973), whose system matrix is
+    unitary; with ``K_j = [e_n, A_jj e_n, ..., A_jj**(n-1) e_n]``, which is
+    anti-triangular with a unit anti-diagonal, ``H_j = (K_j K_j*)**-1``.
+    It is formed as ``K_j**-* K_j**-1``: inverting ``K_j K_j*`` would square
+    the condition number, and at (16, 32) its state residual measured
+    1.4e-9 relative against 1.1e-13.  A singular or non-finite ``K_j``
+    gives None.
     """
     n, k = r.outputs, cascade_index(r)
-    a, c = r.a, r.c
-    cores = np.empty((k, n, n), dtype=complex)
-    elementary = np.zeros((0, 0), dtype=complex)
+    kn = k * n
+    diagonal = r.a[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)]
+    columns = [np.broadcast_to(_eye(n)[:, -1:], (k, n, 1))]
     with np.errstate(all="ignore"):
-        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            c_j = c[:, lo:hi]
-            q = c_j.conj().T @ c_j
-            if lo:
-                a_j = a[:lo, lo:hi]
-                coupled = cores[:j] @ a_j.reshape(j, n, hi - lo)
-                q += a_j.conj().T @ coupled.reshape(lo, hi - lo)
-            try:
-                h_j = _triangular_stein(a[lo:hi, lo:hi], q)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.isfinite(h_j).all():
-                return None
-            # the equation commutes with the adjoint, so the Hermitian part
-            # of a block has at most its residual
-            h_j = (h_j + h_j.conj().T) / 2.0
-            if j < k:
-                cores[j] = h_j
-            else:
-                elementary = h_j
-    return cores, elementary
-
-
-def _triangular_stein(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve ``X - A* X A = Q`` for an upper-triangular ``A``, column by column.
-
-    Column ``j`` of the equation is
-    ``(I - a_jj A*) x_j = q_j + A* X[:, :j] A[:j, j]``, whose matrix is lower
-    triangular, so the columns follow in order, each from one solve
-    (Kitagawa, Int. J. Control 25(5), 1977; Barraud, IEEE TAC 22(5), 1977,
-    on the Schur form).  A zero ``a_jj``, as in the nilpotent elementary
-    block, leaves the identity and needs no solve.
-    """
-    size = a.shape[0]
-    a_h = a.conj().T
-    eye = np.eye(size)
-    x = np.empty_like(q)
-    for j in range(size):
-        rhs = q[:, j] + a_h @ (x[:, :j] @ a[:j, j])
-        x[:, j] = np.linalg.solve(eye - a[j, j] * a_h, rhs) if a[j, j] else rhs
-    return x
+        for _ in range(n - 1):
+            columns.append(diagonal @ columns[-1])
+        try:
+            inverse = np.linalg.inv(np.concatenate(columns, axis=2))
+        except np.linalg.LinAlgError:
+            return None
+        cores = _stack_adjoint(inverse) @ inverse
+    if not np.isfinite(cores).all():
+        return None
+    return (cores + _stack_adjoint(cores)) / 2.0, np.eye(r.state_dim - kn, dtype=complex)
 
 
 def _series_solution(r: Realization) -> np.ndarray:
     """``H = sum_k (A*)**k C*C A**k`` by the doubling series.
 
-    Raises ``ConvergenceError`` if the series diverges or does not settle.
+    Raises ``ConvergenceError`` if the series diverges (or overflows) or
+    does not settle.
     """
-    h = adjoint(r.c) @ r.c
     power = np.array(r.a)
-    for _ in range(_STEIN_MAX_DOUBLINGS):
-        inc = adjoint(power) @ h @ power
-        h = h + inc
-        # max-abs avoids the overflow a squared Frobenius norm would hit
-        # while detecting divergence
-        scale = float(np.abs(h).max()) if h.size else 0.0
-        if not np.isfinite(h).all() or scale > 1e100:
-            raise ConvergenceError(
-                "Stein series diverged; spectral radius appears to be >= 1"
-            )
-        if h.size == 0 or np.abs(inc).max() <= _STEIN_STOP * max(1.0, scale):
-            return h
-        power = power @ power
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = r.c.conj().T @ r.c
+        for _ in range(_STEIN_MAX_DOUBLINGS):
+            inc = power.conj().T @ h @ power
+            h = h + inc
+            # max-abs avoids the overflow a squared Frobenius norm would hit
+            # while detecting divergence
+            scale = float(np.abs(h).max()) if h.size else 0.0
+            if not np.isfinite(h).all() or scale > 1e100:
+                raise ConvergenceError(
+                    "Stein series diverged; spectral radius appears to be >= 1"
+                )
+            if h.size == 0 or np.abs(inc).max() <= _STEIN_STOP * max(1.0, scale):
+                return h
+            power = power @ power
     raise ConvergenceError(
         "Stein series did not converge; spectral radius appears to be >= 1"
     )
@@ -652,6 +624,32 @@ def _stack_adjoint(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
+def _add_block_rows(residual: np.ndarray, system: np.ndarray, lo: int, weights) -> None:
+    """Add ``S_b* W_b S_b - W_b`` into ``R`` for the block rows ``S_b`` of ``S``
+    from row ``lo`` on, one per stacked weight ``W_b``.
+
+    The product is taken over the nonzero columns ``J`` of ``S_b`` into
+    ``R[J, J]``; each ``J`` is padded to the longest with columns that are
+    zero in its block row, which add nothing.
+    """
+    count, rows, _ = weights.shape
+    size = system.shape[1]
+    block = system[lo : lo + count * rows].reshape(count, rows, size)
+    mask = (block != 0).any(axis=1)
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, : mask.sum(axis=1).max(initial=0)]
+    block = np.take_along_axis(block, cols[:, None, :], axis=2)
+    own = lo + np.arange(count * rows).reshape(count, rows)
+    flat = residual.reshape(-1)
+    product = _stack_adjoint(block) @ (weights @ block)
+    np.add.at(flat, (cols[:, :, None] * size + cols[:, None, :]).ravel(), product.ravel())
+    flat[(own[:, :, None] * size + own[:, None, :]).ravel()] -= weights.ravel()
+
+
+def _row_energy(x: np.ndarray) -> np.ndarray:
+    """The squared 2-norm of each row of a complex ``x`` with a contiguous last axis."""
+    return np.einsum("ij,ij->i", x.view(float), x.view(float))
+
+
 def _block_certificate(
     r: Realization, cores: np.ndarray, last: np.ndarray, method: str = "block"
 ) -> SteinCertificate:
@@ -659,28 +657,24 @@ def _block_certificate(
 
     ``last`` is the elementary block, or all of ``H`` with no cores on the
     dense path, where ``worst_block`` stays None.  With ``S = [A B; C D]``,
-    ``R = S* (diag(H, I) S) - diag(H, I)`` holds the state equation in
+    ``R = S* diag(H, I) S - diag(H, I)`` holds the state equation in
     ``R[:p, :p]``, the cross identity in ``R[:p, p:]`` and the input
-    identity in ``R[p:, p:]``.  ``diag(H, I) S`` is formed one block row at
-    a time, one stacked product over the cores, and ``R`` by one full-size
-    product, so every entry of ``S`` enters the residuals.  The norms, the
-    inverse, the Hermiticity and the Cholesky test of ``H`` are taken per
-    block: for a block-diagonal ``H`` each is the dense one.
+    identity in ``R[p:, p:]``; :func:`_add_block_rows` sums it over the
+    block rows of ``S`` (the cores, the last block, ``[C D]``), so every
+    nonzero of ``S`` enters the residuals.  The norms, the inverse, the
+    Hermiticity and the Cholesky test of ``H`` are taken per block: for a
+    block-diagonal ``H`` each is the dense one.
     """
     k, n, _ = cores.shape
     kn, p = k * n, r.state_dim
     system = system_matrix(r)
-    width = system.shape[1]
-    scaled = system.copy()  # diag(H, I) S: the rows of [C D] stay
-    scaled[:kn] = (cores @ system[:kn].reshape(k, n, width)).reshape(kn, width)
-    scaled[kn:p] = last @ system[kn:p]
-    residual = system.conj().T @ scaled
+    residual = np.zeros(system.shape, dtype=complex)
+    for lo, weights in ((0, cores), (kn, last[None]), (p, _eye(r.inputs)[None])):
+        _add_block_rows(residual, system, lo, weights)
     h = np.zeros((p, p), dtype=complex)
     for j in range(k):
         h[j * n : (j + 1) * n, j * n : (j + 1) * n] = cores[j]
     h[kn:, kn:] = last
-    residual[:p, :p] -= h
-    residual[p:, p:] -= _eye(r.inputs)
     stacks = [s for s in (cores, last[None]) if s.size]
     hermiticity = float(np.linalg.norm([np.linalg.norm(s - _stack_adjoint(s)) for s in stacks]))
     condition, positive, norm_h, worst = 1.0, True, 0.0, None
@@ -698,9 +692,10 @@ def _block_certificate(
                 np.linalg.cholesky((s + _stack_adjoint(s)) / 2.0 - margin)
         except np.linalg.LinAlgError:
             positive = False
+    state, cross = _row_energy(residual[:p, :p]), _row_energy(residual[:p, p:])
     if p and method == "block":
         # squared Frobenius norm of each block's rows of R, cores top first
-        rows = np.square(np.abs(residual[:p])).sum(axis=1)
+        rows = state + cross
         energy = list(rows[:kn].reshape(k, n).sum(axis=1))
         if last.size:
             energy.append(rows[kn:].sum())
@@ -708,9 +703,9 @@ def _block_certificate(
         worst = k - 1 - top if top < k else "elementary"
     return SteinCertificate(
         h=h,
-        residual_state=float(np.linalg.norm(residual[:p, :p])),
-        residual_cross=float(np.linalg.norm(residual[:p, p:])),
-        residual_input=float(np.linalg.norm(residual[p:, p:])),
+        residual_state=float(np.sqrt(state.sum())),
+        residual_cross=float(np.sqrt(cross.sum())),
+        residual_input=float(np.sqrt(_row_energy(residual[p:, p:]).sum())),
         hermiticity=hermiticity,
         condition_estimate=condition,
         positive_definite=positive,

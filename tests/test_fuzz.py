@@ -3,8 +3,11 @@
 Valid parameter files, realization files in both block forms, box files
 and signal CSVs are mutated a little (a value replaced, removed, inserted
 or nudged; characters of a CSV inserted, removed or replaced) and run
-through the CLI.  Every run must end with a documented exit code, and
-exits 2 and 3 must print exactly one line to stderr.  The examples are
+through the CLI.  In every property half of the draws also put an extreme
+value (``_EXTREMES``: overflowing, subnormal, infinite, NaN, huge
+integers) in place of one number of the file.  Every run must end with a
+documented exit code, and exits 2 and 3 must print exactly one line to
+stderr.  The examples are
 derandomized, so the suite is repeatable; raise ``max_examples`` or drop
 ``derandomize`` to search further.
 """
@@ -75,12 +78,30 @@ def _pick(data, doc):
         node = child
 
 
+def _numbers(node):
+    """Every ``(container, key)`` inside ``node`` that holds a number."""
+    found = []
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (dict, list)):
+            found += _numbers(child)
+        elif type(child) in (int, float):
+            found.append((node, key))
+    return found
+
+
 def _mutate_json(data, doc):
-    """Replace, remove or insert one value anywhere inside ``doc``.
+    """Put an extreme value in place of one number of ``doc`` (half of the
+    mutations of a document that holds numbers), or replace, remove or
+    insert one value anywhere inside it.
 
     A number may instead be nudged by a small integer or swapped for an
     extreme value.
     """
+    numbers = _numbers(doc)
+    if numbers and data.draw(st.booleans()):
+        node, key = data.draw(st.sampled_from(numbers))
+        node[key] = data.draw(_EXTREMES)
+        return
     node, key = _pick(data, doc)
     action = data.draw(st.sampled_from(["replace", "remove", "insert", "nudge", "extreme"]))
     number = type(node[key]) in (int, float)
@@ -170,14 +191,9 @@ def test_mutated_dense_realization_file(tmp_path, data):
 @FUZZ
 @given(data=st.data())
 def test_mutated_box_file(tmp_path, data):
-    # a box file is a flat list of numbers, so half of the mutations put an
-    # extreme value in place of a coordinate
     doc = params_to_box(_PARAMS).coords.reshape(-1).tolist()
     for _ in range(data.draw(st.integers(1, 2))):
-        if data.draw(st.booleans()):
-            doc[data.draw(st.integers(0, len(doc) - 1))] = data.draw(_EXTREMES)
-        else:
-            _mutate_json(data, doc)
+        _mutate_json(data, doc)
     path = tmp_path / "box.json"
     path.write_text(json.dumps(doc))
     _check(*_run(["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(path),
@@ -191,7 +207,14 @@ def test_mutated_signal_csv(tmp_path, data):
     wio.save_parameters(sample_parameters(3, 2, 1, 0.0), params)
     signal = tmp_path / "x.csv"
     wio.save_signal(np.arange(8) * (0.5 - 0.25j), signal)
-    chars = list(signal.read_text())
+    lines = signal.read_text().split("\n")
+    if data.draw(st.booleans()):
+        # an extreme value in place of one number, written as Python prints it
+        row = data.draw(st.integers(0, len(lines) - 2))
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = str(data.draw(_EXTREMES))
+        lines[row] = ",".join(cells)
+    chars = list("\n".join(lines))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(chars)))
         action = data.draw(st.sampled_from(["insert", "remove", "replace"]))

@@ -784,6 +784,47 @@ class TestCliVerify:
         assert not checks["paraunitary"]["passed"]
         assert checks["degree"]["passed"]
 
+    def test_overflowing_state_matrix_fails_without_warning(self, tmp_path, capsys):
+        # a finite but huge eigenvalue: the Stein series overflows, which is
+        # divergence, not a malformed file
+        r = realize_wavelet(sample_parameters(11, 2, 1, 0.5))
+        a = np.array(r.a)
+        a[1, 1] = 1e308
+        path = tmp_path / "r.json"
+        wio.save_realization(Realization(a=a, b=r.b, c=r.c, d=r.d), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path), "--points", "8"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"] is None
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["stein_blocks"]["max_residual"] == float("inf")
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("n, m", [(4, 8), (8, 16), (12, 16), (16, 32)])
+    def test_poles_near_the_circle_certify_on_the_block_path(self, tmp_path, capsys, n, m, gap):
+        # every |alpha| moved to 1 - gap with its phase kept: the Stein
+        # operator's eigenvalues 1 - |lambda|^2 go to 0, and a valid filter
+        # must still pass while B * 1.01 fails
+        drawn = sample_parameters(3, n, m, 1.0)
+        factors = tuple(Factor(f.v, (1.0 - gap) * f.alpha / abs(f.alpha)) for f in drawn.factors)
+        params = FilterParameters(n=n, rho=drawn.rho, factors=factors)
+        real = realize_wavelet(params)
+        scaled = Realization(a=real.a, b=1.01 * real.b, c=real.c, d=real.d)
+        for name, target, expected in (
+            ("params", params, 0),
+            ("realization", real, 0),
+            ("scaled", scaled, 1),
+        ):
+            path = tmp_path / f"{name}.json"
+            save = wio.save_parameters if name == "params" else wio.save_realization
+            save(target, path)
+            assert main(["verify", str(path)]) == expected, name
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["stein"]["method"] == "block", name
+            checks = {c["name"]: c["passed"] for c in doc["checks"]}
+            assert checks["stein_blocks"] == (expected == 0), name
+
     def test_report_times_checks_and_keeps_certificate(self, tmp_path, capsys):
         params = tmp_path / "p.json"
         p = sample_parameters(3, 3, 2, 0.9)

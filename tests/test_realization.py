@@ -88,6 +88,23 @@ def gapped_triangular(seed, p=12):
     return Realization(a=a, b=cplx(p, 3), c=cplx(2, p), d=cplx(2, 3))
 
 
+def _perturbed(r, seed):
+    """``r`` with every nonzero moved by about 1e-6 relative and one zero of
+    the strictly upper ``A`` and of ``C`` set to 1e-6, so ``A`` stays
+    triangular."""
+    rng = np.random.default_rng(seed)
+
+    def moved(m):
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        return m * (1.0 + 1e-6 * noise)
+
+    a, c = moved(r.a), moved(r.c)
+    i, j = np.argwhere(np.triu(a == 0, 1))[0]
+    a[i, j] = 1e-6
+    c[tuple(np.argwhere(c == 0)[-1])] = 1e-6
+    return Realization(a=a, b=moved(r.b), c=c, d=moved(r.d))
+
+
 def pointwise(fn):
     """Array closure of a one-point function."""
     return lambda points: np.array([fn(z) for z in points])
@@ -330,7 +347,9 @@ class TestEvalRealization:
         # span entry and every wide-row coupling must reach the solve
         r = gapped_triangular(seed=1)
         rows = r._row_plan[0]
-        assert any(hi - lo > 1 and not coef.all() for _, lo, hi, coef, _ in rows)
+        # some row's nonzero columns are not contiguous, so it reads them
+        # through an index array
+        assert any(isinstance(cols, np.ndarray) for _, cols, _, _ in rows)
         rotated = rotate(r, seed=2)
         assert r.upper_triangular and not rotated.upper_triangular
         pts = circle(40, seed=5)
@@ -525,60 +544,85 @@ class TestBlockStein:
 
     @pytest.mark.parametrize(
         "n, m, rho",
-        [(2, 3, 0.0), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (4, 0, 0.0)],
+        [
+            (2, 3, 0.0),
+            (4, 8, 0.9),
+            (8, 16, 0.99),
+            (12, 16, 0.999),
+            (16, 32, 0.999),
+            (4, 0, 0.0),
+        ],
     )
     def test_structured_certificate_equals_dense(self, n, m, rho):
-        r = realize_wavelet(sample_parameters(1, n, m, rho))
-        cores, elementary = _block_solution(r, _cascade_edges(r))
+        valid = realize_wavelet(sample_parameters(1, n, m, rho))
+        cores, elementary = _block_solution(valid)
         assert cores.shape == (m, n, n) and elementary.shape == (n * (n - 1) // 2,) * 2
-        block = _block_certificate(r, cores, elementary)
-        # the same H certified as one dense block, as the series solution is
-        single = _block_certificate(r, np.zeros((0, 0, 0)), block.h, "dense")
-        assert np.array_equal(block.h, single.h)
-        for lo in range(0, m * n, n):
-            assert np.array_equal(block.h[lo : lo + n, lo : lo + n], cores[lo // n])
-        assert np.array_equal(block.h[m * n :, m * n :], elementary)
-        # the dense formulas, written out
-        h, a_h, c_h = block.h, adjoint(r.a), adjoint(r.c)
-        dense = {
-            "residual_state": np.linalg.norm(a_h @ h @ r.a + c_h @ r.c - h),
-            "residual_cross": np.linalg.norm(a_h @ h @ r.b + c_h @ r.d),
-            "residual_input": np.linalg.norm(
-                adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs)
-            ),
-            "hermiticity": np.linalg.norm(h - adjoint(h)),
-        }
-        norm_h = np.linalg.norm(h, 1)
-        positive = np.linalg.eigvalsh(h).min() > 1e-12 * norm_h
-        for cert in (block, single):
-            for name, value in dense.items():
-                assert abs(getattr(cert, name) - value) <= 1e-12 * max(1.0, norm_h), name
-            assert cert.norm_h == norm_h
-            assert cert.condition_estimate == pytest.approx(np.linalg.cond(h, 1), rel=1e-10)
-            assert cert.positive_definite == positive
-        assert block.method == "block" and single.method == "dense"
-        assert single.worst_block is None
+        # the valid system, and one with every nonzero of S moved and a zero
+        # of A and of C filled in, so that every residual is far from 0 and
+        # a block row's nonzero columns differ from the cascade's
+        for r in (valid, _perturbed(valid, seed=n + m)):
+            block = _block_certificate(r, cores, elementary)
+            # the same H certified as one dense block, as the series solution is
+            single = _block_certificate(r, np.zeros((0, 0, 0)), block.h, "dense")
+            assert np.array_equal(block.h, single.h)
+            for lo in range(0, m * n, n):
+                assert np.array_equal(block.h[lo : lo + n, lo : lo + n], cores[lo // n])
+            assert np.array_equal(block.h[m * n :, m * n :], elementary)
+            # the dense formulas, written out
+            h, a_h, c_h = block.h, adjoint(r.a), adjoint(r.c)
+            dense = {
+                "residual_state": np.linalg.norm(a_h @ h @ r.a + c_h @ r.c - h),
+                "residual_cross": np.linalg.norm(a_h @ h @ r.b + c_h @ r.d),
+                "residual_input": np.linalg.norm(
+                    adjoint(r.b) @ h @ r.b + adjoint(r.d) @ r.d - np.eye(r.inputs)
+                ),
+                "hermiticity": np.linalg.norm(h - adjoint(h)),
+            }
+            norm_h = np.linalg.norm(h, 1)
+            positive = np.linalg.eigvalsh(h).min() > 1e-12 * norm_h
+            for cert in (block, single):
+                for name, value in dense.items():
+                    assert abs(getattr(cert, name) - value) <= 1e-12 * max(1.0, norm_h), name
+                assert cert.norm_h == norm_h
+                assert cert.condition_estimate == pytest.approx(np.linalg.cond(h, 1), rel=1e-10)
+                assert cert.positive_definite == positive
+            assert block.method == "block" and single.method == "dense"
+            assert single.worst_block is None
+        assert block.residual_state > 1e-9 * block.scale
 
     def test_coupling_entry_is_checked_on_the_full_state_equation(self):
         # a perturbed entry of A right of a core's diagonal block, in the row
-        # that couples it to the states below: A stays triangular and the
-        # block solution still satisfies every diagonal block of the state
-        # equation, so only its off-diagonal blocks reveal the change
+        # that couples it to the states below: A stays triangular and a
+        # block-diagonal H solving every diagonal block of the state equation
+        # exists, so only its off-diagonal blocks reveal the change
         r = realize_wavelet(sample_parameters(2, 4, 8, 0.9))
-        n = r.outputs
+        n, p = r.outputs, r.state_dim
         a = np.array(r.a)
         row = n - 1
         col = n + int(np.flatnonzero(a[row, n:])[0])
         a[row, col] += 1e-3
         bad = Realization(a=a, b=r.b, c=r.c, d=r.d)
-        assert bad.upper_triangular and _cascade_edges(bad) == _cascade_edges(r)
-        blocks = _block_solution(bad, _cascade_edges(bad))
-        block = _block_certificate(bad, *blocks)
-        state = adjoint(bad.a) @ block.h @ bad.a + adjoint(bad.c) @ bad.c - block.h
         edges = _cascade_edges(bad)
+        assert bad.upper_triangular and edges == _cascade_edges(r)
+        # that H, top first: X - A_jj* X A_jj = (C*C)_jj + A[:lo, j]* H A[:lo, j],
+        # solved through vec(A* X A) = kron(A^T, A*) vec(X)
+        h = np.zeros((p, p), dtype=complex)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            a_j, a_up, c_j = bad.a[lo:hi, lo:hi], bad.a[:lo, lo:hi], bad.c[:, lo:hi]
+            q = adjoint(c_j) @ c_j + adjoint(a_up) @ h[:lo, :lo] @ a_up
+            op = np.eye((hi - lo) ** 2) - np.kron(a_j.T, adjoint(a_j))
+            x = np.linalg.solve(op, q.reshape(-1, order="F")).reshape(q.shape, order="F")
+            h[lo:hi, lo:hi] = (x + adjoint(x)) / 2.0
+        k = len(edges) - 2
+        cores = np.array([h[lo:hi, lo:hi] for lo, hi in zip(edges[:k], edges[1 : k + 1])])
+        block = _block_certificate(bad, cores, h[edges[k] :, edges[k] :])
+        state = adjoint(bad.a) @ block.h @ bad.a + adjoint(bad.c) @ bad.c - block.h
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert np.linalg.norm(state[lo:hi, lo:hi]) <= 1e-12 * block.scale
         assert block.residual_state > 1e-6 * block.scale
+        # the closed-form candidate reads only the diagonal blocks of A, so
+        # the change does not reach it; the certificate rejects it
+        assert np.array_equal(_block_solution(bad)[0], _block_solution(r)[0])
         cert = stein_certificate(bad)
         assert cert.method == "dense"
         assert cert.relative_block_residual > 1e-9
