@@ -177,8 +177,10 @@ def _verify(target, points, tol, seed):
     certificate's condition estimate, its positive-definiteness flag,
     ``||H||_1``, the solution ``method`` and ``residual_abs``, the absolute
     largest block residual, and ``worst_block``, the factor index or
-    ``"elementary"`` of the block with the largest residual rows (null on
-    the dense path); it is None when the Stein series diverges.
+    ``"elementary"`` of the block with the largest residual rows when
+    ``stein_blocks`` fails (null when it passes, where that block is the
+    argmax of rounding noise, and on the dense path); it is None when the
+    Stein series diverges.
     """
     watch = _Stopwatch()
     params = target if isinstance(target, FilterParameters) else None
@@ -205,7 +207,7 @@ def _verify(target, points, tol, seed):
             "norm_h": cert.norm_h,
             "method": cert.method,
             "residual_abs": cert.max_block_residual,
-            "worst_block": cert.worst_block,
+            "worst_block": None if blocks <= tol else cert.worst_block,
         }
     except ConvergenceError:
         # an unstable state matrix has no Stein solution: the Stein

@@ -20,7 +20,7 @@ is tested with a relative margin, ``H > delta ||H||_1 I`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,25 +30,23 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import TOL, FilterParameters, dft_matrix
+from .filters import _ARRAY_MIN_POINTS, TOL, FilterParameters, _eye, dft_matrix
 
 
 # eval_realization picks its solver by the number of points in a call.  From
-# _ROW_MIN_POINTS points on, an upper-triangular A is solved state by state
-# (one vectorized update per row of A), which is several times cheaper than
-# LU once the points amortize the Python loop over the rows.  Below it (one
-# point at a time, as a sweep evaluates) the loop costs more than it saves:
-# over 512 one-point calls (one BLAS thread, best of 7) it measured 2.0-2.4x
-# slower than block LU at (n, m, rho) = (4, 8, 0.9), 1.5x at (8, 16, 0.99)
-# and 1.1x at (12, 16, 0.999).  There, and for any A that is not upper
-# triangular, diagonal blocks of at most _BLOCK states get one stacked LU
-# each; 20 splits the 38 states of (4, 8) into two blocks, which measured no
-# slower than one dense LU for a single point.  A state-by-state chunk holds
-# at most _ROW_ENTRIES entries of X, a block chunk at most _CHUNK_ENTRIES
-# entries of its largest stacked array.
-_BLOCK = 20
+# _ARRAY_MIN_POINTS points on, an upper-triangular A is solved state by state
+# (one vectorized update per row of A), whose Python loop over the rows the
+# points amortize.  Fewer points (one at a time, as a sweep evaluates) take
+# the condensed head solve of Realization._head_plan, whose number of array
+# calls does not grow with the filter.  For one point it measured 47 -> 35 us
+# at (n, m, rho) = (4, 8, 0.9), 211 -> 52 us at (8, 16, 0.99) and 1870 ->
+# 119 us at (16, 32, 0.999) against the block LU it replaced (2-vCPU host,
+# one BLAS thread, best of 5).  Over 512 points in one call it measured
+# 1.5-3.9x slower than the row sweep on the same rungs, so arrays keep the
+# sweep.  A state matrix that is not upper triangular gets one stacked LU.
+# A state-by-state chunk holds at most _ROW_ENTRIES entries of X, an LU
+# chunk at most _CHUNK_ENTRIES entries of its largest stacked array.
 _CHUNK_ENTRIES = 1 << 16
-_ROW_MIN_POINTS = 8
 _ROW_ENTRIES = 1 << 18
 
 
@@ -73,13 +71,6 @@ def adjoint(a) -> np.ndarray:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _eye(size: int) -> np.ndarray:
-    out = np.eye(size)
     out.flags.writeable = False
     return out
 
@@ -128,24 +119,56 @@ class Realization:
         return not np.tril(self.a, -1).any()
 
     @cached_property
-    def _solve_plan(self) -> tuple[tuple, int]:
-        """Diagonal blocks for :func:`eval_realization` and its points per chunk.
+    def _head_plan(self) -> tuple:
+        """The condensed head solve of an upper-triangular ``A`` for
+        :func:`eval_realization`, built from the nonzero pattern alone.
 
-        A block is ``(lo, hi, A[lo:hi, lo:hi], A[lo:hi, hi:], B[lo:hi], I)``;
-        the blocks are near-equal, at most ``_BLOCK`` states each, and listed
-        last first.  A state matrix that is not upper triangular is one block.
+        Row ``i`` is a link when its only nonzero right of the diagonal is
+        ``A[i, i+1]`` and ``B[i] = 0``; every other row is a head.  Each
+        state belongs to the first head at or below it, and a run of links
+        above head ``h`` is ``x_j = Q_j(z) u_h`` with
+        ``u_h = b_h + A[h, J_h] x[J_h]`` and
+        ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.  The
+        states sit in an ``(H, width)`` grid, one row per head, the head
+        first and its links upward after it, so one ``cumprod`` along the
+        rows gives every ``Q``; a slot past a run holds ``a = NaN``, which no
+        entry reads.  Substituting the runs leaves ``(I - N(z)) U = B_heads``,
+        unit upper triangular of size ``H``, and ``Y = C_eff(z) U + D``.
+
+        Returns the padded diagonal and link scales, ``width``, and the
+        entries of ``[I - N; C_eff]``: the slot of each entry's ``Q``, its
+        coefficient (``-A[h, c]`` or ``C[o, c]``), the sorted flat targets,
+        the ``reduceat`` starts that sum entries sharing a target (None when
+        none do, as in a cascade), the constant part ``[I; 0]``, and
+        ``B_heads``.
         """
-        p = self.state_dim
-        count = -(-p // _BLOCK) if self.upper_triangular else 1
-        edges = [k * p // count for k in range(count + 1)] if p else []
-        a, b = self.a, self.b
-        blocks = tuple(
-            (lo, hi, a[lo:hi, lo:hi], a[lo:hi, hi:], b[None, lo:hi], _eye(hi - lo))
-            for lo, hi in reversed(list(zip(edges[:-1], edges[1:])))
-        )
-        size = max((hi - lo for lo, hi, *_ in blocks), default=0)
-        chunk = max(1, _CHUNK_ENTRIES // max(size * size, p * self.inputs, 1))
-        return blocks, chunk
+        p, a = self.state_dim, self.a
+        upper = np.triu(a, 1) != 0
+        link = (upper.sum(axis=1) == 1) & ~self.b.any(axis=1)
+        link[:-1] &= np.diagonal(upper, 1)
+        heads = np.flatnonzero(~link)
+        h = heads.size
+        owner = np.searchsorted(heads, np.arange(p))
+        depth = heads[owner] - np.arange(p)
+        width = int(depth.max(initial=0)) + 1
+        slot = owner * width + depth
+        diagonal = np.full(h * width, np.nan, dtype=complex)
+        diagonal[slot] = np.diagonal(a)
+        scale = np.ones(h * width, dtype=complex)
+        links = np.flatnonzero(link)
+        scale[slot[links]] = a[links, links + 1]
+        row, col = np.nonzero(upper[heads])
+        out_row, out_col = np.nonzero(self.c)
+        targets = np.concatenate([row * h + owner[col], (h + out_row) * h + owner[out_col]])
+        order = np.argsort(targets, kind="stable")
+        slots = slot[np.concatenate([col, out_col])][order]
+        coef = np.concatenate([-a[heads[row], col], self.c[out_row, out_col]])[order]
+        targets, starts = np.unique(targets[order], return_index=True)
+        if starts.size == order.size:
+            starts = None
+        constant = np.zeros((1, (h + self.outputs) * h), dtype=complex)
+        constant[0, np.arange(h) * (h + 1)] = 1.0
+        return diagonal, scale, width, slots, coef, targets, starts, constant, self.b[heads]
 
     @cached_property
     def _row_plan(self) -> tuple[tuple, np.ndarray, np.ndarray, object, int]:
@@ -357,12 +380,27 @@ def realize_wavelet(params: FilterParameters) -> Realization:
 
     Starts from the elementary-filter realization and cascades one
     degree-``n`` factor per stored parameter, raising the index by one each
-    time; the state dimension is exactly ``n*((n-1)/2 + m)``.
+    time; the state dimension is exactly ``n*((n-1)/2 + m)``.  The result
+    is the fold of :func:`cascade` over the factors, bit for bit, built in
+    one pass: ``A`` and ``B`` are allocated once and each factor writes its
+    core, its block row of ``A`` and of ``B`` above the states before it,
+    and the new ``C`` and ``D``, with the products :func:`cascade` uses.
     """
-    r = realize_elementary_wavelet(params.n)
+    n = params.n
+    inner = realize_elementary_wavelet(n)
+    p = inner.state_dim + n * params.m
+    a = np.zeros((p, p), dtype=complex)
+    b = np.zeros((p, n), dtype=complex)
+    lo = p - inner.state_dim
+    a[lo:, lo:], b[lo:], c, d = inner.a, inner.b, inner.c, inner.d
     for f in params.factors:
-        r = cascade(realize_decimated_unitary(f.v, f.alpha, params.n), r)
-    return r
+        delta = realize_decimated_unitary(f.v, f.alpha, n)
+        lo -= n
+        a[lo : lo + n, lo : lo + n] = delta.a
+        a[lo : lo + n, lo + n :] = delta.b @ c
+        b[lo : lo + n] = delta.b @ d
+        c, d = np.hstack([delta.c, delta.d @ c]), delta.d @ d
+    return Realization(a=a, b=b, c=c, d=d)
 
 
 def eval_realization(r: Realization, z) -> np.ndarray:
@@ -374,10 +412,14 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     is solved one state at a time, last first, for all points at once:
     ``x_i = (b_i + A[i, J] x[J]) / (z - a_ii)`` over the nonzero columns
     ``J`` of row ``i`` right of the diagonal; ``C X`` reads only the nonzero
-    columns of ``C``.  Fewer points go by block back-substitution over
-    diagonal blocks of at most 20 states, one stacked ``numpy.linalg.solve``
-    each; a state matrix that is not upper triangular is one block (plain
-    LU).  The points go through in chunks of a few MB of work arrays.
+    columns of ``C``.  Fewer points on a triangular ``A`` take the condensed
+    head solve of ``Realization._head_plan``: the runs of rows that only
+    pass the next state on are solved in closed form by one ``cumprod``,
+    which leaves a unit upper-triangular system over the ``H`` remaining
+    rows (``m + N - 1`` in a cascade of ``m`` factors) and one stacked
+    ``numpy.linalg.solve``, a fixed number of array calls whatever the size
+    of the filter.  A state matrix that is not upper triangular gets one
+    stacked LU.  The points go through in chunks of a few MB of work arrays.
 
     Raises
     ------
@@ -386,10 +428,12 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     points = z.reshape(-1)
-    if r.upper_triangular and points.size >= _ROW_MIN_POINTS:
+    if not r.upper_triangular:
+        solve, chunk = _lu, _lu_chunk(r)
+    elif points.size >= _ARRAY_MIN_POINTS:
         solve, chunk = _sweep, r._row_plan[-1]
     else:
-        solve, chunk = _transfer, r._solve_plan[1]
+        solve, chunk = _condensed, _ARRAY_MIN_POINTS
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     try:
         for k in range(0, points.size, chunk):
@@ -405,15 +449,39 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     return values.reshape(z.shape + r.d.shape)
 
 
-def _transfer(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C X + D`` for one chunk of points, back-substituting block by block."""
+def _lu_chunk(r: Realization) -> int:
+    """Points per chunk of :func:`_lu`."""
     p = r.state_dim
-    x = np.empty((points.size, p, r.inputs), dtype=complex)
-    zs = points[:, None, None]
-    for lo, hi, a_ii, a_right, b_i, eye in r._solve_plan[0]:
-        rhs = b_i + a_right @ x[:, hi:] if hi < p else b_i
-        x[:, lo:hi] = np.linalg.solve(zs * eye - a_ii, rhs)
+    return max(1, _CHUNK_ENTRIES // max(p * p, p * r.inputs, 1))
+
+
+def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
+    """``C X + D`` for one chunk of points by one stacked LU of ``zI - A``."""
+    x = np.linalg.solve(points[:, None, None] * _eye(r.state_dim) - r.a, r.b)
     np.add(r.c @ x, r.d, out=out)
+
+
+def _condensed(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
+    """``C_eff U + D`` for a few points by the condensed head solve.
+
+    A zero divisor ``z - a_ii`` raises ``LinAlgError``, as a singular LU
+    would.
+    """
+    diagonal, scale, width, slots, coef, targets, starts, constant, b_heads = r._head_plan
+    k, h = points.size, b_heads.shape[0]
+    divisor = points[:, None] - diagonal
+    if not divisor.all():
+        raise np.linalg.LinAlgError("zI - A is singular")
+    with np.errstate(all="ignore"):
+        q = np.cumprod((scale / divisor).reshape(k, h, width), axis=2).reshape(k, -1)
+        entries = q[:, slots] * coef
+        if starts is not None:
+            entries = np.add.reduceat(entries, starts, axis=1)
+        system = np.repeat(constant, k, axis=0)
+        system[:, targets] = entries
+        system = system.reshape(k, h + r.outputs, h)
+        u = np.linalg.solve(system[:, :h], b_heads)
+        np.add(system[:, h:] @ u, r.d, out=out)
 
 
 def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:

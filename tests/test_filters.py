@@ -229,7 +229,10 @@ class TestWaveletEval:
 
 
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (3, 2, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    @pytest.mark.parametrize(
+        "n,m,rho",
+        [(2, 3, 0.9), (3, 2, 0.0), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)],
+    )
     def test_array_matches_points(self, n, m, rho):
         p = sample_parameters(50 + n + m, n, m, rho)
         pts = circle(40, seed=n)

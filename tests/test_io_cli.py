@@ -861,6 +861,17 @@ class TestCliVerify:
         assert isinstance(doc["stein"]["worst_block"], int)
         assert 0 <= doc["stein"]["worst_block"] < 8
 
+    def test_passing_report_names_no_worst_block(self, tmp_path, capsys):
+        # on a file that passes stein_blocks the largest residual block is
+        # rounding noise, so the report names none
+        r = realize_wavelet(sample_parameters(2, 4, 8, 0.9))
+        path = tmp_path / "r.json"
+        wio.save_realization(r, path)
+        assert main(["verify", str(path), "--points", "32"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"]["method"] == "block"
+        assert doc["stein"]["worst_block"] is None
+
     def test_report_stamps_environment(self, tmp_path, capsys, monkeypatch):
         import platform
 

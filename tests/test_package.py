@@ -1,13 +1,18 @@
 """Tests of the package surface and its runtime dependencies."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wfk
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_exports_resolve_and_numpy_is_the_only_dependency():
@@ -25,3 +30,14 @@ def test_exports_resolve_and_numpy_is_the_only_dependency():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(block):
+    # each example runs as a reader would paste it, in a fresh namespace
+    code = README_BLOCKS[block]
+    exec(compile(code, f"README.md python block {block}", "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS

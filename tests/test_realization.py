@@ -44,11 +44,13 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
+from wfk.io import save_realization
 from wfk.realization import (
-    _ROW_MIN_POINTS,
+    _ARRAY_MIN_POINTS,
     _block_certificate,
     _block_solution,
     _cascade_edges,
+    _lu_chunk,
     _series_solution,
 )
 
@@ -221,6 +223,23 @@ class TestCascade:
 
 
 class TestRealizeWavelet:
+    @pytest.mark.parametrize(
+        "n,m,rho", [(4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
+    )
+    def test_one_pass_equals_cascade_fold(self, tmp_path, n, m, rho):
+        p = sample_parameters(40 + n, n, m, rho)
+        fold = realize_elementary_wavelet(n)
+        for f in p.factors:
+            fold = cascade(realize_decimated_unitary(f.v, f.alpha, n), fold)
+        built = realize_wavelet(p)
+        for name in "abcd":
+            x, y = getattr(built, name), getattr(fold, name)
+            assert np.array_equal(x, y), name
+            assert np.array_equal(np.signbit(x.view(float)), np.signbit(y.view(float))), name
+        save_realization(built, tmp_path / "built.json")
+        save_realization(fold, tmp_path / "fold.json")
+        assert (tmp_path / "built.json").read_bytes() == (tmp_path / "fold.json").read_bytes()
+
     def test_index_zero_is_elementary(self):
         p = FilterParameters(n=2, rho=0.0, factors=())
         assert np.abs(
@@ -275,8 +294,8 @@ class TestEvalRealization:
             a=np.zeros((0, 0)), b=np.zeros((0, 2)), c=np.zeros((2, 0)), d=np.eye(2)
         )
         assert np.array_equal(eval_realization(r, 3.7j), np.eye(2))
-        many = eval_realization(r, circle(2 * _ROW_MIN_POINTS))
-        assert np.array_equal(many, np.broadcast_to(np.eye(2), (2 * _ROW_MIN_POINTS, 2, 2)))
+        many = eval_realization(r, circle(2 * _ARRAY_MIN_POINTS))
+        assert np.array_equal(many, np.broadcast_to(np.eye(2), (2 * _ARRAY_MIN_POINTS, 2, 2)))
 
     def test_two_band_fixture_at_one(self):
         val = eval_realization(realize_elementary_wavelet(2), 1.0)
@@ -303,13 +322,11 @@ class TestEvalRealization:
         assert np.abs(eval_realization(r, pts) - stacked).max() <= 1e-14
 
     def test_dense_state_matrix_is_one_block(self):
-        # the same filter in a random unitary state basis: A is full, so the
-        # back-substitution is a single LU block
+        # the same filter in a random unitary state basis: A is full, so one
+        # point and many points alike go through one LU of zI - A
         r = realize_wavelet(sample_parameters(3, 4, 8, 0.9))
         rotated = rotate(r, seed=4)
         assert not rotated.upper_triangular
-        blocks, _ = rotated._solve_plan
-        assert [(lo, hi) for lo, hi, *_ in blocks] == [(0, r.state_dim)]
         pts = circle(40, seed=9)
         values = eval_realization(rotated, pts)
         stacked = np.array([eval_realization(rotated, z) for z in pts])
@@ -336,7 +353,7 @@ class TestEvalRealization:
 
     def test_dense_many_points_span_chunks(self):
         r = rotate(realize_wavelet(sample_parameters(6, 4, 8, 0.9)), seed=6)
-        _, chunk = r._solve_plan
+        chunk = _lu_chunk(r)
         pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
         values = eval_realization(r, pts)
         for k in (0, chunk - 1, chunk, 2 * chunk, pts.size - 1):
@@ -369,15 +386,55 @@ class TestEvalRealization:
             with pytest.raises(PoleError, match=re.escape(f"z = {complex(pole)!r}")):
                 eval_realization(r, pts)
 
-    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99)])
+    @pytest.mark.parametrize(
+        "n,m,rho",
+        [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)],
+    )
     def test_agrees_across_point_threshold(self, n, m, rho):
         r = realize_wavelet(sample_parameters(70 + n, n, m, rho))
-        pts = circle(_ROW_MIN_POINTS, seed=n)
+        pts = circle(_ARRAY_MIN_POINTS, seed=n)
         stacked = np.array([eval_realization(r, z) for z in pts])
         below = eval_realization(r, pts[:-1])
         above = eval_realization(r, pts)
         assert np.abs(below - stacked[:-1]).max() <= 1e-14
         assert np.abs(above - stacked).max() <= 1e-14
+
+    def test_gapped_triangular_single_points_match_dense_basis(self):
+        # B has no zero row, so every row is a head of the condensed solve,
+        # which is then a unit triangular system over all states
+        r = gapped_triangular(seed=3)
+        assert r._head_plan[-1].shape[0] == r.state_dim
+        rotated = rotate(r, seed=4)
+        pts = circle(_ARRAY_MIN_POINTS - 1, seed=6)
+        dense = eval_realization(rotated, pts)
+        single = np.array([eval_realization(r, z) for z in pts])
+        assert np.abs(eval_realization(r, pts) - single).max() <= 1e-14
+        assert np.abs(single - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_single_point_at_a_core_root_is_named(self, n):
+        r = realize_wavelet(sample_parameters(12, n, 3, 0.9))
+        root = np.diagonal(r.a)[0]
+        assert root != 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError, match=re.escape(f"z = {complex(root)!r}")):
+                eval_realization(r, root)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("n, m", [(8, 16), (16, 32)])
+    def test_single_points_match_arrays_near_the_circle(self, n, m, gap):
+        # every |alpha| = 1 - gap: the few-point formulas of both
+        # evaluators against their array paths at the same points
+        drawn = sample_parameters(3, n, m, 1.0)
+        factors = tuple(Factor(f.v, (1.0 - gap) * f.alpha / abs(f.alpha)) for f in drawn.factors)
+        params = FilterParameters(n=n, rho=drawn.rho, factors=factors)
+        real = realize_wavelet(params)
+        pts = circle(2 * _ARRAY_MIN_POINTS, seed=n + m)
+        for evaluate, target in ((wavelet_eval, params), (eval_realization, real)):
+            values = evaluate(target, pts)
+            single = np.array([evaluate(target, z) for z in pts])
+            assert np.abs(single - values).max() <= 1e-14 * np.abs(values).max()
 
 
 class TestImpulseResponse:
