@@ -671,13 +671,7 @@ def check_symmetry(
     sampled points, the point where it is reached and the number of points
     redrawn at poles.
     """
-    struct = modulation_structure(n)
-
-    def residual(zs):
-        values = _values(eval_fn, np.concatenate([struct.root * zs, zs]), n)
-        return _symmetry_residual(values, struct.shift)
-
-    return _circle_reports(["symmetry"], residual, sample_points, tol, seed)[0]
+    return circle_checks(eval_fn, n, sample_points, tol, seed)[0]
 
 
 def check_paraunitary(

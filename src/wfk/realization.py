@@ -33,19 +33,19 @@ from .errors import (
 from .filters import _ARRAY_MIN_POINTS, TOL, FilterParameters, _eye, dft_matrix
 
 
-# eval_realization picks its solver by the number of points in a call.  From
-# _ARRAY_MIN_POINTS points on, an upper-triangular A is solved state by state
-# (one vectorized update per row of A), whose Python loop over the rows the
-# points amortize.  Fewer points (one at a time, as a sweep evaluates) take
-# the condensed head solve of Realization._head_plan, whose number of array
-# calls does not grow with the filter.  For one point it measured 47 -> 35 us
-# at (n, m, rho) = (4, 8, 0.9), 211 -> 52 us at (8, 16, 0.99) and 1870 ->
-# 119 us at (16, 32, 0.999) against the block LU it replaced (2-vCPU host,
-# one BLAS thread, best of 5).  Over 512 points in one call it measured
-# 1.5-3.9x slower than the row sweep on the same rungs, so arrays keep the
-# sweep.  A state matrix that is not upper triangular gets one stacked LU.
-# A state-by-state chunk holds at most _ROW_ENTRIES entries of X, an LU
-# chunk at most _CHUNK_ENTRIES entries of its largest stacked array.
+# eval_realization solves an upper-triangular A by the one plan of _HeadPlan
+# and one of two solvers, chosen by the number of points in a call.  From
+# _ARRAY_MIN_POINTS points on, _sweep loops over the heads (m + N - 1 in a
+# cascade), which the points amortize.  Fewer points (one at a time, as a
+# sweep evaluates) take _condensed, one stacked solve of the head system,
+# whose number of array calls does not grow with the filter.  At (n, m, rho)
+# = (4, 8, 0.9), (8, 16, 0.99) and (16, 32, 0.999) one point measured 33, 43
+# and 99 us condensed against 77, 147 and 291 us swept, 512 points 4.1, 17
+# and 74 ms condensed against 0.57, 3.2 and 24 ms swept, and 8 points about
+# the same either way (2-vCPU host, one BLAS thread, best of 7).  A state
+# matrix that is not upper triangular gets one stacked LU.  A _sweep chunk
+# holds at most _ROW_ENTRIES entries of X and of the grid of Q, an LU chunk
+# at most _CHUNK_ENTRIES entries of its largest stacked array.
 _CHUNK_ENTRIES = 1 << 16
 _ROW_ENTRIES = 1 << 18
 
@@ -119,91 +119,86 @@ class Realization:
         return not np.tril(self.a, -1).any()
 
     @cached_property
-    def _head_plan(self) -> tuple:
-        """The condensed head solve of an upper-triangular ``A`` for
-        :func:`eval_realization`, built from the nonzero pattern alone.
+    def _head_plan(self) -> _HeadPlan:
+        """The plan of both triangular solvers of :func:`eval_realization`."""
+        return _HeadPlan(self)
 
-        Row ``i`` is a link when its only nonzero right of the diagonal is
-        ``A[i, i+1]`` and ``B[i] = 0``; every other row is a head.  Each
-        state belongs to the first head at or below it, and a run of links
-        above head ``h`` is ``x_j = Q_j(z) u_h`` with
-        ``u_h = b_h + A[h, J_h] x[J_h]`` and
-        ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.  The
-        states sit in an ``(H, width)`` grid, one row per head, the head
-        first and its links upward after it, so one ``cumprod`` along the
-        rows gives every ``Q``; a slot past a run holds ``a = NaN``, which no
-        entry reads.  Substituting the runs leaves ``(I - N(z)) U = B_heads``,
-        unit upper triangular of size ``H``, and ``Y = C_eff(z) U + D``.
 
-        Returns the padded diagonal and link scales, ``width``, and the
-        entries of ``[I - N; C_eff]``: the slot of each entry's ``Q``, its
-        coefficient (``-A[h, c]`` or ``C[o, c]``), the sorted flat targets,
-        the ``reduceat`` starts that sum entries sharing a target (None when
-        none do, as in a cascade), the constant part ``[I; 0]``, and
-        ``B_heads``.
-        """
-        p, a = self.state_dim, self.a
+class _HeadPlan:
+    """The link/head decomposition of an upper-triangular ``A``, built from
+    the nonzero pattern alone.
+
+    Row ``i`` is a link when its only nonzero right of the diagonal is
+    ``A[i, i+1]`` and ``B[i] = 0``; every other row is a head (``m + N - 1``
+    of them in a cascade of ``m`` factors).  Each state belongs to the first
+    head at or below it, and on the run of states that head ``h`` owns,
+    ``x_j = Q_j(z) u_h`` with ``u_h = b_h + A[h, J_h] x[J_h]`` over the
+    nonzero columns ``J_h`` right of the diagonal and
+    ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.
+
+    The states sit in a ``(width, H)`` grid, one column per run, the head in
+    row 0 and its links upward below it, holding the ``diagonal`` and the
+    link ``scale`` (1 at a head), so the running product of
+    ``scale / (z - diagonal)`` down the rows is every ``Q`` at once.  A slot
+    past a run holds ``a = NaN``, which nothing reads.
+
+    :func:`_sweep` keeps ``X`` only at ``reads``, the states that a head or
+    ``C`` reads (the top of each run in a cascade), whose grid slots are
+    ``read_slots``.  For the ``k``-th head, ``runs[k]`` is the slice of
+    ``reads`` it owns, ``columns[k]`` the positions of ``J_h`` in ``reads``,
+    ``couplings[k]`` the values ``A[h, J_h]`` and ``b_heads[k]`` is ``b_h``.
+    ``chunk`` is the number of points per chunk of :func:`_sweep`, so that
+    neither ``X`` nor the grid holds more than ``_ROW_ENTRIES`` entries.
+
+    Substituting the runs leaves ``(I - N(z)) U = B_heads``, unit upper
+    triangular of size ``H``, and ``Y = C_eff(z) U + D``, with
+    ``N[h, h'] = sum A[h, c] Q_c`` and ``C_eff[:, h'] = sum C[:, c] Q_c`` over
+    the columns ``c`` that ``h'`` owns; :func:`_condensed` solves it.  The
+    entries of ``[I - N; C_eff]`` are listed by the slot of their ``Q``
+    (``entry_slots``), their coefficient (``-A[h, c]`` or ``C[o, c]``,
+    ``entry_coefficients``) and their flat target, sorted (``targets``);
+    ``sums`` holds the ``reduceat`` starts that add entries sharing a target
+    (None when none do, as in a cascade) and ``constant`` the part
+    ``[I; 0]``.
+    """
+
+    def __init__(self, r: Realization):
+        p, a = r.state_dim, r.a
         upper = np.triu(a, 1) != 0
-        link = (upper.sum(axis=1) == 1) & ~self.b.any(axis=1)
+        link = (upper.sum(axis=1) == 1) & ~r.b.any(axis=1)
         link[:-1] &= np.diagonal(upper, 1)
         heads = np.flatnonzero(~link)
         h = heads.size
         owner = np.searchsorted(heads, np.arange(p))
         depth = heads[owner] - np.arange(p)
-        width = int(depth.max(initial=0)) + 1
-        slot = owner * width + depth
-        diagonal = np.full(h * width, np.nan, dtype=complex)
-        diagonal[slot] = np.diagonal(a)
-        scale = np.ones(h * width, dtype=complex)
+        self.width = int(depth.max(initial=0)) + 1
+        slot = depth * h + owner
+        self.diagonal = np.full(self.width * h, np.nan, dtype=complex)
+        self.diagonal[slot] = np.diagonal(a)
+        self.scale = np.ones(self.width * h, dtype=complex)
         links = np.flatnonzero(link)
-        scale[slot[links]] = a[links, links + 1]
-        row, col = np.nonzero(upper[heads])
-        out_row, out_col = np.nonzero(self.c)
+        self.scale[slot[links]] = a[links, links + 1]
+        coupled = upper[heads]
+        row, col = np.nonzero(coupled)
+        self.reads = np.flatnonzero(coupled.any(axis=0) | r.c.any(axis=0))
+        self.read_slots = slot[self.reads]
+        ends = np.searchsorted(self.reads, heads + 1).tolist()
+        self.runs = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+        coupling, columns = a[heads[row], col], np.searchsorted(self.reads, col)
+        bounds = np.searchsorted(row, np.arange(h + 1)).tolist()
+        self.columns = [columns[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.couplings = [coupling[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.b_heads = r.b[heads]
+        self.chunk = max(1, _ROW_ENTRIES // max(self.reads.size * r.inputs, self.width * h, 1))
+        out_row, out_col = np.nonzero(r.c)
         targets = np.concatenate([row * h + owner[col], (h + out_row) * h + owner[out_col]])
         order = np.argsort(targets, kind="stable")
-        slots = slot[np.concatenate([col, out_col])][order]
-        coef = np.concatenate([-a[heads[row], col], self.c[out_row, out_col]])[order]
-        targets, starts = np.unique(targets[order], return_index=True)
-        if starts.size == order.size:
-            starts = None
-        constant = np.zeros((1, (h + self.outputs) * h), dtype=complex)
-        constant[0, np.arange(h) * (h + 1)] = 1.0
-        return diagonal, scale, width, slots, coef, targets, starts, constant, self.b[heads]
-
-    @cached_property
-    def _row_plan(self) -> tuple[tuple, np.ndarray, np.ndarray, object, int]:
-        """Rows, diagonal, row scales, nonzero columns of ``C`` and points per
-        chunk for the state-by-state solve of an upper-triangular ``A``.
-
-        A row ``(i, cols, A[i, cols], b_i)`` lists the nonzero columns of row
-        ``i`` of ``A`` right of the diagonal (see :func:`_columns`; None if
-        there are none) and row ``i`` of ``B`` (None if zero), last row
-        first.  A single such entry is kept as the row's scale (1 elsewhere)
-        and its column as an int, so the solve folds it into ``1/(z - a_ii)``.
-        """
-        p = self.state_dim
-        row, col = np.nonzero(np.triu(self.a, 1))
-        starts = np.searchsorted(row, np.arange(p + 1)).tolist()
-        scale = np.ones(p, dtype=complex)
-        has_b = self.b.any(axis=1).tolist()
-        rows = []
-        for i in reversed(range(p)):
-            cols = col[starts[i] : starts[i + 1]]
-            if cols.size == 1:
-                scale[i] = self.a[i, cols[0]]
-            where = int(cols[0]) if cols.size == 1 else _columns(cols) if cols.size else None
-            coef = self.a[i, cols] if cols.size > 1 else None
-            rows.append((i, where, coef, self.b[i] if has_b[i] else None))
-        c_cols = _columns(np.flatnonzero(self.c.any(axis=0)))
-        chunk = max(1, _ROW_ENTRIES // max(p * self.inputs, 1))
-        return tuple(rows), np.diagonal(self.a).copy(), scale, c_cols, chunk
-
-
-def _columns(cols: np.ndarray) -> slice | np.ndarray:
-    """Sorted column indices as a slice when they are contiguous, else as they are."""
-    if cols.size and cols[-1] - cols[0] == cols.size - 1:
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
+        self.entry_slots = slot[np.concatenate([col, out_col])][order]
+        self.entry_coefficients = np.concatenate([-coupling, r.c[out_row, out_col]])[order]
+        self.targets, starts = np.unique(targets[order], return_index=True)
+        self.sums = None if starts.size == order.size else starts
+        self.constant = np.zeros((1, (h + r.outputs) * h), dtype=complex)
+        self.constant[0, np.arange(h) * (h + 1)] = 1.0
 
 
 @dataclass(frozen=True)
@@ -408,18 +403,19 @@ def eval_realization(r: Realization, z) -> np.ndarray:
 
     ``z`` may have any shape; the result has shape ``z.shape + (N_out, N_in)``,
     so a scalar ``z`` gives one matrix.  When ``A`` is upper triangular, as
-    every cascade is, and the call has at least 8 points, ``(zI - A) X = B``
-    is solved one state at a time, last first, for all points at once:
-    ``x_i = (b_i + A[i, J] x[J]) / (z - a_ii)`` over the nonzero columns
-    ``J`` of row ``i`` right of the diagonal; ``C X`` reads only the nonzero
-    columns of ``C``.  Fewer points on a triangular ``A`` take the condensed
-    head solve of ``Realization._head_plan``: the runs of rows that only
-    pass the next state on are solved in closed form by one ``cumprod``,
-    which leaves a unit upper-triangular system over the ``H`` remaining
-    rows (``m + N - 1`` in a cascade of ``m`` factors) and one stacked
-    ``numpy.linalg.solve``, a fixed number of array calls whatever the size
-    of the filter.  A state matrix that is not upper triangular gets one
-    stacked LU.  The points go through in chunks of a few MB of work arrays.
+    every cascade is, one plan serves two solvers (see ``_HeadPlan``): a
+    row whose only entry right of the diagonal is ``A[i, i+1]`` and whose
+    row of ``B`` is zero just passes the next state on, so each run of such
+    rows ends in a head row and is a running product of that head's value,
+    one product for all runs.  From 8 points on, the heads (``m + N - 1`` in
+    a cascade of ``m`` factors) are solved one at a time, last first, for
+    all points at once, and ``X`` is formed only at the states that a head
+    or ``C`` reads (one per run in a cascade).  Fewer points substitute the
+    runs into a unit upper-triangular system over the heads and take one
+    stacked ``numpy.linalg.solve``, a fixed number of array calls whatever
+    the size of the filter.  A state matrix that is not upper triangular
+    gets one stacked LU.  The points go through in chunks of a few MB of
+    work arrays.
 
     Raises
     ------
@@ -431,7 +427,7 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     if not r.upper_triangular:
         solve, chunk = _lu, _lu_chunk(r)
     elif points.size >= _ARRAY_MIN_POINTS:
-        solve, chunk = _sweep, r._row_plan[-1]
+        solve, chunk = _sweep, r._head_plan.chunk
     else:
         solve, chunk = _condensed, _ARRAY_MIN_POINTS
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
@@ -457,67 +453,62 @@ def _lu_chunk(r: Realization) -> int:
 
 def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
     """``C X + D`` for one chunk of points by one stacked LU of ``zI - A``."""
-    x = np.linalg.solve(points[:, None, None] * _eye(r.state_dim) - r.a, r.b)
+    x = np.linalg.solve(points[:, None, None] * _eye(r.state_dim) - r.a, r.b[None])
     np.add(r.c @ x, r.d, out=out)
 
 
-def _condensed(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C_eff U + D`` for a few points by the condensed head solve.
+def _run_ratios(plan: _HeadPlan, points: np.ndarray) -> np.ndarray:
+    """The grid of ``plan`` as ``scale / (z - a)``, shape ``(width, H * K)``;
+    the running product down its rows is ``Q``.
 
     A zero divisor ``z - a_ii`` raises ``LinAlgError``, as a singular LU
-    would.
+    would.  Call it under ``np.errstate(all="ignore")``.
     """
-    diagonal, scale, width, slots, coef, targets, starts, constant, b_heads = r._head_plan
-    k, h = points.size, b_heads.shape[0]
-    divisor = points[:, None] - diagonal
+    divisor = points - plan.diagonal[:, None]
     if not divisor.all():
         raise np.linalg.LinAlgError("zI - A is singular")
+    return np.divide(plan.scale[:, None], divisor, out=divisor).reshape(plan.width, -1)
+
+
+def _condensed(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
+    """``C_eff U + D`` for a few points by one stacked solve of the head system."""
+    plan = r._head_plan
+    k, h = points.size, plan.b_heads.shape[0]
     with np.errstate(all="ignore"):
-        q = np.cumprod((scale / divisor).reshape(k, h, width), axis=2).reshape(k, -1)
-        entries = q[:, slots] * coef
-        if starts is not None:
-            entries = np.add.reduceat(entries, starts, axis=1)
-        system = np.repeat(constant, k, axis=0)
-        system[:, targets] = entries
+        q = np.cumprod(_run_ratios(plan, points), axis=0).reshape(-1, k)
+        entries = q.T[:, plan.entry_slots] * plan.entry_coefficients
+        if plan.sums is not None:
+            entries = np.add.reduceat(entries, plan.sums, axis=1)
+        system = np.repeat(plan.constant, k, axis=0)
+        system[:, plan.targets] = entries
         system = system.reshape(k, h + r.outputs, h)
-        u = np.linalg.solve(system[:, :h], b_heads)
+        u = np.linalg.solve(system[:, :h], plan.b_heads[None])
         np.add(system[:, h:] @ u, r.d, out=out)
 
 
 def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C X + D`` for one chunk of points, solving state by state.
+    """``C X + D`` for one chunk of points, head by head, last first.
 
-    ``X`` is kept state-major, shape ``(p, K, N_in)``, so each state's
-    values are one contiguous slice; each row reads only its nonzero
-    columns of ``A``, and ``C X`` only the nonzero columns of ``C``.  A zero
-    divisor ``z - a_ii`` raises ``LinAlgError``, as a singular LU would.
+    ``Q`` is the running product down the grid's rows, one multiply per
+    row: a ``cumprod`` along them measured 3-4x slower on rows this wide.
+    Each head ``h`` computes ``u_h = b_h + A[h, J_h] x[J_h]`` for all points
+    at once and fills its run as ``x = Q u_h``, at the states that a head
+    or ``C`` reads.  ``X`` is kept state-major, shape ``(R, K, N_in)``, so a
+    run is one contiguous slice.
     """
-    rows, diagonal, scale, c_cols, _ = r._row_plan
-    p, k, n_in = r.state_dim, points.size, r.inputs
-    divisor = points[None, :] - diagonal[:, None]
-    if not divisor.all():
-        raise np.linalg.LinAlgError("zI - A is singular")
-    x = np.empty((p, k, n_in), dtype=complex)
+    plan = r._head_plan
+    k, n_in = points.size, r.inputs
+    x = np.empty((plan.reads.size, k, n_in), dtype=complex)
     with np.errstate(all="ignore"):
-        inverse = 1.0 / divisor
-        gain = (inverse * scale[:, None])[:, :, None]
-        inverse = inverse[:, :, None]
-        for i, cols, coef, b_i in rows:
-            x_i = x[i]
-            if coef is not None:
-                np.matmul(coef, x[cols].reshape(coef.size, k * n_in), out=x_i.reshape(-1))
-                if b_i is not None:
-                    x_i += b_i
-                x_i *= inverse[i]
-            elif cols is not None:
-                np.multiply(x[cols], gain[i], out=x_i)
-                if b_i is not None:
-                    x_i += inverse[i] * b_i
-            elif b_i is not None:
-                np.multiply(inverse[i], b_i, out=x_i)
-            else:
-                x_i.fill(0.0)
-        y = r.c[:, c_cols] @ x[c_cols].reshape(-1, k * n_in)
+        q = _run_ratios(plan, points)
+        for depth in range(1, plan.width):
+            q[depth] *= q[depth - 1]
+        q = q.reshape(-1, k)[plan.read_slots, :, None]
+        for i in reversed(range(len(plan.runs))):
+            cols, run = plan.columns[i], plan.runs[i]
+            u = (plan.couplings[i] @ x[cols].reshape(cols.size, k * n_in)).reshape(k, n_in)
+            np.multiply(q[run], u + plan.b_heads[i], out=x[run])
+        y = r.c[:, plan.reads] @ x.reshape(-1, k * n_in)
     np.add(y.reshape(-1, k, n_in).transpose(1, 0, 2), r.d, out=out)
 
 

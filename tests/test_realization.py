@@ -342,9 +342,9 @@ class TestEvalRealization:
         assert np.abs(values[2, 1] - eval_realization(r, grid[2, 1])).max() <= 1e-14
 
     def test_many_points_span_chunks(self):
-        # many points on a triangular A take the state-by-state solve
+        # many points on a triangular A take the head-by-head sweep
         r = realize_wavelet(sample_parameters(6, 8, 16, 0.99))
-        chunk = r._row_plan[-1]
+        chunk = r._head_plan.chunk
         pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
         values = eval_realization(r, pts)
         assert values.shape == (pts.size, 8, 8)
@@ -363,10 +363,10 @@ class TestEvalRealization:
         # a dense strictly-upper part with zeros inside the row spans: every
         # span entry and every wide-row coupling must reach the solve
         r = gapped_triangular(seed=1)
-        rows = r._row_plan[0]
-        # some row's nonzero columns are not contiguous, so it reads them
-        # through an index array
-        assert any(isinstance(cols, np.ndarray) for _, cols, _, _ in rows)
+        # some head's nonzero columns are not contiguous, so it reads them
+        # through a gapped index array
+        plan = r._head_plan
+        assert any((np.diff(plan.reads[cols]) > 1).any() for cols in plan.columns)
         rotated = rotate(r, seed=2)
         assert r.upper_triangular and not rotated.upper_triangular
         pts = circle(40, seed=5)
@@ -403,7 +403,7 @@ class TestEvalRealization:
         # B has no zero row, so every row is a head of the condensed solve,
         # which is then a unit triangular system over all states
         r = gapped_triangular(seed=3)
-        assert r._head_plan[-1].shape[0] == r.state_dim
+        assert len(r._head_plan.runs) == r.state_dim
         rotated = rotate(r, seed=4)
         pts = circle(_ARRAY_MIN_POINTS - 1, seed=6)
         dense = eval_realization(rotated, pts)
@@ -435,6 +435,62 @@ class TestEvalRealization:
             values = evaluate(target, pts)
             single = np.array([evaluate(target, z) for z in pts])
             assert np.abs(single - values).max() <= 1e-14 * np.abs(values).max()
+
+    def test_leaf_head_without_input_matches_dense_basis(self):
+        # row 5 has no entry right of the diagonal and a zero row of B, so
+        # it is a head whose value, and that of its links 3 and 4, is 0;
+        # rows 8 and 9 are links of head 10
+        r = gapped_triangular(seed=7)
+        a, b = np.array(r.a), np.array(r.b)
+        for i in (3, 4, 5, 8, 9):
+            a[i, i + 1 :] = 0.0
+            b[i] = 0.0
+        for i in (3, 4, 8, 9):
+            a[i, i + 1] = 0.5 + 0.25j
+        r = Realization(a=a, b=b, c=r.c, d=r.d)
+        plan = r._head_plan
+        runs = [tuple(plan.reads[run]) for run in plan.runs]
+        assert (3, 4, 5) in runs and (8, 9, 10) in runs
+        leaf = runs.index((3, 4, 5))
+        assert plan.columns[leaf].size == 0 and not plan.b_heads[leaf].any()
+        rotated = rotate(r, seed=8)
+        pts = circle(40, seed=9)
+        dense = eval_realization(rotated, pts)
+        single = np.array([eval_realization(r, z) for z in pts])
+        assert np.abs(eval_realization(r, pts) - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.abs(single - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_many_chunks_near_the_circle_match_single_points(self):
+        # every |alpha| = 1 - 1e-13 at (16, 32): 512 points take the sweep
+        # in more than one chunk, each point alone the condensed solve
+        drawn = sample_parameters(3, 16, 32, 1.0)
+        factors = tuple(Factor(f.v, (1.0 - 1e-13) * f.alpha / abs(f.alpha)) for f in drawn.factors)
+        r = realize_wavelet(FilterParameters(n=16, rho=drawn.rho, factors=factors))
+        pts = circle(512, seed=10)
+        assert pts.size > r._head_plan.chunk
+        values = eval_realization(r, pts)
+        single = np.array([eval_realization(r, z) for z in pts])
+        assert np.abs(single - values).max() <= 1e-14 * np.abs(values).max()
+
+    def test_stacked_solves_take_stacks_of_matrices(self, monkeypatch):
+        # before numpy 2.0, np.linalg.solve read a b with b.ndim == a.ndim - 1
+        # as a stack of vectors, so every stacked solve passes b with the
+        # ndim of a; m = 1 makes the head system N x N, as square as B
+        solve = np.linalg.solve
+
+        def strict(a, b):
+            assert np.ndim(b) == np.ndim(a), "b is not a stack of matrices"
+            return solve(a, b)
+
+        params = sample_parameters(13, 4, 1, 0.9)
+        r = realize_wavelet(params)
+        rotated = rotate(r, seed=5)
+        pts = circle(2 * _ARRAY_MIN_POINTS, seed=8)
+        monkeypatch.setattr(np.linalg, "solve", strict)
+        for target in (r, rotated):
+            for z in (pts[0], pts[:3], pts):
+                expected = wavelet_eval(params, z)
+                assert np.abs(eval_realization(target, z) - expected).max() <= 1e-12
 
 
 class TestImpulseResponse:
