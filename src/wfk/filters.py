@@ -45,8 +45,8 @@ _POLE_TOL = 1e-14
 # sample_parameters keeps |alpha| at or below this even when rho = 1.
 _ALPHA_CAP = 0.999
 # Calls of wavelet_eval and realization.eval_realization with at least this
-# many points take the array path; fewer take a formula whose number of
-# array calls does not grow with the filter (see both docstrings).
+# many points take the array path; fewer go through a one-point kernel, one
+# point at a time (see both docstrings).
 _ARRAY_MIN_POINTS = 8
 
 
@@ -131,19 +131,20 @@ class FilterParameters:
         return all(f.alpha == 0 for f in self.factors)
 
     @cached_property
-    def _factor_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _factor_stack(self) -> tuple[np.ndarray, ...]:
         """The factors as arrays for :func:`wavelet_eval`, built on first use.
 
-        ``(vectors, conjugates, alphas, outers)``: the vectors and their
-        conjugates as ``(m, n)`` rows, the poles as ``(m, 1)`` and the
-        projections ``v v*`` as ``(m, n, n)``.
+        ``(vectors, conjugates, alphas, alpha_conjugates, outers)``: the
+        vectors and their conjugates as ``(m, n)`` rows, the poles and their
+        conjugates as ``(m,)`` and the projections ``v v*`` as ``(m, n, n)``.
         """
         vectors = np.array([f.v for f in self.factors], dtype=complex).reshape(-1, self.n)
         alphas = np.array([f.alpha for f in self.factors], dtype=complex)
         return (
             _frozen(vectors),
             _frozen(vectors.conj()),
-            _frozen(alphas[:, None]),
+            _frozen(alphas),
+            _frozen(alphas.conj()),
             _frozen(vectors[:, :, None] * vectors.conj()[:, None, :]),
         )
 
@@ -412,15 +413,17 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     so that appending a factor multiplies on the left and raises the index
     by one.  ``z`` may have any shape; the result has shape
     ``z.shape + (n, n)``, so a scalar ``z`` gives one ``n x n`` matrix.
-    ``z**n`` and the ``m`` all-pass scales ``s_j`` are computed once for all
-    points.  From 8 points on, each factor is one rank-one update
+    From 8 points on, ``z**n`` and the ``m`` all-pass scales ``s_j`` are
+    computed once for all points and each factor is one rank-one update
     ``W += s_j v (v* W)`` of the ``n x (K*n)`` row-stacked values, whose
     innermost loop runs over the ``K*n`` contiguous entries.  Fewer points
-    form every ``I + s_j v_j v_j*`` in one ``(K, m, n, n)`` stack and
-    multiply neighbours pairwise, ``ceil(log2 m)`` stacked products, before
-    the product meets the elementary value; for one point this measured
-    0.85x the time of the rank-one loop at ``(n, m) = (4, 8)`` and 0.64-0.73x
-    from ``(8, 16)`` to ``(16, 32)`` (one BLAS thread).
+    go one at a time through :func:`_wavelet_point`, which takes ``z`` as a
+    Python scalar, forms every ``I + s_j v_j v_j*`` in one ``(m, n, n)``
+    stack and multiplies neighbours pairwise, ``ceil(log2 m)`` stacked
+    products, before the product meets the elementary value.  One point
+    measured 29 and 43 us at ``(n, m, rho) = (4, 8, 0.9)`` and
+    ``(8, 16, 0.99)``, against 34 and 53 us for the same products with an
+    axis over the points (2-vCPU host, one BLAS thread, best of 7).
 
     Raises
     ------
@@ -429,17 +432,16 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     n = params.n
+    if z.size < _ARRAY_MIN_POINTS:
+        return _each_point(lambda point: _wavelet_point(params, point), z, (n, n))
     points = z.reshape(-1)
     _reject_origin(points)
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
     powers = points ** _negative_range(n)[:, None]
     w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
     if params.factors:
-        vectors, conjugates, alphas, outers = params._factor_stack
-        scales = blaschke(alphas, points ** n) - 1.0
-        if points.size < _ARRAY_MIN_POINTS:
-            product = _pairwise_product(_eye(n) + scales.T[:, :, None, None] * outers)
-            return (product @ w.transpose(1, 0, 2)).reshape(z.shape + (n, n))
+        vectors, conjugates, alphas, _, _ = params._factor_stack
+        scales = blaschke(alphas[:, None], points ** n) - 1.0
         w2 = w.reshape(n, -1)
         for v, vc, s in zip(vectors[:, :, None], conjugates, scales[:, :, None]):
             # W += s v (v* W) at every point at once
@@ -449,14 +451,47 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     return w.transpose(1, 0, 2).reshape(z.shape + (n, n))
 
 
+def _each_point(kernel, z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``kernel`` at each point of ``z``, passed as a Python ``complex``;
+    the result has shape ``z.shape + shape``."""
+    if z.ndim == 0:
+        return kernel(complex(z))
+    out = np.empty(z.shape + shape, dtype=complex)
+    flat = out.reshape((-1,) + shape)
+    for k, point in enumerate(z.reshape(-1).tolist()):
+        flat[k] = kernel(point)
+    return out
+
+
+def _wavelet_point(params: FilterParameters, z: complex) -> np.ndarray:
+    """The filter at one point: ``prod_j (I + s_j v_j v_j*) @ E(z)``.
+
+    ``s_j = phi_j(z**n) - 1`` by the expression of :func:`blaschke`, whose
+    pole guard is one minimum over the factors.
+    """
+    n = params.n
+    if abs(z) <= _POLE_TOL:
+        raise PoleError("elementary filter has a pole at z = 0")
+    base = (z ** _negative_range(n))[:, None] * _dft_cached(n)
+    if not params.factors:
+        return base
+    _, _, alphas, alpha_conjugates, outers = params._factor_stack
+    w = z**n
+    den = w - alphas
+    if np.abs(den).min() <= _POLE_TOL * max(1.0, abs(w)):
+        raise PoleError(f"all-pass factor evaluated at its pole (w = {w!r})")
+    scales = (1.0 - alpha_conjugates * w) / den - 1.0
+    return _pairwise_product(_eye(n) + scales[:, None, None] * outers) @ base
+
+
 def _pairwise_product(f: np.ndarray) -> np.ndarray:
-    """The products ``f[:, m-1] @ ... @ f[:, 0]`` of a ``(K, m, n, n)`` stack,
-    as ``(K, n, n)``, by stacked products of neighbours."""
-    while f.shape[1] > 1:
-        even = f.shape[1] // 2 * 2
-        pairs = f[:, 1:even:2] @ f[:, :even:2]
-        f = np.concatenate([pairs, f[:, even:]], axis=1) if even < f.shape[1] else pairs
-    return f[:, 0]
+    """The product ``f[m-1] @ ... @ f[0]`` of an ``(m, n, n)`` stack by
+    stacked products of neighbours."""
+    while f.shape[0] > 1:
+        even = f.shape[0] // 2 * 2
+        pairs = f[1:even:2] @ f[:even:2]
+        f = np.concatenate([pairs, f[even:]]) if even < f.shape[0] else pairs
+    return f[0]
 
 
 def _wrap_angle(x: float) -> float:
@@ -569,6 +604,8 @@ def unit_circle_points(count: int, seed: int = 0) -> np.ndarray:
 
 
 _RETRIES = 8
+# Relative distance from a check's maximum within which residuals tie.
+_TIE = 1e-12
 
 
 def _sample_residuals(residual, points: np.ndarray) -> tuple[list, np.ndarray]:
@@ -603,6 +640,12 @@ def _max_circle_residual(
     the points where ``residual`` hit a pole or a singular matrix are
     redrawn, from an rng seeded by ``seed``, for at most ``_RETRIES``
     rounds; a point redrawn in two rounds counts twice.
+
+    Residuals that tie up to rounding name a stable point: the first, in
+    the order of ``points`` and then of the redraws, whose residual is
+    within ``_TIE`` (1e-12) relative of the maximum.  The symmetry of a
+    filter makes ``paraunitary``'s residual equal at ``z`` and ``eps z``,
+    and a rounding difference in the last bit would otherwise pick either.
     """
     rng = np.random.default_rng(seed ^ 0x5EED)
     groups, failed = _sample_residuals(residual, points)
@@ -618,8 +661,9 @@ def _max_circle_residual(
         raise SamplingError("exhausted retries while avoiding poles on the circle")
     zs = np.concatenate([z for z, _ in groups])
     values = np.concatenate([np.reshape(v, (z.size, -1)) for z, v in groups])
-    at = values.argmax(axis=0)
-    return values[at, np.arange(values.shape[1])], zs[at], resampled
+    worst = values.max(axis=0)
+    at = (values >= worst - _TIE * worst).argmax(axis=0)
+    return worst, zs[at], resampled
 
 
 def _values(eval_fn, points: np.ndarray, n: int) -> np.ndarray:

@@ -30,22 +30,21 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import _ARRAY_MIN_POINTS, TOL, FilterParameters, _eye, dft_matrix
+from .filters import _ARRAY_MIN_POINTS, TOL, FilterParameters, _each_point, _eye, dft_matrix
 
 
 # eval_realization solves an upper-triangular A by the one plan of _HeadPlan
 # and one of two solvers, chosen by the number of points in a call.  From
 # _ARRAY_MIN_POINTS points on, _sweep loops over the heads (m + N - 1 in a
-# cascade), which the points amortize.  Fewer points (one at a time, as a
-# sweep evaluates) take _condensed, one stacked solve of the head system,
-# whose number of array calls does not grow with the filter.  At (n, m, rho)
-# = (4, 8, 0.9), (8, 16, 0.99) and (16, 32, 0.999) one point measured 33, 43
-# and 99 us condensed against 77, 147 and 291 us swept, 512 points 4.1, 17
-# and 74 ms condensed against 0.57, 3.2 and 24 ms swept, and 8 points about
-# the same either way (2-vCPU host, one BLAS thread, best of 7).  A state
-# matrix that is not upper triangular gets one stacked LU.  A _sweep chunk
-# holds at most _ROW_ENTRIES entries of X and of the grid of Q, an LU chunk
-# at most _CHUNK_ENTRIES entries of its largest stacked array.
+# cascade), which the points amortize.  Fewer points go one at a time through
+# _condensed_point, one 2-D solve of the head system, whose number of array
+# calls does not grow with the filter.  At (n, m, rho) = (4, 8, 0.9) and
+# (8, 16, 0.99) one point measured 33 and 51 us against 37 and 58 us for the
+# same solve with an axis over the points, and 77 and 147 us swept; 8 points
+# cost about the same either way (2-vCPU host, one BLAS thread, best of 7).
+# A state matrix that is not upper triangular gets one stacked LU.  A _sweep
+# chunk holds at most _ROW_ENTRIES entries of X and of the grid of Q, an LU
+# chunk at most _CHUNK_ENTRIES entries of its largest stacked array.
 _CHUNK_ENTRIES = 1 << 16
 _ROW_ENTRIES = 1 << 18
 
@@ -116,7 +115,20 @@ class Realization:
         Every cascade realization has this shape; a realization file keeps
         it exactly, since its zeros are stored as zeros.
         """
-        return not np.tril(self.a, -1).any()
+        return self._upper_pattern is not None
+
+    @cached_property
+    def _upper_pattern(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Rows and columns of the nonzeros right of the diagonal of an upper
+        triangular ``A``, in row-major order, or None when ``A`` is not upper
+        triangular; one scan of ``A`` serves :attr:`upper_triangular` and
+        ``_HeadPlan``."""
+        # np.nonzero(a) measured 2.4 against 0.9 ms for this at 632 states
+        rows, cols = np.divmod(np.flatnonzero(self.a != 0), self.state_dim)
+        if (rows > cols).any():
+            return None
+        strict = rows < cols
+        return rows[strict], cols[strict]
 
     @cached_property
     def _head_plan(self) -> _HeadPlan:
@@ -153,20 +165,15 @@ class _HeadPlan:
     Substituting the runs leaves ``(I - N(z)) U = B_heads``, unit upper
     triangular of size ``H``, and ``Y = C_eff(z) U + D``, with
     ``N[h, h'] = sum A[h, c] Q_c`` and ``C_eff[:, h'] = sum C[:, c] Q_c`` over
-    the columns ``c`` that ``h'`` owns; :func:`_condensed` solves it.  The
-    entries of ``[I - N; C_eff]`` are listed by the slot of their ``Q``
-    (``entry_slots``), their coefficient (``-A[h, c]`` or ``C[o, c]``,
-    ``entry_coefficients``) and their flat target, sorted (``targets``);
-    ``sums`` holds the ``reduceat`` starts that add entries sharing a target
-    (None when none do, as in a cascade) and ``constant`` the part
-    ``[I; 0]``.
+    the columns ``c`` that ``h'`` owns; :func:`_condensed_point` solves it
+    from the entry list ``condensed``, built when it is first needed.
     """
 
     def __init__(self, r: Realization):
         p, a = r.state_dim, r.a
-        upper = np.triu(a, 1) != 0
-        link = (upper.sum(axis=1) == 1) & ~r.b.any(axis=1)
-        link[:-1] &= np.diagonal(upper, 1)
+        rows, cols = r._upper_pattern
+        link = (np.bincount(rows, minlength=p) == 1) & ~r.b.any(axis=1)
+        link[:-1] &= np.diagonal(a, 1) != 0
         heads = np.flatnonzero(~link)
         h = heads.size
         owner = np.searchsorted(heads, np.arange(p))
@@ -178,9 +185,12 @@ class _HeadPlan:
         self.scale = np.ones(self.width * h, dtype=complex)
         links = np.flatnonzero(link)
         self.scale[slot[links]] = a[links, links + 1]
-        coupled = upper[heads]
-        row, col = np.nonzero(coupled)
-        self.reads = np.flatnonzero(coupled.any(axis=0) | r.c.any(axis=0))
+        # the entries right of the diagonal in head rows, by head index
+        coupled = ~link[rows]
+        row, col = owner[rows[coupled]], cols[coupled]
+        read = r.c.any(axis=0)
+        read[col] = True
+        self.reads = np.flatnonzero(read)
         self.read_slots = slot[self.reads]
         ends = np.searchsorted(self.reads, heads + 1).tolist()
         self.runs = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
@@ -190,15 +200,30 @@ class _HeadPlan:
         self.couplings = [coupling[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.b_heads = r.b[heads]
         self.chunk = max(1, _ROW_ENTRIES // max(self.reads.size * r.inputs, self.width * h, 1))
-        out_row, out_col = np.nonzero(r.c)
+        self._condensed_inputs = (r.c, owner, slot, row, col, coupling)
+
+    @cached_property
+    def condensed(self) -> tuple:
+        """The entries of ``[I - N; C_eff]`` for :func:`_condensed_point`.
+
+        ``(entry_slots, entry_coefficients, targets, sums, constant)``: the
+        grid slot of each entry's ``Q``, its coefficient (``-A[h, c]`` or
+        ``C[o, c]``), the flat targets, sorted and unique, the ``reduceat``
+        starts that add entries sharing a target (None when none do, as in
+        a cascade) and the constant part ``[I; 0]``, flat.
+        """
+        c, owner, slot, row, col, coupling = self._condensed_inputs
+        h = self.b_heads.shape[0]
+        out_row, out_col = np.nonzero(c)
         targets = np.concatenate([row * h + owner[col], (h + out_row) * h + owner[out_col]])
         order = np.argsort(targets, kind="stable")
-        self.entry_slots = slot[np.concatenate([col, out_col])][order]
-        self.entry_coefficients = np.concatenate([-coupling, r.c[out_row, out_col]])[order]
-        self.targets, starts = np.unique(targets[order], return_index=True)
-        self.sums = None if starts.size == order.size else starts
-        self.constant = np.zeros((1, (h + r.outputs) * h), dtype=complex)
-        self.constant[0, np.arange(h) * (h + 1)] = 1.0
+        entry_slots = slot[np.concatenate([col, out_col])][order]
+        entry_coefficients = np.concatenate([-coupling, c[out_row, out_col]])[order]
+        targets, starts = np.unique(targets[order], return_index=True)
+        sums = None if starts.size == order.size else starts
+        constant = np.zeros((h + c.shape[0]) * h, dtype=complex)
+        constant[np.arange(h) * (h + 1)] = 1.0
+        return entry_slots, entry_coefficients, targets, sums, constant
 
 
 @dataclass(frozen=True)
@@ -315,16 +340,8 @@ def realize_allpass_core(alpha: complex, n: int) -> Realization:
     roots of ``alpha`` on the diagonal (a single nilpotent Jordan block
     when ``alpha = 0``) and ones above it.
     """
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise InvariantError(f"|alpha| must be < 1, got {abs(alpha)!r}")
-    a = np.diag(_pole_roots(alpha, n)) + np.diag(np.ones(n - 1), 1)
-    gain = np.sqrt(1.0 - abs(alpha) ** 2)
-    b = np.zeros((n, 1), dtype=complex)
-    b[n - 1, 0] = gain
-    c = np.zeros((1, n), dtype=complex)
-    c[0, 0] = gain
-    return Realization(a=a, b=b, c=c, d=np.zeros((1, 1), dtype=complex))
+    a, b, c, d = _factor_blocks(None, complex(alpha), n)
+    return Realization(a=a, b=b, c=c, d=d)
 
 
 def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
@@ -337,14 +354,31 @@ def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise InvariantError("v must have unit norm")
-    core = realize_allpass_core(alpha, n)
+    a, b, c, d = _factor_blocks(v, complex(alpha), n)
+    return Realization(a=a, b=b, c=c, d=d)
+
+
+def _factor_blocks(v, alpha: complex, n: int) -> tuple[np.ndarray, ...]:
+    """The blocks ``(A, B, C, D)`` of :func:`realize_decimated_unitary`, or of
+    :func:`realize_allpass_core` when ``v`` is None, as plain arrays.
+
+    The core's ``A`` is bidiagonal, its ``B`` and ``C`` hold the gain
+    ``sqrt(1 - |alpha|**2)`` in their last and first entry; the factor wraps
+    the core between the complex vector ``v`` and ``v*``.  Raises
+    ``InvariantError`` unless ``|alpha| < 1``.
+    """
+    if abs(alpha) >= 1.0:
+        raise InvariantError(f"|alpha| must be < 1, got {abs(alpha)!r}")
+    a = np.diag(_pole_roots(alpha, n)) + np.diag(np.ones(n - 1), 1)
+    gain = np.sqrt(1.0 - abs(alpha) ** 2)
+    b = np.zeros((n, 1), dtype=complex)
+    b[n - 1, 0] = gain
+    c = np.zeros((1, n), dtype=complex)
+    c[0, 0] = gain
+    if v is None:
+        return a, b, c, np.zeros((1, 1), dtype=complex)
     d = np.eye(v.size) - (1.0 + np.conj(alpha)) * np.outer(v, v.conj())
-    return Realization(
-        a=core.a,
-        b=core.b @ v.conj()[None, :],
-        c=v[:, None] @ core.c,
-        d=d,
-    )
+    return a, b @ v.conj()[None, :], v[:, None] @ c, d
 
 
 def cascade(delta: Realization, inner: Realization) -> Realization:
@@ -389,12 +423,12 @@ def realize_wavelet(params: FilterParameters) -> Realization:
     lo = p - inner.state_dim
     a[lo:, lo:], b[lo:], c, d = inner.a, inner.b, inner.c, inner.d
     for f in params.factors:
-        delta = realize_decimated_unitary(f.v, f.alpha, n)
+        a_f, b_f, c_f, d_f = _factor_blocks(f.v, f.alpha, n)
         lo -= n
-        a[lo : lo + n, lo : lo + n] = delta.a
-        a[lo : lo + n, lo + n :] = delta.b @ c
-        b[lo : lo + n] = delta.b @ d
-        c, d = np.hstack([delta.c, delta.d @ c]), delta.d @ d
+        a[lo : lo + n, lo : lo + n] = a_f
+        a[lo : lo + n, lo + n :] = b_f @ c
+        b[lo : lo + n] = b_f @ d
+        c, d = np.hstack([c_f, d_f @ c]), d_f @ d
     return Realization(a=a, b=b, c=c, d=d)
 
 
@@ -410,12 +444,13 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     one product for all runs.  From 8 points on, the heads (``m + N - 1`` in
     a cascade of ``m`` factors) are solved one at a time, last first, for
     all points at once, and ``X`` is formed only at the states that a head
-    or ``C`` reads (one per run in a cascade).  Fewer points substitute the
-    runs into a unit upper-triangular system over the heads and take one
-    stacked ``numpy.linalg.solve``, a fixed number of array calls whatever
-    the size of the filter.  A state matrix that is not upper triangular
-    gets one stacked LU.  The points go through in chunks of a few MB of
-    work arrays.
+    or ``C`` reads (one per run in a cascade); the points go through in
+    chunks of a few MB of work arrays.  Fewer points go one at a time
+    through :func:`_condensed_point`, which takes ``z`` as a Python scalar,
+    substitutes the runs into a unit upper-triangular system over the heads
+    and takes one 2-D ``numpy.linalg.solve``, a fixed number of array calls
+    whatever the size of the filter.  A state matrix that is not upper
+    triangular gets one stacked LU, in chunks, for any number of points.
 
     Raises
     ------
@@ -423,13 +458,13 @@ def eval_realization(r: Realization, z) -> np.ndarray:
         If ``zI - A`` is singular at any point or the value is not finite.
     """
     z = np.asarray(z, dtype=complex)
+    if r.upper_triangular and z.size < _ARRAY_MIN_POINTS:
+        return _each_point(lambda point: _condensed_point(r, point), z, r.d.shape)
     points = z.reshape(-1)
-    if not r.upper_triangular:
-        solve, chunk = _lu, _lu_chunk(r)
-    elif points.size >= _ARRAY_MIN_POINTS:
+    if r.upper_triangular:
         solve, chunk = _sweep, r._head_plan.chunk
     else:
-        solve, chunk = _condensed, _ARRAY_MIN_POINTS
+        solve, chunk = _lu, _lu_chunk(r)
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     try:
         for k in range(0, points.size, chunk):
@@ -470,20 +505,26 @@ def _run_ratios(plan: _HeadPlan, points: np.ndarray) -> np.ndarray:
     return np.divide(plan.scale[:, None], divisor, out=divisor).reshape(plan.width, -1)
 
 
-def _condensed(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C_eff U + D`` for a few points by one stacked solve of the head system."""
+def _condensed_point(r: Realization, z: complex) -> np.ndarray:
+    """``C_eff U + D`` at one point by one solve of the head system."""
     plan = r._head_plan
-    k, h = points.size, plan.b_heads.shape[0]
+    slots, coefficients, targets, sums, constant = plan.condensed
+    h = plan.b_heads.shape[0]
     with np.errstate(all="ignore"):
-        q = np.cumprod(_run_ratios(plan, points), axis=0).reshape(-1, k)
-        entries = q.T[:, plan.entry_slots] * plan.entry_coefficients
-        if plan.sums is not None:
-            entries = np.add.reduceat(entries, plan.sums, axis=1)
-        system = np.repeat(plan.constant, k, axis=0)
-        system[:, plan.targets] = entries
-        system = system.reshape(k, h + r.outputs, h)
-        u = np.linalg.solve(system[:, :h], plan.b_heads[None])
-        np.add(system[:, h:] @ u, r.d, out=out)
+        try:
+            q = np.cumprod(_run_ratios(plan, np.array([z])), axis=0)
+            entries = q.reshape(-1)[slots] * coefficients
+            if sums is not None:
+                entries = np.add.reduceat(entries, sums)
+            system = constant.copy()
+            system[targets] = entries
+            system = system.reshape(h + r.outputs, h)
+            value = system[h:] @ np.linalg.solve(system[:h], plan.b_heads) + r.d
+        except np.linalg.LinAlgError:
+            value = None
+    if value is None or not np.isfinite(value).all():
+        raise PoleError(f"z = {z!r} is a pole of the realization")
+    return value
 
 
 def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:

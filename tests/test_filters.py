@@ -1,5 +1,7 @@
 """Tests for the parameter space, filter evaluation and circle checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from wfk import (
     unit_circle_points,
     wavelet_eval,
 )
-from wfk.filters import circle_checks
+from wfk.filters import _ARRAY_MIN_POINTS, _max_circle_residual, circle_checks
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -260,6 +262,71 @@ class TestBatchedEvaluation:
             wavelet_eval(p, np.array([1.0, 0.5, 1j]))
         with pytest.raises(PoleError):
             wavelet_eval(p, np.array([1.0, 0.0]))
+
+
+RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
+
+
+def point_forms(z):
+    """One point as each input form, with the result shape it must keep."""
+    return [
+        (complex(z), ()),
+        (np.array(z), ()),
+        (np.complex128(z), ()),
+        (np.array([z]), (1,)),
+        (np.array([[z]]), (1, 1)),
+    ]
+
+
+def assert_one_point_forms(evaluate, target, points, shape):
+    """Every one-point form of each point matches the array path within
+    1e-14 relative and keeps its result shape."""
+    # the same points repeated up to the array path's size
+    array = evaluate(target, np.resize(points, max(points.size, _ARRAY_MIN_POINTS)))
+    scale = np.abs(array).max()
+    for k, z in enumerate(points):
+        for form, lead in point_forms(z):
+            value = evaluate(target, form)
+            assert value.shape == lead + shape
+            assert np.abs(value.reshape(shape) - array[k]).max() <= 1e-14 * scale
+
+
+class TestOnePointKernel:
+    @pytest.mark.parametrize("n,m,rho", RUNGS)
+    def test_point_forms_match_the_array_path(self, n, m, rho):
+        p = sample_parameters(80 + n, n, m, rho)
+        assert_one_point_forms(wavelet_eval, p, circle(3, seed=n), (n, n))
+
+    def test_index_zero_point_forms(self):
+        p = FilterParameters(n=4, rho=0.0, factors=())
+        assert_one_point_forms(wavelet_eval, p, circle(3, seed=1), (4, 4))
+
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (8, 16, 0.99)])
+    def test_few_points_equal_single_points_bitwise(self, n, m, rho):
+        p = sample_parameters(90 + n, n, m, rho)
+        for count in range(2, _ARRAY_MIN_POINTS):
+            pts = circle(count, seed=count)
+            values = wavelet_eval(p, pts)
+            single = np.array([wavelet_eval(p, z) for z in pts])
+            assert np.array_equal(values.view(float), single.view(float))
+
+    def test_empty_array(self):
+        p = sample_parameters(4, 3, 2, 0.9)
+        assert wavelet_eval(p, np.zeros(0, dtype=complex)).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_poles_raise_without_warnings(self, n):
+        p = sample_parameters(5, n, 3, 0.9)
+        alpha = p.factors[1].alpha
+        root = complex(alpha) ** (1.0 / n) * np.exp(2j * np.pi / n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (0.0, 0j, np.array(0j), np.zeros(3, dtype=complex)):
+                with pytest.raises(PoleError, match="z = 0"):
+                    wavelet_eval(p, z)
+            for z in (root, np.array([1j, root])):
+                with pytest.raises(PoleError, match="all-pass factor evaluated at its pole"):
+                    wavelet_eval(p, z)
 
 
 class TestBoxMap:
@@ -619,6 +686,26 @@ class TestSharedCirclePass:
         # the symmetry residual sees the defect at z and at z / eps
         eps = np.exp(2j * np.pi / 3)
         assert min(abs(symmetry.argmax_z - z) for z in (defect, defect / eps)) <= 1e-15
+
+    @pytest.mark.parametrize("step", [-2, -1, 1, 2])
+    def test_tied_residuals_name_the_first_point(self, step):
+        # a pair tied up to rounding names its first point whichever way
+        # the last bit falls; a real gap still names the larger
+        points = unit_circle_points(16, seed=1)
+        base = np.linspace(0.1, 0.2, 16)
+        tied = 0.3
+        for first, second in ((3, 9), (9, 3)):
+            for moved in (first, second):
+                values = base.copy()
+                values[[first, second]] = tied
+                values[moved] = tied + step * np.spacing(tied)
+                worst, at, _ = _max_circle_residual(lambda zs: values[np.isin(points, zs)], points, 0)
+                assert worst[0] == values.max()
+                assert at[0] == points[min(first, second)]
+        values = base.copy()
+        values[[3, 9]] = tied, tied * (1.0 + 1e-9)
+        _, at, _ = _max_circle_residual(lambda zs: values[np.isin(points, zs)], points, 0)
+        assert at[0] == points[9]
 
     def test_argmax_z_defaults_to_none(self):
         assert CheckReport("degree", 0.0, 0.0, True, 8, 0).argmax_z is None

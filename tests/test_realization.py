@@ -493,6 +493,84 @@ class TestEvalRealization:
                 assert np.abs(eval_realization(target, z) - expected).max() <= 1e-12
 
 
+RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
+
+
+def assert_one_point_forms(r, points):
+    """Every one-point input form of each point keeps its result shape and
+    matches the array path within 1e-14 relative."""
+    shape = r.d.shape
+    # the same points repeated up to the array path's size
+    array = eval_realization(r, np.resize(points, max(points.size, _ARRAY_MIN_POINTS)))
+    scale = np.abs(array).max()
+    for k, z in enumerate(points):
+        forms = [
+            (complex(z), ()),
+            (np.array(z), ()),
+            (np.complex128(z), ()),
+            (np.array([z]), (1,)),
+            (np.array([[z]]), (1, 1)),
+        ]
+        for form, lead in forms:
+            value = eval_realization(r, form)
+            assert value.shape == lead + shape
+            assert np.abs(value.reshape(shape) - array[k]).max() <= 1e-14 * scale
+
+
+class TestOnePointKernel:
+    @pytest.mark.parametrize("n,m,rho", RUNGS)
+    def test_point_forms_match_the_array_path(self, n, m, rho):
+        assert_one_point_forms(realize_wavelet(sample_parameters(80 + n, n, m, rho)), circle(3, seed=n))
+
+    def test_index_zero_point_forms(self):
+        r = realize_wavelet(FilterParameters(n=4, rho=0.0, factors=()))
+        assert_one_point_forms(r, circle(3, seed=1))
+
+    def test_stateless_point_forms(self):
+        d = np.arange(6).reshape(2, 3) + 1j
+        r = Realization(a=np.zeros((0, 0)), b=np.zeros((0, 3)), c=np.zeros((2, 0)), d=d)
+        assert_one_point_forms(r, circle(3, seed=2))
+        assert np.array_equal(eval_realization(r, 0.0), d)
+
+    def test_gapped_triangular_point_forms(self):
+        r = gapped_triangular(seed=1)
+        assert r.upper_triangular
+        assert_one_point_forms(r, circle(3, seed=3))
+
+    def test_rotated_point_forms(self):
+        rotated = rotate(realize_wavelet(sample_parameters(3, 4, 8, 0.9)), seed=4)
+        assert not rotated.upper_triangular
+        assert_one_point_forms(rotated, circle(3, seed=4))
+
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (8, 16, 0.99)])
+    def test_few_points_equal_single_points_bitwise(self, n, m, rho):
+        r = realize_wavelet(sample_parameters(90 + n, n, m, rho))
+        for target in (r, gapped_triangular(seed=5)):
+            for count in range(2, _ARRAY_MIN_POINTS):
+                pts = circle(count, seed=count)
+                values = eval_realization(target, pts)
+                single = np.array([eval_realization(target, z) for z in pts])
+                assert np.array_equal(values.view(float), single.view(float))
+
+    def test_empty_array(self):
+        r = realize_wavelet(sample_parameters(4, 3, 2, 0.9))
+        assert eval_realization(r, np.zeros(0, dtype=complex)).shape == (0, 3, 3)
+
+    def test_upper_pattern_lists_the_strict_upper_nonzeros(self):
+        # one scan of A gives upper_triangular and the pattern of the plan
+        r = gapped_triangular(seed=6)
+        rows, cols = r._upper_pattern
+        assert np.array_equal(np.transpose(np.nonzero(np.triu(r.a, 1))), np.transpose([rows, cols]))
+        assert rotate(r, seed=7)._upper_pattern is None
+
+    def test_array_calls_leave_the_condensed_entries_unbuilt(self):
+        r = realize_wavelet(sample_parameters(7, 4, 8, 0.9))
+        eval_realization(r, circle(2 * _ARRAY_MIN_POINTS, seed=1))
+        assert "condensed" not in vars(r._head_plan)
+        eval_realization(r, 1j)
+        assert "condensed" in vars(r._head_plan)
+
+
 class TestImpulseResponse:
     def test_two_band_taps(self):
         taps = impulse_response(realize_elementary_wavelet(2), 3)
