@@ -4,7 +4,7 @@ Exit codes are a function of outcome only:
 
 * 0 - success / all checks passed
 * 1 - a verification check failed (report still written)
-* 2 - usage or file-format error
+* 2 - usage or file-format error, or an output that cannot be written
 * 3 - domain invariant violated by an input file
 * 4 - numeric singularity (evaluation at a pole)
 * 5 - unsupported mode (e.g. time-domain subbands for a non-FIR filter)
@@ -236,7 +236,8 @@ def _cmd_verify(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        with wio.open_output(args.output) as stream:
+            stream.write(text + "\n")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -261,11 +262,12 @@ def _cmd_eval(args) -> int:
         zs = np.exp(2j * np.pi * np.arange(args.circle) / args.circle)
     else:
         zs = np.array([_parse_z(args.z)])
-    rows = list(zip(zs, fn(zs)))
+    values = fn(zs)
     if args.output:
-        wio.save_eval_csv(rows, args.output)
+        # the path by keyword, where perfbench/tracer.py looks for it
+        wio.save_eval_csv(zs, values, path=args.output)
     else:
-        sys.stdout.write(wio.format_eval_csv(rows))
+        wio.write_eval_csv(zs, values, sys.stdout)
     return EXIT_OK
 
 
@@ -275,7 +277,7 @@ def _cmd_analyze(args) -> int:
     x = wio.load_signal(args.signal)
     bands = analyze(x, filters)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    wio.make_output_dir(out)
     for k, band in enumerate(bands.bands):
         wio.save_signal(band, out / f"band_{k}.csv")
     return EXIT_OK
@@ -306,9 +308,8 @@ def _cmd_synthesize(args) -> int:
         sidecar["reconstruction_error"] = err / scale if scale else err
     else:
         sidecar["reconstruction_error"] = None
-    Path(str(args.out) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    with wio.open_output(str(args.out) + ".json") as stream:
+        stream.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -8,12 +8,13 @@ constructors.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
+from .errors import DimensionError, FormatError, InvariantError
 from .filters import BoxPoint, CheckReport, Factor, FilterParameters
 from .realization import Realization
 
@@ -28,6 +29,32 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc})") from None
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an ``OSError`` while writing ``path`` into a ``FormatError`` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """``path`` open for writing text; an ``OSError`` raises ``FormatError``.
+
+    A missing or unwritable directory, or a write that fails part way,
+    names the path in one ``FormatError``, which ``wfk`` reports with exit 2.
+    """
+    with _writing(path), open(path, "w") as stream:
+        yield stream
+
+
+def make_output_dir(path) -> None:
+    """Create directory ``path`` and its parents; an ``OSError`` raises ``FormatError``."""
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
 
 
 def read_json(path):
@@ -121,9 +148,9 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
 
 
 def save_parameters(params: FilterParameters, path, box: BoxPoint | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(parameters_to_dict(params, box), indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(parameters_to_dict(params, box), indent=2, sort_keys=True)
+    with open_output(path) as stream:
+        stream.write(text + "\n")
 
 
 def load_parameters(path) -> FilterParameters:
@@ -297,9 +324,9 @@ def realization_from_dict(doc: dict) -> Realization:
 
 
 def save_realization(r: Realization, path) -> None:
-    Path(path).write_text(
-        json.dumps(realization_to_dict(r), indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(realization_to_dict(r), indent=2, sort_keys=True)
+    with open_output(path) as stream:
+        stream.write(text + "\n")
 
 
 def load_realization(path) -> Realization:
@@ -346,11 +373,41 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
 _LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
 
 
+# Cells per block of the CSV writer, 4096 rows of a signal.  A block's
+# floats, their tuple and its text are all the memory the writer adds.
+_CSV_BLOCK_CELLS = 8192
+
+
+def _csv_blocks(*columns: np.ndarray):
+    """The CSV text of rows of float cells, one block of rows at a time.
+
+    Each of ``columns`` is a ``(K, c_i)`` float array, and row ``k`` of the
+    CSV holds row ``k`` of each in turn.  A block holds as many rows as fit
+    in ``_CSV_BLOCK_CELLS`` cells (at least one) and is formatted by one
+    ``%r`` row template: each cell is the ``repr`` of its float, so the
+    text is the same whatever the block size.  No rows give a lone newline.
+    """
+    count = columns[0].shape[0]
+    width = sum(c.shape[1] for c in columns)
+    if count == 0:
+        yield "\n"
+        return
+    template = ",".join(["%r"] * width) + "\n"
+    step = max(1, _CSV_BLOCK_CELLS // width)
+    for start in range(0, count, step):
+        block = np.hstack([c[start : start + step] for c in columns])
+        yield (template * block.shape[0]) % tuple(block.reshape(-1).tolist())
+
+
 def save_signal(x, path) -> None:
-    """Write one complex sample per line as ``re,im``."""
+    """Write one complex sample per line as ``re,im``; an empty signal is a lone newline.
+
+    The lines go out in blocks of 4096 (see :func:`_csv_blocks`), so the
+    memory the writer adds stays at one block whatever the length.
+    """
     x = np.ascontiguousarray(x, dtype=complex).reshape(-1)
-    text = ("%r,%r\n" * x.size) % tuple(x.view(float).tolist())
-    Path(path).write_text(text or "\n")
+    with open_output(path) as stream:
+        stream.writelines(_csv_blocks(x.view(float).reshape(-1, 2)))
 
 
 def load_signal(path) -> np.ndarray:
@@ -390,20 +447,45 @@ def load_signal(path) -> np.ndarray:
     return np.array(samples, dtype=complex)
 
 
+def _eval_columns(zs, values) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of eval CSV rows: ``(K, 2)`` for the points, ``(K, 2rc)`` for the values."""
+    zs = np.ascontiguousarray(zs, dtype=complex).reshape(-1)
+    values = np.ascontiguousarray(values, dtype=complex)
+    if values.ndim == 0 or values.shape[0] != zs.size:
+        raise DimensionError(f"{zs.size} points but values of shape {values.shape}")
+    values = values.reshape(zs.size, int(np.prod(values.shape[1:])))
+    return zs.view(float).reshape(-1, 2), values.view(float)
+
+
 def format_eval_csv(rows: list[tuple[complex, np.ndarray]]) -> str:
-    """Evaluation rows as CSV: ``z_re, z_im`` then row-major entry re/im pairs."""
-    lines = []
-    for z, value in rows:
-        cells = [repr(complex(z).real), repr(complex(z).imag)]
-        for c in np.asarray(value, dtype=complex).reshape(-1):
-            cells.append(repr(float(c.real)))
-            cells.append(repr(float(c.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Evaluation rows as CSV: ``z_re, z_im`` then row-major entry re/im pairs.
+
+    ``rows`` pairs each point with its value matrix; no rows give a lone newline.
+    The text is the join of the blocks that :func:`write_eval_csv` writes.
+    """
+    values = [np.asarray(value, dtype=complex).reshape(-1) for _, value in rows]
+    return "".join(_csv_blocks(*_eval_columns([z for z, _ in rows], values)))
 
 
-def save_eval_csv(rows: list[tuple[complex, np.ndarray]], path) -> None:
-    Path(path).write_text(format_eval_csv(rows))
+def write_eval_csv(zs, values, stream) -> None:
+    """Write points ``zs`` (``(K,)``) and their values (``(K, r, c)``) to ``stream``.
+
+    The rows are those of :func:`format_eval_csv`, written in blocks of
+    rows (see :func:`_csv_blocks`), so the memory the writer adds stays at
+    one block whatever ``K``.
+    """
+    stream.writelines(_csv_blocks(*_eval_columns(zs, values)))
+
+
+def save_eval_csv(zs, values, path) -> None:
+    """Write the eval CSV of :func:`write_eval_csv` to ``path``.
+
+    A value count that does not match the points raises ``DimensionError``
+    before ``path`` is opened.
+    """
+    columns = _eval_columns(zs, values)
+    with open_output(path) as stream:
+        stream.writelines(_csv_blocks(*columns))
 
 
 def load_box(path, n: int, m: int, rho: float) -> BoxPoint:

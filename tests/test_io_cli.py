@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from wfk import (
     CheckReport,
+    DimensionError,
     Factor,
     FilterParameters,
     FormatError,
@@ -19,6 +21,7 @@ from wfk import (
     sample_box,
     sample_parameters,
     box_to_params,
+    wavelet_eval,
 )
 from wfk import io as wio
 from wfk.cli import main
@@ -605,6 +608,151 @@ class TestSignals:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.csv" in err
+
+
+def _per_cell_eval_csv(rows):
+    """The eval CSV as earlier versions formatted it, one cell at a time."""
+    lines = []
+    for z, value in rows:
+        cells = [repr(complex(z).real), repr(complex(z).imag)]
+        for c in np.asarray(value, dtype=complex).reshape(-1):
+            cells.append(repr(float(c.real)))
+            cells.append(repr(float(c.imag)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _traced_peak(fn) -> int:
+    """The peak, in bytes, of the memory that ``fn`` allocates, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvWriters:
+    SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300]
+
+    @pytest.mark.parametrize(
+        "blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0), (3, 7)]
+    )
+    def test_signal_matches_one_shot_format(self, tmp_path, blocks, extra):
+        block = wio._CSV_BLOCK_CELLS // 2  # rows of a signal per block
+        length = blocks * block + extra
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        special = np.column_stack([self.SPECIAL, self.SPECIAL[::-1]]).view(complex)[:, 0]
+        for edge in range(block, length, block):
+            # special values on both sides of each block boundary
+            around = x[edge - 3 : edge + 3]
+            around[:] = special[: around.size]
+        path = tmp_path / "x.csv"
+        wio.save_signal(x, path)
+        expected = ("%r,%r\n" * x.size) % tuple(x.view(float).tolist())
+        assert path.read_text() == (expected or "\n")
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("points", [0, 1, 1000])
+    def test_eval_csv_matches_per_cell_formatter(self, tmp_path, n, points):
+        rng = np.random.default_rng(points)
+        zs = np.exp(2j * np.pi * np.arange(points) / max(points, 1))
+        values = rng.standard_normal((points, n, n)) + 1j * rng.standard_normal((points, n, n))
+        # special values in the last row of the first block and the first of the next
+        edge = wio._CSV_BLOCK_CELLS // (2 + 2 * n * n)
+        around = values.reshape(-1)[edge * n * n - 3 : edge * n * n + 3]
+        around[:] = self.SPECIAL[: around.size]
+        rows = list(zip(zs, values))
+        expected = _per_cell_eval_csv(rows)
+        assert wio.format_eval_csv(rows) == expected
+        path = tmp_path / "e.csv"
+        wio.save_eval_csv(zs, values, path)
+        assert path.read_text() == expected
+
+    def test_eval_csv_needs_a_value_per_point(self, tmp_path):
+        with pytest.raises(DimensionError, match="2 points"):
+            wio.save_eval_csv(np.ones(2), np.ones((3, 2, 2)), tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_eval_stdout_matches_per_cell_formatter(self, tmp_path, capsys, n):
+        p = sample_parameters(7, n, 2, 0.9)
+        params = tmp_path / "p.json"
+        wio.save_parameters(p, params)
+        points = 1000  # several blocks at either width
+        assert main(["eval", str(params), "--circle", str(points)]) == 0
+        zs = np.exp(2j * np.pi * np.arange(points) / points)
+        expected = _per_cell_eval_csv(zip(zs, wavelet_eval(p, zs)))
+        assert capsys.readouterr().out == expected
+
+    def test_signal_writer_memory_is_one_block(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(1 << 17) + 1j * rng.standard_normal(1 << 17)
+        path = tmp_path / "x.csv"
+        assert _traced_peak(lambda: wio.save_signal(x, path)) < 1 << 20
+        assert path.stat().st_size > 4 << 20
+
+    def test_eval_writer_memory_is_one_block(self, tmp_path):
+        rng = np.random.default_rng(0)
+        points = 1 << 14
+        zs = np.exp(2j * np.pi * np.arange(points) / points)
+        values = rng.standard_normal((points, 4, 4)) + 1j * rng.standard_normal((points, 4, 4))
+        path = tmp_path / "e.csv"
+        assert _traced_peak(lambda: wio.save_eval_csv(zs, values, path)) < 1 << 20
+        assert path.stat().st_size > 8 << 20
+
+
+class TestUnwritableOutput:
+    """An output under a regular file exits 2 with one line naming the path."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(10, 2, 2, 0.0), params)
+        sig = tmp_path / "x.csv"
+        wio.save_signal(np.arange(16) * (1 - 0.5j), sig)
+        bands = tmp_path / "bands"
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(bands)]) == 0
+        (tmp_path / "f").write_text("a regular file\n")
+        return params, sig, bands, tmp_path / "f" / "x"
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "realize", "verify", "eval", "analyze", "synthesize"]
+    )
+    def test_exit_2(self, files, capsys, command):
+        params, sig, bands, out = files
+        argv = {
+            "gen": ["gen", "--n", "2", "--index", "1", "-o", str(out)],
+            "realize": ["realize", str(params), "-o", str(out)],
+            "verify": ["verify", str(params), "--points", "8", "-o", str(out)],
+            "eval": ["eval", str(params), "--circle", "4", "-o", str(out)],
+            "analyze": ["analyze", str(params), "--signal", str(sig), "--out", str(out)],
+            "synthesize": [
+                "synthesize", str(params), "--bands", str(bands), "--out", str(out),
+                "--reference", str(sig),
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{out}: cannot write" in err
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: wio.save_signal(np.ones(3), path),
+            lambda path: wio.save_eval_csv(np.ones(1), np.ones((1, 2, 2)), path),
+            lambda path: wio.save_parameters(sample_parameters(1, 2, 1, 0.9), path),
+            lambda path: wio.save_realization(realize_wavelet(sample_parameters(1, 2, 1, 0.9)), path),
+            lambda path: wio.make_output_dir(path),
+        ],
+        ids=["save_signal", "save_eval_csv", "save_parameters", "save_realization", "mkdir"],
+    )
+    def test_writers_raise_format_error(self, tmp_path, write):
+        (tmp_path / "f").write_text("")
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "f" / "x"))):
+            write(tmp_path / "f" / "x")
 
 
 class TestCliGen:
