@@ -374,8 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in vars(args):
+            source = "--seed"
+            if args.seed is None:
+                args.seed, source = _default_seed(), "WFK_SEED"
+            if args.seed < 0:
+                raise UsageError(f"{source} must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,13 @@ Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
 decide a degree-``d`` identity, but for ``d = n*(n-1)/2 + n*m`` the
 default counts fall short: ``wfk verify``'s 256 from ``(n, m) = (8, 16)``
-on and the 64 here from ``(4, 8)`` on.  Half of the points are drawn at
-random angles, which makes a false pass improbable, not impossible.  On a
-realization file the Stein certificate of :mod:`wfk.realization` proves
-unitarity algebraically, so only ``symmetry`` rests on sampling alone.
-The evaluators take a point or an array of points, and each check
-evaluates all of its points in one call.
+on and the 64 of :func:`circle_checks` from ``(4, 8)`` on.  Half of the
+points are drawn at random angles, which makes a false pass improbable,
+not impossible.  On a realization file the Stein certificate of
+:mod:`wfk.realization` proves unitarity algebraically, so only
+``symmetry`` rests on sampling alone.  The evaluators take a point or an
+array of points, and :func:`circle_checks` evaluates all of its points in
+one call.
 """
 
 from __future__ import annotations
@@ -202,30 +203,6 @@ class BoxPoint:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
-class ModulationStructure:
-    """The constant data behind the column-rotation symmetry for ``n`` bands."""
-
-    n: int
-    root: complex          # eps = exp(2i*pi/n)
-    shift: np.ndarray      # n x n cyclic permutation, order exactly n
-    dft: np.ndarray        # unitary DFT matrix Q
-
-    def __post_init__(self):
-        eye = np.eye(self.n)
-        power = np.eye(self.n)
-        for _ in range(self.n - 1):
-            power = power @ self.shift
-            if np.allclose(power, eye):
-                raise InvariantError("shift permutation has order below n")
-        if not np.allclose(power @ self.shift, eye):
-            raise InvariantError("shift permutation does not have order n")
-        if np.linalg.norm(self.dft.conj().T @ self.dft - eye) > 1e-12:
-            raise InvariantError("DFT matrix is not unitary")
-        object.__setattr__(self, "shift", _frozen(self.shift))
-        object.__setattr__(self, "dft", _frozen(self.dft))
-
-
 def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
     """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
 
@@ -296,7 +273,7 @@ class CheckReport:
     passed: bool
     sample_count: int
     seed: int
-    # circle points redrawn because a draw hit a pole (or a singular F_a)
+    # circle points redrawn because a draw hit a pole (or a singular matrix)
     resampled: int = 0
     # wall time of the check in milliseconds, where the caller measured it
     wall_ms: float = 0.0
@@ -332,31 +309,6 @@ def _dft_cached(n: int) -> np.ndarray:
     return _frozen(eps ** (-j * k) / np.sqrt(n))
 
 
-def cyclic_shift_matrix(n: int) -> np.ndarray:
-    """Permutation sending basis vector ``e_j`` to ``e_{j+1}`` (cyclically)."""
-    if n < 2:
-        raise InvariantError(f"band count must be >= 2, got {n!r}")
-    p = np.zeros((n, n), dtype=complex)
-    p[0, n - 1] = 1.0
-    p[1:, : n - 1] = np.eye(n - 1)
-    return p
-
-
-@lru_cache(maxsize=None)
-def modulation_structure(n: int) -> ModulationStructure:
-    """Bundle the root of unity, cyclic shift and DFT matrix for ``n`` bands.
-
-    Built and validated once per ``n``; the structure is frozen and its
-    arrays are read-only, so every caller shares it.
-    """
-    return ModulationStructure(
-        n=int(n),
-        root=complex(np.exp(2j * np.pi / n)),
-        shift=cyclic_shift_matrix(n),
-        dft=dft_matrix(n),
-    )
-
-
 def blaschke(alpha, w):
     """All-pass factor ``(1 - conj(alpha) w) / (w - alpha)``, broadcast over arrays.
 
@@ -388,22 +340,6 @@ def elementary_wavelet_eval(n: int, z) -> np.ndarray:
     _reject_origin(z)
     powers = z[..., None] ** _negative_range(n)
     return powers[..., :, None] * _dft_cached(int(n))
-
-
-def elementary_unitary_eval(v, alpha: complex, z) -> np.ndarray:
-    """Value of the rank-one perturbation ``I + (phi_alpha(z) - 1) v v*``.
-
-    ``z`` may be a point or an array of points; the result has shape
-    ``z.shape + (n, n)``.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    scale = blaschke(complex(alpha), np.asarray(z, dtype=complex)) - 1.0
-    return np.eye(v.size) + scale[..., None, None] * np.outer(v, v.conj())
-
-
-def decimated_unitary_eval(v, alpha: complex, n: int, z) -> np.ndarray:
-    """Same factor with ``z**n`` substituted; depends on ``z`` only through ``z**n``."""
-    return elementary_unitary_eval(v, alpha, np.asarray(z, dtype=complex) ** n)
 
 
 def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
@@ -678,10 +614,14 @@ def _values(eval_fn, points: np.ndarray, n: int) -> np.ndarray:
     return np.broadcast_to(values, (points.size, n, n))
 
 
-def _symmetry_residual(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``||F(eps z) - F(z) P||_F`` per point from the stack ``[F(eps z); F(z)]``."""
+def _symmetry_residual(values: np.ndarray) -> np.ndarray:
+    """``||F(eps z) - F(z) P||_F`` per point from the stack ``[F(eps z); F(z)]``.
+
+    ``P`` sends ``e_j`` to ``e_{j+1}`` cyclically, so column ``j`` of
+    ``F(z) P`` is column ``j + 1`` of ``F(z)``: a roll of the columns.
+    """
     rotated, plain = np.split(values, 2)
-    return np.linalg.norm(rotated - plain @ shift, axis=(1, 2))
+    return np.linalg.norm(rotated - np.roll(plain, -1, axis=-1), axis=(1, 2))
 
 
 def _unitarity_residual(values: np.ndarray) -> np.ndarray:
@@ -704,87 +644,29 @@ def _circle_reports(names, residual, sample_points, tol, seed) -> list[CheckRepo
     ]
 
 
-def check_symmetry(
-    eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
-) -> CheckReport:
-    """Check the column-rotation symmetry ``F(eps z) = F(z) P`` on the circle.
-
-    ``eval_fn`` maps an array of ``K`` points to a ``(K, n, n)`` stack of
-    values (a constant ``(n, n)`` result broadcasts); it is called with all
-    points at once.  The report carries the max Frobenius residual over the
-    sampled points, the point where it is reached and the number of points
-    redrawn at poles.
-    """
-    return circle_checks(eval_fn, n, sample_points, tol, seed)[0]
-
-
-def check_paraunitary(
-    eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
-) -> CheckReport:
-    """Check unitarity ``F(z)* F(z) = I`` over sampled points of the circle.
-
-    ``eval_fn`` follows the contract of :func:`check_symmetry`.
-    """
-
-    def residual(zs):
-        return _unitarity_residual(_values(eval_fn, zs, n))
-
-    return _circle_reports(["paraunitary"], residual, sample_points, tol, seed)[0]
-
-
 def circle_checks(
     eval_fn, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
 ) -> tuple[CheckReport, CheckReport]:
-    """:func:`check_symmetry` and :func:`check_paraunitary` from one evaluation.
+    """The ``symmetry`` and ``paraunitary`` checks on the circle, from one evaluation.
 
-    The symmetry check evaluates ``F`` at ``eps z`` and at ``z``; the
-    unitarity residual is read off the values at ``z``, so ``eval_fn`` is
-    called once per pass instead of twice.  With no pole on the circle the
-    two reports equal those of the separate checks; a point where either
-    value hits a pole is redrawn for both, so both carry the same
-    ``resampled`` count.
+    ``symmetry`` is the column-rotation symmetry ``F(eps z) = F(z) P``,
+    ``eps = exp(2i*pi/n)``, and ``paraunitary`` is ``F(z)* F(z) = I``; each
+    report carries the max Frobenius residual over the sampled points and
+    the point where it is reached.  ``eval_fn`` maps an array of ``K``
+    points to a ``(K, n, n)`` stack of values (a constant ``(n, n)`` result
+    broadcasts).  It is called with ``eps z`` and ``z`` for all points at
+    once, and the unitarity residual is read off the values at ``z``.  A
+    point where ``eval_fn`` raises ``PoleError`` or ``SingularMatrixError``
+    is redrawn for both, so both reports carry the same ``resampled`` count.
     """
-    struct = modulation_structure(n)
+    root = np.exp(2j * np.pi / n)
 
     def residual(zs):
-        values = _values(eval_fn, np.concatenate([struct.root * zs, zs]), n)
+        values = _values(eval_fn, np.concatenate([root * zs, zs]), n)
         plain = values[zs.size :]
-        return np.stack(
-            [_symmetry_residual(values, struct.shift), _unitarity_residual(plain)], axis=1
-        )
+        return np.stack([_symmetry_residual(values), _unitarity_residual(plain)], axis=1)
 
     return tuple(_circle_reports(["symmetry", "paraunitary"], residual, sample_points, tol, seed))
-
-
-def quotient_decimation_check(
-    fa, fb, n: int, sample_points: int = 64, tol: float = TOL, seed: int = 0
-) -> CheckReport:
-    """Check that the quotient ``F_b F_a**-1`` is invariant under ``z -> eps z``.
-
-    For filters sharing the column-rotation symmetry the quotient is a
-    function of ``z**n`` alone, so its value must agree at ``z`` and
-    ``eps z``.  ``fa`` and ``fb`` follow the ``eval_fn`` contract of
-    :func:`check_symmetry`; the points where ``F_a`` is singular are
-    redrawn.
-    """
-    struct = modulation_structure(n)
-
-    def quotient(zs):
-        a = np.swapaxes(_values(fa, zs, n), 1, 2)
-        b = np.swapaxes(_values(fb, zs, n), 1, 2)
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("F_a is singular at a sampled point") from None
-        if not np.isfinite(x).all():
-            raise SingularMatrixError("F_a is numerically singular at a sampled point")
-        return np.swapaxes(x, 1, 2)
-
-    def residual(zs):
-        rotated, plain = np.split(quotient(np.concatenate([struct.root * zs, zs])), 2)
-        return np.linalg.norm(rotated - plain, axis=(1, 2))
-
-    return _circle_reports(["quotient_decimation"], residual, sample_points, tol, seed)[0]
 
 
 def subband_filters(params: FilterParameters) -> SubbandFilterSet:

@@ -457,22 +457,13 @@ def _eval_columns(zs, values) -> tuple[np.ndarray, np.ndarray]:
     return zs.view(float).reshape(-1, 2), values.view(float)
 
 
-def format_eval_csv(rows: list[tuple[complex, np.ndarray]]) -> str:
-    """Evaluation rows as CSV: ``z_re, z_im`` then row-major entry re/im pairs.
-
-    ``rows`` pairs each point with its value matrix; no rows give a lone newline.
-    The text is the join of the blocks that :func:`write_eval_csv` writes.
-    """
-    values = [np.asarray(value, dtype=complex).reshape(-1) for _, value in rows]
-    return "".join(_csv_blocks(*_eval_columns([z for z, _ in rows], values)))
-
-
 def write_eval_csv(zs, values, stream) -> None:
     """Write points ``zs`` (``(K,)``) and their values (``(K, r, c)``) to ``stream``.
 
-    The rows are those of :func:`format_eval_csv`, written in blocks of
-    rows (see :func:`_csv_blocks`), so the memory the writer adds stays at
-    one block whatever ``K``.
+    Each row is ``z_re, z_im`` then the value's row-major entries as re/im
+    pairs; no rows give a lone newline.  The rows are written in blocks
+    (see :func:`_csv_blocks`), so the memory the writer adds stays at one
+    block whatever ``K``.
     """
     stream.writelines(_csv_blocks(*_eval_columns(zs, values)))
 

@@ -63,11 +63,6 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Complex conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.flags.writeable = False
@@ -577,18 +572,6 @@ def cascade_index(r: Realization) -> int | None:
     if n == 0 or extra < 0 or extra % n:
         return None
     return extra // n
-
-
-def spectral_radius(params: FilterParameters) -> float:
-    """Largest eigenvalue modulus of the realized state matrix.
-
-    The factor cores contribute the n-th roots of each ``alpha_j`` and the
-    elementary block contributes zeros, so the radius is
-    ``max_j |alpha_j|**(1/n)`` (zero for FIR parameters).
-    """
-    if not params.factors:
-        return 0.0
-    return max(abs(f.alpha) ** (1.0 / params.n) for f in params.factors)
 
 
 _STEIN_MAX_DOUBLINGS = 64

@@ -1,4 +1,4 @@
-"""Apply filters to sampled signals: subband analysis/synthesis and LTI runs.
+"""Apply filters to sampled signals: subband analysis and synthesis.
 
 FIR subband analysis runs as the polyphase lattice of the factorization
 ``W(z) = V_m(z**n) ... V_1(z**n) diag(1, 1/z, ..., z**-(n-1)) Q``: the
@@ -12,9 +12,10 @@ The subband path is circular (periodic) by design: with a signal length
 divisible by the band count the round trip is an exact circular delay, so
 perfect reconstruction is an equality rather than an edge-effect estimate.
 Analysis carries a ``sqrt(n)`` gain, which compensates the factor ``1/n``
-lost by keeping only every n-th sample and makes it an isometry.
-:func:`circular_convolve`, :func:`decimate` and :func:`expand` give the
-same bands by direct filtering; they are kept as the reference.
+lost by keeping only every n-th sample and makes it an isometry.  Band
+``k`` equals ``sqrt(n)`` times every n-th sample of the circular
+convolution of the signal with the ``k``-th response, which the tests
+compute by direct filtering as the reference.
 
 Time-domain processing is offered for FIR filters only; filters with poles
 are checked in the frequency domain, where the synthesis filter is the
@@ -23,21 +24,12 @@ conjugate transpose of the analysis filter on the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import (
-    TOL,
-    CheckReport,
-    FilterParameters,
-    SubbandFilterSet,
-    _lattice,
-    check_paraunitary,
-    wavelet_eval,
-)
-from .realization import Realization
+from .filters import SubbandFilterSet, _lattice
 
 
 def _as_signal(x) -> np.ndarray:
@@ -70,38 +62,6 @@ class SubbandSet:
         return self.bands[0].size
 
 
-def decimate(x, n: int) -> np.ndarray:
-    """Keep every n-th sample: ``y[k] = x[n*k]``."""
-    if n < 1:
-        raise InvariantError(f"decimation factor must be >= 1, got {n!r}")
-    return _as_signal(x)[::n].copy()
-
-
-def expand(x, n: int) -> np.ndarray:
-    """Insert ``n - 1`` zeros after each sample: ``y[n*k] = x[k]``, else 0."""
-    if n < 1:
-        raise InvariantError(f"expansion factor must be >= 1, got {n!r}")
-    x = _as_signal(x)
-    out = np.zeros(n * x.size, dtype=complex)
-    out[::n] = x
-    return out
-
-
-def circular_convolve(x, h) -> np.ndarray:
-    """Periodic convolution ``y[t] = sum_s h[s] x[(t - s) mod L]``."""
-    x = _as_signal(x)
-    h = _as_signal(h)
-    if h.size > x.size:
-        raise DimensionError(
-            f"filter length {h.size} exceeds signal length {x.size}"
-        )
-    full = np.convolve(h, x)
-    y = full[: x.size].copy()
-    tail = full[x.size :]
-    y[: tail.size] += tail
-    return y
-
-
 def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
     """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``."""
     cols = x.reshape(-1, n).T  # cols[r, j] = x[n*j + r]
@@ -131,9 +91,9 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     ``w = z**n``, one inner product and one unit delay per factor, so the
     work is O(L*m) whatever the tap length.  The ``sqrt(n)`` gain cancels
     the ``1/sqrt(n)`` of the first column of ``Q``, so the rows are the
-    bands.  Equals ``sqrt(n) * decimate(circular_convolve(x, h), n)`` for
-    each response ``h``.  The signal length must be divisible by the band
-    count so the circular lattice is well defined.
+    bands.  Band ``k`` is ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]``
+    for the response ``h_k``.  The signal length must be divisible by the
+    band count so the circular lattice is well defined.
     """
     x = _as_signal(x)
     n = filters.n
@@ -164,60 +124,3 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     y = np.array(bands.bands)
     _lattice(y, filters.vectors[::-1], -1)
     return np.roll(_interleave(y), synthesis_delay(filters))
-
-
-def frequency_pr_check(
-    params: FilterParameters,
-    sample_points: int = 256,
-    tol: float = TOL,
-    seed: int = 0,
-) -> CheckReport:
-    """Perfect-reconstruction check on the circle: ``W(z)* W(z) = I``.
-
-    On the unit circle the synthesis filter is the conjugate transpose of
-    the analysis filter, so reconstruction is exact precisely when the
-    filter is unitary there.  Works for FIR and IIR parameters alike.
-    """
-    report = check_paraunitary(
-        lambda z: wavelet_eval(params, z), params.n, sample_points, tol, seed
-    )
-    return replace(report, name="frequency_pr")
-
-
-def simulate(r: Realization, inputs, x0=None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the state recursion over an input sequence.
-
-    Parameters
-    ----------
-    r : Realization
-    inputs : array_like, shape (steps, inputs)
-        One input vector per time step.
-    x0 : array_like, shape (state_dim,), optional
-        Initial state; zero when omitted.
-
-    Returns
-    -------
-    (outputs, final_state)
-        ``outputs`` has shape ``(steps, outputs)``.
-    """
-    u = np.asarray(inputs, dtype=complex)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.ndim != 2 or u.shape[1] != r.inputs:
-        raise DimensionError(
-            f"inputs must have shape (steps, {r.inputs}), got {u.shape}"
-        )
-    if x0 is None:
-        x = np.zeros(r.state_dim, dtype=complex)
-    else:
-        x = np.asarray(x0, dtype=complex).reshape(-1)
-        if x.size != r.state_dim:
-            raise DimensionError(
-                f"initial state must have length {r.state_dim}, got {x.size}"
-            )
-        x = x.copy()
-    outputs = np.empty((u.shape[0], r.outputs), dtype=complex)
-    for t in range(u.shape[0]):
-        outputs[t] = r.c @ x + r.d @ u[t]
-        x = r.a @ x + r.b @ u[t]
-    return outputs, x

@@ -25,6 +25,13 @@ from reference_matrices import (
     reference_mhat2,
     reference_mhat4,
 )
+from reference_ops import (
+    check_paraunitary,
+    check_symmetry,
+    frequency_pr_check,
+    quotient_decimation_check,
+    simulate,
+)
 
 from wfk import (
     Factor,
@@ -32,18 +39,13 @@ from wfk import (
     Realization,
     analyze,
     cascade,
-    check_paraunitary,
-    check_symmetry,
     eval_realization,
-    frequency_pr_check,
     mcmillan_degree,
-    quotient_decimation_check,
     realize_allpass_core,
     realize_decimated_unitary,
     realize_elementary_wavelet,
     realize_wavelet,
     sample_parameters,
-    simulate,
     subband_filters,
     synthesis_delay,
     synthesize,

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from reference_matrices import closed_form_wa, closed_form_wb
+from reference_ops import (
+    adjoint,
+    check_paraunitary,
+    check_symmetry,
+    decimated_unitary_eval,
+    elementary_unitary_eval,
+    quotient_decimation_check,
+)
 
 from wfk import (
     BoxPoint,
@@ -14,29 +22,21 @@ from wfk import (
     FilterParameters,
     FirRequiredError,
     InvariantError,
-    ModulationStructure,
     PoleError,
     SamplingError,
-    adjoint,
     box_to_params,
-    check_paraunitary,
-    check_symmetry,
-    cyclic_shift_matrix,
-    decimated_unitary_eval,
+    circle_checks,
     dft_matrix,
-    elementary_unitary_eval,
     elementary_wavelet_eval,
     eval_realization,
-    modulation_structure,
     params_to_box,
-    quotient_decimation_check,
     realize_wavelet,
     sample_parameters,
     subband_filters,
     unit_circle_points,
     wavelet_eval,
 )
-from wfk.filters import _ARRAY_MIN_POINTS, _max_circle_residual, circle_checks
+from wfk.filters import _ARRAY_MIN_POINTS, _max_circle_residual
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -79,35 +79,40 @@ class TestDftMatrix:
             dft_matrix(1)
 
 
+def shift_matrix(n):
+    """The cyclic shift ``P e_j = e_{j+1}``: ``P[j+1, j] = 1``."""
+    p = np.zeros((n, n))
+    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return p
+
+
 class TestCyclicShift:
+    """The symmetry residual of :func:`circle_checks` is ``||F(eps z) - F(z) P||_F``."""
+
+    @staticmethod
+    def assert_residual_uses(p):
+        n = p.shape[0]
+        filt = sample_parameters(n, n, 2, 0.9)
+        rng = np.random.default_rng(n)
+        l0, l1 = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        zs = unit_circle_points(32, 4)
+        eps = np.exp(2j * np.pi / n)
+        fns = (lambda z: wavelet_eval(filt, z), lambda z: l0 + z[:, None, None] * l1)
+        reports = [circle_checks(fn, n, 32, 1e-9, 4)[0] for fn in fns]
+        for fn, report in zip(fns, reports):
+            expected = np.linalg.norm(fn(eps * zs) - fn(zs) @ p, axis=(1, 2)).max()
+            assert report.max_residual == expected
+        # the filter passes and the non-symmetric function fails
+        assert reports[0].passed and not reports[1].passed
+
     def test_two_band_swap(self):
-        assert np.array_equal(cyclic_shift_matrix(2).real, [[0, 1], [1, 0]])
+        self.assert_residual_uses(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_three_band(self):
-        assert np.array_equal(
-            cyclic_shift_matrix(3).real, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        )
+        self.assert_residual_uses(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_order_exactly_n(self, n):
-        p = cyclic_shift_matrix(n)
-        power = np.eye(n)
-        for _ in range(n - 1):
-            power = power @ p
-            assert not np.allclose(power, np.eye(n))
-        assert np.allclose(power @ p, np.eye(n))
-
-    def test_structure_bundle(self):
-        s = modulation_structure(3)
-        assert s.root == pytest.approx(np.exp(2j * np.pi / 3))
-        assert np.linalg.norm(adjoint(s.dft) @ s.dft - np.eye(3)) <= 1e-12
-
-    def test_structure_is_built_once_and_read_only(self):
-        s = modulation_structure(5)
-        assert modulation_structure(5) is s
-        assert not s.shift.flags.writeable and not s.dft.flags.writeable
-        with pytest.raises(InvariantError):
-            ModulationStructure(n=3, root=s.root, shift=np.eye(3), dft=dft_matrix(3))
+    def test_sixteen_band(self):
+        self.assert_residual_uses(shift_matrix(16))
 
 
 class TestElementaryWavelet:
@@ -505,7 +510,7 @@ class TestChecks:
     def test_commuting_right_factor_stays_symmetric(self):
         # right multiplication stays in the family only when the factor
         # commutes with the cyclic shift; polynomials in the shift do.
-        p = cyclic_shift_matrix(3)
+        p = shift_matrix(3)
 
         def fn(z):
             w = z[:, None, None] ** 3
@@ -536,10 +541,13 @@ class TestChecks:
         assert max(residual(z) for z in circle(32, seed=12)) <= 1e-9
 
     def test_report_fields(self):
-        report = check_paraunitary(lambda z: np.eye(2), 2, 17, 1e-9, 99)
-        assert report.sample_count == 17
-        assert report.seed == 99
-        assert report.passed == (report.max_residual <= report.tolerance)
+        reports = circle_checks(lambda z: np.eye(2), 2, 17, 1e-9, 99)
+        assert [r.name for r in reports] == ["symmetry", "paraunitary"]
+        for report in reports:
+            assert report.sample_count == 17
+            assert report.seed == 99
+            assert report.tolerance == 1e-9
+            assert report.passed == (report.max_residual <= report.tolerance)
 
     def test_redraws_only_the_failing_points(self):
         p = sample_parameters(14, 3, 2, 0.9)
@@ -548,13 +556,14 @@ class TestChecks:
         evaluated = []
 
         def fn(z):
+            # circle_checks passes [eps * zs, zs]; the sampled points are zs
             if np.isin(z, bad).any():
                 raise PoleError("chosen point")
-            evaluated.append(z)
+            evaluated.append(z[z.size // 2 :])
             return wavelet_eval(p, z)
 
-        report = check_paraunitary(fn, 3, 64, 1e-9, 5)
-        assert report.passed and report.resampled == 3
+        for report in circle_checks(fn, 3, 64, 1e-9, 5):
+            assert report.passed and report.resampled == 3
         seen = np.concatenate(evaluated)
         redrawn = seen[~np.isin(seen, points)]
         assert np.isin(np.setdiff1d(points, bad), seen).all()
@@ -577,15 +586,14 @@ class TestChecks:
     def test_clean_check_redraws_nothing(self):
         p = sample_parameters(15, 2, 2, 0.9)
         fn = lambda z: wavelet_eval(p, z)  # noqa: E731
-        assert check_symmetry(fn, 2, 32, 1e-9, 0).resampled == 0
-        assert check_paraunitary(fn, 2, 32, 1e-9, 0).resampled == 0
+        assert [r.resampled for r in circle_checks(fn, 2, 32, 1e-9, 0)] == [0, 0]
 
     def test_exhausted_retries_raise(self):
         def fn(z):
             raise PoleError("every point")
 
         with pytest.raises(SamplingError):
-            check_paraunitary(fn, 2, 8, 1e-9, 0)
+            circle_checks(fn, 2, 8, 1e-9, 0)
 
     def test_quotient_trivial(self):
         fn = lambda z: elementary_wavelet_eval(2, z)  # noqa: E731
@@ -645,15 +653,19 @@ class TestChecks:
 class TestSharedCirclePass:
     @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (3, 2, 0.9), (4, 8, 0.9)])
     def test_equals_separate_checks(self, n, m, rho):
+        # each report equals its residual computed alone, point by point
         p = sample_parameters(7 * n + m, n, m, rho)
         r = realize_wavelet(p)
+        zs = unit_circle_points(64, 3)
+        eps = np.exp(2j * np.pi / n)
         for fn in (lambda z: wavelet_eval(p, z), lambda z: eval_realization(r, z)):
+            symmetry = [np.linalg.norm(fn(eps * z) - fn(z) @ shift_matrix(n)) for z in zs]
+            unitarity = [np.linalg.norm(adjoint(fn(z)) @ fn(z) - np.eye(n)) for z in zs]
             shared = circle_checks(fn, n, 64, 1e-9, 3)
-            alone = (check_symmetry(fn, n, 64, 1e-9, 3), check_paraunitary(fn, n, 64, 1e-9, 3))
-            for one, other in zip(shared, alone):
-                assert one.name == other.name and one.passed == other.passed
-                assert abs(one.max_residual - other.max_residual) <= 1e-14
-                assert one.resampled == other.resampled == 0
+            for one, name, alone in zip(shared, ("symmetry", "paraunitary"), (symmetry, unitarity)):
+                assert one.name == name and one.passed
+                assert abs(one.max_residual - max(alone)) <= 1e-14
+                assert one.resampled == 0
                 assert (one.sample_count, one.seed, one.tolerance) == (64, 3, 1e-9)
 
     def test_pole_on_the_grid_is_redrawn_for_both(self):
@@ -668,7 +680,6 @@ class TestSharedCirclePass:
         symmetry, unitarity = circle_checks(fn, 3, 64, 1e-9, 5)
         assert symmetry.passed and unitarity.passed
         assert symmetry.resampled == unitarity.resampled >= 1
-        assert check_symmetry(fn, 3, 64, 1e-9, 5).resampled == symmetry.resampled
 
     def test_argmax_z_names_a_planted_defect(self):
         p = sample_parameters(16, 3, 2, 0.9)
@@ -679,10 +690,9 @@ class TestSharedCirclePass:
             values = wavelet_eval(p, z)
             return np.where(np.isin(z, defect)[:, None, None], 1.1 * values, values)
 
-        alone = check_paraunitary(fn, 3, 64, 1e-9, 2)
         symmetry, unitarity = circle_checks(fn, 3, 64, 1e-9, 2)
-        assert not alone.passed and not unitarity.passed
-        assert alone.argmax_z == unitarity.argmax_z == defect
+        assert not unitarity.passed
+        assert unitarity.argmax_z == defect
         # the symmetry residual sees the defect at z and at z / eps
         eps = np.exp(2j * np.pi / 3)
         assert min(abs(symmetry.argmax_z - z) for z in (defect, defect / eps)) <= 1e-15

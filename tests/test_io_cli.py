@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line interface."""
 
+import io
 import json
 import re
 import tracemalloc
@@ -665,7 +666,9 @@ class TestCsvWriters:
         around[:] = self.SPECIAL[: around.size]
         rows = list(zip(zs, values))
         expected = _per_cell_eval_csv(rows)
-        assert wio.format_eval_csv(rows) == expected
+        stream = io.StringIO()
+        wio.write_eval_csv(zs, values, stream)
+        assert stream.getvalue() == expected
         path = tmp_path / "e.csv"
         wio.save_eval_csv(zs, values, path)
         assert path.read_text() == expected
@@ -853,6 +856,26 @@ class TestCliGen:
         assert code == 2
         assert "WFK_SEED" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    @pytest.mark.parametrize("source", ["--seed", "WFK_SEED"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, command, source):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.5), params)
+        out = tmp_path / "out.json"
+        argv = {
+            "gen": ["gen", "--n", "2", "--index", "1", "-o", str(out)],
+            "verify": ["verify", str(params), "--points", "16", "-o", str(out)],
+        }[command]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("WFK_SEED", "-2")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and source in captured.err
+        assert not out.exists()
 
 
 class TestCliRealize:

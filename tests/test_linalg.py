@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from wfk import DimensionError, adjoint
+from reference_ops import adjoint
+
+from wfk import DimensionError
 from wfk.realization import as_matrix
 
 Q4 = 0.5 * np.array(

@@ -1,18 +1,56 @@
 """Tests of the package surface and its runtime dependencies."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wfk
+import wfk.io
+import wfk.realization
+import wfk.signal
+from wfk.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+CLI_TOUR = re.search(r"^## Quick tour \(CLI\)\n\n```sh\n(.*?)^```", README, re.M | re.S)
+
+PUBLIC_API = [
+    "BoxPoint", "CheckReport", "ConvergenceError", "DimensionError", "Factor",
+    "FilterParameters", "FirRequiredError", "FormatError", "InvariantError", "PoleError",
+    "Realization", "SamplingError", "SingularMatrixError", "SteinCertificate",
+    "SubbandFilterSet", "SubbandSet", "TOL", "WfkError", "analyze", "box_to_params",
+    "cascade", "circle_checks", "dft_matrix", "elementary_wavelet_eval", "eval_realization",
+    "impulse_response", "mcmillan_degree", "params_to_box", "realize_allpass_core",
+    "realize_decimated_unitary", "realize_elementary_wavelet", "realize_wavelet",
+    "sample_box", "sample_parameters", "stein_certificate", "subband_filters",
+    "synthesis_delay", "synthesize", "system_matrix", "unit_circle_points", "wavelet_eval",
+]
+# Names the package no longer has: the circle checks other than
+# circle_checks, the modulation constants, and the reference operations
+# that the tests keep in tests/reference_ops.py.
+REMOVED = [
+    "ModulationStructure", "adjoint", "check_paraunitary", "check_symmetry",
+    "circular_convolve", "cyclic_shift_matrix", "decimate", "decimated_unitary_eval",
+    "elementary_unitary_eval", "expand", "format_eval_csv", "frequency_pr_check",
+    "modulation_structure", "quotient_decimation_check", "simulate", "spectral_radius",
+]
+
+
+def test_public_api_is_pinned():
+    assert wfk.__all__ == sorted(set(wfk.__all__))
+    assert wfk.__all__ == PUBLIC_API
+    for module in (wfk, wfk.filters, wfk.signal, wfk.realization, wfk.io):
+        present = [name for name in REMOVED if hasattr(module, name)]
+        assert not present, (module.__name__, present)
 
 
 def test_exports_resolve_and_numpy_is_the_only_dependency():
@@ -41,3 +79,18 @@ def test_readme_python_block_runs(block):
 
 def test_readme_has_python_blocks():
     assert README_BLOCKS
+
+
+def test_readme_cli_tour_runs(tmp_path, monkeypatch, capsys):
+    # every line of the CLI quick tour, run as `wfk` in a fresh directory
+    assert CLI_TOUR, "README has no sh block under 'Quick tour (CLI)'"
+    monkeypatch.chdir(tmp_path)
+    x = np.random.default_rng(0).standard_normal(64)
+    wfk.io.save_signal(x, "input.csv")
+    lines = [shlex.split(line, comments=True) for line in CLI_TOUR.group(1).splitlines()]
+    commands = [argv for argv in lines if argv]
+    assert commands
+    for argv in commands:
+        assert argv[0] == "wfk", argv
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert json.loads(Path("rebuilt.csv.json").read_text())["reconstruction_error"] <= 1e-12

@@ -18,6 +18,7 @@ from reference_matrices import (
     reference_mhat2,
     reference_mhat4,
 )
+from reference_ops import adjoint, decimated_unitary_eval
 
 from wfk import (
     ConvergenceError,
@@ -26,9 +27,7 @@ from wfk import (
     FilterParameters,
     PoleError,
     Realization,
-    adjoint,
     cascade,
-    decimated_unitary_eval,
     dft_matrix,
     elementary_wavelet_eval,
     eval_realization,
@@ -39,7 +38,6 @@ from wfk import (
     realize_elementary_wavelet,
     realize_wavelet,
     sample_parameters,
-    spectral_radius,
     stein_certificate,
     system_matrix,
     wavelet_eval,
@@ -62,6 +60,11 @@ E2 = np.array([0.0, 1.0])
 def circle(count, seed=0):
     rng = np.random.default_rng(seed)
     return np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+
+
+def spectral_radius(p):
+    """Largest eigenvalue modulus of the realized state matrix."""
+    return np.abs(np.linalg.eigvals(realize_wavelet(p).a)).max()
 
 
 def transfer_distance(r, fn, points):

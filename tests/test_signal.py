@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_ops import (
+    check_paraunitary,
+    circular_convolve,
+    decimate,
+    expand,
+    frequency_pr_check,
+    simulate,
+)
+
 from wfk import (
     DimensionError,
     Factor,
@@ -10,16 +19,9 @@ from wfk import (
     Realization,
     SubbandSet,
     analyze,
-    check_paraunitary,
-    circular_convolve,
-    decimate,
-    expand,
-    frequency_pr_check,
     impulse_response,
     realize_wavelet,
     sample_parameters,
-    simulate,
-    spectral_radius,
     subband_filters,
     synthesis_delay,
     synthesize,
@@ -278,7 +280,7 @@ class TestSimulate:
         r = realize_wavelet(p)
         # the declared radius bound dominates every eigenvalue modulus
         rate = rho ** (1.0 / p.n)
-        assert spectral_radius(p) < rate
+        assert np.abs(np.linalg.eigvals(r.a)).max() < rate
         x0 = random_signal(r.state_dim, 12)
         u = np.zeros((10 * p.n + 1, 2))
         norms = []
