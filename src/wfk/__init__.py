@@ -14,7 +14,6 @@ from .errors import (
     InvariantError,
     PoleError,
     SamplingError,
-    SingularMatrixError,
     WfkError,
 )
 from .filters import (
@@ -64,7 +63,6 @@ __all__ = [
     "PoleError",
     "Realization",
     "SamplingError",
-    "SingularMatrixError",
     "SteinCertificate",
     "SubbandFilterSet",
     "SubbandSet",

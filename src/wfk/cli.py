@@ -35,7 +35,6 @@ from .errors import (
     FirRequiredError,
     InvariantError,
     PoleError,
-    SingularMatrixError,
     WfkError,
 )
 from .filters import (
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (PoleError, SingularMatrixError) as exc:
+    except PoleError as exc:
         print(f"numeric singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except FirRequiredError as exc:

@@ -9,10 +9,6 @@ class DimensionError(WfkError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class SingularMatrixError(WfkError, ArithmeticError):
-    """A linear system is singular to working precision."""
-
-
 class PoleError(WfkError, ArithmeticError):
     """A rational function was evaluated at (or too close to) a pole."""
 

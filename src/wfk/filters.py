@@ -18,7 +18,9 @@ points are drawn at random angles, which makes a false pass improbable,
 not impossible.  On a realization file the Stein certificate of
 :mod:`wfk.realization` proves unitarity algebraically, so only
 ``symmetry`` rests on sampling alone.  The evaluators take a point or an
-array of points, and :func:`circle_checks` evaluates all of its points in
+array of points, and the shape of ``z`` alone chooses the kernel: a
+scalar goes through a one-point kernel and an array of any size through
+the array kernel.  :func:`circle_checks` evaluates all of its points in
 one call.
 """
 
@@ -35,7 +37,6 @@ from .errors import (
     InvariantError,
     PoleError,
     SamplingError,
-    SingularMatrixError,
 )
 
 # Default tolerance of every verification check.
@@ -45,10 +46,6 @@ _UNIT_NORM_TOL = 1e-12
 _POLE_TOL = 1e-14
 # sample_parameters keeps |alpha| at or below this even when rho = 1.
 _ALPHA_CAP = 0.999
-# Calls of wavelet_eval and realization.eval_realization with at least this
-# many points take the array path; fewer go through a one-point kernel, one
-# point at a time (see both docstrings).
-_ARRAY_MIN_POINTS = 8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -273,7 +270,7 @@ class CheckReport:
     passed: bool
     sample_count: int
     seed: int
-    # circle points redrawn because a draw hit a pole (or a singular matrix)
+    # circle points redrawn because a draw hit a pole
     resampled: int = 0
     # wall time of the check in milliseconds, where the caller measured it
     wall_ms: float = 0.0
@@ -333,13 +330,10 @@ def _reject_origin(z: np.ndarray) -> None:
 def elementary_wavelet_eval(n: int, z) -> np.ndarray:
     """Value of the minimal-degree filter ``diag(z**0..z**-(n-1)) @ Q``.
 
-    ``z`` may be a point or an array of points; the result has shape
-    ``z.shape + (n, n)``.
+    The index-0 case of :func:`wavelet_eval`, with its shapes and errors;
+    a band count below 2 raises ``InvariantError``.
     """
-    z = np.asarray(z, dtype=complex)
-    _reject_origin(z)
-    powers = z[..., None] ** _negative_range(n)
-    return powers[..., :, None] * _dft_cached(int(n))
+    return wavelet_eval(FilterParameters(n=n, rho=0.0, factors=()), z)
 
 
 def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
@@ -349,17 +343,14 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     so that appending a factor multiplies on the left and raises the index
     by one.  ``z`` may have any shape; the result has shape
     ``z.shape + (n, n)``, so a scalar ``z`` gives one ``n x n`` matrix.
-    From 8 points on, ``z**n`` and the ``m`` all-pass scales ``s_j`` are
-    computed once for all points and each factor is one rank-one update
-    ``W += s_j v (v* W)`` of the ``n x (K*n)`` row-stacked values, whose
-    innermost loop runs over the ``K*n`` contiguous entries.  Fewer points
-    go one at a time through :func:`_wavelet_point`, which takes ``z`` as a
-    Python scalar, forms every ``I + s_j v_j v_j*`` in one ``(m, n, n)``
-    stack and multiplies neighbours pairwise, ``ceil(log2 m)`` stacked
-    products, before the product meets the elementary value.  One point
-    measured 29 and 43 us at ``(n, m, rho) = (4, 8, 0.9)`` and
-    ``(8, 16, 0.99)``, against 34 and 53 us for the same products with an
-    axis over the points (2-vCPU host, one BLAS thread, best of 7).
+    The shape of ``z`` chooses the kernel.  A scalar goes through
+    :func:`_wavelet_point`, which forms every ``I + s_j v_j v_j*`` in one
+    ``(m, n, n)`` stack and multiplies neighbours pairwise,
+    ``ceil(log2 m)`` stacked products.  An array of any size computes
+    ``z**n`` and the ``m`` all-pass scales ``s_j`` once for all points,
+    and each factor is one rank-one update ``W += s_j v (v* W)`` of the
+    ``n x (K*n)`` row-stacked values, whose innermost loop runs over the
+    ``K*n`` contiguous entries.
 
     Raises
     ------
@@ -367,9 +358,9 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
         When any point is ``0`` or has ``z**n`` at one of the ``alpha_j``.
     """
     z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return _wavelet_point(params, complex(z))
     n = params.n
-    if z.size < _ARRAY_MIN_POINTS:
-        return _each_point(lambda point: _wavelet_point(params, point), z, (n, n))
     points = z.reshape(-1)
     _reject_origin(points)
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
@@ -385,18 +376,6 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
             t *= s
             w2 += v * t.reshape(1, -1)
     return w.transpose(1, 0, 2).reshape(z.shape + (n, n))
-
-
-def _each_point(kernel, z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``kernel`` at each point of ``z``, passed as a Python ``complex``;
-    the result has shape ``z.shape + shape``."""
-    if z.ndim == 0:
-        return kernel(complex(z))
-    out = np.empty(z.shape + shape, dtype=complex)
-    flat = out.reshape((-1,) + shape)
-    for k, point in enumerate(z.reshape(-1).tolist()):
-        flat[k] = kernel(point)
-    return out
 
 
 def _wavelet_point(params: FilterParameters, z: complex) -> np.ndarray:
@@ -547,15 +526,15 @@ _TIE = 1e-12
 def _sample_residuals(residual, points: np.ndarray) -> tuple[list, np.ndarray]:
     """``residual`` at the points where it does not raise, and the points where it does.
 
-    ``residual`` takes all points in one call; when it raises a pole or
-    singularity error the points are halved until the failing ones are
+    ``residual`` takes all points in one call; when it raises
+    ``PoleError`` the points are halved until the failing ones are
     isolated, so a single bad point costs about ``log2(K)`` extra calls.
     Returns the ``(points, residuals)`` pairs of the calls that succeeded
     and the array of failed points.
     """
     try:
         return [(points, residual(points))], points[:0]
-    except (PoleError, SingularMatrixError):
+    except PoleError:
         if points.size == 1:
             return [], points
         half = points.size // 2
@@ -573,9 +552,9 @@ def _max_circle_residual(
     ``residual`` maps ``K`` points to ``K`` residuals, or to a ``(K, c)``
     array of ``c`` residuals per point.  Returns the ``c`` maxima, the
     point at which each is reached and the number of redrawn points.  Only
-    the points where ``residual`` hit a pole or a singular matrix are
-    redrawn, from an rng seeded by ``seed``, for at most ``_RETRIES``
-    rounds; a point redrawn in two rounds counts twice.
+    the points where ``residual`` hit a pole are redrawn, from an rng
+    seeded by ``seed``, for at most ``_RETRIES`` rounds; a point redrawn in
+    two rounds counts twice.
 
     Residuals that tie up to rounding name a stable point: the first, in
     the order of ``points`` and then of the redraws, whose residual is
@@ -656,8 +635,8 @@ def circle_checks(
     points to a ``(K, n, n)`` stack of values (a constant ``(n, n)`` result
     broadcasts).  It is called with ``eps z`` and ``z`` for all points at
     once, and the unitarity residual is read off the values at ``z``.  A
-    point where ``eval_fn`` raises ``PoleError`` or ``SingularMatrixError``
-    is redrawn for both, so both reports carry the same ``resampled`` count.
+    point where ``eval_fn`` raises ``PoleError`` is redrawn for both, so
+    both reports carry the same ``resampled`` count.
     """
     root = np.exp(2j * np.pi / n)
 

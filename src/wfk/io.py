@@ -284,9 +284,10 @@ def realization_from_dict(doc: dict) -> Realization:
     """The realization a document describes, dense or sparse blocks alike.
 
     Every block's declared shape is checked against the others and against
-    ``state_dim``, and the blocks with an ``index`` against
-    ``_MAX_SPARSE_ENTRIES``, before any block is read, so a short file
-    cannot make the loader allocate more than that ceiling.
+    ``state_dim``, ``d`` must have at least one output and one input, and
+    the blocks with an ``index`` are checked against ``_MAX_SPARSE_ENTRIES``,
+    before any block is read, so a short file cannot make the loader
+    allocate more than that ceiling.
     """
     try:
         state_dim = _integer(doc, "state_dim")
@@ -297,6 +298,10 @@ def realization_from_dict(doc: dict) -> Realization:
     (p, cols), (outputs, inputs) = shapes["a"], shapes["d"]
     if cols != p:
         raise InvariantError(f"block 'a' must be square, got {p}x{cols}")
+    if not (outputs and inputs):
+        raise InvariantError(
+            f"block 'd' must have at least one row and one column, got {outputs}x{inputs}"
+        )
     for name, want in (("b", (p, inputs)), ("c", (outputs, p))):
         got = shapes[name]
         if got != want:

@@ -30,21 +30,11 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import _ARRAY_MIN_POINTS, TOL, FilterParameters, _each_point, _eye, dft_matrix
+from .filters import TOL, FilterParameters, _eye, dft_matrix
 
-
-# eval_realization solves an upper-triangular A by the one plan of _HeadPlan
-# and one of two solvers, chosen by the number of points in a call.  From
-# _ARRAY_MIN_POINTS points on, _sweep loops over the heads (m + N - 1 in a
-# cascade), which the points amortize.  Fewer points go one at a time through
-# _condensed_point, one 2-D solve of the head system, whose number of array
-# calls does not grow with the filter.  At (n, m, rho) = (4, 8, 0.9) and
-# (8, 16, 0.99) one point measured 33 and 51 us against 37 and 58 us for the
-# same solve with an axis over the points, and 77 and 147 us swept; 8 points
-# cost about the same either way (2-vCPU host, one BLAS thread, best of 7).
-# A state matrix that is not upper triangular gets one stacked LU.  A _sweep
-# chunk holds at most _ROW_ENTRIES entries of X and of the grid of Q, an LU
-# chunk at most _CHUNK_ENTRIES entries of its largest stacked array.
+# A _sweep chunk of eval_realization holds at most _ROW_ENTRIES entries of X
+# and of the grid of Q, an LU chunk at most _CHUNK_ENTRIES entries of its
+# largest stacked array.
 _CHUNK_ENTRIES = 1 << 16
 _ROW_ENTRIES = 1 << 18
 
@@ -291,12 +281,13 @@ def realize_elementary_wavelet(n: int) -> Realization:
     matrix feeds the last state of each chain from inputs ``2 .. n``, the
     output matrix reads each chain head into outputs ``2 .. n``, and the
     pre-DFT ``D`` routes input 1 straight to output 1.  Stage two
-    multiplies the input side by the DFT matrix.
+    multiplies the input side by the DFT matrix.  A state count too large
+    to allocate raises ``InvariantError``.
     """
     if n < 2:
         raise InvariantError(f"band count must be >= 2, got {n!r}")
     p = n * (n - 1) // 2
-    a = np.zeros((p, p), dtype=complex)
+    a = _state_matrix(p)
     b_pre = np.zeros((p, n), dtype=complex)
     c = np.zeros((n, p), dtype=complex)
     start = 0
@@ -310,6 +301,16 @@ def realize_elementary_wavelet(n: int) -> Realization:
     d_pre[0, 0] = 1.0
     q = dft_matrix(n)
     return Realization(a=a, b=b_pre @ q, c=c, d=d_pre @ q)
+
+
+def _state_matrix(p: int) -> np.ndarray:
+    """A zero ``p x p`` state matrix; a refused allocation (``MemoryError``,
+    or numpy's ``ValueError`` for a shape that cannot exist) raises
+    ``InvariantError`` naming ``p``."""
+    try:
+        return np.zeros((p, p), dtype=complex)
+    except (MemoryError, ValueError):
+        raise InvariantError(f"a realization with {p} states is too large to allocate") from None
 
 
 def _pole_roots(alpha: complex, n: int) -> np.ndarray:
@@ -409,11 +410,12 @@ def realize_wavelet(params: FilterParameters) -> Realization:
     one pass: ``A`` and ``B`` are allocated once and each factor writes its
     core, its block row of ``A`` and of ``B`` above the states before it,
     and the new ``C`` and ``D``, with the products :func:`cascade` uses.
+    A state count too large to allocate raises ``InvariantError``.
     """
     n = params.n
+    p = mcmillan_degree(params)
+    a = _state_matrix(p)
     inner = realize_elementary_wavelet(n)
-    p = inner.state_dim + n * params.m
-    a = np.zeros((p, p), dtype=complex)
     b = np.zeros((p, n), dtype=complex)
     lo = p - inner.state_dim
     a[lo:, lo:], b[lo:], c, d = inner.a, inner.b, inner.c, inner.d
@@ -436,16 +438,16 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     row whose only entry right of the diagonal is ``A[i, i+1]`` and whose
     row of ``B`` is zero just passes the next state on, so each run of such
     rows ends in a head row and is a running product of that head's value,
-    one product for all runs.  From 8 points on, the heads (``m + N - 1`` in
-    a cascade of ``m`` factors) are solved one at a time, last first, for
-    all points at once, and ``X`` is formed only at the states that a head
-    or ``C`` reads (one per run in a cascade); the points go through in
-    chunks of a few MB of work arrays.  Fewer points go one at a time
-    through :func:`_condensed_point`, which takes ``z`` as a Python scalar,
-    substitutes the runs into a unit upper-triangular system over the heads
-    and takes one 2-D ``numpy.linalg.solve``, a fixed number of array calls
-    whatever the size of the filter.  A state matrix that is not upper
-    triangular gets one stacked LU, in chunks, for any number of points.
+    one product for all runs.  The shape of ``z`` chooses the solver.  A
+    scalar goes through :func:`_condensed_point`, which substitutes the runs
+    into a unit upper-triangular system over the heads and takes one 2-D
+    ``numpy.linalg.solve``, a fixed number of array calls whatever the size
+    of the filter.  For an array of any size the heads (``m + N - 1`` in a
+    cascade of ``m`` factors) are solved one at a time, last first, for all
+    points at once, and ``X`` is formed only at the states that a head or
+    ``C`` reads (one per run in a cascade); the points go through in chunks
+    of a few MB of work arrays.  A state matrix that is not upper
+    triangular gets one stacked LU, in chunks, for a point or an array.
 
     Raises
     ------
@@ -453,8 +455,8 @@ def eval_realization(r: Realization, z) -> np.ndarray:
         If ``zI - A`` is singular at any point or the value is not finite.
     """
     z = np.asarray(z, dtype=complex)
-    if r.upper_triangular and z.size < _ARRAY_MIN_POINTS:
-        return _each_point(lambda point: _condensed_point(r, point), z, r.d.shape)
+    if z.ndim == 0 and r.upper_triangular:
+        return _condensed_point(r, complex(z))
     points = z.reshape(-1)
     if r.upper_triangular:
         solve, chunk = _sweep, r._head_plan.chunk

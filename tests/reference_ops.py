@@ -20,8 +20,8 @@ from wfk import (
     CheckReport,
     DimensionError,
     InvariantError,
+    PoleError,
     Realization,
-    SingularMatrixError,
     circle_checks,
     wavelet_eval,
 )
@@ -143,8 +143,8 @@ def quotient_decimation_check(
     For filters sharing the column-rotation symmetry the quotient is a
     function of ``z**n`` alone, so its value must agree at ``z`` and
     ``eps z``.  ``fa`` and ``fb`` follow the ``eval_fn`` contract of
-    :func:`wfk.filters.circle_checks`; the points where ``F_a`` is singular
-    are redrawn.
+    :func:`wfk.filters.circle_checks`; the points where ``F_a`` is singular,
+    a pole of the quotient, raise ``PoleError`` and are redrawn.
     """
     root = np.exp(2j * np.pi / n)
 
@@ -154,9 +154,9 @@ def quotient_decimation_check(
         try:
             x = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
-            raise SingularMatrixError("F_a is singular at a sampled point") from None
+            raise PoleError("F_a is singular at a sampled point") from None
         if not np.isfinite(x).all():
-            raise SingularMatrixError("F_a is numerically singular at a sampled point")
+            raise PoleError("F_a is numerically singular at a sampled point")
         return np.swapaxes(x, 1, 2)
 
     def residual(zs):

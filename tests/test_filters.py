@@ -36,7 +36,7 @@ from wfk import (
     unit_circle_points,
     wavelet_eval,
 )
-from wfk.filters import _ARRAY_MIN_POINTS, _max_circle_residual
+from wfk.filters import _max_circle_residual
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -136,6 +136,11 @@ class TestElementaryWavelet:
     def test_pole_at_zero(self):
         with pytest.raises(PoleError):
             elementary_wavelet_eval(2, 0.0)
+
+    def test_band_count_below_two_raises(self):
+        # the index-0 case of wavelet_eval checks n as FilterParameters does
+        with pytest.raises(InvariantError, match="band count"):
+            elementary_wavelet_eval(1, 1.0)
 
 
 class TestElementaryUnitary:
@@ -284,36 +289,29 @@ def point_forms(z):
 
 
 def assert_one_point_forms(evaluate, target, points, shape):
-    """Every one-point form of each point matches the array path within
-    1e-14 relative and keeps its result shape."""
-    # the same points repeated up to the array path's size
-    array = evaluate(target, np.resize(points, max(points.size, _ARRAY_MIN_POINTS)))
-    scale = np.abs(array).max()
+    """Every one-point form of each point keeps its result shape, and each
+    form and each array of the first 1 to K points matches the scalar calls
+    within 1e-14 relative."""
+    single = np.array([evaluate(target, complex(z)) for z in points])
+    scale = np.abs(single).max()
     for k, z in enumerate(points):
         for form, lead in point_forms(z):
             value = evaluate(target, form)
             assert value.shape == lead + shape
-            assert np.abs(value.reshape(shape) - array[k]).max() <= 1e-14 * scale
+            assert np.abs(value.reshape(shape) - single[k]).max() <= 1e-14 * scale
+    for count in range(1, points.size + 1):
+        assert np.abs(evaluate(target, points[:count]) - single[:count]).max() <= 1e-14 * scale
 
 
 class TestOnePointKernel:
     @pytest.mark.parametrize("n,m,rho", RUNGS)
     def test_point_forms_match_the_array_path(self, n, m, rho):
         p = sample_parameters(80 + n, n, m, rho)
-        assert_one_point_forms(wavelet_eval, p, circle(3, seed=n), (n, n))
+        assert_one_point_forms(wavelet_eval, p, circle(7, seed=n), (n, n))
 
     def test_index_zero_point_forms(self):
         p = FilterParameters(n=4, rho=0.0, factors=())
-        assert_one_point_forms(wavelet_eval, p, circle(3, seed=1), (4, 4))
-
-    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (8, 16, 0.99)])
-    def test_few_points_equal_single_points_bitwise(self, n, m, rho):
-        p = sample_parameters(90 + n, n, m, rho)
-        for count in range(2, _ARRAY_MIN_POINTS):
-            pts = circle(count, seed=count)
-            values = wavelet_eval(p, pts)
-            single = np.array([wavelet_eval(p, z) for z in pts])
-            assert np.array_equal(values.view(float), single.view(float))
+        assert_one_point_forms(wavelet_eval, p, circle(7, seed=1), (4, 4))
 
     def test_empty_array(self):
         p = sample_parameters(4, 3, 2, 0.9)

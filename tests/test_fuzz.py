@@ -10,6 +10,11 @@ documented exit code, and exits 2 and 3 must print exactly one line to
 stderr.  The examples are
 derandomized, so the suite is repeatable; raise ``max_examples`` or drop
 ``derandomize`` to search further.
+
+Mutating one value at a time cannot give a realization file whose block
+shapes change together, so one more property draws the state count, the
+outputs and the inputs each in 0..3 and fills consistent blocks with
+random finite entries.
 """
 
 import contextlib
@@ -186,6 +191,31 @@ def test_mutated_dense_realization_file(tmp_path, data):
         ["verify", str(path), "--points", "8"],
         ["eval", str(path), "--z", "0.6,0.8"],
     ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_realization_file_of_any_small_shape(tmp_path, data):
+    states, outputs, inputs = (data.draw(st.integers(0, 3)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 10.0]))
+    shapes = {"a": (states, states), "b": (states, inputs), "c": (outputs, states),
+              "d": (outputs, inputs)}
+    blocks = {k: scale * (rng.standard_normal(s) + 1j * rng.standard_normal(s))
+              for k, s in shapes.items()}
+    if data.draw(st.booleans()):
+        blocks["a"] = np.triu(blocks["a"])  # the evaluators' triangular paths
+    sparse = data.draw(st.booleans())
+    doc = {"n": outputs, "state_dim": states}
+    doc.update((k, wio._block_to_dict(m, sparse)) for k, m in blocks.items())
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", str(path), "--points", "8"], ["eval", str(path), "--z", "0.6,0.8"],
+                 ["eval", str(path), "--circle", "4"]):
+        code, err = _run(argv)
+        _check(code, err)
+        if not (outputs and inputs):
+            assert code == 3 and "block 'd'" in err, err
 
 
 @FUZZ

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -30,6 +33,7 @@ from wfk.cli import main
 from legacy_format import dense_document
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 E2 = np.array([0.0, 1.0])
 R2 = 1 / np.sqrt(2)
 
@@ -446,6 +450,27 @@ class TestRealizationFiles:
         }
         with pytest.raises(InvariantError, match="state_dim=2"):
             wio.realization_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "states, outputs, inputs", [(0, 0, 0), (0, 2, 0), (0, 0, 2), (1, 2, 0), (2, 0, 0)]
+    )
+    def test_d_without_rows_or_columns_exit_3(self, tmp_path, capsys, states, outputs, inputs):
+        # consistent shapes, but no output or no input to evaluate
+        rng = np.random.default_rng(states + 3 * outputs + 9 * inputs)
+        shapes = {"a": (states, states), "b": (states, inputs), "c": (outputs, states),
+                  "d": (outputs, inputs)}
+        doc = {"n": outputs, "state_dim": states}
+        doc.update((k, wio._block_to_dict(rng.standard_normal(s) + 0j)) for k, s in shapes.items())
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvariantError, match="block 'd'"):
+            wio.load_realization(path)
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"],
+                     ["eval", str(path), "--circle", "8"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "block 'd'" in captured.err
 
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
@@ -902,6 +927,34 @@ class TestCliRealize:
         bad.write_text("{not json")
         assert main(["realize", str(bad), "-o", str(tmp_path / "r.json")]) == 2
 
+    def test_filter_too_large_to_allocate_exit_3(self, tmp_path):
+        # 1,999,000 states, a 58 TiB state matrix; the child's address space
+        # is capped at 3 GiB, so the allocation is refused on any host
+        resource = pytest.importorskip("resource")
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n=2000, rho=0.0, factors=()), params)
+        limit = 3 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfk.cli", "realize", str(params), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "1999000 states" in proc.stderr and "too large" in proc.stderr
+        assert not out.exists()
+
+    def test_filter_of_impossible_size_exit_3(self, tmp_path, capsys):
+        # 5e13 states: numpy rejects the shape before it allocates anything
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n=10**7, rho=0.0, factors=()), params)
+        assert main(["realize", str(params), "-o", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "49999995000000 states" in err
+
 
 class TestCliVerify:
     def test_params_all_pass(self, tmp_path, capsys):
@@ -1214,6 +1267,16 @@ class TestCliEval:
         params = tmp_path / "p.json"
         wio.save_parameters(sample_parameters(9, 2, 1, 0.9), params)
         assert main(["eval", str(params), "--z", "0,0", "-o", str(tmp_path / "e.csv")]) == 4
+
+    def test_pole_of_realization_exit_4(self, tmp_path, capsys):
+        # an FIR cascade's A is nilpotent, so z = 0 is its pole; the one
+        # point of --z goes through the array path, which names it
+        path = tmp_path / "r.json"
+        wio.save_realization(realize_wavelet(sample_parameters(9, 3, 2, 0.0)), path)
+        assert main(["eval", str(path), "--z", "0,0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "z = 0j" in captured.err
 
     @pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf", "1e400,0"])
     @pytest.mark.parametrize("kind", ["parameters", "realization"])

@@ -44,7 +44,6 @@ from wfk import (
 )
 from wfk.io import save_realization
 from wfk.realization import (
-    _ARRAY_MIN_POINTS,
     _block_certificate,
     _block_solution,
     _cascade_edges,
@@ -297,8 +296,8 @@ class TestEvalRealization:
             a=np.zeros((0, 0)), b=np.zeros((0, 2)), c=np.zeros((2, 0)), d=np.eye(2)
         )
         assert np.array_equal(eval_realization(r, 3.7j), np.eye(2))
-        many = eval_realization(r, circle(2 * _ARRAY_MIN_POINTS))
-        assert np.array_equal(many, np.broadcast_to(np.eye(2), (2 * _ARRAY_MIN_POINTS, 2, 2)))
+        many = eval_realization(r, circle(16))
+        assert np.array_equal(many, np.broadcast_to(np.eye(2), (16, 2, 2)))
 
     def test_two_band_fixture_at_one(self):
         val = eval_realization(realize_elementary_wavelet(2), 1.0)
@@ -395,7 +394,7 @@ class TestEvalRealization:
     )
     def test_agrees_across_point_threshold(self, n, m, rho):
         r = realize_wavelet(sample_parameters(70 + n, n, m, rho))
-        pts = circle(_ARRAY_MIN_POINTS, seed=n)
+        pts = circle(8, seed=n)
         stacked = np.array([eval_realization(r, z) for z in pts])
         below = eval_realization(r, pts[:-1])
         above = eval_realization(r, pts)
@@ -408,7 +407,7 @@ class TestEvalRealization:
         r = gapped_triangular(seed=3)
         assert len(r._head_plan.runs) == r.state_dim
         rotated = rotate(r, seed=4)
-        pts = circle(_ARRAY_MIN_POINTS - 1, seed=6)
+        pts = circle(7, seed=6)
         dense = eval_realization(rotated, pts)
         single = np.array([eval_realization(r, z) for z in pts])
         assert np.abs(eval_realization(r, pts) - single).max() <= 1e-14
@@ -433,7 +432,7 @@ class TestEvalRealization:
         factors = tuple(Factor(f.v, (1.0 - gap) * f.alpha / abs(f.alpha)) for f in drawn.factors)
         params = FilterParameters(n=n, rho=drawn.rho, factors=factors)
         real = realize_wavelet(params)
-        pts = circle(2 * _ARRAY_MIN_POINTS, seed=n + m)
+        pts = circle(16, seed=n + m)
         for evaluate, target in ((wavelet_eval, params), (eval_realization, real)):
             values = evaluate(target, pts)
             single = np.array([evaluate(target, z) for z in pts])
@@ -488,7 +487,7 @@ class TestEvalRealization:
         params = sample_parameters(13, 4, 1, 0.9)
         r = realize_wavelet(params)
         rotated = rotate(r, seed=5)
-        pts = circle(2 * _ARRAY_MIN_POINTS, seed=8)
+        pts = circle(16, seed=8)
         monkeypatch.setattr(np.linalg, "solve", strict)
         for target in (r, rotated):
             for z in (pts[0], pts[:3], pts):
@@ -500,12 +499,12 @@ RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.99
 
 
 def assert_one_point_forms(r, points):
-    """Every one-point input form of each point keeps its result shape and
-    matches the array path within 1e-14 relative."""
+    """Every one-point input form of each point keeps its result shape, and
+    each form and each array of the first 1 to K points matches the scalar
+    calls within 1e-14 relative."""
     shape = r.d.shape
-    # the same points repeated up to the array path's size
-    array = eval_realization(r, np.resize(points, max(points.size, _ARRAY_MIN_POINTS)))
-    scale = np.abs(array).max()
+    single = np.array([eval_realization(r, complex(z)) for z in points])
+    scale = np.abs(single).max()
     for k, z in enumerate(points):
         forms = [
             (complex(z), ()),
@@ -517,43 +516,35 @@ def assert_one_point_forms(r, points):
         for form, lead in forms:
             value = eval_realization(r, form)
             assert value.shape == lead + shape
-            assert np.abs(value.reshape(shape) - array[k]).max() <= 1e-14 * scale
+            assert np.abs(value.reshape(shape) - single[k]).max() <= 1e-14 * scale
+    for count in range(1, points.size + 1):
+        assert np.abs(eval_realization(r, points[:count]) - single[:count]).max() <= 1e-14 * scale
 
 
 class TestOnePointKernel:
     @pytest.mark.parametrize("n,m,rho", RUNGS)
     def test_point_forms_match_the_array_path(self, n, m, rho):
-        assert_one_point_forms(realize_wavelet(sample_parameters(80 + n, n, m, rho)), circle(3, seed=n))
+        assert_one_point_forms(realize_wavelet(sample_parameters(80 + n, n, m, rho)), circle(7, seed=n))
 
     def test_index_zero_point_forms(self):
         r = realize_wavelet(FilterParameters(n=4, rho=0.0, factors=()))
-        assert_one_point_forms(r, circle(3, seed=1))
+        assert_one_point_forms(r, circle(7, seed=1))
 
     def test_stateless_point_forms(self):
         d = np.arange(6).reshape(2, 3) + 1j
         r = Realization(a=np.zeros((0, 0)), b=np.zeros((0, 3)), c=np.zeros((2, 0)), d=d)
-        assert_one_point_forms(r, circle(3, seed=2))
+        assert_one_point_forms(r, circle(7, seed=2))
         assert np.array_equal(eval_realization(r, 0.0), d)
 
     def test_gapped_triangular_point_forms(self):
         r = gapped_triangular(seed=1)
         assert r.upper_triangular
-        assert_one_point_forms(r, circle(3, seed=3))
+        assert_one_point_forms(r, circle(7, seed=3))
 
     def test_rotated_point_forms(self):
         rotated = rotate(realize_wavelet(sample_parameters(3, 4, 8, 0.9)), seed=4)
         assert not rotated.upper_triangular
-        assert_one_point_forms(rotated, circle(3, seed=4))
-
-    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.9), (8, 16, 0.99)])
-    def test_few_points_equal_single_points_bitwise(self, n, m, rho):
-        r = realize_wavelet(sample_parameters(90 + n, n, m, rho))
-        for target in (r, gapped_triangular(seed=5)):
-            for count in range(2, _ARRAY_MIN_POINTS):
-                pts = circle(count, seed=count)
-                values = eval_realization(target, pts)
-                single = np.array([eval_realization(target, z) for z in pts])
-                assert np.array_equal(values.view(float), single.view(float))
+        assert_one_point_forms(rotated, circle(7, seed=4))
 
     def test_empty_array(self):
         r = realize_wavelet(sample_parameters(4, 3, 2, 0.9))
@@ -568,7 +559,7 @@ class TestOnePointKernel:
 
     def test_array_calls_leave_the_condensed_entries_unbuilt(self):
         r = realize_wavelet(sample_parameters(7, 4, 8, 0.9))
-        eval_realization(r, circle(2 * _ARRAY_MIN_POINTS, seed=1))
+        eval_realization(r, circle(16, seed=1))
         assert "condensed" not in vars(r._head_plan)
         eval_realization(r, 1j)
         assert "condensed" in vars(r._head_plan)
