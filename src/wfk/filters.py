@@ -322,11 +322,6 @@ def blaschke(alpha, w):
     return (1.0 - np.conj(alpha) * w) / den
 
 
-def _reject_origin(z: np.ndarray) -> None:
-    if (np.abs(z) <= _POLE_TOL).any():
-        raise PoleError("elementary filter has a pole at z = 0")
-
-
 def elementary_wavelet_eval(n: int, z) -> np.ndarray:
     """Value of the minimal-degree filter ``diag(z**0..z**-(n-1)) @ Q``.
 
@@ -362,7 +357,8 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
         return _wavelet_point(params, complex(z))
     n = params.n
     points = z.reshape(-1)
-    _reject_origin(points)
+    if (np.abs(points) <= _POLE_TOL).any():
+        raise PoleError("elementary filter has a pole at z = 0")
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
     powers = points ** _negative_range(n)[:, None]
     w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
