@@ -167,7 +167,8 @@ def _verify(target, points, tol, seed):
     A parameter point adds ``frequency_pr``, its ``degree`` is the exact
     gap to :func:`mcmillan_degree` and its Stein checks run on its cascade;
     a realization's ``degree`` is 0 when :func:`cascade_index` finds a whole
-    number of factor cores in its state dimension and 1 otherwise.
+    number of factor cores in its state dimension and 1 otherwise.  A
+    realization whose ``d`` is not square raises ``InvariantError``.
 
     ``stein_blocks`` gates the largest Stein block residual and
     ``stein_hermiticity`` gates ``||H - H*||_F``, both relative to
@@ -183,6 +184,11 @@ def _verify(target, points, tol, seed):
     """
     watch = _Stopwatch()
     params = target if isinstance(target, FilterParameters) else None
+    if params is None and target.outputs != target.inputs:
+        # the circle checks compare n x n values: W(eps z) with W(z) P, W* W with I
+        raise InvariantError(
+            f"block 'd' must be square to verify, got {target.outputs}x{target.inputs}"
+        )
     n = target.outputs if params is None else params.n
     checks = [watch.stamp(c) for c in circle_checks(_evaluator(target), n, points, tol, seed)]
     if params is None:

@@ -130,7 +130,7 @@ class FilterParameters:
 
     @cached_property
     def _factor_stack(self) -> tuple[np.ndarray, ...]:
-        """The factors as arrays for :func:`wavelet_eval`, built on first use.
+        """The factors as arrays, built on first use and shared by every kernel.
 
         ``(vectors, conjugates, alphas, alpha_conjugates, outers)``: the
         vectors and their conjugates as ``(m, n)`` rows, the poles and their
@@ -405,79 +405,62 @@ def _pairwise_product(f: np.ndarray) -> np.ndarray:
     return f[0]
 
 
-def _wrap_angle(x: float) -> float:
-    """Reduce to [0, 2*pi); the modulo can round a tiny negative up to 2*pi."""
-    out = x % (2 * np.pi)
-    return 0.0 if out >= 2 * np.pi else out
-
-
-def _factor_to_coords(n: int, v: np.ndarray, alpha: complex) -> np.ndarray:
-    """Canonical box coordinates of one factor (inverse of the modulus chain)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nz = np.nonzero(np.abs(v) > _UNIT_NORM_TOL)[0]
-    if nz.size == 0:
-        raise InvariantError("factor vector is numerically zero")
-    anchor = v[nz[0]]
-    # Rotate away a genuinely complex global phase; a real anchor (either
-    # sign) is left untouched so box-generated vectors invert exactly.
-    if abs(anchor.imag) > _UNIT_NORM_TOL * abs(anchor):
-        v = v * np.exp(-1j * np.angle(anchor))
-    lead = float(np.clip(v[0].real, -1.0, 1.0))
-    if lead == -1.0:
-        # the box keeps delta_1 strictly below pi; the sign flip changes
-        # nothing downstream since only v v* enters the filter
-        v = -v
-        lead = 1.0
-    coords = np.zeros(2 * n)
-    coords[0] = np.arccos(lead)
-    mods = np.abs(v)
-    for k in range(1, n - 1):
-        tail = np.linalg.norm(mods[k + 1 :])
-        coords[k] = np.arctan2(tail, mods[k])
-    for k in range(1, n):
-        phase = np.angle(v[k]) if mods[k] > _UNIT_NORM_TOL else 0.0
-        coords[n - 2 + k] = _wrap_angle(phase)
-    alpha = complex(alpha)
-    if alpha != 0:
-        coords[2 * n - 2] = _wrap_angle(np.angle(alpha))
-        coords[2 * n - 1] = abs(alpha)
-    return coords
-
-
-def _coords_to_factor(n: int, row: np.ndarray) -> Factor:
-    """Build one factor from a row of box coordinates."""
-    deltas = np.concatenate(([row[0]], row[1 : n - 1]))
-    phases = np.concatenate(([0.0], row[n - 1 : 2 * n - 2]))
-    mods = np.empty(n)
-    prefix = 1.0
-    for k in range(n - 1):
-        mods[k] = prefix * np.cos(deltas[k])
-        prefix *= np.sin(deltas[k])
-    mods[n - 1] = prefix
-    v = mods * np.exp(1j * phases)
-    alpha = row[2 * n - 1] * np.exp(1j * row[2 * n - 2])
-    return Factor(v=v, alpha=alpha)
-
-
 def box_to_params(box: BoxPoint) -> FilterParameters:
-    """Map box coordinates to filter parameters (surjective by construction)."""
-    factors = tuple(_coords_to_factor(box.n, row) for row in box.coords)
+    """Map box coordinates to filter parameters (surjective by construction).
+
+    For every row at once, the chain angles ``d = (delta_1, a_1, ...,
+    a_{n-2})`` give the moduli ``cos(d_k) sin(d_0) ... sin(d_{k-1})``, the
+    last modulus being the product of all the sines, and the vector is
+    ``v = mods * exp(i * (0, phases))``.
+    """
+    n, coords = box.n, box.coords
+    deltas = coords[:, : n - 1]
+    mods = np.ones((box.m, n))
+    np.cumprod(np.sin(deltas), axis=1, out=mods[:, 1:])
+    mods[:, :-1] *= np.cos(deltas)
+    phases = np.zeros((box.m, n))
+    phases[:, 1:] = coords[:, n - 1 : 2 * n - 2]
+    vectors = mods * np.exp(1j * phases)
+    alphas = coords[:, -1] * np.exp(1j * coords[:, -2])
+    factors = tuple(Factor(v=v, alpha=a) for v, a in zip(vectors, alphas))
     return FilterParameters(n=box.n, rho=box.rho, factors=factors)
 
 
 def params_to_box(params: FilterParameters) -> BoxPoint:
-    """Canonical box coordinates of ``params``.
+    """Canonical box coordinates of ``params``, one array pass over all factors.
 
-    Inverts :func:`box_to_params` whenever each stored vector has a real
-    first component; vectors with a complex first component are first
-    rotated by a global phase (which leaves the filter unchanged).  The
-    returned modulus-chain angles always lie in ``[0, pi/2]``, the
-    canonical section of the (many-to-one) box map.
+    Each vector is first turned by the global phase that makes its first
+    nonzero component real; a real one, of either sign, is left as it is,
+    so a vector from :func:`box_to_params` keeps its phases.  Every chain
+    angle is ``arctan2(norm of the moduli after it, this modulus)``, with
+    the signed real first component as the modulus of ``delta_1``: so
+    ``delta_1`` lies in ``[0, pi)`` and the other chain angles in
+    ``[0, pi/2]``, the canonical section of the (many-to-one) box map, and
+    no angle loses a small tail to an ill-conditioned inverse.  A row whose
+    ``delta_1`` would round to ``pi`` is negated first, which leaves
+    ``v v*``, and so the filter, unchanged.  A zero component has phase 0,
+    and the phases and the pole angle are reduced to ``[0, 2*pi)``.
     """
-    coords = np.array(
-        [_factor_to_coords(params.n, f.v, f.alpha) for f in params.factors]
-    ).reshape(params.m, 2 * params.n)
-    return BoxPoint(n=params.n, rho=params.rho, coords=coords)
+    n, m = params.n, params.m
+    v, _, alphas, _, _ = params._factor_stack
+    anchor = v[np.arange(m), (v != 0).argmax(axis=1)]
+    v = np.where(anchor.imag[:, None] != 0, v * np.exp(-1j * np.angle(anchor))[:, None], v)
+    mods = np.abs(v)
+    # tails[:, k] is the norm of mods[:, k+1:]
+    tails = np.sqrt(np.cumsum(mods[:, :0:-1] ** 2, axis=1))[:, ::-1]
+    # delta_1 must stay below pi, and -v gives the same v v*
+    v[np.arctan2(tails[:, 0], v[:, 0].real) == np.pi] *= -1
+    heads = np.concatenate([v[:, :1].real, mods[:, 1:-1]], axis=1)
+    coords = np.zeros((m, 2 * n))
+    coords[:, : n - 1] = np.arctan2(tails, heads)
+    coords[:, n - 1 : 2 * n - 2] = np.where(mods[:, 1:] > 0, np.angle(v[:, 1:]), 0.0)
+    coords[:, -2] = np.where(alphas != 0, np.angle(alphas), 0.0)
+    angles = coords[:, n - 1 : -1]
+    # the modulo can round a tiny negative angle up to 2*pi
+    angles %= 2 * np.pi
+    angles[angles >= 2 * np.pi] = 0.0
+    coords[:, -1] = np.abs(alphas)
+    return BoxPoint(n=n, rho=params.rho, coords=coords)
 
 
 def sample_box(seed: int, n: int, m: int, rho: float) -> BoxPoint:
@@ -660,5 +643,4 @@ def subband_filters(params: FilterParameters) -> SubbandFilterSet:
     """
     if not params.is_fir():
         raise FirRequiredError("subband impulse responses require all alpha = 0")
-    vectors = np.array([f.v for f in params.factors], dtype=complex)
-    return SubbandFilterSet(n=params.n, vectors=vectors)
+    return SubbandFilterSet(n=params.n, vectors=params._factor_stack[0])

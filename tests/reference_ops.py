@@ -2,9 +2,10 @@
 
 Direct-form signal operations (decimation, expansion, circular
 convolution), the LTI state recursion, pointwise values of single factors,
-the quotient decimation check and the conjugate transpose.  None of these
-runs in a ``wfk`` command; each is a plain restatement of a definition
-that a faster or more structured path in the package must agree with.
+the quotient decimation check, the conjugate transpose and the box map of
+one row.  None of these runs in a ``wfk`` command; each is a plain
+restatement of a definition that a faster or more structured path in the
+package must agree with.
 ``check_symmetry``, ``check_paraunitary`` and ``frequency_pr_check`` read
 one report off :func:`wfk.filters.circle_checks`.
 """
@@ -19,6 +20,7 @@ from wfk import (
     TOL,
     CheckReport,
     DimensionError,
+    Factor,
     InvariantError,
     PoleError,
     Realization,
@@ -133,6 +135,21 @@ def elementary_unitary_eval(v, alpha: complex, z) -> np.ndarray:
 def decimated_unitary_eval(v, alpha: complex, n: int, z) -> np.ndarray:
     """Same factor with ``z**n`` substituted; depends on ``z`` only through ``z**n``."""
     return elementary_unitary_eval(v, alpha, np.asarray(z, dtype=complex) ** n)
+
+
+def _coords_to_factor(n: int, row: np.ndarray) -> Factor:
+    """Build one factor from a row of box coordinates."""
+    deltas = np.concatenate(([row[0]], row[1 : n - 1]))
+    phases = np.concatenate(([0.0], row[n - 1 : 2 * n - 2]))
+    mods = np.empty(n)
+    prefix = 1.0
+    for k in range(n - 1):
+        mods[k] = prefix * np.cos(deltas[k])
+        prefix *= np.sin(deltas[k])
+    mods[n - 1] = prefix
+    v = mods * np.exp(1j * phases)
+    alpha = row[2 * n - 1] * np.exp(1j * row[2 * n - 2])
+    return Factor(v=v, alpha=alpha)
 
 
 def quotient_decimation_check(

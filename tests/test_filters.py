@@ -13,6 +13,7 @@ from reference_ops import (
     decimated_unitary_eval,
     elementary_unitary_eval,
     quotient_decimation_check,
+    _coords_to_factor,
 )
 
 from wfk import (
@@ -31,6 +32,7 @@ from wfk import (
     eval_realization,
     params_to_box,
     realize_wavelet,
+    sample_box,
     sample_parameters,
     subband_filters,
     unit_circle_points,
@@ -362,7 +364,7 @@ class TestBoxMap:
             )
             box = BoxPoint(n=2, rho=0.9, coords=coords)
             back = params_to_box(box_to_params(box))
-            assert np.abs(back.coords - coords).max() <= 1e-9
+            assert np.abs(back.coords - coords).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_roundtrip_canonical_section(self, n):
@@ -381,7 +383,7 @@ class TestBoxMap:
             )
             box = BoxPoint(n=n, rho=0.9, coords=row[None, :])
             back = params_to_box(box_to_params(box))
-            assert np.abs(back.coords - box.coords).max() <= 1e-9
+            assert np.abs(back.coords - box.coords).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_vector_reconstruction_from_full_box(self, n):
@@ -391,8 +393,8 @@ class TestBoxMap:
             p = sample_parameters(seed, n, 2, 0.9)
             q = box_to_params(params_to_box(p))
             for f, g in zip(p.factors, q.factors):
-                assert np.abs(f.v - g.v).max() <= 1e-9
-                assert abs(f.alpha - g.alpha) <= 1e-9
+                assert np.abs(f.v - g.v).max() <= 1e-13
+                assert abs(f.alpha - g.alpha) <= 1e-13
 
     def test_inverse_of_basis_vector(self):
         p = FilterParameters(n=2, rho=0.5, factors=(Factor(E1, 0.0),))
@@ -425,6 +427,39 @@ class TestBoxMap:
         vv_in = np.outer(v, v.conj())
         vv_out = np.outer(q.factors[0].v, q.factors[0].v.conj())
         assert np.abs(vv_in - vv_out).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,m,rho", RUNGS + [(3, 0, 0.5)])
+    def test_equals_the_per_row_map_bitwise(self, n, m, rho):
+        for seed in range(5):
+            box = sample_box(seed, n, m, rho)
+            factors = box_to_params(box).factors
+            assert len(factors) == m
+            for f, row in zip(factors, box.coords):
+                g = _coords_to_factor(n, row)
+                assert np.array_equal(f.v, g.v) and f.alpha == g.alpha
+
+    @pytest.mark.parametrize(
+        "n,m,rho,seed",
+        [(4, 8, 0.9, 11026), (4, 8, 0.9, 11970), (4, 8, 0.9, 14253), (2, 3, 0.9, 1600)],
+    )
+    def test_round_trip_keeps_the_filter(self, n, m, rho, seed):
+        # draws with a first component near +-1, where an arccos of it moved W by up to 6e-11
+        p = sample_parameters(seed, n, m, rho)
+        q = box_to_params(params_to_box(p))
+        z = unit_circle_points(64)
+        assert np.abs(wavelet_eval(q, z) - wavelet_eval(p, z)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "v", [(1.0, 1e-9), (-1.0, 1e-7), (-1.0, 1e-17), (1e-13j, 1.0), (0.6 + 1e-13j, 0.8)]
+    )
+    def test_small_parts_survive_the_round_trip(self, v):
+        # delta_1 next to 0 or pi, where (-1, 1e-17) rounds to pi unless
+        # negated, and first components with a tiny modulus or phase
+        v = np.array(v, dtype=complex) / np.linalg.norm(v)
+        box = params_to_box(FilterParameters(n=2, rho=0.5, factors=(Factor(v, 0.0),)))
+        assert box.coords[0, 0] < np.pi
+        w = box_to_params(box).factors[0].v
+        assert np.abs(np.outer(w, w.conj()) - np.outer(v, v.conj())).max() <= 1e-15
 
 
 class TestSampling:

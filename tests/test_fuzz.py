@@ -214,7 +214,7 @@ def test_realization_file_of_any_small_shape(tmp_path, data):
                  ["eval", str(path), "--circle", "4"]):
         code, err = _run(argv)
         _check(code, err)
-        if not (outputs and inputs):
+        if not (outputs and inputs) or (argv[0] == "verify" and outputs != inputs):
             assert code == 3 and "block 'd'" in err, err
 
 

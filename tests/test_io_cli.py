@@ -472,6 +472,25 @@ class TestRealizationFiles:
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and "block 'd'" in captured.err
 
+    @pytest.mark.parametrize("outputs, inputs", [(1, 2), (2, 1), (3, 2)])
+    def test_non_square_d_verify_exit_3(self, tmp_path, capsys, outputs, inputs):
+        # a consistent file that eval reads; verify's checks need square values
+        rng = np.random.default_rng(3 * outputs + inputs)
+        shapes = {"a": (2, 2), "b": (2, inputs), "c": (outputs, 2), "d": (outputs, inputs)}
+        doc = {"n": outputs, "state_dim": 2}
+        doc.update((k, wio._block_to_dict(0.3 * rng.standard_normal(s) + 0j))
+                   for k, s in shapes.items())
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "block 'd'" in captured.err
+        assert f"{outputs}x{inputs}" in captured.err
+        for argv in (["eval", str(path), "--z", "1,0"], ["eval", str(path), "--circle", "8"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+
     def test_state_dim_consistency_checked(self, tmp_path):
         r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
         path = tmp_path / "r.json"
