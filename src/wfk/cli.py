@@ -238,11 +238,9 @@ def _cmd_verify(args) -> int:
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
     report["stein"] = stein
     report["environment"] = _environment()
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.output:
-        with wio.open_output(args.output) as stream:
-            stream.write(text + "\n")
+        wio.save_json(report, args.output)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -313,8 +311,7 @@ def _cmd_synthesize(args) -> int:
         sidecar["reconstruction_error"] = err / scale if scale else err
     else:
         sidecar["reconstruction_error"] = None
-    with wio.open_output(str(args.out) + ".json") as stream:
-        stream.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    wio.save_json(sidecar, str(args.out) + ".json")
     return EXIT_OK
 
 

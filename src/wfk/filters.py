@@ -180,19 +180,22 @@ class BoxPoint:
             )
         if not np.isfinite(coords).all():
             raise InvariantError("box coordinates must be finite")
-        two_pi = 2 * np.pi
-        for row in coords:
-            if not 0.0 <= row[0] < np.pi:
-                raise InvariantError(f"delta_1 = {row[0]!r} outside [0, pi)")
-            for ang in row[1 : 2 * self.n - 1]:
-                if not 0.0 <= ang < two_pi:
-                    raise InvariantError(f"angle {ang!r} outside [0, 2*pi)")
-            r = row[2 * self.n - 1]
+        upper = np.full(2 * self.n, 2 * np.pi)
+        upper[0], upper[-1] = np.pi, rho
+        bad = ~((0.0 <= coords) & (coords < upper))
+        if rho == 0.0:
+            bad[:, -1] = coords[:, -1] != 0.0
+        if bad.any():
+            # the first bad coordinate in row-major order
+            row, col = divmod(int(np.argmax(bad)), 2 * self.n)
+            x = coords[row, col]
+            if col == 0:
+                raise InvariantError(f"delta_1 = {x!r} outside [0, pi)")
+            if col < 2 * self.n - 1:
+                raise InvariantError(f"angle {x!r} outside [0, 2*pi)")
             if rho == 0.0:
-                if r != 0.0:
-                    raise InvariantError("rho = 0 pins the radius coordinate to 0")
-            elif not 0.0 <= r < rho:
-                raise InvariantError(f"radius {r!r} outside [0, {rho!r})")
+                raise InvariantError("rho = 0 pins the radius coordinate to 0")
+            raise InvariantError(f"radius {x!r} outside [0, {rho!r})")
         object.__setattr__(self, "coords", _frozen(coords))
 
     @property

@@ -51,6 +51,12 @@ def open_output(path):
         yield stream
 
 
+def save_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    with open_output(path) as stream:
+        stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def make_output_dir(path) -> None:
     """Create directory ``path`` and its parents; an ``OSError`` raises ``FormatError``."""
     with _writing(path):
@@ -148,9 +154,7 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
 
 
 def save_parameters(params: FilterParameters, path, box: BoxPoint | None = None) -> None:
-    text = json.dumps(parameters_to_dict(params, box), indent=2, sort_keys=True)
-    with open_output(path) as stream:
-        stream.write(text + "\n")
+    save_json(parameters_to_dict(params, box), path)
 
 
 def load_parameters(path) -> FilterParameters:
@@ -329,9 +333,7 @@ def realization_from_dict(doc: dict) -> Realization:
 
 
 def save_realization(r: Realization, path) -> None:
-    text = json.dumps(realization_to_dict(r), indent=2, sort_keys=True)
-    with open_output(path) as stream:
-        stream.write(text + "\n")
+    save_json(realization_to_dict(r), path)
 
 
 def load_realization(path) -> Realization:

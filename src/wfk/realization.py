@@ -30,7 +30,7 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import TOL, FilterParameters, _eye, dft_matrix
+from .filters import TOL, FilterParameters, _eye, _frozen, dft_matrix
 
 # A _sweep chunk of eval_realization holds at most _ROW_ENTRIES entries of X
 # and of the grid of Q, an LU chunk at most _CHUNK_ENTRIES entries of its
@@ -51,12 +51,6 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and m.shape[1] != cols:
         raise DimensionError(f"expected {cols} cols, got {m.shape[1]}")
     return m
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -127,10 +121,9 @@ class _HeadPlan:
 
     Row ``i`` is a link when its only nonzero right of the diagonal is
     ``A[i, i+1]`` and ``B[i] = 0``; every other row is a head (``m + N - 1``
-    of them in a cascade of ``m`` factors).  Each state belongs to the first
-    head at or below it, and on the run of states that head ``h`` owns,
-    ``x_j = Q_j(z) u_h`` with ``u_h = b_h + A[h, J_h] x[J_h]`` over the
-    nonzero columns ``J_h`` right of the diagonal and
+    of them in a cascade of ``m`` factors in general position).  Each state
+    belongs to the first head at or below it, and on the run that ``h`` owns,
+    ``x_j = Q_j(z) u_h`` with ``u_h = b_h + A[h, h+1:] x[h+1:]`` and
     ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.
 
     The states sit in a ``(width, H)`` grid, one column per run, the head in
@@ -139,25 +132,28 @@ class _HeadPlan:
     ``scale / (z - diagonal)`` down the rows is every ``Q`` at once.  A slot
     past a run holds ``a = NaN``, which nothing reads.
 
-    :func:`_sweep` keeps ``X`` only at ``reads``, the states that a head or
-    ``C`` reads (the top of each run in a cascade), whose grid slots are
-    ``read_slots``.  For the ``k``-th head, ``runs[k]`` is the slice of
-    ``reads`` it owns, ``columns[k]`` the positions of ``J_h`` in ``reads``,
-    ``couplings[k]`` the values ``A[h, J_h]`` and ``b_heads[k]`` is ``b_h``.
+    Both solvers keep ``X`` only at ``reads``: the states that a head or
+    ``C`` reads and the top state of every run, so that each run owns at
+    least one (in such a cascade the tops are all of them).  ``read_slots``
+    are their grid slots, ``runs[k]`` is the slice of ``reads`` that the
+    ``k``-th head owns, ``run_starts`` the starts of those slices, or None
+    when each run owns one read, and ``b_heads[k]`` is ``b_h``.  ``rows``,
+    shape ``(H + N_out, R)``, holds the head rows of ``-A`` over ``C``, both
+    at the reads; :func:`_sweep` reads a head row only past the head's run.
     ``chunk`` is the number of points per chunk of :func:`_sweep`, so that
     neither ``X`` nor the grid holds more than ``_ROW_ENTRIES`` entries.
 
     Substituting the runs leaves ``(I - N(z)) U = B_heads``, unit upper
-    triangular of size ``H``, and ``Y = C_eff(z) U + D``, with
-    ``N[h, h'] = sum A[h, c] Q_c`` and ``C_eff[:, h'] = sum C[:, c] Q_c`` over
-    the columns ``c`` that ``h'`` owns; :func:`_condensed_point` solves it
-    from the entry list ``condensed``, built when it is first needed.
+    triangular of size ``H``, and ``Y = C_eff(z) U + D``.  ``rows * Q[reads]``
+    summed over the reads of each run is ``[-N; C_eff]`` off the diagonal
+    of its head block, which holds ``-a_hh Q_h`` (or 0) and which
+    :func:`_condensed_point` sets to the ones of ``I - N``.
     """
 
     def __init__(self, r: Realization):
         p, a = r.state_dim, r.a
-        rows, cols = r._upper_pattern
-        link = (np.bincount(rows, minlength=p) == 1) & ~r.b.any(axis=1)
+        upper_rows, upper_cols = r._upper_pattern
+        link = (np.bincount(upper_rows, minlength=p) == 1) & ~r.b.any(axis=1)
         link[:-1] &= np.diagonal(a, 1) != 0
         heads = np.flatnonzero(~link)
         h = heads.size
@@ -170,45 +166,18 @@ class _HeadPlan:
         self.scale = np.ones(self.width * h, dtype=complex)
         links = np.flatnonzero(link)
         self.scale[slot[links]] = a[links, links + 1]
-        # the entries right of the diagonal in head rows, by head index
-        coupled = ~link[rows]
-        row, col = owner[rows[coupled]], cols[coupled]
         read = r.c.any(axis=0)
-        read[col] = True
+        read[upper_cols[~link[upper_rows]]] = True
+        read[:1] = read[heads[:-1] + 1] = True  # the top state of every run
         self.reads = np.flatnonzero(read)
         self.read_slots = slot[self.reads]
         ends = np.searchsorted(self.reads, heads + 1).tolist()
-        self.runs = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-        coupling, columns = a[heads[row], col], np.searchsorted(self.reads, col)
-        bounds = np.searchsorted(row, np.arange(h + 1)).tolist()
-        self.columns = [columns[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self.couplings = [coupling[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        starts = [0] + ends[:-1]
+        self.runs = [slice(lo, hi) for lo, hi in zip(starts, ends)]
+        self.run_starts = None if self.reads.size == h else np.array(starts)
+        self.rows = np.vstack([-a[heads[:, None], self.reads], r.c[:, self.reads]])
         self.b_heads = r.b[heads]
         self.chunk = max(1, _ROW_ENTRIES // max(self.reads.size * r.inputs, self.width * h, 1))
-        self._condensed_inputs = (r.c, owner, slot, row, col, coupling)
-
-    @cached_property
-    def condensed(self) -> tuple:
-        """The entries of ``[I - N; C_eff]`` for :func:`_condensed_point`.
-
-        ``(entry_slots, entry_coefficients, targets, sums, constant)``: the
-        grid slot of each entry's ``Q``, its coefficient (``-A[h, c]`` or
-        ``C[o, c]``), the flat targets, sorted and unique, the ``reduceat``
-        starts that add entries sharing a target (None when none do, as in
-        a cascade) and the constant part ``[I; 0]``, flat.
-        """
-        c, owner, slot, row, col, coupling = self._condensed_inputs
-        h = self.b_heads.shape[0]
-        out_row, out_col = np.nonzero(c)
-        targets = np.concatenate([row * h + owner[col], (h + out_row) * h + owner[out_col]])
-        order = np.argsort(targets, kind="stable")
-        entry_slots = slot[np.concatenate([col, out_col])][order]
-        entry_coefficients = np.concatenate([-coupling, c[out_row, out_col]])[order]
-        targets, starts = np.unique(targets[order], return_index=True)
-        sums = None if starts.size == order.size else starts
-        constant = np.zeros((h + c.shape[0]) * h, dtype=complex)
-        constant[np.arange(h) * (h + 1)] = 1.0
-        return entry_slots, entry_coefficients, targets, sums, constant
 
 
 @dataclass(frozen=True)
@@ -438,16 +407,19 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     row whose only entry right of the diagonal is ``A[i, i+1]`` and whose
     row of ``B`` is zero just passes the next state on, so each run of such
     rows ends in a head row and is a running product of that head's value,
-    one product for all runs.  The shape of ``z`` chooses the solver.  A
-    scalar goes through :func:`_condensed_point`, which substitutes the runs
-    into a unit upper-triangular system over the heads and takes one 2-D
-    ``numpy.linalg.solve``, a fixed number of array calls whatever the size
-    of the filter.  For an array of any size the heads (``m + N - 1`` in a
-    cascade of ``m`` factors) are solved one at a time, last first, for all
-    points at once, and ``X`` is formed only at the states that a head or
-    ``C`` reads (one per run in a cascade); the points go through in chunks
-    of a few MB of work arrays.  A state matrix that is not upper
-    triangular gets one stacked LU, in chunks, for a point or an array.
+    one product for all runs.  Both solvers read one matrix of the plan,
+    the head rows of ``-A`` over ``C``, at the states that a head or ``C``
+    reads and the top state of each run (one per run in a cascade of
+    factors in general position).  The shape of ``z`` chooses the solver.
+    A scalar goes through :func:`_condensed_point`, which substitutes the
+    runs into a unit upper-triangular system over the heads and takes one
+    2-D ``numpy.linalg.solve``, a fixed number of array calls whatever the
+    size of the filter.  For an array of any size the heads (``m + N - 1``
+    in a cascade of ``m`` factors) are solved one at a time, last first,
+    for all points at once, and ``X`` is formed only at those states; the
+    points go through in chunks of a few MB of work arrays.  A state
+    matrix that is not upper triangular gets one stacked LU, in chunks, for
+    a point or an array.
 
     Raises
     ------
@@ -505,18 +477,16 @@ def _run_ratios(plan: _HeadPlan, points: np.ndarray) -> np.ndarray:
 def _condensed_point(r: Realization, z: complex) -> np.ndarray:
     """``C_eff U + D`` at one point by one solve of the head system."""
     plan = r._head_plan
-    slots, coefficients, targets, sums, constant = plan.condensed
-    h = plan.b_heads.shape[0]
+    h = len(plan.runs)
     with np.errstate(all="ignore"):
         try:
             q = np.cumprod(_run_ratios(plan, np.array([z])), axis=0)
-            entries = q.reshape(-1)[slots] * coefficients
-            if sums is not None:
-                entries = np.add.reduceat(entries, sums)
-            system = constant.copy()
-            system[targets] = entries
-            system = system.reshape(h + r.outputs, h)
-            value = system[h:] @ np.linalg.solve(system[:h], plan.b_heads) + r.d
+            system = q.reshape(-1)[plan.read_slots] * plan.rows
+            if plan.run_starts is not None:
+                system = np.add.reduceat(system, plan.run_starts, axis=1)
+            system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
+            u = np.linalg.solve(system[:h], plan.b_heads)
+            value = system[h:] @ u + r.d
         except np.linalg.LinAlgError:
             value = None
     if value is None or not np.isfinite(value).all():
@@ -529,25 +499,28 @@ def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
 
     ``Q`` is the running product down the grid's rows, one multiply per
     row: a ``cumprod`` along them measured 3-4x slower on rows this wide.
-    Each head ``h`` computes ``u_h = b_h + A[h, J_h] x[J_h]`` for all points
-    at once and fills its run as ``x = Q u_h``, at the states that a head
-    or ``C`` reads.  ``X`` is kept state-major, shape ``(R, K, N_in)``, so a
-    run is one contiguous slice.
+    Each head ``h`` computes ``u_h = b_h + A[h, h+1:] x[h+1:]`` for all
+    points at once, as ``b_h`` minus its row of the plan's ``rows`` (``-A``)
+    times ``X`` at the reads past its run, and fills its run as
+    ``x = Q u_h``.  ``X`` is kept state-major, shape ``(R, K, N_in)``, so the
+    reads past a run and the run itself are contiguous slices.
     """
     plan = r._head_plan
     k, n_in = points.size, r.inputs
+    h = len(plan.runs)
     x = np.empty((plan.reads.size, k, n_in), dtype=complex)
+    flat = x.reshape(plan.reads.size, k * n_in)
     with np.errstate(all="ignore"):
         q = _run_ratios(plan, points)
         for depth in range(1, plan.width):
             q[depth] *= q[depth - 1]
         q = q.reshape(-1, k)[plan.read_slots, :, None]
-        for i in reversed(range(len(plan.runs))):
-            cols, run = plan.columns[i], plan.runs[i]
-            u = (plan.couplings[i] @ x[cols].reshape(cols.size, k * n_in)).reshape(k, n_in)
-            np.multiply(q[run], u + plan.b_heads[i], out=x[run])
-        y = r.c[:, plan.reads] @ x.reshape(-1, k * n_in)
-    np.add(y.reshape(-1, k, n_in).transpose(1, 0, 2), r.d, out=out)
+        for i in reversed(range(h)):
+            run = plan.runs[i]
+            coupled = (plan.rows[i, run.stop :] @ flat[run.stop :]).reshape(k, n_in)
+            np.multiply(q[run], plan.b_heads[i] - coupled, out=x[run])
+        y = plan.rows[h:] @ flat
+    np.add(y.reshape(r.outputs, k, n_in).transpose(1, 0, 2), r.d, out=out)
 
 
 def impulse_response(r: Realization, horizon: int) -> list[np.ndarray]:

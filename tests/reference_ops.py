@@ -2,10 +2,11 @@
 
 Direct-form signal operations (decimation, expansion, circular
 convolution), the LTI state recursion, pointwise values of single factors,
-the quotient decimation check, the conjugate transpose and the box map of
-one row.  None of these runs in a ``wfk`` command; each is a plain
-restatement of a definition that a faster or more structured path in the
-package must agree with.
+the quotient decimation check, the conjugate transpose, the box map of
+one row and the coordinate check of a box point, row by row.  None of
+these runs in a ``wfk`` command; each is a plain restatement of a
+definition that a faster or more structured path in the package must
+agree with.
 ``check_symmetry``, ``check_paraunitary`` and ``frequency_pr_check`` read
 one report off :func:`wfk.filters.circle_checks`.
 """
@@ -150,6 +151,23 @@ def _coords_to_factor(n: int, row: np.ndarray) -> Factor:
     v = mods * np.exp(1j * phases)
     alpha = row[2 * n - 1] * np.exp(1j * row[2 * n - 2])
     return Factor(v=v, alpha=alpha)
+
+
+def box_coordinate_error(n: int, rho: float, coords: np.ndarray) -> str | None:
+    """The message of the first coordinate outside the box, row by row, or None."""
+    for row in coords:
+        if not 0.0 <= row[0] < np.pi:
+            return f"delta_1 = {row[0]!r} outside [0, pi)"
+        for ang in row[1 : 2 * n - 1]:
+            if not 0.0 <= ang < 2 * np.pi:
+                return f"angle {ang!r} outside [0, 2*pi)"
+        r = row[2 * n - 1]
+        if rho == 0.0:
+            if r != 0.0:
+                return "rho = 0 pins the radius coordinate to 0"
+        elif not 0.0 <= r < rho:
+            return f"radius {r!r} outside [0, {rho!r})"
+    return None
 
 
 def quotient_decimation_check(

@@ -8,6 +8,7 @@ import pytest
 from reference_matrices import closed_form_wa, closed_form_wb
 from reference_ops import (
     adjoint,
+    box_coordinate_error,
     check_paraunitary,
     check_symmetry,
     decimated_unitary_eval,
@@ -513,6 +514,44 @@ class TestInvariants:
     def test_box_radius_range(self):
         with pytest.raises(InvariantError):
             BoxPoint(n=2, rho=0.5, coords=np.array([[0.0, 0, 0, 0.6]]))
+
+    @pytest.mark.parametrize("n,rho", [(2, 0.5), (3, 0.0), (4, 0.9)])
+    def test_first_bad_coordinate_is_named(self, n, rho):
+        # several bad coordinates across rows and within one row: the
+        # message names the first in row-major order, as the row-by-row
+        # check does
+        rng = np.random.default_rng(n)
+        upper = np.full(2 * n, 2 * np.pi)
+        upper[0], upper[-1] = np.pi, rho
+        for _ in range(200):
+            coords = rng.uniform(0.0, 0.999, (4, 2 * n)) * upper
+            bad = rng.uniform(size=coords.shape) < 0.15
+            shift = rng.choice([-1.0, 1.0], size=coords.shape) * (upper + 0.5)
+            coords[bad] += shift[bad]
+            expected = box_coordinate_error(n, rho, coords)
+            if expected is None:
+                BoxPoint(n=n, rho=rho, coords=coords)
+                continue
+            with pytest.raises(InvariantError) as caught:
+                BoxPoint(n=n, rho=rho, coords=coords)
+            assert str(caught.value) == expected
+
+    def test_bad_coordinates_in_one_row_and_across_rows(self):
+        # row 1 holds a bad angle, phase and radius, row 2 a bad delta_1;
+        # mending one at a time names the next
+        coords = np.zeros((3, 4))
+        coords[1] = [0.5, 7.0, -1.0, 0.7]
+        coords[2, 0] = 4.0
+        for col, fix, message in [
+            (1, 1.0, r"^angle .*7\.0"),
+            (2, 1.0, r"^angle .*-1\.0"),
+            (3, 0.0, r"^radius .*0\.7"),
+            (None, None, r"^delta_1 = .*4\.0"),
+        ]:
+            with pytest.raises(InvariantError, match=message):
+                BoxPoint(n=2, rho=0.5, coords=coords)
+            if col is not None:
+                coords[1, col] = fix
 
     def test_vector_dimension(self):
         with pytest.raises(InvariantError):

@@ -42,7 +42,7 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
-from wfk.io import save_realization
+from wfk.io import load_realization, save_realization
 from wfk.realization import (
     _block_certificate,
     _block_solution,
@@ -365,10 +365,18 @@ class TestEvalRealization:
         # a dense strictly-upper part with zeros inside the row spans: every
         # span entry and every wide-row coupling must reach the solve
         r = gapped_triangular(seed=1)
-        # some head's nonzero columns are not contiguous, so it reads them
-        # through a gapped index array
+        # rows holds the head rows of -A over C at the reads; the top state
+        # of each run is a read, so the heads follow from the runs
         plan = r._head_plan
-        assert any((np.diff(plan.reads[cols]) > 1).any() for cols in plan.columns)
+        tops = plan.reads[[run.start for run in plan.runs]]
+        assert tops[0] == 0
+        heads = np.append(tops[1:] - 1, r.state_dim - 1)
+        expected = np.vstack([-r.a[heads], r.c])[:, plan.reads]
+        assert np.array_equal(plan.rows, expected)
+        # some head row holds zeros before its last coupling, which the
+        # sweep's dense slice of the row multiplies in
+        past = [plan.rows[i, run.stop :] for i, run in enumerate(plan.runs)]
+        assert any((row[: np.flatnonzero(row).max(initial=-1)] == 0).any() for row in past)
         rotated = rotate(r, seed=2)
         assert r.upper_triangular and not rotated.upper_triangular
         pts = circle(40, seed=5)
@@ -454,7 +462,7 @@ class TestEvalRealization:
         runs = [tuple(plan.reads[run]) for run in plan.runs]
         assert (3, 4, 5) in runs and (8, 9, 10) in runs
         leaf = runs.index((3, 4, 5))
-        assert plan.columns[leaf].size == 0 and not plan.b_heads[leaf].any()
+        assert not plan.rows[leaf, plan.runs[leaf].stop :].any() and not plan.b_heads[leaf].any()
         rotated = rotate(r, seed=8)
         pts = circle(40, seed=9)
         dense = eval_realization(rotated, pts)
@@ -550,6 +558,14 @@ class TestOnePointKernel:
         r = realize_wavelet(sample_parameters(4, 3, 2, 0.9))
         assert eval_realization(r, np.zeros(0, dtype=complex)).shape == (0, 3, 3)
 
+    def test_no_inputs(self):
+        a = np.array([[0.5, 1.0], [0.0, 0.2j]])
+        r = Realization(a=a, b=np.zeros((2, 0)), c=[[1.0, 0.0]], d=np.zeros((1, 0)))
+        assert r.upper_triangular and not rotate(r, seed=1).upper_triangular
+        for target in (r, rotate(r, seed=1)):
+            assert eval_realization(target, 1j).shape == (1, 0)
+            assert eval_realization(target, circle(5, seed=1)).shape == (5, 1, 0)
+
     def test_upper_pattern_lists_the_strict_upper_nonzeros(self):
         # one scan of A gives upper_triangular and the pattern of the plan
         r = gapped_triangular(seed=6)
@@ -557,12 +573,40 @@ class TestOnePointKernel:
         assert np.array_equal(np.transpose(np.nonzero(np.triu(r.a, 1))), np.transpose([rows, cols]))
         assert rotate(r, seed=7)._upper_pattern is None
 
-    def test_array_calls_leave_the_condensed_entries_unbuilt(self):
-        r = realize_wavelet(sample_parameters(7, 4, 8, 0.9))
-        eval_realization(r, circle(16, seed=1))
-        assert "condensed" not in vars(r._head_plan)
-        eval_realization(r, 1j)
-        assert "condensed" in vars(r._head_plan)
+    @pytest.mark.parametrize("n,m,rho", RUNGS)
+    def test_cascade_runs_own_one_read_each(self, n, m, rho):
+        # each run of a cascade of drawn factors is read at its top state
+        # alone (special vectors such as e_2 can merge runs), so the
+        # one-point kernel adds nothing up over the reads of a run
+        plan = realize_wavelet(sample_parameters(90 + n, n, m, rho))._head_plan
+        assert plan.run_starts is None
+        assert plan.reads.size == len(plan.runs) == m + n - 1
+
+    def test_file_with_unread_and_many_read_runs_matches_dense_basis(self, tmp_path):
+        # rows 3, 4 are links of head 5 and rows 8, 9 of head 10; neither C
+        # nor a head reads states 3 to 5, so their run keeps only its top
+        # state, while C reads every state of the run 8 to 10
+        r = gapped_triangular(seed=11)
+        a, b, c = np.array(r.a), np.array(r.b), np.array(r.c)
+        for i in (3, 4, 8, 9):
+            a[i, i + 1 :] = 0.0
+            a[i, i + 1] = 0.5 - 0.25j
+            b[i] = 0.0
+        a[:3, 3:6] = 0.0
+        c[:, 3:6] = 0.0
+        save_realization(Realization(a=a, b=b, c=c, d=r.d), tmp_path / "r.json")
+        r = load_realization(tmp_path / "r.json")
+        plan = r._head_plan
+        runs = [tuple(plan.reads[run]) for run in plan.runs]
+        assert (3,) in runs and (8, 9, 10) in runs
+        assert plan.run_starts is not None
+        rotated = rotate(r, seed=12)
+        pts = circle(40, seed=13)
+        dense = eval_realization(rotated, pts)
+        scale = np.abs(dense).max()
+        single = np.array([eval_realization(r, z) for z in pts])
+        assert np.abs(eval_realization(r, pts) - dense).max() <= 1e-12 * scale
+        assert np.abs(single - dense).max() <= 1e-12 * scale
 
 
 class TestImpulseResponse:
