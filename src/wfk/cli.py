@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -103,6 +104,22 @@ def _environment() -> dict:
     }
 
 
+@contextmanager
+def _allocation(message: str):
+    """Raise ``UsageError(message)`` when the block refuses an allocation.
+
+    numpy raises ``MemoryError`` for an array the host cannot hold and
+    ``ValueError`` for a shape that cannot exist; a ``ValueError`` of this
+    package (a ``WfkError``) passes through.
+    """
+    try:
+        yield
+    except WfkError:
+        raise
+    except (MemoryError, ValueError):
+        raise UsageError(message) from None
+
+
 def _cmd_gen(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
@@ -113,7 +130,8 @@ def _cmd_gen(args) -> int:
     if args.box is not None:
         box = wio.load_box(args.box, args.n, args.index, args.rho)
     else:
-        box = sample_box(args.seed, args.n, args.index, args.rho)
+        with _allocation(f"--n {args.n} and --index {args.index}: box too large to allocate"):
+            box = sample_box(args.seed, args.n, args.index, args.rho)
     params = box_to_params(box)
     wio.save_parameters(params, args.output, box=box)
     return EXIT_OK
@@ -190,7 +208,9 @@ def _verify(target, points, tol, seed):
             f"block 'd' must be square to verify, got {target.outputs}x{target.inputs}"
         )
     n = target.outputs if params is None else params.n
-    checks = [watch.stamp(c) for c in circle_checks(_evaluator(target), n, points, tol, seed)]
+    with _allocation(f"--points {points}: too many sample points to allocate"):
+        circle = circle_checks(_evaluator(target), n, points, tol, seed)
+    checks = [watch.stamp(c) for c in circle]
     if params is None:
         real = target
         degree = 0.0 if cascade_index(real) is not None else 1.0
@@ -262,10 +282,12 @@ def _cmd_eval(args) -> int:
     if args.circle is not None:
         if args.circle < 1:
             raise UsageError("--circle must be >= 1")
-        zs = np.exp(2j * np.pi * np.arange(args.circle) / args.circle)
+        with _allocation(f"--circle {args.circle}: too many points to allocate"):
+            zs = np.exp(2j * np.pi * np.arange(args.circle) / args.circle)
+            values = fn(zs)
     else:
         zs = np.array([_parse_z(args.z)])
-    values = fn(zs)
+        values = fn(zs)
     if args.output:
         # the path by keyword, where perfbench/tracer.py looks for it
         wio.save_eval_csv(zs, values, path=args.output)

@@ -207,16 +207,21 @@ def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
     """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
 
     ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
-    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place.
+    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place on two
+    work rows of one row's length, allocated once per call: ``s = v* y``
+    and ``d = S s - s``, one subtraction per sample; ``s`` then holds each
+    product ``v_i d`` before it is added to row ``i``, so a factor
+    allocates nothing.
     """
+    s = np.empty(y.shape[1:], dtype=complex)
+    d = np.empty_like(s)
     for v in vectors:
-        s = v.conj() @ y
-        d = np.empty_like(s)
-        d[shift:] = s[:-shift]
-        d[:shift] = s[-shift:]
-        d -= s
+        np.matmul(v.conj(), y, out=s)
+        np.subtract(s[:-shift], s[shift:], out=d[shift:])
+        np.subtract(s[-shift:], s[:shift], out=d[:shift])
         for row, vi in zip(y, v):
-            row += vi * d
+            np.multiply(vi, d, out=s)
+            row += s
 
 
 @dataclass(frozen=True)

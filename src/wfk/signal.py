@@ -72,14 +72,28 @@ def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def _interleave(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_polyphase`."""
-    n = y.shape[0]
+def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
+    """Inverse of :func:`_polyphase`, delayed circularly by ``delay`` samples.
+
+    With ``delay = q*n + r0`` (``0 <= r0 < n``) output phase ``r`` is one
+    row circularly delayed by whole columns: row 0 by ``q`` at ``r = r0``,
+    row ``n - r + r0`` by ``q - 1`` for ``r > r0`` and row ``r0 - r`` by
+    ``q`` for ``r < r0``.  So the delay, also one at or beyond the signal
+    length, costs no pass of its own, and the result is the only array
+    written.
+    """
+    n, cols = y.shape
     x = np.empty(y.size, dtype=complex)
-    cols = x.reshape(-1, n)  # cols[j, r] = x[n*j + r]
-    cols[:, 0] = y[0]
-    cols[:-1, :0:-1] = y[1:, 1:].T
-    cols[-1:, :0:-1] = y[1:, :1].T
+    if not cols:
+        return x
+    out = x.reshape(-1, n)  # out[j, r] = x[n*j + r]
+    q, r0 = divmod(delay, n)
+    for r in range(n):
+        # out[j, r] = y[(r0 - r) % n, (j + k) % cols]
+        k = (int(r > r0) - q) % cols
+        row = y[(r0 - r) % n]
+        out[: cols - k, r] = row[k:]
+        out[cols - k :, r] = row[:k]
     return x
 
 
@@ -114,7 +128,10 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     ``synthesis_delay(filters)`` samples (circularly).
 
     Applies the adjoint of :func:`analyze`: the adjoint factors in reverse
-    order, then the rows interleaved back onto the sample lattice.  Equals
+    order on a copy of the bands, then the rows interleaved back onto the
+    sample lattice with the delay applied by the interleave, so the output
+    is written once.  A round trip holds three signal-length arrays: the
+    bands, synthesis's working rows and the output.  Equals
     the sum over bands of each band expanded by ``n`` and filtered with the
     conjugate time-reversal of its response, all responses padded to one
     shared delay, times ``sqrt(n)``.
@@ -123,4 +140,4 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
         raise DimensionError(f"band count {bands.n} != filter count {filters.n}")
     y = np.array(bands.bands)
     _lattice(y, filters.vectors[::-1], -1)
-    return np.roll(_interleave(y), synthesis_delay(filters))
+    return _interleave(y, synthesis_delay(filters))

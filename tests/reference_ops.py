@@ -3,7 +3,10 @@
 Direct-form signal operations (decimation, expansion, circular
 convolution), the LTI state recursion, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
-one row and the coordinate check of a box point, row by row.  None of
+one row, the coordinate check of a box point, row by row, and the
+subband kernels as they were before their work rows were reused
+(``_lattice``) and before the synthesis delay moved into the interleave
+(``_interleave``, followed by ``np.roll``).  None of
 these runs in a ``wfk`` command; each is a plain restatement of a
 definition that a faster or more structured path in the package must
 agree with.
@@ -136,6 +139,33 @@ def elementary_unitary_eval(v, alpha: complex, z) -> np.ndarray:
 def decimated_unitary_eval(v, alpha: complex, n: int, z) -> np.ndarray:
     """Same factor with ``z**n`` substituted; depends on ``z`` only through ``z**n``."""
     return elementary_unitary_eval(v, alpha, np.asarray(z, dtype=complex) ** n)
+
+
+def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
+    """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
+
+    ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
+    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place.
+    """
+    for v in vectors:
+        s = v.conj() @ y
+        d = np.empty_like(s)
+        d[shift:] = s[:-shift]
+        d[:shift] = s[-shift:]
+        d -= s
+        for row, vi in zip(y, v):
+            row += vi * d
+
+
+def _interleave(y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_polyphase`."""
+    n = y.shape[0]
+    x = np.empty(y.size, dtype=complex)
+    cols = x.reshape(-1, n)  # cols[j, r] = x[n*j + r]
+    cols[:, 0] = y[0]
+    cols[:-1, :0:-1] = y[1:, 1:].T
+    cols[-1:, :0:-1] = y[1:, :1].T
+    return x
 
 
 def _coords_to_factor(n: int, row: np.ndarray) -> Factor:

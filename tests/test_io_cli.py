@@ -802,6 +802,20 @@ class TestUnwritableOutput:
             write(tmp_path / "f" / "x")
 
 
+def _capped_cli(argv):
+    """Run ``python -m wfk.cli`` with its address space capped at 3 GiB, so
+    an allocation past the cap is refused on any host."""
+    resource = pytest.importorskip("resource")
+    limit = 3 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "wfk.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 class TestCliGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -922,6 +936,26 @@ class TestCliGen:
         assert not out.exists()
 
 
+    def test_impossible_size_exit_2(self, tmp_path, capsys):
+        # a 10**10 x 2*10**10 box: numpy rejects the shape before it allocates
+        out = tmp_path / "p.json"
+        big = str(10**10)
+        assert main(["gen", "--n", big, "--index", big, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "--n" in captured.err and "--index" in captured.err
+        assert not out.exists()
+
+    def test_box_too_large_to_allocate_exit_2(self, tmp_path):
+        # 10**9 rows of 4 coordinates, 32 GB
+        out = tmp_path / "p.json"
+        proc = _capped_cli(["gen", "--n", "2", "--index", str(10**9), "-o", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "--n" in proc.stderr and "--index" in proc.stderr
+        assert not out.exists()
+
+
 class TestCliRealize:
     def test_elementary_fixture(self, tmp_path):
         params = tmp_path / "p.json"
@@ -947,20 +981,11 @@ class TestCliRealize:
         assert main(["realize", str(bad), "-o", str(tmp_path / "r.json")]) == 2
 
     def test_filter_too_large_to_allocate_exit_3(self, tmp_path):
-        # 1,999,000 states, a 58 TiB state matrix; the child's address space
-        # is capped at 3 GiB, so the allocation is refused on any host
-        resource = pytest.importorskip("resource")
+        # 1,999,000 states, a 58 TiB state matrix
         params = tmp_path / "p.json"
         wio.save_parameters(FilterParameters(n=2000, rho=0.0, factors=()), params)
-        limit = 3 << 30
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "wfk.cli", "realize", str(params), "-o", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = _capped_cli(["realize", str(params), "-o", str(out)])
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.count("\n") == 1
         assert "1999000 states" in proc.stderr and "too large" in proc.stderr
@@ -1231,6 +1256,23 @@ class TestCliVerify:
             captured = capsys.readouterr()
             assert "--points" in captured.err and captured.out == ""
 
+    def test_impossible_point_count_exit_2(self, tmp_path, capsys):
+        # 5e13 grid points, 364 TiB: past any address space
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
+        assert main(["verify", str(params), "--points", str(10**14)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--points" in captured.err
+
+    def test_point_count_too_large_to_allocate_exit_2(self, tmp_path):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
+        proc = _capped_cli(["verify", str(params), "--points", str(10**9)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "--points" in proc.stderr
+
     def test_bad_tol_names_flag(self, tmp_path, capsys):
         params = tmp_path / "p.json"
         wio.save_parameters(sample_parameters(3, 2, 1, 0.9), params)
@@ -1314,6 +1356,26 @@ class TestCliEval:
         assert captured.err.count("\n") == 1 and "--z" in captured.err
 
 
+    def test_impossible_circle_exit_2(self, tmp_path, capsys):
+        # 10**14 grid points, 728 TiB: past any address space
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(7, 2, 1, 0.9), params)
+        out = tmp_path / "e.csv"
+        assert main(["eval", str(params), "--circle", str(10**14), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--circle" in captured.err
+        assert not out.exists()
+
+    def test_circle_too_large_to_allocate_exit_2(self, tmp_path):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(7, 2, 1, 0.9), params)
+        proc = _capped_cli(["eval", str(params), "--circle", str(10**9)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "--circle" in proc.stderr
+
+
 class TestCliSubbands:
     def _fir_params(self, tmp_path):
         params = tmp_path / "p.json"
@@ -1339,6 +1401,23 @@ class TestCliSubbands:
         sidecar = json.loads((str(rec) + ".json") and (tmp_path / "rec.csv.json").read_text())
         assert sidecar["reconstruction_error"] <= 1e-9
         assert sidecar["delay"] >= 0
+
+    def test_empty_signal_round_trip(self, tmp_path):
+        params = self._fir_params(tmp_path)
+        sig = tmp_path / "x.csv"
+        sig.write_text("")
+        bands_dir = tmp_path / "bands"
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(bands_dir)]) == 0
+        rec = tmp_path / "rec.csv"
+        code = main(
+            ["synthesize", str(params), "--bands", str(bands_dir), "--out", str(rec),
+             "--reference", str(sig)]
+        )
+        assert code == 0
+        assert wio.load_signal(rec).size == 0
+        sidecar = json.loads((tmp_path / "rec.csv.json").read_text())
+        assert sidecar["signal_length"] == 0
+        assert sidecar["reconstruction_error"] == 0.0
 
     def test_haar_bands_values(self, tmp_path):
         params = tmp_path / "p.json"

@@ -1,9 +1,15 @@
 """Tests for decimation, convolution, subband round trips and simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import wfk.filters
+import wfk.signal
 from reference_ops import (
+    _interleave as reference_interleave,
+    _lattice as reference_lattice,
     check_paraunitary,
     circular_convolve,
     decimate,
@@ -27,6 +33,7 @@ from wfk import (
     synthesize,
     wavelet_eval,
 )
+from wfk.signal import _interleave, _polyphase
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -228,6 +235,94 @@ class TestLatticeReference:
                 ref += np.sqrt(p.n) * circular_convolve(expand(band, p.n), g)
             got = synthesize(bands, fs)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# the benchmark's signal length and FIR rungs
+LONG = 1 << 17
+LONG_RUNGS = [(2, 3), (8, 16), (16, 32)]
+
+
+def long_round_trip(n, m):
+    return sample_parameters(n + m, n, m, 0.0), random_signal(LONG, n)
+
+
+def _use_reference_kernels(mp):
+    """Route the package through the reference lattice and interleave-then-roll."""
+    mp.setattr(wfk.filters, "_lattice", reference_lattice)
+    mp.setattr(wfk.signal, "_lattice", reference_lattice)
+    mp.setattr(wfk.signal, "_interleave", lambda y, delay: np.roll(reference_interleave(y), delay))
+
+
+def _run_all(p, x):
+    """Responses, bands and output of a fresh filter set, as bytes."""
+    fs = subband_filters(p)
+    bands = analyze(x, fs)
+    return (
+        [h.tobytes() for h in fs.responses],
+        [b.tobytes() for b in bands.bands],
+        synthesize(bands, fs).tobytes(),
+    )
+
+
+class TestInPlaceKernels:
+    """The interleave with its delay and the lattice on reused work rows,
+    bit for bit against the kernels that allocate per step."""
+
+    @pytest.mark.parametrize("band_length", [0, 1, 2, 10])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_interleave_equals_roll_of_reference(self, n, band_length):
+        # every delay in [0, 3L); at L = 0 the delays still run to 3n
+        x = random_signal(n * band_length, n + band_length)
+        y = _polyphase(x, n)
+        for delay in range(3 * n * max(band_length, 1)):
+            got = _interleave(y, delay)
+            assert got.tobytes() == np.roll(reference_interleave(y), delay).tobytes()
+
+    def test_outputs_equal_reference_bitwise(self, monkeypatch):
+        cases = [(p, random_signal(p.n * (p.m + 3), k)) for k, p in enumerate(lattice_params())]
+        cases += [long_round_trip(n, m) for n, m in LONG_RUNGS]
+        got = [_run_all(p, x) for p, x in cases]
+        with monkeypatch.context() as mp:
+            _use_reference_kernels(mp)
+            want = [_run_all(p, x) for p, x in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("n,m", [(2, 0), (2, 3), (3, 2), (8, 4)])
+    def test_empty_signal_round_trip(self, n, m):
+        fs = subband_filters(sample_parameters(n + m, n, m, 0.0))
+        bands = analyze(np.array([]), fs)
+        assert bands.band_length == 0
+        rebuilt = synthesize(bands, fs)
+        assert rebuilt.shape == (0,) and rebuilt.dtype == complex
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 5)])
+    def test_one_sample_per_band_with_delay_beyond_length(self, n, m):
+        fs = subband_filters(sample_parameters(10 * n + m, n, m, 0.0))
+        assert synthesis_delay(fs) > n
+        x = random_signal(n, m)
+        rec = synthesize(analyze(x, fs), fs)
+        assert np.linalg.norm(rec - np.roll(x, synthesis_delay(fs))) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n,m", LONG_RUNGS)
+    def test_round_trip_holds_three_signal_lengths(self, n, m):
+        # analysis adds its two work rows of L/n samples to the bands;
+        # synthesis holds its working rows and then the output, never more
+        p, x = long_round_trip(n, m)
+        fs = subband_filters(p)
+        bands = analyze(x, fs)
+        synthesis_delay(fs)  # builds the cached responses before tracing
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        slack = 64 << 10
+        assert peak(lambda: analyze(x, fs)) <= (1 + 2 / n) * x.nbytes + slack
+        assert peak(lambda: synthesize(bands, fs)) <= 2 * x.nbytes + slack
 
 
 class TestFrequencyPr:
