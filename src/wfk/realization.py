@@ -33,8 +33,8 @@ from .errors import (
 from .filters import TOL, FilterParameters, _eye, _frozen, dft_matrix
 
 # A _sweep chunk of eval_realization holds at most _ROW_ENTRIES entries of X
-# and of the grid of Q, an LU chunk at most _CHUNK_ENTRIES entries of its
-# largest stacked array.
+# and of the ratios that give Q, an LU chunk at most _CHUNK_ENTRIES entries
+# of its largest stacked array.
 _CHUNK_ENTRIES = 1 << 16
 _ROW_ENTRIES = 1 << 18
 
@@ -120,64 +120,45 @@ class _HeadPlan:
     the nonzero pattern alone.
 
     Row ``i`` is a link when its only nonzero right of the diagonal is
-    ``A[i, i+1]`` and ``B[i] = 0``; every other row is a head (``m + N - 1``
-    of them in a cascade of ``m`` factors in general position).  Each state
-    belongs to the first head at or below it, and on the run that ``h`` owns,
-    ``x_j = Q_j(z) u_h`` with ``u_h = b_h + A[h, h+1:] x[h+1:]`` and
-    ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.
+    ``A[i, i+1]``, ``B[i] = 0`` and nothing else reads state ``i+1``: no row
+    of ``C`` and no entry of ``A`` past the superdiagonal.  Every other row
+    is a head (``m + N - 1`` of them in a cascade of ``m`` factors in
+    general position).  The run of head ``h`` goes up from it to its top
+    state, just below the previous head; on it ``x_j = Q_j(z) u_h`` with
+    ``u_h = b_h + A[h, h+1:] x[h+1:]`` and
+    ``Q_j = 1/(z - a_hh) prod_{i=j}^{h-1} A[i, i+1]/(z - a_ii)``.  Nothing
+    outside a run reads it below its top, so ``X`` is needed at the tops alone.
 
-    The states sit in a ``(width, H)`` grid, one column per run, the head in
-    row 0 and its links upward below it, holding the ``diagonal`` and the
-    link ``scale`` (1 at a head), so the running product of
-    ``scale / (z - diagonal)`` down the rows is every ``Q`` at once.  A slot
-    past a run holds ``a = NaN``, which nothing reads.
-
-    Both solvers keep ``X`` only at ``reads``: the states that a head or
-    ``C`` reads and the top state of every run, so that each run owns at
-    least one (in such a cascade the tops are all of them).  ``read_slots``
-    are their grid slots, ``runs[k]`` is the slice of ``reads`` that the
-    ``k``-th head owns, ``run_starts`` the starts of those slices, or None
-    when each run owns one read, and ``b_heads[k]`` is ``b_h``.  ``rows``,
-    shape ``(H + N_out, R)``, holds the head rows of ``-A`` over ``C``, both
-    at the reads; :func:`_sweep` reads a head row only past the head's run.
-    ``chunk`` is the number of points per chunk of :func:`_sweep`, so that
-    neither ``X`` nor the grid holds more than ``_ROW_ENTRIES`` entries.
-
-    Substituting the runs leaves ``(I - N(z)) U = B_heads``, unit upper
-    triangular of size ``H``, and ``Y = C_eff(z) U + D``.  ``rows * Q[reads]``
-    summed over the reads of each run is ``[-N; C_eff]`` off the diagonal
-    of its head block, which holds ``-a_hh Q_h`` (or 0) and which
-    :func:`_condensed_point` sets to the ones of ``I - N``.
+    ``diagonal`` and ``scale`` (the link's ``A[i, i+1]``, 1 at a head) run
+    over the states in reversed order and ``starts`` marks the heads in that
+    order, so one ``multiply.reduceat`` of ``scale / (z - diagonal)`` is
+    ``Q`` at every top, each product taken from the head up.  ``rows``,
+    shape ``(H + N_out, H)``, holds the head rows of ``-A`` over ``C`` at
+    ``tops``, and ``b_heads[k]`` is ``b_h``.  Substituting the runs leaves
+    ``(I - N(z)) U = B_heads``, unit upper triangular, and
+    ``Y = C_eff(z) U + D``: ``rows`` times ``Q`` is ``[-N; C_eff]`` off the
+    diagonal of the head block, which :func:`_condensed_point` sets to the
+    ones of ``I - N``.  ``chunk`` is the number of points per chunk of
+    :func:`_sweep`, so that neither ``X`` nor the ratios hold more than
+    ``_ROW_ENTRIES`` entries.
     """
 
     def __init__(self, r: Realization):
         p, a = r.state_dim, r.a
         upper_rows, upper_cols = r._upper_pattern
-        link = (np.bincount(upper_rows, minlength=p) == 1) & ~r.b.any(axis=1)
-        link[:-1] &= np.diagonal(a, 1) != 0
-        heads = np.flatnonzero(~link)
-        h = heads.size
-        owner = np.searchsorted(heads, np.arange(p))
-        depth = heads[owner] - np.arange(p)
-        self.width = int(depth.max(initial=0)) + 1
-        slot = depth * h + owner
-        self.diagonal = np.full(self.width * h, np.nan, dtype=complex)
-        self.diagonal[slot] = np.diagonal(a)
-        self.scale = np.ones(self.width * h, dtype=complex)
-        links = np.flatnonzero(link)
-        self.scale[slot[links]] = a[links, links + 1]
         read = r.c.any(axis=0)
-        read[upper_cols[~link[upper_rows]]] = True
-        read[:1] = read[heads[:-1] + 1] = True  # the top state of every run
-        self.reads = np.flatnonzero(read)
-        self.read_slots = slot[self.reads]
-        ends = np.searchsorted(self.reads, heads + 1).tolist()
-        starts = [0] + ends[:-1]
-        self.runs = [slice(lo, hi) for lo, hi in zip(starts, ends)]
-        self.run_starts = None if self.reads.size == h else np.array(starts)
-        self.rows = np.vstack([-a[heads[:, None], self.reads], r.c[:, self.reads]])
+        read[upper_cols[upper_cols > upper_rows + 1]] = True
+        link = (np.bincount(upper_rows, minlength=p) == 1) & ~r.b.any(axis=1)
+        link[:-1] &= (np.diagonal(a, 1) != 0) & ~read[1:]
+        heads = np.flatnonzero(~link)
+        self.tops = np.append(0, heads[:-1] + 1)[: heads.size]
+        scale = np.ones(p, dtype=complex)
+        scale[:-1][link[:-1]] = np.diagonal(a, 1)[link[:-1]]
+        self.diagonal, self.scale = np.diagonal(a)[::-1], scale[::-1]
+        self.starts = p - 1 - heads[::-1]
+        self.rows = np.vstack([-a[heads[:, None], self.tops], r.c[:, self.tops]])
         self.b_heads = r.b[heads]
-        self.chunk = max(1, _ROW_ENTRIES // max(self.reads.size * r.inputs, self.width * h, 1))
+        self.chunk = max(1, _ROW_ENTRIES // max(heads.size * r.inputs, p, 1))
 
 
 @dataclass(frozen=True)
@@ -404,27 +385,29 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     ``z`` may have any shape; the result has shape ``z.shape + (N_out, N_in)``,
     so a scalar ``z`` gives one matrix.  When ``A`` is upper triangular, as
     every cascade is, one plan serves two solvers (see ``_HeadPlan``): a
-    row whose only entry right of the diagonal is ``A[i, i+1]`` and whose
-    row of ``B`` is zero just passes the next state on, so each run of such
-    rows ends in a head row and is a running product of that head's value,
-    one product for all runs.  Both solvers read one matrix of the plan,
-    the head rows of ``-A`` over ``C``, at the states that a head or ``C``
-    reads and the top state of each run (one per run in a cascade of
-    factors in general position).  The shape of ``z`` chooses the solver.
-    A scalar goes through :func:`_condensed_point`, which substitutes the
-    runs into a unit upper-triangular system over the heads and takes one
-    2-D ``numpy.linalg.solve``, a fixed number of array calls whatever the
-    size of the filter.  For an array of any size the heads (``m + N - 1``
-    in a cascade of ``m`` factors) are solved one at a time, last first,
-    for all points at once, and ``X`` is formed only at those states; the
-    points go through in chunks of a few MB of work arrays.  A state
-    matrix that is not upper triangular gets one stacked LU, in chunks, for
-    a point or an array.
+    row whose only entry right of the diagonal is ``A[i, i+1]``, whose row
+    of ``B`` is zero and whose next state nothing else reads just passes
+    that state on, so each run of such rows ends in a head row, is a
+    running product of that head's value and is read at its top state
+    alone.  One ``multiply.reduceat`` gives that product, ``Q``, at every
+    top, and both solvers read one matrix of the plan, the head rows of
+    ``-A`` over ``C`` at the tops (``m + N - 1`` of them in a cascade of
+    ``m`` factors in general position).  The shape of ``z`` chooses the
+    solver.  A scalar goes through :func:`_condensed_point`, which
+    substitutes the runs into a unit upper-triangular system over the heads
+    and takes one 2-D ``numpy.linalg.solve``, a fixed number of array calls
+    whatever the size of the filter.  For an array of any size the heads
+    are solved one at a time, last first, for all points at once, and ``X``
+    is formed only at the tops; the points go through in chunks of a few
+    MB of work arrays.  A state matrix that is not upper triangular gets
+    one stacked LU, in chunks, for a point or an array.
 
     Raises
     ------
     PoleError
-        If ``zI - A`` is singular at any point or the value is not finite.
+        If ``zI - A`` is singular at any point or the value is not finite,
+        naming the first such point; only a singular LU chunk is evaluated
+        again one point at a time to find it.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 and r.upper_triangular:
@@ -435,17 +418,19 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     else:
         solve, chunk = _lu, _lu_chunk(r)
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
+    finite = np.empty(points.size, dtype=bool)
     try:
         for k in range(0, points.size, chunk):
-            solve(r, points[k : k + chunk], values[k : k + chunk])
-    except np.linalg.LinAlgError:
-        values = None
-    if values is None or not np.isfinite(values).all():
+            finite[k : k + chunk] = solve(r, points[k : k + chunk], values[k : k + chunk])
+    except np.linalg.LinAlgError:  # a singular _lu chunk names no point
         if points.size > 1:
             for point in points:
                 eval_realization(r, point)  # raises, naming the first pole
         where = f"z = {complex(points[0])!r}" if points.size == 1 else "a sampled point"
-        raise PoleError(f"{where} is a pole of the realization")
+        raise PoleError(f"{where} is a pole of the realization") from None
+    finite &= np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        raise PoleError(f"z = {complex(points[finite.argmin()])!r} is a pole of the realization")
     return values.reshape(z.shape + r.d.shape)
 
 
@@ -455,72 +440,63 @@ def _lu_chunk(r: Realization) -> int:
     return max(1, _CHUNK_ENTRIES // max(p * p, p * r.inputs, 1))
 
 
-def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C X + D`` for one chunk of points by one stacked LU of ``zI - A``."""
+def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> bool:
+    """``C X + D`` for one chunk by one stacked LU; True, as the LU raises at a pole."""
     x = np.linalg.solve(points[:, None, None] * _eye(r.state_dim) - r.a, r.b[None])
     np.add(r.c @ x, r.d, out=out)
+    return True
 
 
-def _run_ratios(plan: _HeadPlan, points: np.ndarray) -> np.ndarray:
-    """The grid of ``plan`` as ``scale / (z - a)``, shape ``(width, H * K)``;
-    the running product down its rows is ``Q``.
-
-    A zero divisor ``z - a_ii`` raises ``LinAlgError``, as a singular LU
-    would.  Call it under ``np.errstate(all="ignore")``.
-    """
+def _top_values(plan: _HeadPlan, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q`` at every top, shape ``(H, K)``, and per point whether all of it
+    is finite, as a zero ``z - a_ii`` makes it not.  Call it under
+    ``np.errstate(all="ignore")``."""
     divisor = points - plan.diagonal[:, None]
-    if not divisor.all():
-        raise np.linalg.LinAlgError("zI - A is singular")
-    return np.divide(plan.scale[:, None], divisor, out=divisor).reshape(plan.width, -1)
+    ratios = np.divide(plan.scale[:, None], divisor, out=divisor)
+    q = np.multiply.reduceat(ratios, plan.starts, axis=0)[::-1]
+    return q, np.isfinite(q).all(axis=0)
 
 
 def _condensed_point(r: Realization, z: complex) -> np.ndarray:
     """``C_eff U + D`` at one point by one solve of the head system."""
     plan = r._head_plan
-    h = len(plan.runs)
+    h = plan.b_heads.shape[0]
     with np.errstate(all="ignore"):
+        q, finite = _top_values(plan, np.array([z]))
+        system = q[:, 0] * plan.rows
+        system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
         try:
-            q = np.cumprod(_run_ratios(plan, np.array([z])), axis=0)
-            system = q.reshape(-1)[plan.read_slots] * plan.rows
-            if plan.run_starts is not None:
-                system = np.add.reduceat(system, plan.run_starts, axis=1)
-            system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
             u = np.linalg.solve(system[:h], plan.b_heads)
             value = system[h:] @ u + r.d
         except np.linalg.LinAlgError:
             value = None
-    if value is None or not np.isfinite(value).all():
+    if not finite[0] or value is None or not np.isfinite(value).all():
         raise PoleError(f"z = {z!r} is a pole of the realization")
     return value
 
 
-def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> None:
-    """``C X + D`` for one chunk of points, head by head, last first.
+def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``C X + D`` for one chunk of points, head by head, last first, and
+    per point whether ``Q`` is finite there (see :func:`_top_values`).
 
-    ``Q`` is the running product down the grid's rows, one multiply per
-    row: a ``cumprod`` along them measured 3-4x slower on rows this wide.
     Each head ``h`` computes ``u_h = b_h + A[h, h+1:] x[h+1:]`` for all
     points at once, as ``b_h`` minus its row of the plan's ``rows`` (``-A``)
-    times ``X`` at the reads past its run, and fills its run as
-    ``x = Q u_h``.  ``X`` is kept state-major, shape ``(R, K, N_in)``, so the
-    reads past a run and the run itself are contiguous slices.
+    times ``X`` at the tops past its run, and sets its top as ``x = Q u_h``;
+    ``X``, shape ``(H, K, N_in)``, holds the tops past a run contiguously.
     """
     plan = r._head_plan
     k, n_in = points.size, r.inputs
-    h = len(plan.runs)
-    x = np.empty((plan.reads.size, k, n_in), dtype=complex)
-    flat = x.reshape(plan.reads.size, k * n_in)
+    h = plan.b_heads.shape[0]
+    x = np.empty((h, k, n_in), dtype=complex)
+    flat = x.reshape(h, k * n_in)
     with np.errstate(all="ignore"):
-        q = _run_ratios(plan, points)
-        for depth in range(1, plan.width):
-            q[depth] *= q[depth - 1]
-        q = q.reshape(-1, k)[plan.read_slots, :, None]
+        q, finite = _top_values(plan, points)
         for i in reversed(range(h)):
-            run = plan.runs[i]
-            coupled = (plan.rows[i, run.stop :] @ flat[run.stop :]).reshape(k, n_in)
-            np.multiply(q[run], plan.b_heads[i] - coupled, out=x[run])
+            coupled = (plan.rows[i, i + 1 :] @ flat[i + 1 :]).reshape(k, n_in)
+            np.multiply(q[i, :, None], plan.b_heads[i] - coupled, out=x[i])
         y = plan.rows[h:] @ flat
     np.add(y.reshape(r.outputs, k, n_in).transpose(1, 0, 2), r.d, out=out)
+    return finite
 
 
 def impulse_response(r: Realization, horizon: int) -> list[np.ndarray]:
@@ -655,8 +631,11 @@ def _series_solution(r: Realization) -> np.ndarray:
     """``H = sum_k (A*)**k C*C A**k`` by the doubling series.
 
     Raises ``ConvergenceError`` if the series diverges (or overflows) or
-    does not settle.
+    does not settle; a triangular ``A``, whose spectral radius is
+    ``max |a_ii|``, is rejected by that alone before any doubling.
     """
+    if r.upper_triangular and np.abs(np.diagonal(r.a)).max(initial=0.0) >= 1.0:
+        raise ConvergenceError("Stein series rejected: spectral radius max |a_ii| is >= 1")
     power = np.array(r.a)
     with np.errstate(over="ignore", invalid="ignore"):
         h = r.c.conj().T @ r.c

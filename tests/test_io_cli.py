@@ -1182,6 +1182,28 @@ class TestCliVerify:
         assert doc["stein"] is None
         assert "wall_ms" in doc["checks"][0]
 
+    def test_pole_on_the_circle_of_a_north_star_cascade(self, tmp_path, capsys, monkeypatch):
+        # a_00 = 1 is the first sampled point: the sweep names that pole
+        # without evaluating points alone, and the Stein series is not summed
+        from wfk import Realization, realization
+
+        calls = []
+        condensed = realization._condensed_point
+        monkeypatch.setattr(
+            realization, "_condensed_point", lambda r, z: calls.append(z) or condensed(r, z)
+        )
+        r = realize_wavelet(sample_parameters(0, 16, 32, 0.999))
+        a = np.array(r.a)
+        a[0, 0] = 1.0
+        path = tmp_path / "r.json"
+        wio.save_realization(Realization(a=a, b=r.b, c=r.c, d=r.d), path)
+        assert main(["verify", str(path), "--seed", "0"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stein"] is None
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["symmetry"]["resampled"] == 1 and not checks["stein_blocks"]["passed"]
+        assert calls == []
+
     def test_north_star_rung_verdicts(self, tmp_path, capsys):
         # (12, 16, 0.999): ||H||_1 is about 1.5e3, so the absolute residual
         # exceeds 1e-9 while the relative one is far below it

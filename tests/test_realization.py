@@ -42,6 +42,7 @@ from wfk import (
     system_matrix,
     wavelet_eval,
 )
+from wfk import realization
 from wfk.io import load_realization, save_realization
 from wfk.realization import (
     _block_certificate,
@@ -90,6 +91,50 @@ def gapped_triangular(seed, p=12):
     a = 0.3 * np.triu(cplx(p, p), 1) * (rng.uniform(size=(p, p)) < 0.6)
     a[np.diag_indices(p)] = 0.6 * rng.uniform(size=p) * np.exp(2j * np.pi * rng.uniform(size=p))
     return Realization(a=a, b=cplx(p, 3), c=cplx(2, p), d=cplx(2, 3))
+
+
+def linked_triangular(seed, p=12):
+    """:func:`gapped_triangular` with link rows (one coupling ``A[i, i+1]``,
+    a zero row of ``B``) and states that neither ``C`` nor ``A`` past its
+    superdiagonal reads, both drawn by ``seed``."""
+    rng = np.random.default_rng(seed + 100)
+    r = gapped_triangular(seed, p)
+    a, b, c = np.array(r.a), np.array(r.b), np.array(r.c)
+    for i in np.flatnonzero(rng.uniform(size=p - 1) < 0.7):
+        a[i, i + 1 :] = 0.0
+        a[i, i + 1] = 0.5 - 0.25j
+        b[i] = 0.0
+    unread = rng.uniform(size=p) < 0.6
+    c[:, unread] = 0.0
+    a[:, unread] = np.tril(a, 1)[:, unread]
+    return Realization(a=a, b=b, c=c, d=r.d)
+
+
+def unread_and_c_read_runs():
+    """Rows 3, 4 link to head 5, and nothing else reads states 3 to 5; rows
+    8, 9 are link-shaped too, but ``C`` reads every state from 8 to 10."""
+    r = gapped_triangular(seed=11)
+    a, b, c = np.array(r.a), np.array(r.b), np.array(r.c)
+    for i in (3, 4, 8, 9):
+        a[i, i + 1 :] = 0.0
+        a[i, i + 1] = 0.5 - 0.25j
+        b[i] = 0.0
+    a[:3, 3:6] = 0.0
+    c[:, 3:6] = 0.0
+    return Realization(a=a, b=b, c=c, d=r.d)
+
+
+def e2_cascade(alpha):
+    """One ``v = e_2`` factor on the 2-band elementary filter: its runs merge
+    into one run of all three states at ``alpha = 0``."""
+    return realize_wavelet(FilterParameters(n=2, rho=0.9, factors=(Factor(E2, alpha),)))
+
+
+PLAN_FILES = {
+    **{f"linked-{seed}": (lambda seed=seed: linked_triangular(seed)) for seed in range(6)},
+    "e2-alpha-0.5": lambda: e2_cascade(0.5),
+    "e2-alpha-0": lambda: e2_cascade(0.0),
+}
 
 
 def _perturbed(r, seed):
@@ -365,17 +410,17 @@ class TestEvalRealization:
         # a dense strictly-upper part with zeros inside the row spans: every
         # span entry and every wide-row coupling must reach the solve
         r = gapped_triangular(seed=1)
-        # rows holds the head rows of -A over C at the reads; the top state
-        # of each run is a read, so the heads follow from the runs
+        # rows holds the head rows of -A over C at the tops, and each head
+        # sits just above the next top
         plan = r._head_plan
-        tops = plan.reads[[run.start for run in plan.runs]]
+        tops = plan.tops
         assert tops[0] == 0
         heads = np.append(tops[1:] - 1, r.state_dim - 1)
-        expected = np.vstack([-r.a[heads], r.c])[:, plan.reads]
+        expected = np.vstack([-r.a[heads], r.c])[:, tops]
         assert np.array_equal(plan.rows, expected)
         # some head row holds zeros before its last coupling, which the
         # sweep's dense slice of the row multiplies in
-        past = [plan.rows[i, run.stop :] for i, run in enumerate(plan.runs)]
+        past = [plan.rows[i, i + 1 :] for i in range(tops.size)]
         assert any((row[: np.flatnonzero(row).max(initial=-1)] == 0).any() for row in past)
         rotated = rotate(r, seed=2)
         assert r.upper_triangular and not rotated.upper_triangular
@@ -385,15 +430,41 @@ class TestEvalRealization:
         assert values.shape == (40, 2, 3)
         assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_pole_among_many_points_is_named(self):
+    def test_pole_among_many_points_is_named(self, monkeypatch):
+        # the sweep names the first pole from its own values: no point is
+        # evaluated again alone
+        calls = []
+        condensed = realization._condensed_point
+        monkeypatch.setattr(
+            realization, "_condensed_point", lambda r, z: calls.append(z) or condensed(r, z)
+        )
         r = realize_wavelet(sample_parameters(11, 4, 8, 0.9))
         diagonal = np.diagonal(r.a)
         pole = diagonal[np.abs(diagonal).argmax()]
         pts = circle(40, seed=3)
-        pts[17] = pole
+        pts[17], pts[23] = pole, diagonal[2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PoleError, match=re.escape(f"z = {complex(pole)!r}")):
+                eval_realization(r, pts)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "a", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]], ids=["triangular", "dense"]
+    )
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["one-chunk", "chunk-per-point"])
+    def test_overflow_names_the_first_point(self, a, chunk, monkeypatch):
+        # poles at +-0.5 and a gain of 1e300: the values overflow near a
+        # pole, where neither z - a_ii nor the LU is singular; the exact
+        # pole at -0.5 comes later and is not the one named
+        r = Realization(a=a, b=[[1e300], [1e300]], c=[[1.0, 1.0]], d=[[0.0]])
+        if chunk and r.upper_triangular:
+            r._head_plan.chunk = chunk
+        elif chunk:
+            monkeypatch.setattr(realization, "_lu_chunk", lambda r: chunk)
+        pts = np.array([0.9, 0.5 + 1e-10, 0.1, -0.5])
+        with np.errstate(over="ignore"):
+            with pytest.raises(PoleError, match=re.escape(f"z = {complex(pts[1])!r}")):
                 eval_realization(r, pts)
 
     @pytest.mark.parametrize(
@@ -413,7 +484,7 @@ class TestEvalRealization:
         # B has no zero row, so every row is a head of the condensed solve,
         # which is then a unit triangular system over all states
         r = gapped_triangular(seed=3)
-        assert len(r._head_plan.runs) == r.state_dim
+        assert np.array_equal(r._head_plan.tops, np.arange(r.state_dim))
         rotated = rotate(r, seed=4)
         pts = circle(7, seed=6)
         dense = eval_realization(rotated, pts)
@@ -449,20 +520,23 @@ class TestEvalRealization:
     def test_leaf_head_without_input_matches_dense_basis(self):
         # row 5 has no entry right of the diagonal and a zero row of B, so
         # it is a head whose value, and that of its links 3 and 4, is 0;
-        # rows 8 and 9 are links of head 10
+        # rows 8 and 9 are links of head 10, since nothing else reads
+        # states 4, 5, 9 and 10
         r = gapped_triangular(seed=7)
-        a, b = np.array(r.a), np.array(r.b)
+        a, b, c = np.array(r.a), np.array(r.b), np.array(r.c)
         for i in (3, 4, 5, 8, 9):
             a[i, i + 1 :] = 0.0
             b[i] = 0.0
         for i in (3, 4, 8, 9):
             a[i, i + 1] = 0.5 + 0.25j
-        r = Realization(a=a, b=b, c=r.c, d=r.d)
+            a[:i, i + 1] = 0.0
+            c[:, i + 1] = 0.0
+        r = Realization(a=a, b=b, c=c, d=r.d)
         plan = r._head_plan
-        runs = [tuple(plan.reads[run]) for run in plan.runs]
-        assert (3, 4, 5) in runs and (8, 9, 10) in runs
-        leaf = runs.index((3, 4, 5))
-        assert not plan.rows[leaf, plan.runs[leaf].stop :].any() and not plan.b_heads[leaf].any()
+        tops = plan.tops.tolist()
+        assert {3, 8} <= set(tops) and not {4, 5, 9, 10} & set(tops)
+        leaf = tops.index(3)
+        assert not plan.rows[leaf, leaf + 1 :].any() and not plan.b_heads[leaf].any()
         rotated = rotate(r, seed=8)
         pts = circle(40, seed=9)
         dense = eval_realization(rotated, pts)
@@ -529,6 +603,24 @@ def assert_one_point_forms(r, points):
         assert np.abs(eval_realization(r, points[:count]) - single[:count]).max() <= 1e-14 * scale
 
 
+def assert_tops_hold_every_outside_read(r):
+    """A state that C reads, or that A reads past its superdiagonal, is the
+    top of its run, so X at the tops is all that the solvers read; some run
+    has a link; array and scalar values match the rotated ``_lu`` basis
+    within 1e-12 relative."""
+    tops = r._head_plan.tops
+    outside = np.union1d(np.flatnonzero(r.c.any(axis=0)), np.nonzero(np.triu(r.a, 2))[1])
+    assert np.isin(outside, tops).all()
+    assert tops.size < r.state_dim
+    pts = circle(40, seed=2)
+    dense = eval_realization(rotate(r, seed=1), pts)
+    scale = np.abs(dense).max()
+    single = np.array([eval_realization(r, z) for z in pts])
+    assert np.abs(eval_realization(r, pts) - dense).max() <= 1e-12 * scale
+    assert np.abs(single - dense).max() <= 1e-12 * scale
+
+
+
 class TestOnePointKernel:
     @pytest.mark.parametrize("n,m,rho", RUNGS)
     def test_point_forms_match_the_array_path(self, n, m, rho):
@@ -565,6 +657,10 @@ class TestOnePointKernel:
         for target in (r, rotate(r, seed=1)):
             assert eval_realization(target, 1j).shape == (1, 0)
             assert eval_realization(target, circle(5, seed=1)).shape == (5, 1, 0)
+        # an empty value has no entry to go non-finite: zI - A names the pole
+        for z in (0.2j, np.array([1j, 0.2j, 0.5])):
+            with pytest.raises(PoleError, match=re.escape("z = 0.2j")):
+                eval_realization(r, z)
 
     def test_upper_pattern_lists_the_strict_upper_nonzeros(self):
         # one scan of A gives upper_triangular and the pattern of the plan
@@ -575,39 +671,25 @@ class TestOnePointKernel:
 
     @pytest.mark.parametrize("n,m,rho", RUNGS)
     def test_cascade_runs_own_one_read_each(self, n, m, rho):
-        # each run of a cascade of drawn factors is read at its top state
-        # alone (special vectors such as e_2 can merge runs), so the
-        # one-point kernel adds nothing up over the reads of a run
+        # a cascade of drawn factors has m + N - 1 runs, each read at its
+        # top state alone (special vectors such as e_2 can merge runs)
         plan = realize_wavelet(sample_parameters(90 + n, n, m, rho))._head_plan
-        assert plan.run_starts is None
-        assert plan.reads.size == len(plan.runs) == m + n - 1
+        assert plan.tops.size == plan.b_heads.shape[0] == m + n - 1
 
     def test_file_with_unread_and_many_read_runs_matches_dense_basis(self, tmp_path):
-        # rows 3, 4 are links of head 5 and rows 8, 9 of head 10; neither C
-        # nor a head reads states 3 to 5, so their run keeps only its top
-        # state, while C reads every state of the run 8 to 10
-        r = gapped_triangular(seed=11)
-        a, b, c = np.array(r.a), np.array(r.b), np.array(r.c)
-        for i in (3, 4, 8, 9):
-            a[i, i + 1 :] = 0.0
-            a[i, i + 1] = 0.5 - 0.25j
-            b[i] = 0.0
-        a[:3, 3:6] = 0.0
-        c[:, 3:6] = 0.0
-        save_realization(Realization(a=a, b=b, c=c, d=r.d), tmp_path / "r.json")
+        # the run of rows 3 to 5 is read at its top state alone; C reads
+        # every state of rows 8 to 10, so each of those rows is a head and
+        # its state the top of its own run
+        save_realization(unread_and_c_read_runs(), tmp_path / "r.json")
         r = load_realization(tmp_path / "r.json")
-        plan = r._head_plan
-        runs = [tuple(plan.reads[run]) for run in plan.runs]
-        assert (3,) in runs and (8, 9, 10) in runs
-        assert plan.run_starts is not None
-        rotated = rotate(r, seed=12)
-        pts = circle(40, seed=13)
-        dense = eval_realization(rotated, pts)
-        scale = np.abs(dense).max()
-        single = np.array([eval_realization(r, z) for z in pts])
-        assert np.abs(eval_realization(r, pts) - dense).max() <= 1e-12 * scale
-        assert np.abs(single - dense).max() <= 1e-12 * scale
+        tops = set(r._head_plan.tops.tolist())
+        assert 3 in tops and not {4, 5} & tops and {8, 9, 10} <= tops
+        assert_tops_hold_every_outside_read(r)
 
+    @pytest.mark.parametrize("build", PLAN_FILES.values(), ids=PLAN_FILES.keys())
+    def test_tops_hold_every_outside_read(self, build, tmp_path):
+        save_realization(build(), tmp_path / "r.json")
+        assert_tops_hold_every_outside_read(load_realization(tmp_path / "r.json"))
 
 class TestImpulseResponse:
     def test_two_band_taps(self):
@@ -885,11 +967,24 @@ class TestBlockStein:
 
     def test_unstable_cascade_layout_raises(self):
         # the block equation is solvable but its H is indefinite, so the
-        # series runs and diverges
+        # dense path takes over and rejects |a_00| > 1
         r = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
         assert _cascade_edges(r) is not None
         with pytest.raises(ConvergenceError):
             stein_certificate(r)
+
+    @pytest.mark.parametrize("corner", [1.0, -1.001j])
+    def test_triangular_pole_on_or_outside_the_circle_skips_the_series(self, corner):
+        # the diagonal of a triangular A is its spectrum, so a spectral
+        # radius >= 1 rejects the series before any doubling.  With C = 0,
+        # H = 0 does solve A*HA + C*C = H (and is not positive definite):
+        # the rotated, non-triangular form of this file still returns it
+        # from the series, so this rejection depends on the basis
+        a = [[corner, 0.5], [0.0, 0.2]]
+        r = Realization(a=a, b=np.ones((2, 1)), c=np.zeros((1, 2)), d=[[1.0]])
+        with pytest.raises(ConvergenceError, match=re.escape("max |a_ii|")):
+            _series_solution(r)
+        assert np.abs(_series_solution(rotate(r, seed=1))).max() == 0.0
 
 
 class TestMinimality:
