@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -258,7 +257,7 @@ def _cmd_verify(args) -> int:
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
     report["stein"] = stein
     report["environment"] = _environment()
-    print(json.dumps(report, indent=2, sort_keys=True))
+    wio.write_json(report, sys.stdout)
     if args.output:
         wio.save_json(report, args.output)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

@@ -51,10 +51,124 @@ def open_output(path):
         yield stream
 
 
+# A list of at least this many numbers or [re, im] pairs is written by a row
+# template (see _number_blocks).  A document with no list this long, such as
+# a verify report with its [re, im] points, goes to json in one call: laying
+# out its dicts here would cost more than the templates save on short lists.
+_LONG_LIST = 8
+
+
+def _number_list(value) -> tuple[list, int] | None:
+    """The numbers of a long list ``value``, flat, and its row width, or None.
+
+    ``value`` qualifies when it is a list of at least ``_LONG_LIST`` items
+    that are all plain ints, all finite plain floats, or all ``[re, im]``
+    lists of two plain floats (width 2).  A bool, an int or float subclass
+    (numpy's scalars among them), a non-finite float or a mixed list gives
+    None and stays with ``json``.  The floats are finite when their sum is;
+    a sum that overflows only sends the list to ``json``.
+    """
+    if type(value) is not list or len(value) < _LONG_LIST:
+        return None
+    width = 1
+    if type(value[0]) is list:
+        if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+            return None
+        flat = [None] * (2 * len(value))
+        flat[0::2], flat[1::2] = zip(*value)
+        value, width = flat, 2
+    kinds = set(map(type, value))
+    if kinds == {int} and width == 1:
+        return value, width
+    if kinds == {float}:
+        total = sum(value)
+        if total - total == 0.0:
+            return value, width
+    return None
+
+
+def _number_blocks(flat: list, width: int, depth: int):
+    """The JSON text of a list of numbers at nesting ``depth``, in blocks.
+
+    Each row is one number, or one ``[re, im]`` pair laid out over four
+    lines, indented as ``json.dumps(indent=2)`` indents them.  A block of
+    up to ``_CSV_BLOCK_CELLS`` numbers is formatted by one ``%r`` row
+    template, as in :func:`_csv_blocks`: a plain int or float is written as
+    its ``repr``, which is what ``json`` writes for it.
+    """
+    outer = "\n" + "  " * (depth + 1)
+    if width == 1:
+        row = outer + "%r"
+    else:
+        inner = outer + "  "
+        row = outer + "[" + inner + "%r," + inner + "%r" + outer + "]"
+    first, template = "[" + row, "," + row
+    for start in range(0, len(flat), _CSV_BLOCK_CELLS):
+        block = tuple(flat[start : start + _CSV_BLOCK_CELLS])
+        yield (first + template * (len(block) // width - 1)) % block
+        first = template
+    yield "\n" + "  " * depth + "]"
+
+
+def _holds_long_list(value) -> bool:
+    """Whether ``value`` is or holds a list of at least ``_LONG_LIST`` items."""
+    if type(value) is dict:
+        return any(map(_holds_long_list, value.values()))
+    if type(value) is list:
+        return len(value) >= _LONG_LIST or any(map(_holds_long_list, value))
+    return False
+
+
+def _json_chunks(value, depth: int):
+    """The JSON text of ``value`` at nesting ``depth``, in chunks.
+
+    A long list of numbers (see :func:`_number_list`) goes out in blocks
+    of :func:`_number_blocks`.  A list or a dict with ``str`` keys that
+    holds a long list is laid out here as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out, one item at a time; ``json`` writes
+    anything else whole, indented to ``depth``.
+    """
+    numbers = _number_list(value)
+    if numbers is not None:
+        yield from _number_blocks(*numbers, depth)
+        return
+    if not _holds_long_list(value) or (type(value) is dict and set(map(type, value)) != {str}):
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+        return
+    indent = "\n" + "  " * (depth + 1)
+    if type(value) is dict:
+        brackets = "{}"
+        items = [(indent + json.dumps(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        brackets = "[]"
+        items = [(indent, item) for item in value]
+    yield brackets[0]
+    for k, (head, item) in enumerate(items):
+        yield "," + head if k else head
+        yield from _json_chunks(item, depth + 1)
+    yield "\n" + "  " * depth + brackets[1]
+
+
+def write_json(doc, stream) -> None:
+    """Write ``doc`` to ``stream`` as ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a final newline, byte for byte.
+
+    Every long list of plain numbers or ``[re, im]`` pairs in ``doc`` (a
+    realization's ``index`` and ``entries``, a parameter file's ``box`` and
+    factor ``v``) is written in blocks, never as one string; ``json``
+    writes the rest, and the whole of a ``doc`` that holds no long list (a
+    verify report, a synthesis sidecar) in one call.
+    """
+    stream.writelines(_json_chunks(doc, 0))
+    stream.write("\n")
+
+
 def save_json(doc, path) -> None:
-    """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    """Write ``doc`` to ``path`` by :func:`write_json`: the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each long list
+    of numbers written in blocks."""
     with open_output(path) as stream:
-        stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(doc, stream)
 
 
 def make_output_dir(path) -> None:
@@ -380,8 +494,10 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
 _LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
 
 
-# Cells per block of the CSV writer, 4096 rows of a signal.  A block's
-# floats, their tuple and its text are all the memory the writer adds.
+# Cells per block of the CSV writer, 4096 rows of a signal, and numbers per
+# block of a JSON number list; even, so that a block holds whole [re, im]
+# pairs.  A block's floats, their tuple and its text are all the memory the
+# writer adds.
 _CSV_BLOCK_CELLS = 8192
 
 

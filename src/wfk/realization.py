@@ -573,9 +573,15 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     Raises
     ------
     ConvergenceError
-        If the series fails to settle within the iteration cap (state
-        matrix not asymptotically stable).
+        If ``A`` is upper triangular with some ``|a_ii| >= 1``, checked
+        before any candidate is formed (its spectral radius is
+        ``max |a_ii|``, and an unstable ``A`` can satisfy the block
+        identities with a closed-form candidate), or if the series fails to
+        settle within the iteration cap (state matrix not asymptotically
+        stable).
     """
+    if r.upper_triangular and np.abs(np.diagonal(r.a)).max(initial=0.0) >= 1.0:
+        raise ConvergenceError("Stein equation rejected: spectral radius max |a_ii| is >= 1")
     if _cascade_edges(r) is not None:
         blocks = _block_solution(r)
         if blocks is not None:
@@ -631,11 +637,8 @@ def _series_solution(r: Realization) -> np.ndarray:
     """``H = sum_k (A*)**k C*C A**k`` by the doubling series.
 
     Raises ``ConvergenceError`` if the series diverges (or overflows) or
-    does not settle; a triangular ``A``, whose spectral radius is
-    ``max |a_ii|``, is rejected by that alone before any doubling.
+    does not settle.
     """
-    if r.upper_triangular and np.abs(np.diagonal(r.a)).max(initial=0.0) >= 1.0:
-        raise ConvergenceError("Stein series rejected: spectral radius max |a_ii| is >= 1")
     power = np.array(r.a)
     with np.errstate(over="ignore", invalid="ignore"):
         h = r.c.conj().T @ r.c

@@ -750,6 +750,145 @@ class TestCsvWriters:
         assert path.stat().st_size > 8 << 20
 
 
+def _canonical(doc) -> str:
+    """The text of every JSON file wfk writes: indented, keys sorted, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _extreme_realization():
+    """A (4, 8, 0.9) cascade with -0.0, the smallest subnormal and the largest
+    float among the entries of ``a``, and an all-zero ``b``."""
+    r = realize_wavelet(sample_parameters(1, 4, 8, 0.9))
+    a = np.array(r.a)
+    a[-1, 0] = complex(-0.0, 5e-324)
+    a[-1, 1] = complex(1.7976931348623157e308, -0.0)
+    return Realization(a=a, b=np.zeros_like(r.b), c=r.c, d=r.d)
+
+
+def _unsafe_lists():
+    """Long lists that are not plain finite numbers, which json writes itself."""
+    return {
+        "inf": [0.5] * 9 + [np.inf],
+        "nan": [[0.5, np.nan]] * 9,
+        "overflowing_sum": [1.7976931348623157e308] * 9,
+        "bools": [True] * 9,
+        "nones": [None] * 9,
+        "numpy_floats": [np.float64(0.1)] * 9,
+        "mixed": [1, 2.5] * 5,
+        "int_pairs": [[1, 2]] * 9,
+        "triples": [[0.5, 0.5, 0.5]] * 9,
+        "nested": [[[0.25, -0.0]] * 9, {"k": list(range(9))}, "s\u00e9\n"],
+        "int_keys": {1: list(range(9))},
+        "empty": [[], {}],
+    }
+
+
+class TestJsonWriter:
+    """Every JSON document wfk writes is ``json.dumps(indent=2, sort_keys=True)``
+    and a newline, byte for byte, with its long lists of numbers written in blocks."""
+
+    DOCS = {
+        "sparse_realization": lambda: wio.realization_to_dict(
+            realize_wavelet(sample_parameters(0, 8, 16, 0.99))
+        ),
+        "dense_realization": lambda: dense_document(
+            realize_wavelet(sample_parameters(0, 4, 8, 0.9))
+        ),
+        "extreme_realization": lambda: wio.realization_to_dict(_extreme_realization()),
+        "parameters_m0": lambda: wio.parameters_to_dict(
+            sample_parameters(0, 3, 0, 0.5), sample_box(0, 3, 0, 0.5)
+        ),
+        "parameters": lambda: wio.parameters_to_dict(sample_parameters(0, 8, 16, 0.99)),
+        "parameters_with_box": lambda: wio.parameters_to_dict(
+            box_to_params(sample_box(0, 8, 16, 0.99)), sample_box(0, 8, 16, 0.99)
+        ),
+        "report": lambda: {
+            **wio.report_to_dict(
+                [
+                    CheckReport("paraunitary", 1e-15, 1e-9, True, 8, 0, argmax_z=1j),
+                    CheckReport("stein_blocks", np.inf, 1e-9, False, 8, 0),
+                ],
+                seed=0, points=8, tol=1e-9,
+            ),
+            "stein": None,
+        },
+        "sidecar": lambda: {
+            "delay": 3, "bands": 2, "signal_length": 48, "reconstruction_error": None
+        },
+        "unsafe_lists": _unsafe_lists,
+        "blocks": lambda: {
+            # more numbers than one block holds, with extremes at its edges
+            "entries": [[float(k), -0.0 if k % 2 else 5e-324] for k in range(5000)],
+            "index": list(range(wio._CSV_BLOCK_CELLS + 1)),
+            "box": [0.1 * k for k in range(wio._CSV_BLOCK_CELLS)],
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    def test_bytes_are_the_canonical_json(self, tmp_path, name):
+        doc = self.DOCS[name]()
+        stream = io.StringIO()
+        wio.write_json(doc, stream)
+        assert stream.getvalue() == _canonical(doc)
+        path = tmp_path / "doc.json"
+        wio.save_json(doc, path)
+        assert path.read_bytes() == _canonical(doc).encode()
+
+    def test_what_json_rejects_raises_as_json_does(self):
+        with pytest.raises(TypeError, match="int64"):
+            wio.write_json({"index": [np.int64(3)] * 9}, io.StringIO())
+
+    def test_long_lists_go_out_in_blocks(self):
+        doc = self.DOCS["blocks"]()
+        stream = io.StringIO()
+        writes = []
+        stream.write = lambda text: writes.append(text) or len(text)
+        wio.write_json(doc, stream)
+        assert "".join(writes) == _canonical(doc)
+        assert max(map(len, writes)) < len(_canonical(doc)) / 2
+
+    def test_verify_stdout_and_output_file_are_the_same_bytes(self, tmp_path, capsys):
+        unstable = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
+        for k, r in enumerate((realize_wavelet(sample_parameters(0, 2, 3, 0.0)), unstable)):
+            path, report = tmp_path / f"r{k}.json", tmp_path / f"report{k}.json"
+            wio.save_realization(r, path)
+            assert main(["verify", str(path), "-o", str(report)]) == k
+            out = capsys.readouterr().out
+            assert report.read_text() == out == _canonical(json.loads(out))
+        assert "Infinity" in out and '"argmax_z": null' in out
+
+    def test_files_of_the_cli_are_canonical(self, tmp_path):
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        # rho = 0: analyze and synthesize take FIR filters only
+        assert main(["gen", "--n", "4", "--index", "8", "--seed", "1", "-o", str(params)]) == 0
+        assert main(["realize", str(params), "-o", str(real)]) == 0
+        rng = np.random.default_rng(3)
+        sig = tmp_path / "x.csv"
+        wio.save_signal(rng.standard_normal(64) + 1j * rng.standard_normal(64), sig)
+        bands, rec = tmp_path / "bands", tmp_path / "y.csv"
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(bands)]) == 0
+        assert main(["synthesize", str(params), "--bands", str(bands), "--out", str(rec),
+                     "--reference", str(sig)]) == 0
+        for path in (params, real, tmp_path / "y.csv.json"):
+            text = path.read_text()
+            assert text == _canonical(json.loads(text))
+
+    def test_north_star_save_load_save_is_byte_identical(self, tmp_path):
+        r = realize_wavelet(box_to_params(sample_box(0, 16, 32, 0.999)))
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        wio.save_realization(r, first)
+        wio.save_realization(wio.load_realization(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text() == _canonical(wio.realization_to_dict(r))
+
+    def test_save_realization_peak_is_no_higher_than_one_string(self, tmp_path):
+        # earlier versions wrote the file as one json.dumps string
+        r = realize_wavelet(sample_parameters(0, 16, 32, 0.999))
+        path = tmp_path / "r.json"
+        before = _traced_peak(lambda: path.write_text(_canonical(wio.realization_to_dict(r))))
+        assert _traced_peak(lambda: wio.save_realization(r, path)) <= before
+
+
 class TestUnwritableOutput:
     """An output under a regular file exits 2 with one line naming the path."""
 

@@ -1,6 +1,6 @@
-"""Planted realization files that are not wavelet filters but that ``wfk verify``
-passes today: each is a strict xfail whose reason names the ROADMAP item
-that closes it, so the fix flips it to a pass.
+"""Planted realization files that are not wavelet filters.  One that ``wfk
+verify`` passes today is a strict xfail whose reason names the ROADMAP item
+that closes it, so the fix flips it to a pass; one it fails is a plain test.
 
 The planted defects sit where ``wfk verify --seed 0`` does not sample: at
 the middle of the widest gaps between its 256 points.
@@ -14,7 +14,13 @@ import pytest
 from wfk import realize_wavelet, sample_parameters, unit_circle_points
 from wfk import io as wio
 from wfk.cli import main
-from wfk.realization import Realization, _factor_blocks, cascade, eval_realization
+from wfk.realization import (
+    Realization,
+    _factor_blocks,
+    _pole_roots,
+    cascade,
+    eval_realization,
+)
 
 POINTS = 256
 
@@ -76,6 +82,25 @@ def hidden_asymmetry(delta=1e-12):
     return w, np.exp(1j * thetas[0])
 
 
+def uncoupled_circle_core():
+    """A (2, 1, 0.5) cascade under a core with its poles on the circle and no coupling.
+
+    The core is a two-state ``realize_decimated_unitary`` block with
+    ``alpha = e^{0.7i}``: ``a`` holds the square roots of ``alpha`` and the
+    unit superdiagonal, ``b`` and ``c`` are zero, and ``d = I - (1 +
+    conj(alpha)) v v*`` is unitary.  The file is paraunitary and in the
+    cascade layout, but its two top states are unreachable and unobservable.
+    """
+    n, alpha, v = 2, np.exp(0.7j), np.array([0.6, 0.8j])
+    a = np.diag(_pole_roots(alpha, n)) + np.diag(np.ones(n - 1), 1)
+    zero = np.zeros((n, n), dtype=complex)
+    d = np.eye(n) - (1 + np.conj(alpha)) * np.outer(v, v.conj())
+    return cascade(
+        Realization(a=a, b=zero, c=zero, d=d),
+        realize_wavelet(sample_parameters(3, 2, 1, 0.5)),
+    )
+
+
 def verify_exit(r, tmp_path, capsys):
     path = tmp_path / "r.json"
     wio.save_realization(r, path)
@@ -119,3 +144,13 @@ def test_hidden_asymmetry_fails_verify(tmp_path, capsys):
     code, doc = verify_exit(hidden_asymmetry()[0], tmp_path, capsys)
     assert code == 1
     assert not {c["name"]: c for c in doc["checks"]}["symmetry"]["passed"]
+
+
+def test_uncoupled_circle_core_fails_verify(tmp_path, capsys):
+    # the triangular A has |a_ii| = 1, so the Stein equation is rejected
+    # before a closed-form candidate can pass the block identities
+    code, doc = verify_exit(uncoupled_circle_core(), tmp_path, capsys)
+    assert code == 1
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert failed == {"stein_blocks", "stein_hermiticity", "minimality"}
+    assert doc["stein"] is None

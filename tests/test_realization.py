@@ -974,16 +974,21 @@ class TestBlockStein:
             stein_certificate(r)
 
     @pytest.mark.parametrize("corner", [1.0, -1.001j])
-    def test_triangular_pole_on_or_outside_the_circle_skips_the_series(self, corner):
+    def test_triangular_pole_on_or_outside_the_circle_skips_the_series(
+        self, corner, monkeypatch
+    ):
         # the diagonal of a triangular A is its spectrum, so a spectral
-        # radius >= 1 rejects the series before any doubling.  With C = 0,
-        # H = 0 does solve A*HA + C*C = H (and is not positive definite):
-        # the rotated, non-triangular form of this file still returns it
-        # from the series, so this rejection depends on the basis
+        # radius >= 1 rejects A before the closed-form candidate of the
+        # cascade layout (two one-state cores here) or any doubling.  With
+        # C = 0, H = 0 does solve A*HA + C*C = H (and is not positive
+        # definite): the rotated, non-triangular form of this file still
+        # returns it from the series, so this rejection depends on the basis
         a = [[corner, 0.5], [0.0, 0.2]]
         r = Realization(a=a, b=np.ones((2, 1)), c=np.zeros((1, 2)), d=[[1.0]])
+        assert _cascade_edges(r) is not None
+        monkeypatch.setattr(realization, "_block_solution", None)
         with pytest.raises(ConvergenceError, match=re.escape("max |a_ii|")):
-            _series_solution(r)
+            stein_certificate(r)
         assert np.abs(_series_solution(rotate(r, seed=1))).max() == 0.0
 
 
