@@ -311,12 +311,7 @@ def _cmd_synthesize(args) -> int:
     params = wio.load_parameters(args.params)
     filters = subband_filters(params)
     band_dir = Path(args.bands)
-    bands = []
-    for k in range(params.n):
-        path = band_dir / f"band_{k}.csv"
-        if not path.exists():
-            raise UsageError(f"missing band file: {path}")
-        bands.append(wio.load_signal(path))
+    bands = [wio.load_signal(band_dir / f"band_{k}.csv") for k in range(params.n)]
     rebuilt = synthesize(SubbandSet(n=params.n, bands=tuple(bands)), filters)
     wio.save_signal(rebuilt, args.out)
     delay = synthesis_delay(filters)

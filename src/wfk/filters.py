@@ -26,6 +26,7 @@ one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -353,7 +354,8 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     ``z**n`` and the ``m`` all-pass scales ``s_j`` once for all points,
     and each factor is one rank-one update ``W += s_j v (v* W)`` of the
     ``n x (K*n)`` row-stacked values, whose innermost loop runs over the
-    ``K*n`` contiguous entries.
+    ``K*n`` contiguous entries; a scalar whose ``z**n`` leaves the float
+    range goes through the array kernel too.
 
     Raises
     ------
@@ -367,12 +369,23 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     points = z.reshape(-1)
     if (np.abs(points) <= _POLE_TOL).any():
         raise PoleError("elementary filter has a pole at z = 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = points**n
+        far = ~(np.abs(power) < np.inf)
+        powers = points ** _negative_range(n)[:, None]
+    if far.any():
+        # z**n leaves the float range: with u = 1/z, E(z) = diag(u**k) Q, and
+        # phi_j(z**n) = (u**n - conj(alpha_j)) / (1 - alpha_j u**n) is
+        # -conj(alpha_j) to within 1e-308, |u**n| being below the smallest
+        # normal float; w = 2, off every pole, holds the place of z**n
+        powers[:, far] = (1.0 / points[far]) ** np.arange(n)[:, None]
+        power[far] = 2.0
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
-    powers = points ** _negative_range(n)[:, None]
     w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
     if params.factors:
-        vectors, conjugates, alphas, _, _ = params._factor_stack
-        scales = blaschke(alphas[:, None], points ** n) - 1.0
+        vectors, conjugates, alphas, alpha_conjugates, _ = params._factor_stack
+        scales = blaschke(alphas[:, None], power) - 1.0
+        scales[:, far] = -1.0 - alpha_conjugates[:, None]
         w2 = w.reshape(n, -1)
         for v, vc, s in zip(vectors[:, :, None], conjugates, scales[:, :, None]):
             # W += s v (v* W) at every point at once
@@ -391,13 +404,19 @@ def _wavelet_point(params: FilterParameters, z: complex) -> np.ndarray:
     n = params.n
     if abs(z) <= _POLE_TOL:
         raise PoleError("elementary filter has a pole at z = 0")
+    try:
+        w = z**n
+        size = abs(w)
+    except OverflowError:
+        size = math.inf
+    if not size < math.inf:
+        return wavelet_eval(params, np.array([z]))[0]
     base = (z ** _negative_range(n))[:, None] * _dft_cached(n)
     if not params.factors:
         return base
     _, _, alphas, alpha_conjugates, outers = params._factor_stack
-    w = z**n
     den = w - alphas
-    if np.abs(den).min() <= _POLE_TOL * max(1.0, abs(w)):
+    if np.abs(den).min() <= _POLE_TOL * max(1.0, size):
         raise PoleError(f"all-pass factor evaluated at its pole (w = {w!r})")
     scales = (1.0 - alpha_conjugates * w) / den - 1.0
     return _pairwise_product(_eye(n) + scales[:, None, None] * outers) @ base

@@ -30,13 +30,12 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import TOL, FilterParameters, _eye, _frozen, dft_matrix
+from .filters import _UNIT_NORM_TOL, TOL, FilterParameters, _eye, _frozen, dft_matrix
 
-# A _sweep chunk of eval_realization holds at most _ROW_ENTRIES entries of X
-# and of the ratios that give Q, an LU chunk at most _CHUNK_ENTRIES entries
-# of its largest stacked array.
-_CHUNK_ENTRIES = 1 << 16
-_ROW_ENTRIES = 1 << 18
+# An array chunk of eval_realization holds at most _CHUNK_ENTRIES entries of
+# each work array (X and the ratios that give Q in _sweep, the stacked
+# zI - A in _lu), or one point when that needs more.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -138,9 +137,7 @@ class _HeadPlan:
     ``(I - N(z)) U = B_heads``, unit upper triangular, and
     ``Y = C_eff(z) U + D``: ``rows`` times ``Q`` is ``[-N; C_eff]`` off the
     diagonal of the head block, which :func:`_condensed_point` sets to the
-    ones of ``I - N``.  ``chunk`` is the number of points per chunk of
-    :func:`_sweep`, so that neither ``X`` nor the ratios hold more than
-    ``_ROW_ENTRIES`` entries.
+    ones of ``I - N``.
     """
 
     def __init__(self, r: Realization):
@@ -158,7 +155,6 @@ class _HeadPlan:
         self.starts = p - 1 - heads[::-1]
         self.rows = np.vstack([-a[heads[:, None], self.tops], r.c[:, self.tops]])
         self.b_heads = r.b[heads]
-        self.chunk = max(1, _ROW_ENTRIES // max(heads.size * r.inputs, p, 1))
 
 
 @dataclass(frozen=True)
@@ -298,7 +294,7 @@ def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
     plus the all-pass constant term.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(v) - 1.0) > _UNIT_NORM_TOL:
         raise InvariantError("v must have unit norm")
     a, b, c, d = _factor_blocks(v, complex(alpha), n)
     return Realization(a=a, b=b, c=c, d=d)
@@ -398,53 +394,55 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     and takes one 2-D ``numpy.linalg.solve``, a fixed number of array calls
     whatever the size of the filter.  For an array of any size the heads
     are solved one at a time, last first, for all points at once, and ``X``
-    is formed only at the tops; the points go through in chunks of a few
-    MB of work arrays.  A state matrix that is not upper triangular gets
-    one stacked LU, in chunks, for a point or an array.
+    is formed only at the tops.  A state matrix that is not upper
+    triangular gets one stacked LU, for a point or an array.  Both array
+    solvers take the points in chunks sized from one entry budget,
+    ``_CHUNK_ENTRIES``, and each returns its chunk's values with a
+    per-point mask of where it could solve.
 
     Raises
     ------
     PoleError
         If ``zI - A`` is singular at any point or the value is not finite,
-        naming the first such point; only a singular LU chunk is evaluated
-        again one point at a time to find it.
+        naming the first such point.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 and r.upper_triangular:
         return _condensed_point(r, complex(z))
-    points = z.reshape(-1)
+    points, p = z.reshape(-1), r.state_dim
     if r.upper_triangular:
-        solve, chunk = _sweep, r._head_plan.chunk
+        solve, entries = _sweep, max(r._head_plan.b_heads.size, p)
     else:
-        solve, chunk = _lu, _lu_chunk(r)
+        solve, entries = _lu, p * max(p, r.inputs)
+    chunk = max(1, _CHUNK_ENTRIES // max(entries, 1))
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     finite = np.empty(points.size, dtype=bool)
-    try:
-        for k in range(0, points.size, chunk):
-            finite[k : k + chunk] = solve(r, points[k : k + chunk], values[k : k + chunk])
-    except np.linalg.LinAlgError:  # a singular _lu chunk names no point
-        if points.size > 1:
-            for point in points:
-                eval_realization(r, point)  # raises, naming the first pole
-        where = f"z = {complex(points[0])!r}" if points.size == 1 else "a sampled point"
-        raise PoleError(f"{where} is a pole of the realization") from None
+    for k in range(0, points.size, chunk):
+        finite[k : k + chunk] = solve(r, points[k : k + chunk], values[k : k + chunk])
     finite &= np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
         raise PoleError(f"z = {complex(points[finite.argmin()])!r} is a pole of the realization")
     return values.reshape(z.shape + r.d.shape)
 
 
-def _lu_chunk(r: Realization) -> int:
-    """Points per chunk of :func:`_lu`."""
-    p = r.state_dim
-    return max(1, _CHUNK_ENTRIES // max(p * p, p * r.inputs, 1))
+def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``C X + D`` for one chunk by one stacked LU, and per point whether
+    ``zI - A`` is invertible there.
 
-
-def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> bool:
-    """``C X + D`` for one chunk by one stacked LU; True, as the LU raises at a pole."""
-    x = np.linalg.solve(points[:, None, None] * _eye(r.state_dim) - r.a, r.b[None])
+    numpy rejects the whole stack when one matrix has an exactly zero
+    pivot; ``slogdet`` factors each matrix the same way and has sign 0
+    just there, so the other points are solved again without them.
+    """
+    shifted = points[:, None, None] * _eye(r.state_dim) - r.a
+    invertible = np.ones(points.size, dtype=bool)
+    try:
+        x = np.linalg.solve(shifted, r.b[None])
+    except np.linalg.LinAlgError:
+        invertible = np.linalg.slogdet(shifted)[0] != 0
+        x = np.zeros((points.size,) + r.b.shape, dtype=complex)
+        x[invertible] = np.linalg.solve(shifted[invertible], r.b[None])
     np.add(r.c @ x, r.d, out=out)
-    return True
+    return invertible
 
 
 def _top_values(plan: _HeadPlan, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -582,23 +580,13 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     """
     if r.upper_triangular and np.abs(np.diagonal(r.a)).max(initial=0.0) >= 1.0:
         raise ConvergenceError("Stein equation rejected: spectral radius max |a_ii| is >= 1")
-    if _cascade_edges(r) is not None:
+    if cascade_index(r) is not None and r.upper_triangular:
         blocks = _block_solution(r)
         if blocks is not None:
             cert = _block_certificate(r, *blocks)
             if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
                 return cert
     return _block_certificate(r, np.zeros((0, 0, 0)), _series_solution(r), "dense")
-
-
-def _cascade_edges(r: Realization) -> list[int] | None:
-    """Block edges of the cascade layout, ``k`` cores of ``n`` states top first
-    and then the elementary block, or None when ``A`` is not upper triangular
-    with ``n*(n-1)/2 + k*n`` states for ``n`` outputs."""
-    k, n, p = cascade_index(r), r.outputs, r.state_dim
-    if k is None or not r.upper_triangular:
-        return None
-    return list(range(0, k * n + 1, n)) + ([p] if k * n < p else [])
 
 
 def _block_solution(r: Realization) -> tuple[np.ndarray, np.ndarray] | None:

@@ -334,6 +334,29 @@ class TestOnePointKernel:
                 with pytest.raises(PoleError, match="all-pass factor evaluated at its pole"):
                     wavelet_eval(p, z)
 
+    @pytest.mark.parametrize("m", [0, 4])
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_huge_points_match_the_realization(self, n, m):
+        # z**n leaves the float range at each of these moduli but 1e20 for
+        # n < 16; there the filter is its value at infinity plus O(1/z).
+        # Circle points share the array call and keep their values bit for bit
+        p = sample_parameters(90 + n, n, m, 0.9)
+        r = realize_wavelet(p)
+        turns = np.exp(1j * np.array([0.0, 0.7, np.pi / 2, 2.9]))
+        huge = np.concatenate([size * turns for size in (1e20, 1e160, 1e200, 1e300)])
+        near = circle(3, seed=n)
+        pts = np.concatenate([near[:1], huge, near[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = wavelet_eval(p, pts)
+            single = np.array([wavelet_eval(p, complex(z)) for z in pts])
+            realized = eval_realization(r, pts)
+            realized_single = np.array([eval_realization(r, complex(z)) for z in pts])
+        scale = np.abs(realized).max()
+        for got in (values, single, realized_single):
+            assert np.abs(got - realized).max() <= 1e-12 * scale
+        assert np.array_equal(values[[0, -2, -1]], wavelet_eval(p, near))
+
 
 class TestBoxMap:
     def test_two_band_formula(self):

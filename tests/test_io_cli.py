@@ -1603,8 +1603,16 @@ class TestCliSubbands:
         wio.save_signal(np.ones(8), sig)
         assert main(["analyze", str(params), "--signal", str(sig), "--out", str(tmp_path / "b")]) == 5
 
-    def test_missing_band_file_exit_2(self, tmp_path):
+    def test_missing_band_file_exit_2(self, tmp_path, capsys):
         params = self._fir_params(tmp_path)
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["synthesize", str(params), "--bands", str(empty), "--out", str(tmp_path / "r.csv")]) == 2
+        # one band of two absent: one line naming it
+        bands = tmp_path / "bands"
+        bands.mkdir()
+        wio.save_signal(np.ones(4), bands / "band_0.csv")
+        capsys.readouterr()
+        assert main(["synthesize", str(params), "--bands", str(bands), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no such file: {bands / 'band_1.csv'}\n"

@@ -47,9 +47,8 @@ from wfk.io import load_realization, save_realization
 from wfk.realization import (
     _block_certificate,
     _block_solution,
-    _cascade_edges,
-    _lu_chunk,
     _series_solution,
+    cascade_index,
 )
 
 R2 = 1 / np.sqrt(2)
@@ -79,6 +78,32 @@ def rotate(r, seed):
     p = r.state_dim
     q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
     return Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
+
+
+def chunk_sizes(monkeypatch, solver, budget=None):
+    """The point count of every chunk that :func:`eval_realization` hands
+    ``solver`` (``"_sweep"`` or ``"_lu"``), filled in as it runs; the entry
+    budget of a chunk becomes ``budget`` when one is given."""
+    sizes = []
+    solve = getattr(realization, solver)
+    monkeypatch.setattr(
+        realization, solver, lambda r, pts, out: sizes.append(pts.size) or solve(r, pts, out)
+    )
+    if budget is not None:
+        monkeypatch.setattr(realization, "_CHUNK_ENTRIES", budget)
+    return sizes
+
+
+def in_cascade_layout(r):
+    """Whether ``stein_certificate`` tries the closed-form block solution on ``r``."""
+    return cascade_index(r) is not None and r.upper_triangular
+
+
+def cascade_edges(r):
+    """Block edges of a cascade-layout ``r`` with ``n >= 2`` outputs: ``k``
+    cores of ``n`` states top first, then the elementary block."""
+    n, k = r.outputs, cascade_index(r)
+    return list(range(0, k * n + 1, n)) + [r.state_dim]
 
 
 def gapped_triangular(seed, p=12):
@@ -388,23 +413,25 @@ class TestEvalRealization:
         assert values.shape == (3, 2, 3, 3)
         assert np.abs(values[2, 1] - eval_realization(r, grid[2, 1])).max() <= 1e-14
 
-    def test_many_points_span_chunks(self):
-        # many points on a triangular A take the head-by-head sweep
-        r = realize_wavelet(sample_parameters(6, 8, 16, 0.99))
-        chunk = r._head_plan.chunk
-        pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
+    @staticmethod
+    def _chunk_edges_match_single_points(r, solver, monkeypatch):
+        sizes = chunk_sizes(monkeypatch, solver, budget=5000)
+        pts = np.exp(2j * np.pi * np.arange(103) / 103)
         values = eval_realization(r, pts)
-        assert values.shape == (pts.size, 8, 8)
+        assert values.shape == (pts.size,) + r.d.shape
+        chunk = sizes[0]
+        assert len(sizes) > 2 and sum(sizes) == pts.size
         for k in (0, chunk - 1, chunk, 2 * chunk, pts.size - 1):
             assert np.abs(values[k] - eval_realization(r, pts[k])).max() <= 1e-14
 
-    def test_dense_many_points_span_chunks(self):
+    def test_many_points_span_chunks(self, monkeypatch):
+        # many points on a triangular A take the head-by-head sweep
+        r = realize_wavelet(sample_parameters(6, 8, 16, 0.99))
+        self._chunk_edges_match_single_points(r, "_sweep", monkeypatch)
+
+    def test_dense_many_points_span_chunks(self, monkeypatch):
         r = rotate(realize_wavelet(sample_parameters(6, 4, 8, 0.9)), seed=6)
-        chunk = _lu_chunk(r)
-        pts = np.exp(2j * np.pi * np.arange(2 * chunk + 3) / (2 * chunk + 3))
-        values = eval_realization(r, pts)
-        for k in (0, chunk - 1, chunk, 2 * chunk, pts.size - 1):
-            assert np.abs(values[k] - eval_realization(r, pts[k])).max() <= 1e-14
+        self._chunk_edges_match_single_points(r, "_lu", monkeypatch)
 
     def test_gapped_triangular_matches_dense_basis(self):
         # a dense strictly-upper part with zeros inside the row spans: every
@@ -449,6 +476,35 @@ class TestEvalRealization:
                 eval_realization(r, pts)
         assert calls == []
 
+    def test_pole_in_a_singular_lu_chunk_is_named(self, monkeypatch):
+        # the states of a cascade in a random order: A is no longer upper
+        # triangular, and at z = a_00 the column of zI - A for the top state
+        # is exactly zero, so the LU of the middle one of three chunks fails
+        # on it; the LU names it from its own mask, without evaluating any
+        # point again
+        r = realize_wavelet(sample_parameters(12, 4, 8, 0.9))
+        order = np.random.default_rng(12).permutation(r.state_dim)
+        shuffled = Realization(
+            a=r.a[order][:, order], b=r.b[order], c=r.c[:, order], d=r.d
+        )
+        assert not shuffled.upper_triangular
+        sizes = chunk_sizes(monkeypatch, "_lu", budget=5 * r.state_dim**2)
+        calls = []
+        evaluate = realization.eval_realization
+        monkeypatch.setattr(
+            realization, "eval_realization", lambda r, z: calls.append(z) or evaluate(r, z)
+        )
+        pts = circle(15, seed=4)
+        pole = complex(r.a[0, 0])
+        pts[7] = pole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                PoleError, match=re.escape(f"z = {pole!r} is a pole of the realization")
+            ):
+                realization.eval_realization(shuffled, pts)
+        assert sizes == [5, 5, 5] and len(calls) == 1
+
     @pytest.mark.parametrize(
         "a", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]], ids=["triangular", "dense"]
     )
@@ -458,10 +514,8 @@ class TestEvalRealization:
         # pole, where neither z - a_ii nor the LU is singular; the exact
         # pole at -0.5 comes later and is not the one named
         r = Realization(a=a, b=[[1e300], [1e300]], c=[[1.0, 1.0]], d=[[0.0]])
-        if chunk and r.upper_triangular:
-            r._head_plan.chunk = chunk
-        elif chunk:
-            monkeypatch.setattr(realization, "_lu_chunk", lambda r: chunk)
+        if chunk:
+            monkeypatch.setattr(realization, "_CHUNK_ENTRIES", chunk)
         pts = np.array([0.9, 0.5 + 1e-10, 0.1, -0.5])
         with np.errstate(over="ignore"):
             with pytest.raises(PoleError, match=re.escape(f"z = {complex(pts[1])!r}")):
@@ -544,15 +598,16 @@ class TestEvalRealization:
         assert np.abs(eval_realization(r, pts) - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.abs(single - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_many_chunks_near_the_circle_match_single_points(self):
+    def test_many_chunks_near_the_circle_match_single_points(self, monkeypatch):
         # every |alpha| = 1 - 1e-13 at (16, 32): 512 points take the sweep
         # in more than one chunk, each point alone the condensed solve
         drawn = sample_parameters(3, 16, 32, 1.0)
         factors = tuple(Factor(f.v, (1.0 - 1e-13) * f.alpha / abs(f.alpha)) for f in drawn.factors)
         r = realize_wavelet(FilterParameters(n=16, rho=drawn.rho, factors=factors))
         pts = circle(512, seed=10)
-        assert pts.size > r._head_plan.chunk
+        sizes = chunk_sizes(monkeypatch, "_sweep")
         values = eval_realization(r, pts)
+        assert len(sizes) > 1
         single = np.array([eval_realization(r, z) for z in pts])
         assert np.abs(single - values).max() <= 1e-14 * np.abs(values).max()
 
@@ -797,8 +852,8 @@ class TestBlockStein:
         assert np.linalg.norm(cert.h - dense, 1) <= 1e-10 * np.linalg.norm(dense, 1)
         # the cascade's solution is block diagonal: n-state cores, then the
         # elementary block
-        edges = _cascade_edges(r)
-        assert edges[-1] == r.state_dim and len(edges) == m + 1 + (n > 1)
+        assert in_cascade_layout(r) and cascade_index(r) == m
+        edges = cascade_edges(r)
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert not cert.h[lo:hi, hi:].any()
 
@@ -834,7 +889,7 @@ class TestBlockStein:
             c=np.hstack([np.zeros((r.outputs, n)), r.c]),
             d=r.d,
         )
-        assert _cascade_edges(hidden) is not None
+        assert in_cascade_layout(hidden)
         cert = stein_certificate(hidden)
         assert cert.method == "dense"
         assert cert.max_block_residual <= 1e-9
@@ -847,7 +902,7 @@ class TestBlockStein:
         p = r.state_dim
         q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
         rotated = Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
-        assert _cascade_edges(padded) is None and _cascade_edges(rotated) is None
+        assert not in_cascade_layout(padded) and not in_cascade_layout(rotated)
         assert stein_certificate(padded).method == "dense"
         cert = stein_certificate(rotated)
         assert cert.method == "dense" and cert.positive_definite
@@ -913,8 +968,8 @@ class TestBlockStein:
         col = n + int(np.flatnonzero(a[row, n:])[0])
         a[row, col] += 1e-3
         bad = Realization(a=a, b=r.b, c=r.c, d=r.d)
-        edges = _cascade_edges(bad)
-        assert bad.upper_triangular and edges == _cascade_edges(r)
+        assert in_cascade_layout(bad) and cascade_index(bad) == cascade_index(r)
+        edges = cascade_edges(bad)
         # that H, top first: X - A_jj* X A_jj = (C*C)_jj + A[:lo, j]* H A[:lo, j],
         # solved through vec(A* X A) = kron(A^T, A*) vec(X)
         h = np.zeros((p, p), dtype=complex)
@@ -969,7 +1024,7 @@ class TestBlockStein:
         # the block equation is solvable but its H is indefinite, so the
         # dense path takes over and rejects |a_00| > 1
         r = Realization(a=[[1.5]], b=[[1.0, 0.0]], c=[[1.0], [0.0]], d=np.eye(2))
-        assert _cascade_edges(r) is not None
+        assert in_cascade_layout(r)
         with pytest.raises(ConvergenceError):
             stein_certificate(r)
 
@@ -985,7 +1040,7 @@ class TestBlockStein:
         # returns it from the series, so this rejection depends on the basis
         a = [[corner, 0.5], [0.0, 0.2]]
         r = Realization(a=a, b=np.ones((2, 1)), c=np.zeros((1, 2)), d=[[1.0]])
-        assert _cascade_edges(r) is not None
+        assert in_cascade_layout(r)
         monkeypatch.setattr(realization, "_block_solution", None)
         with pytest.raises(ConvergenceError, match=re.escape("max |a_ii|")):
             stein_certificate(r)
