@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a filter or realization")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--z", help="evaluation point as 're,im'")
+    group.add_argument(
+        "--z", help="evaluation point as 're,im'; one that starts with '-' as --z=-0.5,0.5"
+    )
     group.add_argument("--circle", type=int, help="evaluate at this many roots of unity")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_eval)

@@ -130,6 +130,12 @@ class FilterParameters:
         return all(f.alpha == 0 for f in self.factors)
 
     @cached_property
+    def _pole_radius(self) -> float:
+        """``max_j |alpha_j|`` (0 with no factors), for the pole guard of
+        the one-point kernel."""
+        return max((abs(f.alpha) for f in self.factors), default=0.0)
+
+    @cached_property
     def _factor_stack(self) -> tuple[np.ndarray, ...]:
         """The factors as arrays, built on first use and shared by every kernel.
 
@@ -305,7 +311,8 @@ def _eye(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _negative_range(n: int) -> np.ndarray:
-    return _frozen(-np.arange(n))
+    """The exponents ``0, -1, ..., -(n-1)`` as a column."""
+    return _frozen(-np.arange(n)[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -313,6 +320,19 @@ def _dft_cached(n: int) -> np.ndarray:
     eps = np.exp(2j * np.pi / n)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return _frozen(eps ** (-j * k) / np.sqrt(n))
+
+
+def _point_or_array(z) -> complex | np.ndarray:
+    """``z`` as a Python complex when it is one point, else as a complex array.
+
+    A Python ``int``, ``float`` or ``complex`` (numpy's ``float64`` and
+    ``complex128`` are subclasses) is converted without a 0-d array round
+    trip; any other scalar, such as a numpy integer, goes through one.
+    """
+    if isinstance(z, (int, float, complex)):
+        return complex(z)
+    z = np.asarray(z, dtype=complex)
+    return complex(z) if z.ndim == 0 else z
 
 
 def blaschke(alpha, w):
@@ -348,8 +368,9 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     by one.  ``z`` may have any shape; the result has shape
     ``z.shape + (n, n)``, so a scalar ``z`` gives one ``n x n`` matrix.
     The shape of ``z`` chooses the kernel.  A scalar goes through
-    :func:`_wavelet_point`, which forms every ``I + s_j v_j v_j*`` in one
-    ``(m, n, n)`` stack and multiplies neighbours pairwise,
+    :func:`_wavelet_point` as a Python complex (see
+    :func:`_point_or_array`), which forms every ``I + s_j v_j v_j*``
+    in one ``(m, n, n)`` stack and multiplies neighbours pairwise,
     ``ceil(log2 m)`` stacked products.  An array of any size computes
     ``z**n`` and the ``m`` all-pass scales ``s_j`` once for all points,
     and each factor is one rank-one update ``W += s_j v (v* W)`` of the
@@ -362,9 +383,9 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     PoleError
         When any point is ``0`` or has ``z**n`` at one of the ``alpha_j``.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        return _wavelet_point(params, complex(z))
+    z = _point_or_array(z)
+    if isinstance(z, complex):
+        return _wavelet_point(params, z)
     n = params.n
     points = z.reshape(-1)
     if (np.abs(points) <= _POLE_TOL).any():
@@ -372,14 +393,16 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         power = points**n
         far = ~(np.abs(power) < np.inf)
-        powers = points ** _negative_range(n)[:, None]
-    if far.any():
-        # z**n leaves the float range: with u = 1/z, E(z) = diag(u**k) Q, and
-        # phi_j(z**n) = (u**n - conj(alpha_j)) / (1 - alpha_j u**n) is
-        # -conj(alpha_j) to within 1e-308, |u**n| being below the smallest
-        # normal float; w = 2, off every pole, holds the place of z**n
-        powers[:, far] = (1.0 / points[far]) ** np.arange(n)[:, None]
-        power[far] = 2.0
+        powers = points ** _negative_range(n)
+        if far.any():
+            # z**n leaves the float range: with u = 1/z, E(z) = diag(u**k) Q, and
+            # phi_j(z**n) = (u**n - conj(alpha_j)) / (1 - alpha_j u**n) is
+            # -conj(alpha_j) to within 1e-308, |u**n| being below the smallest
+            # normal float; w = 2, off every pole, holds the place of z**n.
+            # Near the top of the float range 1/z overflows inside the
+            # division and gives 0, which is u to within 1e-308 as well
+            powers[:, far] = (1.0 / points[far]) ** np.arange(n)[:, None]
+            power[far] = 2.0
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view w2 turns v* W into one product
     w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
     if params.factors:
@@ -398,28 +421,37 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
 def _wavelet_point(params: FilterParameters, z: complex) -> np.ndarray:
     """The filter at one point: ``prod_j (I + s_j v_j v_j*) @ E(z)``.
 
-    ``s_j = phi_j(z**n) - 1`` by the expression of :func:`blaschke`, whose
-    pole guard is one minimum over the factors.
+    ``s_j = phi_j(z**n) - 1`` by the expression of :func:`blaschke`, on
+    the ``(m,)`` rows of the factor stack.  Its pole guard is scalar
+    arithmetic first: ``|w - alpha_j| >= |w| - max_j |alpha_j|``, so a
+    ``w`` that clears the largest pole modulus by twice the guard cannot be
+    within the guard of a pole, even after rounding, and skips the minimum
+    over the factors.  A point of the unit circle clears it unless some
+    ``|alpha_j|`` is within ``2e-14`` of 1.  The identity is added to the
+    stack of ``s_j v_j v_j*`` in place.
     """
     n = params.n
-    if abs(z) <= _POLE_TOL:
-        raise PoleError("elementary filter has a pole at z = 0")
     try:
+        if abs(z) <= _POLE_TOL:
+            raise PoleError("elementary filter has a pole at z = 0")
         w = z**n
         size = abs(w)
     except OverflowError:
         size = math.inf
     if not size < math.inf:
         return wavelet_eval(params, np.array([z]))[0]
-    base = (z ** _negative_range(n))[:, None] * _dft_cached(n)
+    base = z ** _negative_range(n) * _dft_cached(n)
     if not params.factors:
         return base
     _, _, alphas, alpha_conjugates, outers = params._factor_stack
     den = w - alphas
-    if np.abs(den).min() <= _POLE_TOL * max(1.0, size):
+    guard = _POLE_TOL * max(1.0, size)
+    if size - params._pole_radius <= 2.0 * guard and np.abs(den).min() <= guard:
         raise PoleError(f"all-pass factor evaluated at its pole (w = {w!r})")
     scales = (1.0 - alpha_conjugates * w) / den - 1.0
-    return _pairwise_product(_eye(n) + scales[:, None, None] * outers) @ base
+    stack = scales[:, None, None] * outers
+    stack += _eye(n)
+    return _pairwise_product(stack) @ base
 
 
 def _pairwise_product(f: np.ndarray) -> np.ndarray:
@@ -559,8 +591,8 @@ def _max_circle_residual(
     array of ``c`` residuals per point.  Returns the ``c`` maxima, the
     point at which each is reached and the number of redrawn points.  Only
     the points where ``residual`` hit a pole are redrawn, from an rng
-    seeded by ``seed``, for at most ``_RETRIES`` rounds; a point redrawn in
-    two rounds counts twice.
+    seeded by ``seed`` and built at the first redraw, for at most
+    ``_RETRIES`` rounds; a point redrawn in two rounds counts twice.
 
     Residuals that tie up to rounding name a stable point: the first, in
     the order of ``points`` and then of the redraws, whose residual is
@@ -568,12 +600,13 @@ def _max_circle_residual(
     filter makes ``paraunitary``'s residual equal at ``z`` and ``eps z``,
     and a rounding difference in the last bit would otherwise pick either.
     """
-    rng = np.random.default_rng(seed ^ 0x5EED)
     groups, failed = _sample_residuals(residual, points)
-    resampled = 0
+    resampled, rng = 0, None
     for _ in range(_RETRIES):
         if not failed.size:
             break
+        if rng is None:
+            rng = np.random.default_rng(seed ^ 0x5EED)
         redraw = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=failed.size))
         resampled += redraw.size
         more, failed = _sample_residuals(residual, redraw)

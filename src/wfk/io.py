@@ -316,25 +316,39 @@ def _block_shape(doc: dict, name: str) -> tuple[int, int]:
 
 
 def _block_index(raw, name: str, rows: int, cols: int) -> np.ndarray:
-    """The ``index`` of block ``name``: strictly increasing positions below ``rows*cols``."""
+    """The ``index`` of block ``name``: strictly increasing positions below ``rows*cols``.
+
+    A list of plain ``int``s that fit ``int64``, as :func:`_block_to_dict`
+    writes, is read in one ``np.array`` and range-checked by its minimum
+    and maximum.  Any other list, and one with a position out of range,
+    goes through the per-item loop, which reads an integral float as its
+    ``int`` and names the first bad item.
+    """
     if not isinstance(raw, list):
         raise InvariantError(
             f"block '{name}' field 'index' must be a list, got {type(raw).__name__}"
         )
     size = rows * cols
-    positions = []
-    for k, value in enumerate(raw):
-        i = _integral(value)
-        if i is None:
-            raise InvariantError(
-                f"block '{name}' index {k} must be an integer, got {value!r}"
-            )
-        if not 0 <= i < size:
-            raise InvariantError(
-                f"block '{name}' index {i} is outside its {rows}x{cols} entries"
-            )
-        positions.append(i)
-    index = np.array(positions, dtype=np.int64)
+    index = None
+    if set(map(type, raw)) <= {int}:
+        try:
+            index = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            pass
+    if index is None or index.min(initial=0) < 0 or index.max(initial=-1) >= size:
+        positions = []
+        for k, value in enumerate(raw):
+            i = _integral(value)
+            if i is None:
+                raise InvariantError(
+                    f"block '{name}' index {k} must be an integer, got {value!r}"
+                )
+            if not 0 <= i < size:
+                raise InvariantError(
+                    f"block '{name}' index {i} is outside its {rows}x{cols} entries"
+                )
+            positions.append(i)
+        index = np.array(positions, dtype=np.int64)
     back = np.flatnonzero(np.diff(index) <= 0)
     if back.size:
         k = int(back[0]) + 1

@@ -30,7 +30,15 @@ from .errors import (
     InvariantError,
     PoleError,
 )
-from .filters import _UNIT_NORM_TOL, TOL, FilterParameters, _eye, _frozen, dft_matrix
+from .filters import (
+    _UNIT_NORM_TOL,
+    TOL,
+    FilterParameters,
+    _eye,
+    _frozen,
+    _point_or_array,
+    dft_matrix,
+)
 
 # An array chunk of eval_realization holds at most _CHUNK_ENTRIES entries of
 # each work array (X and the ratios that give Q in _sweep, the stacked
@@ -406,9 +414,10 @@ def eval_realization(r: Realization, z) -> np.ndarray:
         If ``zI - A`` is singular at any point or the value is not finite,
         naming the first such point.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0 and r.upper_triangular:
-        return _condensed_point(r, complex(z))
+    z = _point_or_array(z)
+    if isinstance(z, complex) and r.upper_triangular:
+        return _condensed_point(r, z)
+    z = np.asarray(z)
     points, p = z.reshape(-1), r.state_dim
     if r.upper_triangular:
         solve, entries = _sweep, max(r._head_plan.b_heads.size, p)
@@ -456,19 +465,26 @@ def _top_values(plan: _HeadPlan, points: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _condensed_point(r: Realization, z: complex) -> np.ndarray:
-    """``C_eff U + D`` at one point by one solve of the head system."""
+    """``C_eff U + D`` at one point by one solve of the head system.
+
+    ``Q`` comes from the scalar ``z`` by the ratios and the ``reduceat`` of
+    :func:`_top_values`, on 1-D arrays, which give the same bits.
+    """
     plan = r._head_plan
     h = plan.b_heads.shape[0]
     with np.errstate(all="ignore"):
-        q, finite = _top_values(plan, np.array([z]))
-        system = q[:, 0] * plan.rows
+        divisor = z - plan.diagonal
+        ratios = np.divide(plan.scale, divisor, out=divisor)
+        q = np.multiply.reduceat(ratios, plan.starts)[::-1]
+        system = q * plan.rows
         system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
         try:
             u = np.linalg.solve(system[:h], plan.b_heads)
-            value = system[h:] @ u + r.d
+            value = system[h:] @ u
+            value += r.d
         except np.linalg.LinAlgError:
             value = None
-    if not finite[0] or value is None or not np.isfinite(value).all():
+    if value is None or not np.isfinite(q).all() or not np.isfinite(value).all():
         raise PoleError(f"z = {z!r} is a pole of the realization")
     return value
 

@@ -291,10 +291,15 @@ def point_forms(z):
     ]
 
 
+# Real points as Python int, bool and float and as numpy float64 and int64
+REAL_POINT_FORMS = [2, True, -0.5, np.float64(-0.5), np.int64(2)]
+
+
 def assert_one_point_forms(evaluate, target, points, shape):
     """Every one-point form of each point keeps its result shape, and each
     form and each array of the first 1 to K points matches the scalar calls
-    within 1e-14 relative."""
+    within 1e-14 relative; each of ``REAL_POINT_FORMS`` gives one value
+    that matches a one-element array of its point within 1e-14 relative."""
     single = np.array([evaluate(target, complex(z)) for z in points])
     scale = np.abs(single).max()
     for k, z in enumerate(points):
@@ -304,6 +309,11 @@ def assert_one_point_forms(evaluate, target, points, shape):
             assert np.abs(value.reshape(shape) - single[k]).max() <= 1e-14 * scale
     for count in range(1, points.size + 1):
         assert np.abs(evaluate(target, points[:count]) - single[:count]).max() <= 1e-14 * scale
+    for form in REAL_POINT_FORMS:
+        value = evaluate(target, form)
+        expected = evaluate(target, np.array([complex(form)]))[0]
+        assert value.shape == shape
+        assert np.abs(value - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestOnePointKernel:
@@ -315,6 +325,18 @@ class TestOnePointKernel:
     def test_index_zero_point_forms(self):
         p = FilterParameters(n=4, rho=0.0, factors=())
         assert_one_point_forms(wavelet_eval, p, circle(7, seed=1), (4, 4))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_point_value_is_a_fresh_writable_array(self, m):
+        # the one-point kernels read arrays cached on the filter and the
+        # realization; writing into a value must not reach them
+        p = sample_parameters(6, 4, m, 0.9)
+        for evaluate, target in ((wavelet_eval, p), (eval_realization, realize_wavelet(p))):
+            value = evaluate(target, 0.3 + 0.4j)
+            kept = value.copy()
+            assert value.flags.writeable and value.flags.owndata
+            value[...] = np.nan
+            assert np.array_equal(evaluate(target, 0.3 + 0.4j), kept)
 
     def test_empty_array(self):
         p = sample_parameters(4, 3, 2, 0.9)
@@ -334,16 +356,37 @@ class TestOnePointKernel:
                 with pytest.raises(PoleError, match="all-pass factor evaluated at its pole"):
                     wavelet_eval(p, z)
 
+    @pytest.mark.parametrize("turn", [1.0, -1.0, 1j])
+    def test_pole_guard_matches_the_array_kernel(self, turn):
+        # w at 0.5 to 4 guards (1e-14) from the pole of largest modulus,
+        # outward, inward and along its circle: the one-point kernel skips
+        # the minimum over the factors beyond twice the guard outward only
+        p = sample_parameters(5, 4, 3, 0.9)
+        alpha = max((f.alpha for f in p.factors), key=abs)
+        for d in (0.5, 0.9, 1.1, 1.5, 1.9, 2.1, 2.5, 4.0):
+            z = (alpha + turn * alpha / abs(alpha) * d * 1e-14) ** 0.25
+            for form in (z, np.array([z])):
+                if d < 1:
+                    with pytest.raises(PoleError, match="all-pass factor evaluated at its pole"):
+                        wavelet_eval(p, form)
+                else:
+                    assert np.isfinite(wavelet_eval(p, form)).all()
+
     @pytest.mark.parametrize("m", [0, 4])
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_huge_points_match_the_realization(self, n, m):
         # z**n leaves the float range at each of these moduli but 1e20 for
         # n < 16; there the filter is its value at infinity plus O(1/z).
-        # Circle points share the array call and keep their values bit for bit
+        # Circle points share the array call and keep their values bit for
+        # bit.  At the top of the float range 1/z overflows inside numpy's
+        # division, and |z| inside Python's abs at 1.5e308 * (1 + 1j); those
+        # points go in calls of their own, since the vector-matrix product
+        # of the array kernel rounds a point by its position in the array
         p = sample_parameters(90 + n, n, m, 0.9)
         r = realize_wavelet(p)
         turns = np.exp(1j * np.array([0.0, 0.7, np.pi / 2, 2.9]))
         huge = np.concatenate([size * turns for size in (1e20, 1e160, 1e200, 1e300)])
+        top = np.array([1e308 + 1e308j, -1e308 - 1e308j, 1.5e308 + 1.5e308j])
         near = circle(3, seed=n)
         pts = np.concatenate([near[:1], huge, near[1:]])
         with warnings.catch_warnings():
@@ -352,9 +395,17 @@ class TestOnePointKernel:
             single = np.array([wavelet_eval(p, complex(z)) for z in pts])
             realized = eval_realization(r, pts)
             realized_single = np.array([eval_realization(r, complex(z)) for z in pts])
+            top_realized = eval_realization(r, top)
+            top_values = [
+                wavelet_eval(p, top),
+                np.array([wavelet_eval(p, complex(z)) for z in top]),
+                np.array([eval_realization(r, complex(z)) for z in top]),
+            ]
         scale = np.abs(realized).max()
         for got in (values, single, realized_single):
             assert np.abs(got - realized).max() <= 1e-12 * scale
+        for got in top_values:
+            assert np.abs(got - top_realized).max() <= 1e-12 * scale
         assert np.array_equal(values[[0, -2, -1]], wavelet_eval(p, near))
 
 

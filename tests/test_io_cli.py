@@ -1485,6 +1485,20 @@ class TestCliEval:
         assert main(["eval", str(params), "--circle", "8", "-o", str(out)]) == 0
         assert printed.encode() == out.read_bytes()
 
+    def test_negative_point_after_equals(self, tmp_path, capsys):
+        # argparse reads "--z -0.5,0.5" as two options; "--z=-0.5,0.5" is
+        # the documented form
+        p = sample_parameters(7, 4, 2, 0.9)
+        params = tmp_path / "p.json"
+        wio.save_parameters(p, params)
+        assert main(["eval", str(params), "--z=-0.5,0.5"]) == 0
+        rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", ndmin=2)
+        assert rows.shape == (1, 2 + 2 * 16)
+        assert rows[0, 0] == -0.5 and rows[0, 1] == 0.5
+        value = (rows[0, 2::2] + 1j * rows[0, 3::2]).reshape(4, 4)
+        expected = wavelet_eval(p, -0.5 + 0.5j)
+        assert np.abs(value - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_pole_exit_4(self, tmp_path):
         params = tmp_path / "p.json"
         wio.save_parameters(sample_parameters(9, 2, 1, 0.9), params)

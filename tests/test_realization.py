@@ -635,10 +635,16 @@ class TestEvalRealization:
 RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
 
 
+# Real points as Python int, bool and float and as numpy float64 and int64
+REAL_POINT_FORMS = [2, True, -0.5, np.float64(-0.5), np.int64(2)]
+
+
 def assert_one_point_forms(r, points):
     """Every one-point input form of each point keeps its result shape, and
     each form and each array of the first 1 to K points matches the scalar
-    calls within 1e-14 relative."""
+    calls within 1e-14 relative; each of ``REAL_POINT_FORMS`` gives one
+    value that matches a one-element array of its point within 1e-14
+    relative."""
     shape = r.d.shape
     single = np.array([eval_realization(r, complex(z)) for z in points])
     scale = np.abs(single).max()
@@ -656,6 +662,11 @@ def assert_one_point_forms(r, points):
             assert np.abs(value.reshape(shape) - single[k]).max() <= 1e-14 * scale
     for count in range(1, points.size + 1):
         assert np.abs(eval_realization(r, points[:count]) - single[:count]).max() <= 1e-14 * scale
+    for form in REAL_POINT_FORMS:
+        value = eval_realization(r, form)
+        expected = eval_realization(r, np.array([complex(form)]))[0]
+        assert value.shape == shape
+        assert np.abs(value - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def assert_tops_hold_every_outside_read(r):
