@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +53,9 @@ def open_output(path):
 
 
 # A list of at least this many numbers or [re, im] pairs is written by a row
-# template (see _number_blocks).  A document with no list this long, such as
-# a verify report with its [re, im] points, goes to json in one call: laying
-# out its dicts here would cost more than the templates save on short lists.
+# template (see _number_blocks) in the place that json's layout of the
+# document keeps for it.  Shorter lists, such as a verify report's [re, im]
+# points, and empty ones json lays out with the rest of the document.
 _LONG_LIST = 8
 
 
@@ -110,63 +111,48 @@ def _number_blocks(flat: list, width: int, depth: int):
     yield "\n" + "  " * depth + "]"
 
 
-def _holds_long_list(value) -> bool:
-    """Whether ``value`` is or holds a list of at least ``_LONG_LIST`` items."""
+def _skeleton(value, held: list):
+    """``value`` with its ``k``-th long list of numbers replaced by the string
+    ``"\\x00k"``, and ``_number_list`` of that list appended to ``held``."""
     if type(value) is dict:
-        return any(map(_holds_long_list, value.values()))
-    if type(value) is list:
-        return len(value) >= _LONG_LIST or any(map(_holds_long_list, value))
-    return False
-
-
-def _json_chunks(value, depth: int):
-    """The JSON text of ``value`` at nesting ``depth``, in chunks.
-
-    A long list of numbers (see :func:`_number_list`) goes out in blocks
-    of :func:`_number_blocks`.  A list or a dict with ``str`` keys that
-    holds a long list is laid out here as ``json.dumps(indent=2,
-    sort_keys=True)`` lays it out, one item at a time; ``json`` writes
-    anything else whole, indented to ``depth``.
-    """
+        return {key: _skeleton(item, held) for key, item in value.items()}
+    if type(value) is not list:
+        return value
     numbers = _number_list(value)
-    if numbers is not None:
-        yield from _number_blocks(*numbers, depth)
-        return
-    if not _holds_long_list(value) or (type(value) is dict and set(map(type, value)) != {str}):
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-        return
-    indent = "\n" + "  " * (depth + 1)
-    if type(value) is dict:
-        brackets = "{}"
-        items = [(indent + json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-    else:
-        brackets = "[]"
-        items = [(indent, item) for item in value]
-    yield brackets[0]
-    for k, (head, item) in enumerate(items):
-        yield "," + head if k else head
-        yield from _json_chunks(item, depth + 1)
-    yield "\n" + "  " * depth + brackets[1]
+    if numbers is None:
+        return [_skeleton(item, held) for item in value]
+    held.append(numbers)
+    return f"\x00{len(held) - 1}"
 
 
 def write_json(doc, stream) -> None:
     """Write ``doc`` to ``stream`` as ``json.dumps(doc, indent=2, sort_keys=True)``
     and a final newline, byte for byte.
 
-    Every long list of plain numbers or ``[re, im]`` pairs in ``doc`` (a
-    realization's ``index`` and ``entries``, a parameter file's ``box`` and
-    factor ``v``) is written in blocks, never as one string; ``json``
-    writes the rest, and the whole of a ``doc`` that holds no long list (a
-    verify report, a synthesis sidecar) in one call.
+    ``json`` lays out ``doc`` with its long lists of numbers replaced by
+    placeholder strings (see :func:`_skeleton`).  Each list is then written
+    in blocks of :func:`_number_blocks` where its placeholder stands, at the
+    depth of that line's indent.  A ``doc`` with a string of its own that
+    reads as a placeholder is written by ``json`` whole.
     """
-    stream.writelines(_json_chunks(doc, 0))
+    held = []
+    text = json.dumps(_skeleton(doc, held), indent=2, sort_keys=True)
+    parts = re.split(r'"\\u0000(\d+)"', text) if held else [text]
+    if sorted(map(int, parts[1::2])) != list(range(len(held))):
+        parts = [json.dumps(doc, indent=2, sort_keys=True)]
+    stream.write(parts[0])
+    for before, k, after in zip(parts[0::2], parts[1::2], parts[2::2]):
+        line = before.rpartition("\n")[2]
+        stream.writelines(_number_blocks(*held[int(k)], (len(line) - len(line.lstrip())) // 2))
+        stream.write(after)
     stream.write("\n")
 
 
 def save_json(doc, path) -> None:
     """Write ``doc`` to ``path`` by :func:`write_json`: the bytes of
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each long list
-    of numbers written in blocks."""
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, laid out by one
+    ``json`` call, with each long list of numbers written in blocks where
+    it stands."""
     with open_output(path) as stream:
         write_json(doc, stream)
 
@@ -246,9 +232,11 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
         n = _integer(doc, "n")
         m = _integer(doc, "m")
         rho = float(doc["rho"])
-        raw = list(doc["factors"])
+        raw = doc["factors"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed parameter document: {exc}") from exc
+    if not isinstance(raw, list):
+        raise InvariantError(f"field 'factors' must be a list, got {type(raw).__name__}")
     if len(raw) != m:
         raise InvariantError(f"document claims m={m} but carries {len(raw)} factors")
     factors = []
@@ -415,13 +403,14 @@ def realization_to_dict(r: Realization) -> dict:
 def realization_from_dict(doc: dict) -> Realization:
     """The realization a document describes, dense or sparse blocks alike.
 
-    Every block's declared shape is checked against the others and against
+    Every block's declared shape is checked against the others, ``n`` and
     ``state_dim``, ``d`` must have at least one output and one input, and
     the blocks with an ``index`` are checked against ``_MAX_SPARSE_ENTRIES``,
     before any block is read, so a short file cannot make the loader
     allocate more than that ceiling.
     """
     try:
+        n = _integer(doc, "n")
         state_dim = _integer(doc, "state_dim")
         shapes = {name: _block_shape(doc[name], name) for name in _BLOCKS}
         sparse = [name for name in _BLOCKS if "index" in doc[name]]
@@ -441,6 +430,8 @@ def realization_from_dict(doc: dict) -> Realization:
                 f"block '{name}' is {got[0]}x{got[1]}, expected {want[0]}x{want[1]} "
                 f"for a {p}x{p} 'a' and a {outputs}x{inputs} 'd'"
             )
+    if outputs != n:
+        raise InvariantError(f"document claims n={n} but block 'd' has {outputs} rows")
     if p != state_dim:
         raise InvariantError(f"document claims state_dim={state_dim} but blocks give {p}")
     total = 0

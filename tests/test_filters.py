@@ -377,11 +377,12 @@ class TestOnePointKernel:
     def test_huge_points_match_the_realization(self, n, m):
         # z**n leaves the float range at each of these moduli but 1e20 for
         # n < 16; there the filter is its value at infinity plus O(1/z).
-        # Circle points share the array call and keep their values bit for
-        # bit.  At the top of the float range 1/z overflows inside numpy's
-        # division, and |z| inside Python's abs at 1.5e308 * (1 + 1j); those
-        # points go in calls of their own, since the vector-matrix product
-        # of the array kernel rounds a point by its position in the array
+        # Circle points share the array call and keep the bits they get at
+        # the same positions among ordinary off-circle points: the
+        # vector-matrix product of the array kernel rounds a point by its
+        # position in the array.  At the top of the float range 1/z overflows
+        # inside numpy's division, and |z| inside Python's abs at
+        # 1.5e308 * (1 + 1j); those points go in calls of their own
         p = sample_parameters(90 + n, n, m, 0.9)
         r = realize_wavelet(p)
         turns = np.exp(1j * np.array([0.0, 0.7, np.pi / 2, 2.9]))
@@ -406,7 +407,9 @@ class TestOnePointKernel:
             assert np.abs(got - realized).max() <= 1e-12 * scale
         for got in top_values:
             assert np.abs(got - top_realized).max() <= 1e-12 * scale
-        assert np.array_equal(values[[0, -2, -1]], wavelet_eval(p, near))
+        ordinary = np.concatenate([size * turns for size in (1.5, 2.0, 3.0, 5.0)])
+        ordinary = wavelet_eval(p, np.concatenate([near[:1], ordinary, near[1:]]))
+        assert np.array_equal(values[[0, -2, -1]], ordinary[[0, -2, -1]])
 
 
 class TestBoxMap:

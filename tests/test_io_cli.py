@@ -93,21 +93,30 @@ class TestParameterFiles:
 
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("n", 2.7), ("n", True), ("m", 1.5), ("m", False), ("n", "2")],
-        ids=["n-float", "n-bool", "m-float", "m-bool", "n-string"],
+        "edit, named",
+        [({"n": 2.7}, "field 'n' must be an integer"),
+         ({"n": True}, "field 'n' must be an integer"),
+         ({"m": 1.5}, "field 'm' must be an integer"),
+         ({"m": False}, "field 'm' must be an integer"),
+         ({"n": "2"}, "field 'n' must be an integer"),
+         # factors must be an array, even where m = 0 asks for none
+         ({"m": 0, "factors": {}}, "field 'factors' must be a list"),
+         ({"m": 0, "factors": ""}, "field 'factors' must be a list"),
+         ({"factors": "x"}, "field 'factors' must be a list")],
+        ids=["n-float", "n-bool", "m-float", "m-bool", "n-string",
+             "factors-object", "factors-empty-string", "factors-string"],
     )
-    def test_non_integer_field_exit_3(self, tmp_path, capsys, field, value):
+    def test_non_integer_field_exit_3(self, tmp_path, capsys, edit, named):
         doc = wio.parameters_to_dict(sample_parameters(2, 2, 1, 0.9))
-        doc[field] = value
-        with pytest.raises(InvariantError, match=f"field '{field}' must be an integer"):
+        doc.update(edit)
+        with pytest.raises(InvariantError, match=named):
             wio.parameters_from_dict(doc)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         for argv in (["verify", str(path)], ["realize", str(path), "-o", str(tmp_path / "r.json")]):
             assert main(argv) == 3
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and f"field '{field}'" in err
+            assert err.count("\n") == 1 and named in err
 
     def test_integral_float_field_loads(self):
         doc = wio.parameters_to_dict(sample_parameters(2, 2, 1, 0.9))
@@ -491,15 +500,27 @@ class TestRealizationFiles:
             assert main(argv) == 0
             assert capsys.readouterr().err == ""
 
-    def test_state_dim_consistency_checked(self, tmp_path):
-        r = realize_wavelet(sample_parameters(4, 2, 1, 0.9))
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("state_dim", 99, "state_dim=99"), ("n", 99, "n=99"), ("n", 1, "n=1"),
+         ("n", "two", "field 'n' must be an integer"), ("n", None, "'n'")],
+        ids=["state_dim", "n-wrong", "n-short", "n-string", "n-missing"],
+    )
+    def test_n_and_state_dim_checked(self, tmp_path, capsys, field, value, named):
+        doc = wio.realization_to_dict(realize_wavelet(sample_parameters(4, 2, 2, 0.5)))
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
         path = tmp_path / "r.json"
-        wio.save_realization(r, path)
-        doc = json.loads(path.read_text())
-        doc["state_dim"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=re.escape(named)):
             wio.load_realization(path)
+        for argv in (["verify", str(path)], ["eval", str(path), "--z", "1,0"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and named in captured.err
 
 
 class TestLoaders:
@@ -816,6 +837,13 @@ class TestJsonWriter:
             "delay": 3, "bands": 2, "signal_length": 48, "reconstruction_error": None
         },
         "unsafe_lists": _unsafe_lists,
+        "placeholder_lookalikes": lambda: {
+            # strings that read as the writer's stand-ins for its long lists
+            "\x000": "\x000",
+            "note": "\x001",
+            "box": [0.5] * 8,
+            "index": list(range(8)),
+        },
         "blocks": lambda: {
             # more numbers than one block holds, with extremes at its edges
             "entries": [[float(k), -0.0 if k % 2 else 5e-324] for k in range(5000)],
@@ -1009,6 +1037,44 @@ class TestCliGen:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "box.json" in err
+        assert not out.exists()
+
+    def test_box_object_input(self, tmp_path):
+        # a {"box": [...]} object, such as gen's own output, reads as its flat array
+        coords = [np.pi / 2, 0.0, 0.0, 0.0]
+        flat, obj = tmp_path / "flat.json", tmp_path / "obj.json"
+        flat.write_text(json.dumps(coords))
+        obj.write_text(json.dumps({"box": coords}))
+        outs = [tmp_path / f"p{k}.json" for k in range(3)]
+        argv = ["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box"]
+        for box, out in zip((flat, obj, outs[0]), outs):
+            assert main(argv + [str(box), "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc", [{"coords": [0.0] * 4}, {"box": {"0": 0.0}}, 3, "box", None],
+        ids=["no-box-key", "box-object", "number", "string", "null"],
+    )
+    def test_box_without_list_exit_3(self, tmp_path, capsys, doc):
+        box, out = tmp_path / "box.json", tmp_path / "p.json"
+        box.write_text(json.dumps(doc))
+        argv = ["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(box)]
+        assert main(argv + ["-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "box.json" in err and "flat array" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "1"), ("--n", "-3"), ("--index", "-1")],
+        ids=["n-1", "n-negative", "index-negative"],
+    )
+    def test_bad_size_names_flag(self, tmp_path, capsys, flag, value):
+        sizes = {"--n": "2", "--index": "1", flag: value}
+        out = tmp_path / "p.json"
+        argv = ["gen", "--n", sizes["--n"], "--index", sizes["--index"], "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be >= ")
         assert not out.exists()
 
     def test_bad_rho_names_flag(self, tmp_path, capsys):
@@ -1531,6 +1597,25 @@ class TestCliEval:
         assert captured.err.count("\n") == 1 and "--z" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["--z", "1"], "--z expects 're,im'"), (["--z", "1,2,3"], "--z expects 're,im'"),
+         (["--z", "a,b"], "--z expects numeric"), (["--z", "1,"], "--z expects numeric"),
+         (["--circle", "0"], "--circle must be >= 1"),
+         (["--circle", "-4"], "--circle must be >= 1")],
+        ids=["z-one-number", "z-three-numbers", "z-not-numbers", "z-empty-part",
+             "circle-0", "circle-negative"],
+    )
+    def test_bad_point_names_flag(self, tmp_path, capsys, argv, named):
+        params = tmp_path / "p.json"
+        wio.save_parameters(sample_parameters(7, 2, 1, 0.9), params)
+        out = tmp_path / "e.csv"
+        assert main(["eval", str(params), *argv, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and named in captured.err
+        assert not out.exists()
+
     def test_impossible_circle_exit_2(self, tmp_path, capsys):
         # 10**14 grid points, 728 TiB: past any address space
         params = tmp_path / "p.json"
@@ -1593,6 +1678,35 @@ class TestCliSubbands:
         sidecar = json.loads((tmp_path / "rec.csv.json").read_text())
         assert sidecar["signal_length"] == 0
         assert sidecar["reconstruction_error"] == 0.0
+
+    def _bands(self, tmp_path, length):
+        params = self._fir_params(tmp_path)
+        sig = tmp_path / "x.csv"
+        wio.save_signal(np.arange(length) * (0.5 - 0.25j), sig)
+        bands = tmp_path / "bands"
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(bands)]) == 0
+        return params, bands
+
+    def test_synthesize_without_reference_writes_null_error(self, tmp_path):
+        params, bands = self._bands(tmp_path, 16)
+        rec = tmp_path / "rec.csv"
+        assert main(["synthesize", str(params), "--bands", str(bands), "--out", str(rec)]) == 0
+        text = (tmp_path / "rec.csv.json").read_text()
+        sidecar = json.loads(text)
+        assert sidecar["reconstruction_error"] is None and sidecar["signal_length"] == 16
+        assert '"reconstruction_error": null' in text
+
+    @pytest.mark.parametrize("length", [0, 14, 18])
+    def test_reference_of_another_length_exit_2(self, tmp_path, capsys, length):
+        params, bands = self._bands(tmp_path, 16)
+        ref, rec = tmp_path / "ref.csv", tmp_path / "rec.csv"
+        wio.save_signal(np.ones(length), ref)
+        argv = ["synthesize", str(params), "--bands", str(bands), "--out", str(rec),
+                "--reference", str(ref)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: reference length {length} != reconstruction length 16\n"
+        assert not (tmp_path / "rec.csv.json").exists()
 
     def test_haar_bands_values(self, tmp_path):
         params = tmp_path / "p.json"
