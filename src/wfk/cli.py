@@ -313,15 +313,14 @@ def _cmd_synthesize(args) -> int:
     band_dir = Path(args.bands)
     bands = [wio.load_signal(band_dir / f"band_{k}.csv") for k in range(params.n)]
     rebuilt = synthesize(SubbandSet(n=params.n, bands=tuple(bands)), filters)
-    wio.save_signal(rebuilt, args.out)
     delay = synthesis_delay(filters)
     sidecar = {"delay": delay, "bands": params.n, "signal_length": int(rebuilt.size)}
-    if args.reference:
-        ref = wio.load_signal(args.reference)
-        if ref.size != rebuilt.size:
-            raise UsageError(
-                f"reference length {ref.size} != reconstruction length {rebuilt.size}"
-            )
+    # the reference is checked before --out is written, so a bad one leaves no file
+    ref = wio.load_signal(args.reference) if args.reference else None
+    if ref is not None and ref.size != rebuilt.size:
+        raise UsageError(f"reference length {ref.size} != reconstruction length {rebuilt.size}")
+    wio.save_signal(rebuilt, args.out)
+    if ref is not None:
         err = float(np.linalg.norm(rebuilt - np.roll(ref, delay)))
         scale = float(np.linalg.norm(ref))
         sidecar["reconstruction_error"] = err / scale if scale else err

@@ -596,9 +596,10 @@ def _max_circle_residual(
 
     Residuals that tie up to rounding name a stable point: the first, in
     the order of ``points`` and then of the redraws, whose residual is
-    within ``_TIE`` (1e-12) relative of the maximum.  The symmetry of a
-    filter makes ``paraunitary``'s residual equal at ``z`` and ``eps z``,
-    and a rounding difference in the last bit would otherwise pick either.
+    within ``_TIE`` (1e-12) relative of the maximum, or equal to it, as at
+    an infinite maximum.  The symmetry of a filter makes ``paraunitary``'s
+    residual equal at ``z`` and ``eps z``, and a rounding difference in the
+    last bit would otherwise pick either.
     """
     groups, failed = _sample_residuals(residual, points)
     resampled, rng = 0, None
@@ -616,7 +617,8 @@ def _max_circle_residual(
     zs = np.concatenate([z for z, _ in groups])
     values = np.concatenate([np.reshape(v, (z.size, -1)) for z, v in groups])
     worst = values.max(axis=0)
-    at = (values >= worst - _TIE * worst).argmax(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf where the maximum is inf
+        at = ((values >= worst - _TIE * worst) | (values == worst)).argmax(axis=0)
     return worst, zs[at], resampled
 
 
@@ -675,14 +677,19 @@ def circle_checks(
     broadcasts).  It is called with ``eps z`` and ``z`` for all points at
     once, and the unitarity residual is read off the values at ``z``.  A
     point where ``eval_fn`` raises ``PoleError`` is redrawn for both, so
-    both reports carry the same ``resampled`` count.
+    both reports carry the same ``resampled`` count.  Finite values whose
+    residual overflows give ``inf``, never NaN.
     """
     root = np.exp(2j * np.pi / n)
 
     def residual(zs):
         values = _values(eval_fn, np.concatenate([root * zs, zs]), n)
         plain = values[zs.size :]
-        return np.stack([_symmetry_residual(values), _unitarity_residual(plain)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.stack([_symmetry_residual(values), _unitarity_residual(plain)], axis=1)
+        # the values are finite, so a NaN residual is an overflow (inf - inf)
+        out[np.isnan(out)] = np.inf
+        return out
 
     return tuple(_circle_reports(["symmetry", "paraunitary"], residual, sample_points, tol, seed))
 

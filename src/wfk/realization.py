@@ -476,15 +476,14 @@ def _condensed_point(r: Realization, z: complex) -> np.ndarray:
         divisor = z - plan.diagonal
         ratios = np.divide(plan.scale, divisor, out=divisor)
         q = np.multiply.reduceat(ratios, plan.starts)[::-1]
-        system = q * plan.rows
-        system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
-        try:
-            u = np.linalg.solve(system[:h], plan.b_heads)
-            value = system[h:] @ u
+        finite = np.isfinite(q).all()
+        if finite:
+            system = q * plan.rows
+            system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
+            # I - N is unit upper triangular, so LU pivots on exact ones
+            value = system[h:] @ np.linalg.solve(system[:h], plan.b_heads)
             value += r.d
-        except np.linalg.LinAlgError:
-            value = None
-    if value is None or not np.isfinite(q).all() or not np.isfinite(value).all():
+    if not (finite and np.isfinite(value).all()):
         raise PoleError(f"z = {z!r} is a pole of the realization")
     return value
 
@@ -668,27 +667,6 @@ def _stack_adjoint(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def _add_block_rows(residual: np.ndarray, system: np.ndarray, lo: int, weights) -> None:
-    """Add ``S_b* W_b S_b - W_b`` into ``R`` for the block rows ``S_b`` of ``S``
-    from row ``lo`` on, one per stacked weight ``W_b``.
-
-    The product is taken over the nonzero columns ``J`` of ``S_b`` into
-    ``R[J, J]``; each ``J`` is padded to the longest with columns that are
-    zero in its block row, which add nothing.
-    """
-    count, rows, _ = weights.shape
-    size = system.shape[1]
-    block = system[lo : lo + count * rows].reshape(count, rows, size)
-    mask = (block != 0).any(axis=1)
-    cols = np.argsort(~mask, axis=1, kind="stable")[:, : mask.sum(axis=1).max(initial=0)]
-    block = np.take_along_axis(block, cols[:, None, :], axis=2)
-    own = lo + np.arange(count * rows).reshape(count, rows)
-    flat = residual.reshape(-1)
-    product = _stack_adjoint(block) @ (weights @ block)
-    np.add.at(flat, (cols[:, :, None] * size + cols[:, None, :]).ravel(), product.ravel())
-    flat[(own[:, :, None] * size + own[:, None, :]).ravel()] -= weights.ravel()
-
-
 def _row_energy(x: np.ndarray) -> np.ndarray:
     """The squared 2-norm of each row of a complex ``x`` with a contiguous last axis."""
     return np.einsum("ij,ij->i", x.view(float), x.view(float))
@@ -703,22 +681,31 @@ def _block_certificate(
     dense path, where ``worst_block`` stays None.  With ``S = [A B; C D]``,
     ``R = S* diag(H, I) S - diag(H, I)`` holds the state equation in
     ``R[:p, :p]``, the cross identity in ``R[:p, p:]`` and the input
-    identity in ``R[p:, p:]``; :func:`_add_block_rows` sums it over the
-    block rows of ``S`` (the cores, the last block, ``[C D]``), so every
-    nonzero of ``S`` enters the residuals.  The norms, the inverse, the
-    Hermiticity and the Cholesky test of ``H`` are taken per block: for a
-    block-diagonal ``H`` each is the dense one.
+    identity in ``R[p:, p:]``.  One pass per diagonal block ``W_b`` of
+    ``diag(H, I)`` (the cores top first, ``last``, the identity of ``[C D]``)
+    adds ``S_b[:, J]* W_b S_b[:, J]`` into ``R[J, J]``, ``J`` the nonzero
+    columns of the block row ``S_b``, so every nonzero of ``S`` enters the
+    residuals; ``diag(H, I)`` is subtracted once at the end.  The norms, the
+    inverse, the Hermiticity and the Cholesky test of ``H`` are taken per
+    block: for a block-diagonal ``H`` each is the dense one.
     """
     k, n, _ = cores.shape
     kn, p = k * n, r.state_dim
     system = system_matrix(r)
+    weight = np.zeros(system.shape, dtype=complex)  # diag(H, I)
+    weight[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = cores
+    weight[kn:p, kn:p] = last
+    weight[p:, p:] = _eye(r.inputs)
+    filled = system != 0
     residual = np.zeros(system.shape, dtype=complex)
-    for lo, weights in ((0, cores), (kn, last[None]), (p, _eye(r.inputs)[None])):
-        _add_block_rows(residual, system, lo, weights)
-    h = np.zeros((p, p), dtype=complex)
-    for j in range(k):
-        h[j * n : (j + 1) * n, j * n : (j + 1) * n] = cores[j]
-    h[kn:, kn:] = last
+    flat, size = residual.reshape(-1), system.shape[0]
+    bounds = [j * n for j in range(k)] + [kn, p, size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cols = filled[lo:hi].any(axis=0).nonzero()[0]
+        block = system[lo:hi, cols]
+        # R[J, J] through its flat indices, which numpy gathers faster
+        flat[cols[:, None] * size + cols] += block.conj().T @ (weight[lo:hi, lo:hi] @ block)
+    residual -= weight
     stacks = [s for s in (cores, last[None]) if s.size]
     hermiticity = float(np.linalg.norm([np.linalg.norm(s - _stack_adjoint(s)) for s in stacks]))
     condition, positive, norm_h, worst = 1.0, True, 0.0, None
@@ -746,7 +733,7 @@ def _block_certificate(
         top = int(np.argmax(energy))
         worst = k - 1 - top if top < k else "elementary"
     return SteinCertificate(
-        h=h,
+        h=weight[:p, :p],
         residual_state=float(np.sqrt(state.sum())),
         residual_cross=float(np.sqrt(cross.sum())),
         residual_input=float(np.sqrt(_row_energy(residual[p:, p:]).sum())),

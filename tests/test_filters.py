@@ -1,5 +1,6 @@
 """Tests for the parameter space, filter evaluation and circle checks."""
 
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from reference_ops import (
 from wfk import (
     BoxPoint,
     CheckReport,
+    DimensionError,
     Factor,
     FilterParameters,
     FirRequiredError,
@@ -866,6 +868,14 @@ class TestSharedCirclePass:
         _, at, _ = _max_circle_residual(lambda zs: values[np.isin(points, zs)], points, 0)
         assert at[0] == points[9]
 
+    def test_infinite_maximum_names_an_infinite_point(self):
+        points = unit_circle_points(16, seed=1)
+        values = np.stack([np.linspace(0.1, 0.2, 16)] * 2, axis=1)
+        values[5, 0] = values[11, 1] = np.inf
+        worst, at, _ = _max_circle_residual(lambda zs: values[np.isin(points, zs)], points, 0)
+        assert list(worst) == [np.inf, np.inf]
+        assert list(at) == [points[5], points[11]]
+
     def test_argmax_z_defaults_to_none(self):
         assert CheckReport("degree", 0.0, 0.0, True, 8, 0).argmax_z is None
 
@@ -898,3 +908,32 @@ class TestSubbandFilters:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
         assert mean == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: BoxPoint(n=1, rho=0.0, coords=np.zeros((0, 2))), InvariantError,
+         "band count must be >= 2, got 1"),
+        (lambda: BoxPoint(n=2, rho=1.5, coords=np.zeros((0, 4))), InvariantError,
+         "rho must lie in [0, 1], got 1.5"),
+        (lambda: BoxPoint(n=2, rho=-0.5, coords=np.zeros((0, 4))), InvariantError,
+         "rho must lie in [0, 1], got -0.5"),
+        (lambda: BoxPoint(n=2, rho=0.5, coords=np.zeros((1, 3))), InvariantError,
+         "coords must have shape (m, 4), got (1, 3)"),
+        (lambda: BoxPoint(n=2, rho=0.5, coords=np.zeros(4)), InvariantError,
+         "coords must have shape (m, 4), got (4,)"),
+        (lambda: CheckReport("degree", 1.0, 0.0, True, 8, 0), InvariantError,
+         "pass flag must equal (residual <= tolerance)"),
+        (lambda: unit_circle_points(0), InvariantError, "sample count must be >= 1, got 0"),
+        (lambda: circle_checks(lambda zs: np.zeros((zs.size, 3, 3)), 2, 4), DimensionError,
+         "expected 8 values of shape (2, 2), got (8, 3, 3)"),
+        (lambda: circle_checks(lambda zs: np.full((zs.size, 2, 2), np.nan), 2, 4),
+         DimensionError, "matrix entries must be finite"),
+    ],
+    ids=["box-n", "box-rho-high", "box-rho-low", "box-columns", "box-ndim", "report-flag",
+         "circle-count", "eval-shape", "eval-nan"],
+)
+def test_library_validation(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1216,6 +1216,23 @@ class TestCliVerify:
         assert {"symmetry", "paraunitary", "frequency_pr", "degree",
                 "stein_blocks", "stein_hermiticity", "minimality"} <= names
 
+    @pytest.mark.parametrize(
+        "entry, infinite", [(1e200, {"symmetry", "paraunitary"}), (1e100, {"paraunitary"})]
+    )
+    def test_overflowing_circle_residual_reads_infinity(self, tmp_path, capsys, entry, infinite):
+        # finite values whose residuals overflow: inf, not NaN, and no warning
+        r = realize_wavelet(sample_parameters(1, 4, 3, 0.9))
+        a = np.array(r.a)
+        a[0, 1] = entry
+        path = tmp_path / "r.json"
+        wio.save_realization(Realization(a=a, b=r.b, c=r.c, d=r.d), path)
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and "NaN" not in captured.out
+        circle = {c["name"]: c for c in json.loads(captured.out)["checks"][:2]}
+        assert {k for k, c in circle.items() if c["max_residual"] == float("inf")} == infinite
+        assert all(c["argmax_z"] is not None for c in circle.values())
+
     def test_tampered_params_exit_3(self, tmp_path):
         params = tmp_path / "p.json"
         wio.save_parameters(sample_parameters(4, 2, 1, 0.9), params)
@@ -1707,6 +1724,17 @@ class TestCliSubbands:
         err = capsys.readouterr().err
         assert err == f"error: reference length {length} != reconstruction length 16\n"
         assert not (tmp_path / "rec.csv.json").exists()
+        assert not rec.exists()
+
+    def test_missing_reference_exit_2_writes_nothing(self, tmp_path, capsys):
+        params, bands = self._bands(tmp_path, 16)
+        ref, rec = tmp_path / "absent.csv", tmp_path / "rec.csv"
+        argv = ["synthesize", str(params), "--bands", str(bands), "--out", str(rec),
+                "--reference", str(ref)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no such file: {ref}\n"
+        assert not rec.exists() and not (tmp_path / "rec.csv.json").exists()
 
     def test_haar_bands_values(self, tmp_path):
         params = tmp_path / "p.json"

@@ -25,6 +25,7 @@ from wfk import (
     DimensionError,
     Factor,
     FilterParameters,
+    InvariantError,
     PoleError,
     Realization,
     cascade,
@@ -48,6 +49,7 @@ from wfk.realization import (
     _block_certificate,
     _block_solution,
     _series_solution,
+    as_matrix,
     cascade_index,
 )
 
@@ -1112,3 +1114,27 @@ class TestMinimality:
         ref = Realization(a=a, b=b, c=c, d=d)
         for z in circle(16, seed=8):
             assert np.abs(eval_realization(ref, z) - closed_form_wa(z, 0.5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: as_matrix(np.zeros(3)), DimensionError, "expected a 2-D matrix, got ndim=1"),
+        (lambda: as_matrix(np.zeros((2, 3)), rows=3), DimensionError, "expected 3 rows, got 2"),
+        (lambda: as_matrix(np.zeros((2, 3)), cols=2), DimensionError, "expected 2 cols, got 3"),
+        (lambda: Realization(a=np.zeros((2, 3)), b=np.zeros((2, 1)), c=np.zeros((1, 2)),
+                             d=np.zeros((1, 1))),
+         InvariantError, "state block must be square, got (2, 3)"),
+        (lambda: realize_elementary_wavelet(1), InvariantError, "band count must be >= 2, got 1"),
+        (lambda: realize_decimated_unitary([1.0, 1.0], 0.5, 2), InvariantError,
+         "v must have unit norm"),
+        (lambda: realize_allpass_core(1.0, 2), InvariantError, "|alpha| must be < 1, got 1.0"),
+        (lambda: impulse_response(realize_elementary_wavelet(2), 0), InvariantError,
+         "horizon must be >= 1, got 0"),
+    ],
+    ids=["matrix-ndim", "matrix-rows", "matrix-cols", "a-not-square", "elementary-n",
+         "factor-v", "core-alpha", "horizon"],
+)
+def test_library_validation(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 """Tests for decimation, convolution, subband round trips and simulation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from wfk import (
     DimensionError,
     Factor,
     FilterParameters,
+    InvariantError,
     Realization,
     SubbandSet,
     analyze,
@@ -399,3 +401,19 @@ class TestSimulate:
         r = realize_wavelet(sample_parameters(14, 2, 1, 0.5))
         with pytest.raises(DimensionError):
             simulate(r, np.zeros((4, 2)), x0=np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: SubbandSet(n=3, bands=(np.zeros(4), np.zeros(4))), InvariantError,
+         "expected 3 bands, got 2"),
+        (lambda: synthesize(SubbandSet(n=3, bands=(np.zeros(4),) * 3),
+                            subband_filters(sample_parameters(0, 2, 1, 0.0))),
+         DimensionError, "band count 3 != filter count 2"),
+    ],
+    ids=["band-count", "synthesize-filters"],
+)
+def test_library_validation(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
