@@ -6,7 +6,7 @@ Exit codes are a function of outcome only:
 * 1 - a verification check failed (report still written)
 * 2 - usage or file-format error, or an output that cannot be written
 * 3 - domain invariant violated by an input file
-* 4 - numeric singularity (evaluation at a pole)
+* 4 - numeric singularity (evaluation at a pole, or no circle point off one)
 * 5 - unsupported mode (e.g. time-domain subbands for a non-FIR filter)
 
 The environment variable ``WFK_SEED`` supplies the default seed of the
@@ -35,6 +35,7 @@ from .errors import (
     FirRequiredError,
     InvariantError,
     PoleError,
+    SamplingError,
     WfkError,
 )
 from .filters import (
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except PoleError as exc:
+    except (PoleError, SamplingError) as exc:
         print(f"numeric singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except FirRequiredError as exc:

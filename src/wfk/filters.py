@@ -561,27 +561,6 @@ _RETRIES = 8
 _TIE = 1e-12
 
 
-def _sample_residuals(residual, points: np.ndarray) -> tuple[list, np.ndarray]:
-    """``residual`` at the points where it does not raise, and the points where it does.
-
-    ``residual`` takes all points in one call; when it raises
-    ``PoleError`` the points are halved until the failing ones are
-    isolated, so a single bad point costs about ``log2(K)`` extra calls.
-    Returns the ``(points, residuals)`` pairs of the calls that succeeded
-    and the array of failed points.
-    """
-    try:
-        return [(points, residual(points))], points[:0]
-    except PoleError:
-        if points.size == 1:
-            return [], points
-        half = points.size // 2
-        (ga, fa), (gb, fb) = (
-            _sample_residuals(residual, part) for part in (points[:half], points[half:])
-        )
-        return ga + gb, np.concatenate([fa, fb])
-
-
 def _max_circle_residual(
     residual, points: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -589,10 +568,15 @@ def _max_circle_residual(
 
     ``residual`` maps ``K`` points to ``K`` residuals, or to a ``(K, c)``
     array of ``c`` residuals per point.  Returns the ``c`` maxima, the
-    point at which each is reached and the number of redrawn points.  Only
-    the points where ``residual`` hit a pole are redrawn, from an rng
-    seeded by ``seed`` and built at the first redraw, for at most
-    ``_RETRIES`` rounds; a point redrawn in two rounds counts twice.
+    point at which each is reached and the number of redrawn points.  One
+    work list of batches starts as ``[points]``; each batch popped from it
+    is one ``residual`` call.  On ``PoleError`` a one-point batch has
+    failed and a larger one is replaced by its two halves, the first half
+    popped next, so a single bad point costs about ``log2(K)`` extra calls.
+    When the list runs empty with failed points, one batch of as many
+    points is redrawn, from an rng seeded by ``seed`` and built at the
+    first redraw, for at most ``_RETRIES`` rounds; a point redrawn in two
+    rounds counts twice.
 
     Residuals that tie up to rounding name a stable point: the first, in
     the order of ``points`` and then of the redraws, whose residual is
@@ -601,19 +585,23 @@ def _max_circle_residual(
     residual equal at ``z`` and ``eps z``, and a rounding difference in the
     last bit would otherwise pick either.
     """
-    groups, failed = _sample_residuals(residual, points)
-    resampled, rng = 0, None
-    for _ in range(_RETRIES):
-        if not failed.size:
-            break
-        if rng is None:
-            rng = np.random.default_rng(seed ^ 0x5EED)
-        redraw = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=failed.size))
-        resampled += redraw.size
-        more, failed = _sample_residuals(residual, redraw)
-        groups += more
-    if failed.size:
-        raise SamplingError("exhausted retries while avoiding poles on the circle")
+    groups, work, failed, rounds, resampled, rng = [], [points], 0, 0, 0, None
+    while work:
+        batch = work.pop()
+        try:
+            groups.append((batch, residual(batch)))
+        except PoleError:
+            if batch.size == 1:
+                failed += 1
+            else:
+                work += [batch[batch.size // 2 :], batch[: batch.size // 2]]
+        if failed and not work:
+            if rounds == _RETRIES:
+                raise SamplingError("exhausted retries while avoiding poles on the circle")
+            if rng is None:
+                rng = np.random.default_rng(seed ^ 0x5EED)
+            work.append(np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=failed)))
+            rounds, resampled, failed = rounds + 1, resampled + failed, 0
     zs = np.concatenate([z for z, _ in groups])
     values = np.concatenate([np.reshape(v, (z.size, -1)) for z, v in groups])
     worst = values.max(axis=0)

@@ -868,6 +868,28 @@ class TestSharedCirclePass:
         _, at, _ = _max_circle_residual(lambda zs: values[np.isin(points, zs)], points, 0)
         assert at[0] == points[9]
 
+    def test_pole_batches_are_halved_first_half_first(self):
+        # every batch holding points[5] raises: each call is one batch, a
+        # failing batch is split and its first half tried next, and the
+        # isolated point is redrawn once from the rng of seed ^ 0x5EED
+        points = unit_circle_points(8, seed=1)
+        batches = []
+
+        def residual(zs):
+            batches.append(zs)
+            if (zs == points[5]).any():
+                raise PoleError("planted")
+            return np.abs(zs)
+
+        _, _, resampled = _max_circle_residual(residual, points, 3)
+        spans = [(0, 8), (0, 4), (4, 8), (4, 6), (4, 5), (5, 6), (6, 8)]
+        assert len(batches) == len(spans) + 1
+        for got, (lo, hi) in zip(batches, spans):
+            assert np.array_equal(got, points[lo:hi])
+        redraw = np.random.default_rng(3 ^ 0x5EED).uniform(0.0, 2 * np.pi, size=1)
+        assert np.array_equal(batches[-1], np.exp(1j * redraw))
+        assert resampled == 1
+
     def test_infinite_maximum_names_an_infinite_point(self):
         points = unit_circle_points(16, seed=1)
         values = np.stack([np.linspace(0.1, 0.2, 16)] * 2, axis=1)

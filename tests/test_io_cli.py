@@ -30,6 +30,7 @@ from wfk import (
 from wfk import io as wio
 from wfk.cli import main
 
+from edge_realizations import huge_superdiagonal, overflowing_values, rotation_on_the_circle
 from legacy_format import dense_document
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -1392,6 +1393,28 @@ class TestCliVerify:
         assert main(["verify", str(params), "--points", "16"]) == 0
         assert json.loads(capsys.readouterr().out)["environment"] == env
         assert cli._environment.cache_info().misses == 1
+
+    def test_stein_series_that_never_settles_reports_null(self, tmp_path, capsys):
+        # eigenvalues +-i: the series hits its iteration cap, a check failure
+        path = tmp_path / "r.json"
+        wio.save_realization(rotation_on_the_circle(), path)
+        assert main(["verify", str(path), "--points", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["stein"] is None
+
+    @pytest.mark.parametrize("make", [overflowing_values, huge_superdiagonal])
+    def test_no_drawable_circle_point_is_a_singularity(self, tmp_path, capsys, make):
+        # every point overflows, so every draw and redraw hits a pole; the
+        # huge superdiagonal's values overflow as its closed-form Stein
+        # candidate does, so verify stops before any certificate
+        path = tmp_path / "r.json"
+        wio.save_realization(make(), path)
+        assert main(["verify", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric singularity: exhausted retries while avoiding poles on the circle\n"
+        )
 
     def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
         from wfk import Realization

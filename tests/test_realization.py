@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from edge_realizations import allpass_over_zero, huge_superdiagonal, rotation_on_the_circle
 from reference_matrices import (
     blocks,
     closed_form_wa,
@@ -851,6 +852,31 @@ class TestStein:
         bad = Realization(a=1.01 * r.a, b=r.b, c=r.c, d=r.d)
         cert = stein_certificate(bad)
         assert cert.max_block_residual > 1e-9
+
+    def test_tall_lossless_realization_certifies(self):
+        # the residual is sized by the one input, not by the two outputs
+        cert = stein_certificate(allpass_over_zero(transpose=False))
+        assert cert.method == "block" and cert.positive_definite
+        assert np.array_equal(cert.h, [[1.0]])
+        for value in (cert.residual_state, cert.residual_cross, cert.residual_input):
+            assert value <= 1e-15
+
+    def test_wide_realization_misses_its_second_input(self):
+        # the transpose drops input 2, so B* H B + D* D lacks its second 1
+        cert = stein_certificate(allpass_over_zero(transpose=True))
+        assert cert.residual_state <= 1e-15 and cert.residual_cross <= 1e-15
+        assert cert.residual_input == pytest.approx(1.0, abs=1e-15)
+
+    def test_non_finite_closed_form_goes_to_a_diverging_series(self):
+        r = huge_superdiagonal()
+        assert _block_solution(r) is None
+        with pytest.raises(ConvergenceError, match="diverged"):
+            stein_certificate(r)
+
+    def test_series_on_the_circle_hits_the_iteration_cap(self):
+        # eigenvalues +-i: the series neither settles nor overflows
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            stein_certificate(rotation_on_the_circle())
 
 
 class TestBlockStein:
