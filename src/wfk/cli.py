@@ -51,7 +51,6 @@ from .filters import (
 from .realization import (
     cascade_index,
     eval_realization,
-    mcmillan_degree,
     realize_wavelet,
     stein_certificate,
 )
@@ -182,11 +181,11 @@ def _scalar_check(name, residual, tol, points, seed):
 def _verify(target, points, tol, seed):
     """The checks of ``wfk verify`` and the report's Stein entry.
 
-    A parameter point adds ``frequency_pr``, its ``degree`` is the exact
-    gap to :func:`mcmillan_degree` and its Stein checks run on its cascade;
-    a realization's ``degree`` is 0 when :func:`cascade_index` finds a whole
-    number of factor cores in its state dimension and 1 otherwise.  A
-    realization whose ``d`` is not square raises ``InvariantError``.
+    A parameter point adds ``frequency_pr`` and runs the rest on its
+    cascade.  ``degree`` is 0 when :func:`cascade_index` finds a whole
+    number of factor cores in the realization's state dimension, as it
+    always does in a cascade, and 1 otherwise.  A realization whose ``d``
+    is not square or has one row (one band) raises ``InvariantError``.
 
     ``stein_blocks`` gates the largest Stein block residual and
     ``stein_hermiticity`` gates ``||H - H*||_F``, both relative to
@@ -202,24 +201,22 @@ def _verify(target, points, tol, seed):
     """
     watch = _Stopwatch()
     params = target if isinstance(target, FilterParameters) else None
-    if params is None and target.outputs != target.inputs:
-        # the circle checks compare n x n values: W(eps z) with W(z) P, W* W with I
+    if params is None and (target.outputs != target.inputs or target.outputs < 2):
+        # the circle checks compare n x n values: W(eps z) with W(z) P, W* W
+        # with I; and a filter bank has at least two bands
         raise InvariantError(
-            f"block 'd' must be square to verify, got {target.outputs}x{target.inputs}"
+            f"block 'd' must be n x n with n >= 2 to verify, got {target.outputs}x{target.inputs}"
         )
     n = target.outputs if params is None else params.n
     with _allocation(f"--points {points}: too many sample points to allocate"):
         circle = circle_checks(_evaluator(target), n, points, tol, seed)
     checks = [watch.stamp(c) for c in circle]
-    if params is None:
-        real = target
-        degree = 0.0 if cascade_index(real) is not None else 1.0
-    else:
+    if params is not None:
         # on the circle reconstruction is exact precisely when W is unitary,
         # so the perfect-reconstruction check is the same computation
         checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
-        real = realize_wavelet(params)
-        degree = float(abs(real.state_dim - mcmillan_degree(params)))
+    real = target if params is None else realize_wavelet(params)
+    degree = 0.0 if cascade_index(real) is not None else 1.0
     checks.append(watch.stamp(_scalar_check("degree", degree, 0.0, points, seed)))
     # minimality: H > 0 together with the block identities (lossless case)
     try:
@@ -318,6 +315,8 @@ def _cmd_synthesize(args) -> int:
     sidecar = {"delay": delay, "bands": params.n, "signal_length": int(rebuilt.size)}
     # the reference is checked before --out is written, so a bad one leaves no file
     ref = wio.load_signal(args.reference) if args.reference else None
+    if ref is not None and not np.isfinite(ref).all():
+        raise InvariantError(f"{args.reference}: reference samples must be finite")
     if ref is not None and ref.size != rebuilt.size:
         raise UsageError(f"reference length {ref.size} != reconstruction length {rebuilt.size}")
     wio.save_signal(rebuilt, args.out)

@@ -222,8 +222,11 @@ class SteinCertificate:
 
 
 def system_matrix(r: Realization) -> np.ndarray:
-    """Assemble the ``(p+N) x (p+N)`` block matrix ``[[A, B], [C, D]]``."""
-    return np.block([[r.a, r.b], [r.c, r.d]])
+    """Assemble the ``(p+N_out) x (p+N_in)`` block matrix ``[[A, B], [C, D]]``."""
+    p = r.state_dim
+    s = np.empty((p + r.outputs, p + r.inputs), dtype=complex)
+    s[:p, :p], s[:p, p:], s[p:, :p], s[p:, p:] = r.a, r.b, r.c, r.d
+    return s
 
 
 def realize_elementary_wavelet(n: int) -> Realization:
@@ -342,16 +345,29 @@ def cascade(delta: Realization, inner: Realization) -> Realization:
         raise DimensionError(
             f"cascade mismatch: delta consumes {delta.inputs}, inner yields {inner.outputs}"
         )
-    p_d, p_i = delta.state_dim, inner.state_dim
-    a = np.block(
-        [
-            [delta.a, delta.b @ inner.c],
-            [np.zeros((p_i, p_d), dtype=complex), inner.a],
-        ]
-    )
-    b = np.vstack([delta.b @ inner.d, inner.b])
-    c = np.hstack([delta.c, delta.d @ inner.c])
-    return Realization(a=a, b=b, c=c, d=delta.d @ inner.d)
+    return _cascade_sections(inner, [(delta.a, delta.b, delta.c, delta.d)], delta.state_dim)
+
+
+def _cascade_sections(inner: Realization, sections, added: int) -> Realization:
+    """Cascade the blocks ``(A_s, B_s, C_s, D_s)`` of each section onto ``inner``.
+
+    ``A`` and ``B`` are allocated once, for ``inner.state_dim + added``
+    states, before any section is read.  Each section, first innermost,
+    writes its core on the diagonal above the states before it, its rows
+    ``B_s C`` of ``A`` and ``B_s D`` of ``B``, and the new ``C = [C_s, D_s C]``
+    and ``D = D_s D``.  Too many states to allocate raise ``InvariantError``.
+    """
+    a = _state_matrix(inner.state_dim + added)
+    b = np.zeros((a.shape[0], inner.inputs), dtype=complex)
+    lo = added
+    a[lo:, lo:], b[lo:], c, d = inner.a, inner.b, inner.c, inner.d
+    for a_s, b_s, c_s, d_s in sections:
+        hi, lo = lo, lo - a_s.shape[0]
+        a[lo:hi, lo:hi] = a_s
+        a[lo:hi, hi:] = b_s @ c
+        b[lo:hi] = b_s @ d
+        c, d = np.hstack([c_s, d_s @ c]), d_s @ d
+    return Realization(a=a, b=b, c=c, d=d)
 
 
 def realize_wavelet(params: FilterParameters) -> Realization:
@@ -359,28 +375,13 @@ def realize_wavelet(params: FilterParameters) -> Realization:
 
     Starts from the elementary-filter realization and cascades one
     degree-``n`` factor per stored parameter, raising the index by one each
-    time; the state dimension is exactly ``n*((n-1)/2 + m)``.  The result
-    is the fold of :func:`cascade` over the factors, bit for bit, built in
-    one pass: ``A`` and ``B`` are allocated once and each factor writes its
-    core, its block row of ``A`` and of ``B`` above the states before it,
-    and the new ``C`` and ``D``, with the products :func:`cascade` uses.
-    A state count too large to allocate raises ``InvariantError``.
+    time; the state dimension is exactly ``n*((n-1)/2 + m)``.  The factors
+    go through :func:`_cascade_sections`, the writer of :func:`cascade`, in
+    one pass.  A state count too large to allocate raises ``InvariantError``.
     """
     n = params.n
-    p = mcmillan_degree(params)
-    a = _state_matrix(p)
-    inner = realize_elementary_wavelet(n)
-    b = np.zeros((p, n), dtype=complex)
-    lo = p - inner.state_dim
-    a[lo:, lo:], b[lo:], c, d = inner.a, inner.b, inner.c, inner.d
-    for f in params.factors:
-        a_f, b_f, c_f, d_f = _factor_blocks(f.v, f.alpha, n)
-        lo -= n
-        a[lo : lo + n, lo : lo + n] = a_f
-        a[lo : lo + n, lo + n :] = b_f @ c
-        b[lo : lo + n] = b_f @ d
-        c, d = np.hstack([c_f, d_f @ c]), d_f @ d
-    return Realization(a=a, b=b, c=c, d=d)
+    sections = (_factor_blocks(f.v, f.alpha, n) for f in params.factors)
+    return _cascade_sections(realize_elementary_wavelet(n), sections, n * params.m)
 
 
 def eval_realization(r: Realization, z) -> np.ndarray:
@@ -454,29 +455,24 @@ def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
     return invertible
 
 
-def _top_values(plan: _HeadPlan, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Q`` at every top, shape ``(H, K)``, and per point whether all of it
-    is finite, as a zero ``z - a_ii`` makes it not.  Call it under
-    ``np.errstate(all="ignore")``."""
-    divisor = points - plan.diagonal[:, None]
-    ratios = np.divide(plan.scale[:, None], divisor, out=divisor)
-    q = np.multiply.reduceat(ratios, plan.starts, axis=0)[::-1]
-    return q, np.isfinite(q).all(axis=0)
+def _top_values(plan: _HeadPlan, points) -> tuple[np.ndarray, np.ndarray]:
+    """``Q`` at every top and whether all of it is finite, as a zero
+    ``z - a_ii`` makes it not: shape ``(H,)`` and one flag for a scalar
+    ``z``, ``(K, H)`` and one flag per point for a ``(K, 1)`` column of
+    points.  Call it under ``np.errstate(all="ignore")``."""
+    divisor = points - plan.diagonal
+    ratios = np.divide(plan.scale, divisor, out=divisor)
+    q = np.multiply.reduceat(ratios, plan.starts, axis=-1)[..., ::-1]
+    return q, np.isfinite(q).all(axis=-1)
 
 
 def _condensed_point(r: Realization, z: complex) -> np.ndarray:
-    """``C_eff U + D`` at one point by one solve of the head system.
-
-    ``Q`` comes from the scalar ``z`` by the ratios and the ``reduceat`` of
-    :func:`_top_values`, on 1-D arrays, which give the same bits.
-    """
+    """``C_eff U + D`` at one point by one solve of the head system; a
+    non-finite ``Q`` is a pole before the solve, a non-finite value after."""
     plan = r._head_plan
     h = plan.b_heads.shape[0]
     with np.errstate(all="ignore"):
-        divisor = z - plan.diagonal
-        ratios = np.divide(plan.scale, divisor, out=divisor)
-        q = np.multiply.reduceat(ratios, plan.starts)[::-1]
-        finite = np.isfinite(q).all()
+        q, finite = _top_values(plan, z)
         if finite:
             system = q * plan.rows
             system.reshape(-1)[: h * h : h + 1] = 1.0  # the diagonal of I - N
@@ -503,10 +499,10 @@ def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
     x = np.empty((h, k, n_in), dtype=complex)
     flat = x.reshape(h, k * n_in)
     with np.errstate(all="ignore"):
-        q, finite = _top_values(plan, points)
+        q, finite = _top_values(plan, points[:, None])
         for i in reversed(range(h)):
             coupled = (plan.rows[i, i + 1 :] @ flat[i + 1 :]).reshape(k, n_in)
-            np.multiply(q[i, :, None], plan.b_heads[i] - coupled, out=x[i])
+            np.multiply(q[:, i, None], plan.b_heads[i] - coupled, out=x[i])
         y = plan.rows[h:] @ flat
     np.add(y.reshape(r.outputs, k, n_in).transpose(1, 0, 2), r.d, out=out)
     return finite

@@ -1,7 +1,8 @@
 """Reference operations the tests compare the package against.
 
 Direct-form signal operations (decimation, expansion, circular
-convolution), the LTI state recursion, pointwise values of single factors,
+convolution), the LTI state recursion, the series cascade of two
+realizations as one block matrix, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
 one row, the coordinate check of a box point, row by row, and the
 subband kernels as they were before their work rows were reused
@@ -123,6 +124,26 @@ def simulate(r: Realization, inputs, x0=None) -> tuple[np.ndarray, np.ndarray]:
         outputs[t] = r.c @ x + r.d @ u[t]
         x = r.a @ x + r.b @ u[t]
     return outputs, x
+
+
+def block_cascade(delta: Realization, inner: Realization) -> Realization:
+    """The realization of ``F_delta(z) F_inner(z)``, ``delta``'s states on top:
+    ``A = [[A_d, B_d C_i], [0, A_i]]``, ``B = [B_d D_i; B_i]``,
+    ``C = [C_d, D_d C_i]`` and ``D = D_d D_i``."""
+    if delta.inputs != inner.outputs:
+        raise DimensionError(
+            f"cascade mismatch: delta consumes {delta.inputs}, inner yields {inner.outputs}"
+        )
+    p_d, p_i = delta.state_dim, inner.state_dim
+    a = np.block(
+        [
+            [delta.a, delta.b @ inner.c],
+            [np.zeros((p_i, p_d), dtype=complex), inner.a],
+        ]
+    )
+    b = np.vstack([delta.b @ inner.d, inner.b])
+    c = np.hstack([delta.c, delta.d @ inner.c])
+    return Realization(a=a, b=b, c=c, d=delta.d @ inner.d)
 
 
 def elementary_unitary_eval(v, alpha: complex, z) -> np.ndarray:

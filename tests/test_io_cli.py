@@ -501,6 +501,20 @@ class TestRealizationFiles:
             assert main(argv) == 0
             assert capsys.readouterr().err == ""
 
+    def test_one_band_verify_exit_3(self, tmp_path, capsys):
+        # a lossless scalar all-pass: every check would pass, but a filter
+        # bank has at least two bands; eval still reads the file
+        s = np.sqrt(0.75)
+        path = tmp_path / "one.json"
+        wio.save_realization(Realization(a=[[0.5]], b=[[s]], c=[[s]], d=[[-0.5]]), path)
+        assert main(["verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "block 'd'" in captured.err
+        assert "1x1" in captured.err
+        assert main(["eval", str(path), "--z", "1,0"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "field, value, named",
         [("state_dim", 99, "state_dim=99"), ("n", 99, "n=99"), ("n", 1, "n=1"),
@@ -1748,6 +1762,20 @@ class TestCliSubbands:
         assert err == f"error: reference length {length} != reconstruction length 16\n"
         assert not (tmp_path / "rec.csv.json").exists()
         assert not rec.exists()
+
+    @pytest.mark.parametrize("bad", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_reference_exit_3_writes_nothing(self, tmp_path, capsys, bad):
+        params, bands = self._bands(tmp_path, 16)
+        ref, rec = tmp_path / "ref.csv", tmp_path / "rec.csv"
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        lines[5] = bad
+        ref.write_text("\n".join(lines) + "\n")
+        argv = ["synthesize", str(params), "--bands", str(bands), "--out", str(rec),
+                "--reference", str(ref)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ref) in err and "finite" in err
+        assert not rec.exists() and not (tmp_path / "rec.csv.json").exists()
 
     def test_missing_reference_exit_2_writes_nothing(self, tmp_path, capsys):
         params, bands = self._bands(tmp_path, 16)

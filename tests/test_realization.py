@@ -1,5 +1,6 @@
 """Tests for state-space construction, cascades and certificates."""
 
+import itertools
 import re
 import warnings
 
@@ -19,7 +20,7 @@ from reference_matrices import (
     reference_mhat2,
     reference_mhat4,
 )
-from reference_ops import adjoint, decimated_unitary_eval
+from reference_ops import adjoint, block_cascade, decimated_unitary_eval
 
 from wfk import (
     ConvergenceError,
@@ -50,6 +51,7 @@ from wfk.realization import (
     _block_certificate,
     _block_solution,
     _series_solution,
+    _top_values,
     as_matrix,
     cascade_index,
 )
@@ -182,6 +184,21 @@ def _perturbed(r, seed):
     return Realization(a=a, b=moved(r.b), c=c, d=moved(r.d))
 
 
+def same_bits(x, y):
+    """Whether two realizations hold the same blocks, bit for bit (signed zeros too)."""
+    return all(
+        getattr(x, k).shape == getattr(y, k).shape
+        and getattr(x, k).tobytes() == getattr(y, k).tobytes()
+        for k in "abcd"
+    )
+
+
+CASCADE_RUNGS = [
+    (2, 3, 0.0), (3, 2, 0.5), (4, 0, 0.0), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999),
+    (16, 32, 0.999),
+]
+
+
 def pointwise(fn):
     """Array closure of a one-point function."""
     return lambda points: np.array([fn(z) for z in points])
@@ -296,6 +313,53 @@ class TestCascade:
         with pytest.raises(DimensionError):
             cascade(two_band, three_band)
 
+    @pytest.mark.parametrize("n,m,rho", CASCADE_RUNGS)
+    def test_cascade_and_realize_wavelet_equal_the_block_fold(self, n, m, rho):
+        # the shared writer against the block-matrix restatement, step by step
+        p = sample_parameters(n + m, n, m, rho)
+        fold = realize_elementary_wavelet(n)
+        for f in p.factors:
+            delta = realize_decimated_unitary(f.v, f.alpha, n)
+            step = block_cascade(delta, fold)
+            assert same_bits(cascade(delta, fold), step)
+            fold = step
+        assert same_bits(realize_wavelet(p), fold)
+        whole = np.block([[fold.a, fold.b], [fold.c, fold.d]])
+        assert system_matrix(fold).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stateless_section_equals_block_cascade(self, n):
+        # a constant unitary D, as the outer and as the inner system
+        constant = Realization(
+            a=np.zeros((0, 0)), b=np.zeros((0, n)), c=np.zeros((n, 0)), d=dft_matrix(n)
+        )
+        r = realize_wavelet(sample_parameters(7 + n, n, 2, 0.5))
+        assert same_bits(cascade(constant, r), block_cascade(constant, r))
+        assert same_bits(cascade(r, constant), block_cascade(r, constant))
+
+    def test_tall_and_wide_chains_equal_block_cascade(self):
+        systems = {
+            "tall": allpass_over_zero(transpose=False),
+            "wide": allpass_over_zero(transpose=True),
+            "elementary": realize_elementary_wavelet(2),
+            "factor": realize_decimated_unitary(E2, 0.3, 2),
+        }
+        chained = 0
+        for (outer, delta), (under, inner) in itertools.product(systems.items(), repeat=2):
+            if delta.inputs == inner.outputs:
+                out = cascade(delta, inner)
+                assert out.d.shape == (delta.outputs, inner.inputs)
+                assert same_bits(out, block_cascade(delta, inner)), (outer, under)
+                assert system_matrix(out).tobytes() == np.block(
+                    [[out.a, out.b], [out.c, out.d]]
+                ).tobytes()
+                chained += 1
+            else:
+                with pytest.raises(DimensionError, match="cascade mismatch"):
+                    cascade(delta, inner)
+        # tall onto wide, and each two-input system onto each two-output one
+        assert chained == 10
+
 
 class TestRealizeWavelet:
     @pytest.mark.parametrize(
@@ -314,6 +378,23 @@ class TestRealizeWavelet:
         save_realization(built, tmp_path / "built.json")
         save_realization(fold, tmp_path / "fold.json")
         assert (tmp_path / "built.json").read_bytes() == (tmp_path / "fold.json").read_bytes()
+
+    def test_refused_allocation_raises_before_any_factor(self, monkeypatch):
+        p = sample_parameters(3, 2, 8, 0.5)
+        states = mcmillan_degree(p)
+        allocate, blocks, calls = realization._state_matrix, realization._factor_blocks, []
+        # a shape numpy refuses without allocating stands in for the whole cascade
+        monkeypatch.setattr(
+            realization, "_state_matrix", lambda q: allocate(1 << 62 if q == states else q)
+        )
+        monkeypatch.setattr(
+            realization, "_factor_blocks", lambda *args: calls.append(args) or blocks(*args)
+        )
+        with pytest.raises(InvariantError, match="too large to allocate"):
+            realize_wavelet(p)
+        assert calls == []
+        monkeypatch.setattr(realization, "_state_matrix", allocate)
+        assert realize_wavelet(p).state_dim == states and len(calls) == 8
 
     def test_index_zero_is_elementary(self):
         p = FilterParameters(n=2, rho=0.0, factors=())
@@ -730,6 +811,23 @@ class TestOnePointKernel:
         for z in (0.2j, np.array([1j, 0.2j, 0.5])):
             with pytest.raises(PoleError, match=re.escape("z = 0.2j")):
                 eval_realization(r, z)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: realize_wavelet(sample_parameters(5, 4, 8, 0.9)), lambda: gapped_triangular(seed=2)],
+        ids=["cascade", "gapped"],
+    )
+    def test_top_values_of_a_point_are_row_0_of_a_column(self, build):
+        plan = build()._head_plan
+        # a pole of the last state too, where Q is not finite
+        for z in [0.3 + 0.4j, *circle(4, seed=5), complex(plan.diagonal[0])]:
+            with np.errstate(all="ignore"):
+                q, finite = _top_values(plan, z)
+                column, finite_column = _top_values(plan, np.array([[z]]))
+            assert q.shape == (plan.b_heads.shape[0],) and column.shape == (1,) + q.shape
+            assert q.tobytes() == column[0].tobytes()
+            assert finite == finite_column[0]
+            assert bool(finite) == (z != plan.diagonal[0])
 
     def test_upper_pattern_lists_the_strict_upper_nonzeros(self):
         # one scan of A gives upper_triangular and the pattern of the plan
