@@ -213,8 +213,12 @@ class BoxPoint:
 def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
     """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
 
-    ``S`` rolls a row circularly by ``shift`` samples: ``1`` is the unit
-    delay ``1/w`` of a factor, ``-1`` its adjoint.  Works in place on two
+    The one-factor lattice.  It builds :attr:`SubbandFilterSet.responses`,
+    whose taps are trimmed at exact zeros, so their bits must not move; the
+    signal path applies the same factors a block at a time
+    (:func:`wfk.signal._block_lattice`).  ``S`` rolls a row circularly by
+    ``shift`` samples: ``1`` is the unit delay ``1/w`` of a factor, ``-1``
+    its adjoint.  Works in place on two
     work rows of one row's length, allocated once per call: ``s = v* y``
     and ``d = S s - s``, one subtraction per sample; ``s`` then holds each
     product ``v_i d`` before it is added to row ``i``, so a factor

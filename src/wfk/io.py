@@ -488,6 +488,8 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
 # (reading text already maps "\r" to "\n"), and "\x1f", which float() does
 # not strip.
 _LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
+# Characters per piece when load_signal screens a file.
+_SCREEN_CHARS = 1 << 20
 
 
 # Cells per block of the CSV writer, 4096 rows of a signal, and numbers per
@@ -529,30 +531,52 @@ def save_signal(x, path) -> None:
         stream.writelines(_csv_blocks(x.view(float).reshape(-1, 2)))
 
 
+def _screen(path) -> str:
+    """How :func:`load_signal` reads ``path``: ``"blank"``, ``"loop"`` or ``"numpy"``.
+
+    The file is read in pieces of ``_SCREEN_CHARS`` characters, never as
+    one string.  It is blank when empty or whitespace only, and takes the
+    line loop when it holds a ``_LOOP_ONLY`` character, which numpy would
+    strip around a number.  A read error is raised by :func:`_read_text`,
+    so that its message is the same and a decode error keeps its offset in
+    the whole file.
+    """
+    blank = True
+    try:
+        with open(path) as stream:
+            while piece := stream.read(_SCREEN_CHARS):
+                if any(c in piece for c in _LOOP_ONLY):
+                    return "loop"
+                blank = blank and piece.isspace()
+    except (OSError, UnicodeDecodeError):
+        _read_text(path)
+        return "loop"
+    return "blank" if blank else "numpy"
+
+
 def load_signal(path) -> np.ndarray:
     """Read one ``re,im`` sample per line; a missing file raises ``FormatError``.
 
     numpy's C reader parses the file; a file it rejects or does not read as
     two columns (whitespace-only lines, ``1_0``-style digits, a malformed
     line) goes through the line loop, which accepts what Python's
-    ``float`` accepts and names the first bad line.
+    ``float`` accepts and names the first bad line.  Only the line loop
+    holds the whole text; the file is screened in pieces first (see
+    :func:`_screen`).
     """
-    text = _read_text(path)
-    if not text or text.isspace():
+    route = _screen(path)
+    if route == "blank":
         return np.array([], dtype=complex)
-    cells = None
-    if not any(c in text for c in _LOOP_ONLY):
-        # read the file again: numpy streams it, where a StringIO of the text
-        # would hold a second, wider copy of it
+    if route == "numpy":
         try:
             with open(path) as stream:
                 cells = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
         except (OSError, ValueError):
-            pass
-    if cells is not None and cells.shape[1] == 2:
-        return np.ascontiguousarray(cells).view(complex).reshape(-1)
+            cells = None
+        if cells is not None and cells.shape[1] == 2:
+            return np.ascontiguousarray(cells).view(complex).reshape(-1)
     samples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -8,6 +8,15 @@ product and one unit delay (Vaidyanathan, Nguyen, Doganata & Saramaki,
 IEEE Trans. ASSP 37(7), 1989).  The work is O(L*m) for a signal of length
 L, whatever the tap length.  Synthesis applies the adjoint lattice.
 
+The factors are applied a block of ``_BLOCK`` at a time, over column
+panels of the polyphase rows: one matrix product gives the block's inner
+products and one its rank-one updates (the WY form of a product of
+rank-one updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
+Schreiber & Van Loan, ibid. 10, 1989).  Each factor's algebra is that of
+the one-factor lattice, so the bands equal its bands up to rounding.  The
+two work arrays together hold at most two polyphase rows' worth of
+samples, about ``2L/n``.
+
 The subband path is circular (periodic) by design: with a signal length
 divisible by the band count the round trip is an exact circular delay, so
 perfect reconstruction is an equality rather than an edge-effect estimate.
@@ -29,7 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import SubbandFilterSet, _lattice
+from .filters import SubbandFilterSet
+
+# Factors per block of _block_lattice, chosen by measurement: a round trip
+# of a 2**17-sample signal (subband_filters, analyze, synthesize) took
+# 5.6 / 6.0 / 5.9 ms at (n, m) = (8, 16) and 9.6 / 9.4 / 9.1 ms at
+# (16, 32) with 8 / 12 / 16 factors a block (one-factor lattice: 7.6 and
+# 12.9 ms), median of 35, one BLAS thread, 2-CPU Xeon.  Larger blocks mean
+# fewer passes over the rows but a longer sequential recurrence.
+_BLOCK = 16
+# Widest panel, in columns, so that neither work array nears the size of a
+# signal-length array.
+_MAX_PANEL = 4096
 
 
 def _as_signal(x) -> np.ndarray:
@@ -97,13 +117,103 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
     return x
 
 
+def _block_lattice(
+    y: np.ndarray, vectors: np.ndarray, shift: int, width: int | None = None
+) -> None:
+    """Apply ``I + (S - I) v v*`` for each row ``v`` of ``vectors`` in turn to
+    the rows of ``y``, ``_BLOCK`` factors at a time.
+
+    ``S`` rolls a row circularly by ``shift`` columns: ``1`` is the unit
+    delay ``1/w`` of a factor, ``-1`` its adjoint.  For a block ``V`` of rows
+    ``v_1 .. v_k``, with ``G = conj(V) V^T`` (so ``G[j, i] = v_j* v_i``) and
+    ``P = conj(V) y``::
+
+        s_j = P_j + sum_{i<j} G[j, i] d_i,   d_j = S s_j - s_j,   y += V^T D
+
+    ``s_j`` is ``v_j* y`` after the factors before ``j``, so this is the
+    one-factor lattice exactly.  Columns couple only through ``S``, so the
+    panels run in the direction of ``shift``, each carrying every ``s_j`` at
+    its last column into the next.  The wrap needs ``s_j`` at the far
+    column of ``y`` before the first panel: ``s_j`` at a column depends on
+    the ``j`` columns that end there, so the ``k`` columns next to the far
+    one, run without the wrap, give it exactly.  A block therefore holds at
+    most as many factors as ``y`` has columns.
+
+    Works in place on two work arrays that together hold at most two rows'
+    worth of samples (plus a few columns when a row is short): ``d`` holds
+    a panel's ``P`` and then its ``D``; ``work`` holds the ``s_j``, each
+    with a spare column for the carried value, and then ``V^T D``.  Panels
+    are ``width`` columns wide when it is given, else the widest multiple
+    of 8 that keeps that bound, at most ``_MAX_PANEL``.  Any multiple of 8,
+    or a width of at least the row, gives the same bits: every panel then
+    starts at a multiple of 8, and the products round a column alike
+    wherever such a panel puts it.
+    """
+    n, cols = y.shape
+    k = min(_BLOCK, vectors.shape[0], cols)
+    if not k:
+        return
+    if width is None:
+        width = (2 * cols // (k + max(k, n)) - 8) // 8 * 8
+        width = min(max(width, 8), _MAX_PANEL)
+    # a remainder under 8 columns joins the last panel: a one-column panel
+    # would turn the products into matrix-vector products, with other bits
+    starts = range(0, max(cols - 7, 1), width)
+    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])][::shift]
+    span = max(max(p.shape[1] for p in panels), k)
+    d = np.empty((k, span), dtype=complex)
+    work = np.empty(max(k * (span + 1), n * span), dtype=complex)
+    for lo in range(0, vectors.shape[0], k):
+        v = vectors[lo : lo + k]
+        vc = v.conj()
+        # G with its diagonal set to 1, so that one product with
+        # [d_1 .. d_(j-1), P_j] gives s_j
+        g = np.tril(vc @ v.T, -1)
+        np.fill_diagonal(g, 1.0)
+        edge = np.zeros(len(v), dtype=complex)
+        head = slice(cols - len(v), cols) if shift > 0 else slice(len(v))
+        _block_differences(y[:, head], vc, g, d, work, edge, shift)
+        for panel in panels:
+            diffs = _block_differences(panel, vc, g, d, work, edge, shift)
+            update = work[: panel.size].reshape(panel.shape)
+            np.matmul(v.T, diffs, out=update)
+            # row by row: a 2-D in-place add over a strided panel makes
+            # numpy allocate ufunc buffers of about the panel's size
+            for row, add in zip(panel, update):
+                row += add
+
+
+def _block_differences(panel, vc, g, d, work, edge, shift) -> np.ndarray:
+    """``D`` of one block on one panel, as a view of ``d``.
+
+    ``edge`` holds each ``s_j`` at the column before the panel, in the
+    direction of ``shift``, and is left holding it at the panel's last.
+    """
+    k, w = vc.shape[0], panel.shape[1]
+    diffs = d[:k, :w]
+    s = work[: k * (w + 1)].reshape(k, w + 1)
+    # s_j over the panel, and S s_j: the same row one column over
+    body, shifted = (s[:, 1:], s[:, :-1])[::shift]
+    carry_in, carry_out = (0, -1)[::shift]
+    np.matmul(vc, panel, out=diffs)
+    s[:, carry_in] = edge
+    for j in range(k):
+        np.matmul(g[j, : j + 1], diffs[: j + 1], out=body[j])
+        np.subtract(shifted[j], body[j], out=diffs[j])
+    edge[:] = s[:, carry_out]
+    return diffs
+
+
 def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     """Split ``x`` into subbands: filter, decimate, and scale by ``sqrt(n)``.
 
     Runs as the polyphase lattice of the factorization: the rows
     ``y_i[j] = x[n*j - i]`` (circularly) pass through ``V_1 .. V_m`` in
     ``w = z**n``, one inner product and one unit delay per factor, so the
-    work is O(L*m) whatever the tap length.  The ``sqrt(n)`` gain cancels
+    work is O(L*m) whatever the tap length.  The factors are applied
+    ``_BLOCK`` at a time by :func:`_block_lattice`, whose two work arrays
+    hold at most two rows' worth of samples beside the rows; the bands equal
+    the one-factor lattice's up to rounding.  The ``sqrt(n)`` gain cancels
     the ``1/sqrt(n)`` of the first column of ``Q``, so the rows are the
     bands.  Band ``k`` is ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]``
     for the response ``h_k``.  The signal length must be divisible by the
@@ -114,7 +224,7 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     if x.size % n != 0:
         raise DimensionError(f"signal length {x.size} not divisible by {n}")
     y = _polyphase(x, n)
-    _lattice(y, filters.vectors, 1)
+    _block_lattice(y, filters.vectors, 1)
     return SubbandSet(n=n, bands=tuple(y))
 
 
@@ -128,10 +238,13 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     ``synthesis_delay(filters)`` samples (circularly).
 
     Applies the adjoint of :func:`analyze`: the adjoint factors in reverse
-    order on a copy of the bands, then the rows interleaved back onto the
-    sample lattice with the delay applied by the interleave, so the output
-    is written once.  A round trip holds three signal-length arrays: the
-    bands, synthesis's working rows and the output.  Equals
+    order, ``_BLOCK`` at a time, on a copy of the bands, then the rows
+    interleaved back onto the sample lattice with the delay applied by the
+    interleave, so the output is written once.  The reversed factors are
+    passed as a contiguous array, which the block products need to run at
+    full speed.  A round trip holds three signal-length arrays: the bands,
+    synthesis's working rows and the output; the lattice's two work arrays
+    add at most two rows' worth of samples.  Equals
     the sum over bands of each band expanded by ``n`` and filtered with the
     conjugate time-reversal of its response, all responses padded to one
     shared delay, times ``sqrt(n)``.
@@ -139,5 +252,5 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     if bands.n != filters.n:
         raise DimensionError(f"band count {bands.n} != filter count {filters.n}")
     y = np.array(bands.bands)
-    _lattice(y, filters.vectors[::-1], -1)
+    _block_lattice(y, filters.vectors[::-1].copy(), -1)
     return _interleave(y, synthesis_delay(filters))

@@ -4,10 +4,11 @@ Direct-form signal operations (decimation, expansion, circular
 convolution), the LTI state recursion, the series cascade of two
 realizations as one block matrix, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
-one row, the coordinate check of a box point, row by row, and the
-subband kernels as they were before their work rows were reused
-(``_lattice``) and before the synthesis delay moved into the interleave
-(``_interleave``, followed by ``np.roll``).  None of
+one row, the coordinate check of a box point, row by row, the
+one-factor lattice as it was before its work rows were reused
+(``_lattice``), which the responses and the blocked lattice of the signal
+path must agree with, and the interleave as it was before the synthesis
+delay moved into it (``_interleave``, followed by ``np.roll``).  None of
 these runs in a ``wfk`` command; each is a plain restatement of a
 definition that a faster or more structured path in the package must
 agree with.

@@ -646,6 +646,54 @@ class TestSignals:
         with pytest.raises(InvariantError, match=re.escape(f"{path}:{line}:")):
             wio.load_signal(path)
 
+    @pytest.mark.parametrize("char", ["\x85", "\x0c"])
+    def test_line_loop_character_after_the_first_piece(self, tmp_path, monkeypatch, char):
+        # the screen reads 64-character pieces here; the character sits in
+        # the third, as a line break between samples and then inside a cell
+        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+        rows = "".join(f"{k}.25,{k}.5\n" for k in range(20))
+        path = tmp_path / "x.csv"
+        path.write_text(rows + f"1,2{char}3,4\n")
+        expected = [complex(k + 0.25, k + 0.5) for k in range(20)] + [1 + 2j, 3 + 4j]
+        assert wio.load_signal(path).tolist() == expected
+        path.write_text(rows + f"3{char},4\n")
+        with pytest.raises(InvariantError, match=re.escape(f"{path}:21:")):
+            wio.load_signal(path)
+
+    def test_blank_file_of_several_pieces_is_empty_signal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+        path = tmp_path / "x.csv"
+        path.write_text(" \n\t\n" * 100)
+        x = wio.load_signal(path)
+        assert x.shape == (0,) and x.dtype == complex
+        # a number after the blank pieces still reaches numpy's reader
+        path.write_text(" \n\t\n" * 100 + "1,2\n")
+        assert wio.load_signal(path).tolist() == [1 + 2j]
+
+    def test_decode_error_names_its_offset_in_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"1,2\n" * 50 + b"\xff,1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not a text file")) as info:
+            wio.load_signal(path)
+        assert "position 200" in str(info.value)
+
+    def test_load_holds_less_than_the_text(self, tmp_path):
+        # 2**17 rows: the text is about 5 MB; loading holds the result and
+        # numpy's growing copy of it, never the whole text as one string
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(1 << 17) + 1j * rng.standard_normal(1 << 17)
+        path = tmp_path / "x.csv"
+        wio.save_signal(x, path)
+        tracemalloc.start()
+        try:
+            back = wio.load_signal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, x)
+        assert peak < path.stat().st_size
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\nnot-a-row\n")

@@ -248,27 +248,32 @@ def long_round_trip(n, m):
     return sample_parameters(n + m, n, m, 0.0), random_signal(LONG, n)
 
 
+# Largest deviation of the blocked lattice's bands and output from the
+# one-factor lattice's, relative to max|x|; the largest seen is about 3e-15.
+BLOCK_BOUND = 1e-13
+
+
 def _use_reference_kernels(mp):
-    """Route the package through the reference lattice and interleave-then-roll."""
+    """Route the package through the one-factor reference lattice, for the
+    responses and the signal path alike, and interleave-then-roll."""
     mp.setattr(wfk.filters, "_lattice", reference_lattice)
-    mp.setattr(wfk.signal, "_lattice", reference_lattice)
+    mp.setattr(wfk.signal, "_block_lattice", reference_lattice)
     mp.setattr(wfk.signal, "_interleave", lambda y, delay: np.roll(reference_interleave(y), delay))
 
 
 def _run_all(p, x):
-    """Responses, bands and output of a fresh filter set, as bytes."""
+    """Responses as bytes, their delay, and the bands and output of a fresh
+    filter set."""
     fs = subband_filters(p)
     bands = analyze(x, fs)
-    return (
-        [h.tobytes() for h in fs.responses],
-        [b.tobytes() for b in bands.bands],
-        synthesize(bands, fs).tobytes(),
-    )
+    responses = [h.tobytes() for h in fs.responses]
+    delays = fs.max_length, synthesis_delay(fs)
+    return responses, *delays, np.array(bands.bands), synthesize(bands, fs)
 
 
 class TestInPlaceKernels:
-    """The interleave with its delay and the lattice on reused work rows,
-    bit for bit against the kernels that allocate per step."""
+    """The interleave with its delay, bit for bit, and the blocked lattice
+    against the kernels that allocate per step."""
 
     @pytest.mark.parametrize("band_length", [0, 1, 2, 10])
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -280,14 +285,20 @@ class TestInPlaceKernels:
             got = _interleave(y, delay)
             assert got.tobytes() == np.roll(reference_interleave(y), delay).tobytes()
 
-    def test_outputs_equal_reference_bitwise(self, monkeypatch):
+    def test_outputs_match_reference(self, monkeypatch):
+        # the responses and their delay bit for bit; the bands and the
+        # output within BLOCK_BOUND, since the blocked lattice sums in
+        # another order
         cases = [(p, random_signal(p.n * (p.m + 3), k)) for k, p in enumerate(lattice_params())]
         cases += [long_round_trip(n, m) for n, m in LONG_RUNGS]
         got = [_run_all(p, x) for p, x in cases]
         with monkeypatch.context() as mp:
             _use_reference_kernels(mp)
             want = [_run_all(p, x) for p, x in cases]
-        assert got == want
+        for (p, x), mine, ref in zip(cases, got, want):
+            assert mine[:3] == ref[:3]
+            for a, b in zip(mine[3:], ref[3:]):
+                assert np.abs(a - b).max() <= BLOCK_BOUND * np.abs(x).max()
 
     @pytest.mark.parametrize("n,m", [(2, 0), (2, 3), (3, 2), (8, 4)])
     def test_empty_signal_round_trip(self, n, m):
@@ -325,6 +336,68 @@ class TestInPlaceKernels:
         slack = 64 << 10
         assert peak(lambda: analyze(x, fs)) <= (1 + 2 / n) * x.nbytes + slack
         assert peak(lambda: synthesize(bands, fs)) <= 2 * x.nbytes + slack
+
+
+def unit_rows(m, n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestBlockLattice:
+    """The blocked lattice of the signal path against the one-factor lattice."""
+
+    K = wfk.signal._BLOCK
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_matches_one_factor_lattice(self, n, shift):
+        # block edges (m around K), the wrap and one-column bands (cols
+        # around K), and several default-width panels with a remainder
+        # folded into the last (43) or in a panel of its own (1000)
+        k = self.K
+        for m in (0, 1, k - 1, k, k + 1, 2 * k + 1):
+            vectors = unit_rows(m, n, 10 * n + m)
+            for cols in (1, 2, k - 1, k, k + 1, 43, 1000):
+                y = random_signal(n * cols, m + cols).reshape(n, cols)
+                want = y.copy()
+                reference_lattice(want, vectors, shift)
+                wfk.signal._block_lattice(y, vectors, shift)
+                assert np.abs(y - want).max() <= BLOCK_BOUND * np.abs(want).max()
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_bits_independent_of_panel_width(self, n, shift):
+        k = self.K
+        for m, cols in ((k + 1, 300), (2 * k + 1, 301), (3, 17)):
+            vectors = unit_rows(m, n, m)
+            y = random_signal(n * cols, n + m).reshape(n, cols)
+            out = set()
+            for width in (8, 128, cols, 2 * cols):
+                z = y.copy()
+                wfk.signal._block_lattice(z, vectors, shift, width)
+                out.add(z.tobytes())
+            assert len(out) == 1
+
+    def test_reversed_stack_is_contiguous(self, monkeypatch):
+        # synthesis's reversed factors reach the products as a contiguous
+        # array; a negative-stride view makes them far slower
+        seen = []
+        monkeypatch.setattr(
+            wfk.signal, "_block_lattice", lambda y, vectors, shift: seen.append(vectors)
+        )
+        fs = subband_filters(sample_parameters(1, 4, 5, 0.0))
+        synthesize(analyze(random_signal(40, 1), fs), fs)
+        assert [v.flags.c_contiguous for v in seen] == [True, True]
+        assert np.array_equal(seen[1], fs.vectors[::-1])
+
+    @pytest.mark.parametrize("n,m", LONG_RUNGS)
+    def test_long_round_trip_error(self, n, m):
+        p, x = long_round_trip(n, m)
+        fs = subband_filters(p)
+        rec = synthesize(analyze(x, fs), fs)
+        err = np.linalg.norm(rec - np.roll(x, synthesis_delay(fs)))
+        assert err <= 1e-14 * np.linalg.norm(x)
 
 
 class TestFrequencyPr:
