@@ -144,10 +144,13 @@ def _block_lattice(
     a panel's ``P`` and then its ``D``; ``work`` holds the ``s_j``, each
     with a spare column for the carried value, and then ``V^T D``.  Panels
     are ``width`` columns wide when it is given, else the widest multiple
-    of 8 that keeps that bound, at most ``_MAX_PANEL``.  Any multiple of 8,
-    or a width of at least the row, gives the same bits: every panel then
-    starts at a multiple of 8, and the products round a column alike
-    wherever such a panel puts it.
+    of 8 that keeps that bound, at most ``_MAX_PANEL``.  With one BLAS
+    thread any multiple of 8, or a width of at least the row, gives the
+    same bits: every panel then starts at a multiple of 8, and the products
+    round a column alike wherever such a panel puts it.  With more threads
+    OpenBLAS splits a large enough product at columns that depend on its
+    width, and the bits may move by rounding there, as those of the
+    one-factor lattice's inner products may.
     """
     n, cols = y.shape
     k = min(_BLOCK, vectors.shape[0], cols)

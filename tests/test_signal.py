@@ -1,7 +1,12 @@
 """Tests for decimation, convolution, subband round trips and simulation."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +349,37 @@ def unit_rows(m, n, seed):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+PANEL_BANDS = (2, 3, 16)
+PANEL_SHIFTS = (1, -1)
+
+
+def panel_width_outputs(n, shift):
+    """``_block_lattice`` at panel widths 8, 128, the row and twice the row,
+    for three block and remainder cases: one list of outputs per case."""
+    k = wfk.signal._BLOCK
+    cases = []
+    for m, cols in ((k + 1, 300), (2 * k + 1, 301), (3, 17)):
+        vectors = unit_rows(m, n, m)
+        y = random_signal(n * cols, n + m).reshape(n, cols)
+        outs = []
+        for width in (8, 128, cols, 2 * cols):
+            z = y.copy()
+            wfk.signal._block_lattice(z, vectors, shift, width)
+            outs.append(z)
+        cases.append(outs)
+    return cases
+
+
+def distinct_panel_width_outputs():
+    """Distinct outputs per case of :func:`panel_width_outputs`, keyed by
+    ``"n,shift"``."""
+    return {
+        f"{n},{shift}": [len({z.tobytes() for z in outs}) for outs in panel_width_outputs(n, shift)]
+        for n in PANEL_BANDS
+        for shift in PANEL_SHIFTS
+    }
+
+
 class TestBlockLattice:
     """The blocked lattice of the signal path against the one-factor lattice."""
 
@@ -365,19 +401,44 @@ class TestBlockLattice:
                 wfk.signal._block_lattice(y, vectors, shift)
                 assert np.abs(y - want).max() <= BLOCK_BOUND * np.abs(want).max()
 
-    @pytest.mark.parametrize("shift", [1, -1])
-    @pytest.mark.parametrize("n", [2, 3, 16])
-    def test_bits_independent_of_panel_width(self, n, shift):
-        k = self.K
-        for m, cols in ((k + 1, 300), (2 * k + 1, 301), (3, 17)):
-            vectors = unit_rows(m, n, m)
-            y = random_signal(n * cols, n + m).reshape(n, cols)
-            out = set()
-            for width in (8, 128, cols, 2 * cols):
-                z = y.copy()
-                wfk.signal._block_lattice(z, vectors, shift, width)
-                out.add(z.tobytes())
-            assert len(out) == 1
+    @pytest.fixture(scope="class")
+    def one_thread_distinct(self):
+        # OpenBLAS splits a large enough product among its threads at
+        # columns that depend on the product's width, and rounds the columns
+        # next to a split another way, so the bits are those of one BLAS
+        # thread, as in the benchmark; a child process pins it before numpy
+        # loads
+        here = Path(__file__).resolve().parent
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")])
+        )
+        code = (
+            "import json\n"
+            "from test_signal import distinct_panel_width_outputs\n"
+            "print(json.dumps(distinct_panel_width_outputs()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("shift", PANEL_SHIFTS)
+    @pytest.mark.parametrize("n", PANEL_BANDS)
+    def test_bits_independent_of_panel_width(self, n, shift, one_thread_distinct):
+        # one BLAS thread: the same bytes at every width; the threads of
+        # this process: the same up to rounding
+        assert one_thread_distinct[f"{n},{shift}"] == [1, 1, 1]
+        for outs in panel_width_outputs(n, shift):
+            for z in outs[1:]:
+                assert np.abs(z - outs[0]).max() <= BLOCK_BOUND * np.abs(outs[0]).max()
 
     def test_reversed_stack_is_contiguous(self, monkeypatch):
         # synthesis's reversed factors reach the products as a contiguous
