@@ -218,21 +218,29 @@ def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
     signal path applies the same factors a block at a time
     (:func:`wfk.signal._block_lattice`).  ``S`` rolls a row circularly by
     ``shift`` samples: ``1`` is the unit delay ``1/w`` of a factor, ``-1``
-    its adjoint.  Works in place on two
-    work rows of one row's length, allocated once per call: ``s = v* y``
-    and ``d = S s - s``, one subtraction per sample; ``s`` then holds each
-    product ``v_i d`` before it is added to row ``i``, so a factor
-    allocates nothing.
+    its adjoint.
+
+    Works in place on two work rows of one row's length, ``s = v* y`` and
+    ``d = S s - s``, and one array of ``y``'s shape for the update, all
+    allocated once per call: a factor is one vector-matrix product, two
+    subtractions, one outer product ``v d`` and one add, and allocates
+    nothing.  The outer product rounds each ``v_i d`` as a product per row
+    would, so the taps keep their bits.  ``s`` stays one product over the
+    whole row: BLAS zgemv rounds a column by where it sits in the product,
+    and running only the taps filled so far moved tap bits.  The bits are
+    pinned with one BLAS thread.  With OpenBLAS's default two threads the
+    product is split among them, and at (16, 32) the responses took 1.2 ms
+    against 0.63 ms with one.
     """
     s = np.empty(y.shape[1:], dtype=complex)
     d = np.empty_like(s)
+    update = np.empty_like(y)
     for v in vectors:
         np.matmul(v.conj(), y, out=s)
         np.subtract(s[:-shift], s[shift:], out=d[shift:])
         np.subtract(s[-shift:], s[:shift], out=d[:shift])
-        for row, vi in zip(y, v):
-            np.multiply(vi, d, out=s)
-            row += s
+        np.multiply.outer(v, d, out=update)
+        y += update
 
 
 @dataclass(frozen=True)
@@ -268,7 +276,8 @@ class SubbandFilterSet:
         y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
         _lattice(y.reshape(n, -1), self.vectors, 1)
         responses = []
-        for coeffs in y.transpose(0, 2, 1).reshape(n, -1):
+        for band in y:
+            coeffs = band.T.reshape(-1)
             last = np.nonzero(np.abs(coeffs) > 0.0)[0]
             end = last[-1] + 1 if last.size else 1
             responses.append(_frozen(coeffs[:end]))

@@ -45,11 +45,17 @@ from .filters import SubbandFilterSet
 # 5.6 / 6.0 / 5.9 ms at (n, m) = (8, 16) and 9.6 / 9.4 / 9.1 ms at
 # (16, 32) with 8 / 12 / 16 factors a block (one-factor lattice: 7.6 and
 # 12.9 ms), median of 35, one BLAS thread, 2-CPU Xeon.  Larger blocks mean
-# fewer passes over the rows but a longer sequential recurrence.
+# fewer passes over the rows but a longer sequential recurrence.  Slower
+# per (16, 32) analysis call than its 3.5 ms: 4- or 8-factor sub-blocks
+# (4.0 / 3.7 ms), two threads over the columns (5.0), a product per row (4.2).
 _BLOCK = 16
 # Widest panel, in columns, so that neither work array nears the size of a
-# signal-length array.
+# signal-length array.  2048-column panels: 2.7 ms, but 4x the workspace.
 _MAX_PANEL = 4096
+# Samples per block of _polyphase's copy (512 KiB), so that every row takes
+# its part of a block while the block is in cache; at 2**17 samples,
+# n = 2 / 16: 0.14 / 0.24 ms against 0.18 / 0.41 ms unblocked.
+_COPY_CELLS = 1 << 15
 
 
 def _as_signal(x) -> np.ndarray:
@@ -83,12 +89,24 @@ class SubbandSet:
 
 
 def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``."""
+    """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``.
+
+    A transpose of ``x`` seen as ``L/n`` rows of ``n``, copied a block of
+    about ``_COPY_CELLS`` samples at a time: every row takes its part of a
+    block while the block is in cache, so each cache line of ``x`` is
+    fetched once, not once per row that reads it.  A copy moves no bits.
+    """
     cols = x.reshape(-1, n).T  # cols[r, j] = x[n*j + r]
+    c = cols.shape[1]
     y = np.empty(cols.shape, dtype=complex)
-    y[0] = cols[0]
-    y[1:, 1:] = cols[:0:-1, :-1]
-    y[1:, :1] = cols[:0:-1, -1:]
+    if c:
+        y[1:, 0] = cols[:0:-1, -1]
+    step = max(_COPY_CELLS // n, 1)
+    for a in range(0, c, step):
+        b = min(a + step, c)
+        y[0, a:b] = cols[0, a:b]
+        lo = max(a, 1)
+        y[1:, lo:b] = cols[:0:-1, lo - 1 : b - 1]
     return y
 
 
@@ -96,9 +114,11 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
     """Inverse of :func:`_polyphase`, delayed circularly by ``delay`` samples.
 
     With ``delay = q*n + r0`` (``0 <= r0 < n``) output phase ``r`` is one
-    row circularly delayed by whole columns: row 0 by ``q`` at ``r = r0``,
-    row ``n - r + r0`` by ``q - 1`` for ``r > r0`` and row ``r0 - r`` by
-    ``q`` for ``r < r0``.  So the delay, also one at or beyond the signal
+    row circularly delayed by whole columns: row ``r0 - r`` by ``q`` for
+    ``r <= r0`` and row ``n - r + r0`` by ``q - 1`` for ``r > r0``.  So
+    each of the two classes of phases is one block of rows under one
+    rotation, written as two transposed 2-D copies, one on each side of
+    the rotation's cut.  The delay, also one at or beyond the signal
     length, costs no pass of its own, and the result is the only array
     written.
     """
@@ -108,12 +128,13 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
         return x
     out = x.reshape(-1, n)  # out[j, r] = x[n*j + r]
     q, r0 = divmod(delay, n)
-    for r in range(n):
-        # out[j, r] = y[(r0 - r) % n, (j + k) % cols]
-        k = (int(r > r0) - q) % cols
-        row = y[(r0 - r) % n]
-        out[: cols - k, r] = row[k:]
-        out[cols - k :, r] = row[:k]
+    # out[j, r] = y[(r0 - r) % n, (j + k) % cols]
+    for rows, phases, k in (
+        (y[r0::-1], slice(r0 + 1), -q % cols),
+        (y[:r0:-1], slice(r0 + 1, n), (1 - q) % cols),
+    ):
+        out[: cols - k, phases] = rows[:, k:].T
+        out[cols - k :, phases] = rows[:, :k].T
     return x
 
 
@@ -200,7 +221,10 @@ def _block_differences(panel, vc, g, d, work, edge, shift) -> np.ndarray:
     carry_in, carry_out = (0, -1)[::shift]
     np.matmul(vc, panel, out=diffs)
     s[:, carry_in] = edge
-    for j in range(k):
+    # s_1 = P_1, plus 0 so that a zero is +0 as the one-term product gives it
+    np.add(diffs[0], 0.0, out=body[0])
+    np.subtract(shifted[0], body[0], out=diffs[0])
+    for j in range(1, k):
         np.matmul(g[j, : j + 1], diffs[: j + 1], out=body[j])
         np.subtract(shifted[j], body[j], out=diffs[j])
     edge[:] = s[:, carry_out]

@@ -6,12 +6,13 @@ realizations as one block matrix, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
 one row, the coordinate check of a box point, row by row, the
 one-factor lattice as it was before its work rows were reused
-(``_lattice``), which the responses and the blocked lattice of the signal
-path must agree with, and the interleave as it was before the synthesis
-delay moved into it (``_interleave``, followed by ``np.roll``).  None of
-these runs in a ``wfk`` command; each is a plain restatement of a
-definition that a faster or more structured path in the package must
-agree with.
+(``_lattice``), which the blocked lattice of the signal path must agree
+with, the responses it gives in their first layout (``_responses``), which
+the package's must equal byte for byte, and the interleave as it was
+before the synthesis delay moved into it (``_interleave``, followed by
+``np.roll``).  None of these runs in a ``wfk`` command; each is a plain
+restatement of a definition that a faster or more structured path in the
+package must agree with.
 ``check_symmetry``, ``check_paraunitary`` and ``frequency_pr_check`` read
 one report off :func:`wfk.filters.circle_checks`.
 """
@@ -177,6 +178,21 @@ def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
         d -= s
         for row, vi in zip(y, v):
             row += vi * d
+
+
+def _responses(filters) -> tuple[np.ndarray, ...]:
+    """First-column taps of a filter set, each trimmed after its last
+    nonzero tap, from :func:`_lattice` on the layout ``y[i, r, j]`` = tap
+    ``n*j + r`` of band ``i``, the whole row at every factor."""
+    n, vectors = filters.n, filters.vectors
+    y = np.zeros((n, n, vectors.shape[0] + 1), dtype=complex)
+    y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
+    _lattice(y.reshape(n, -1), vectors, 1)
+    out = []
+    for coeffs in y.transpose(0, 2, 1).reshape(n, -1):
+        last = np.nonzero(np.abs(coeffs) > 0.0)[0]
+        out.append(coeffs[: last[-1] + 1 if last.size else 1])
+    return tuple(out)
 
 
 def _interleave(y: np.ndarray) -> np.ndarray:

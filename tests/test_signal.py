@@ -16,6 +16,7 @@ import wfk.signal
 from reference_ops import (
     _interleave as reference_interleave,
     _lattice as reference_lattice,
+    _responses as reference_responses,
     check_paraunitary,
     circular_convolve,
     decimate,
@@ -253,6 +254,11 @@ def long_round_trip(n, m):
     return sample_parameters(n + m, n, m, 0.0), random_signal(LONG, n)
 
 
+# Indices past LATTICE_CASES' 6, at band counts that are not powers of two,
+# for the byte comparison of the responses.
+DEEP_RUNGS = [(3, 33), (5, 17)]
+
+
 # Largest deviation of the blocked lattice's bands and output from the
 # one-factor lattice's, relative to max|x|; the largest seen is about 3e-15.
 BLOCK_BOUND = 1e-13
@@ -260,8 +266,9 @@ BLOCK_BOUND = 1e-13
 
 def _use_reference_kernels(mp):
     """Route the package through the one-factor reference lattice, for the
-    responses and the signal path alike, and interleave-then-roll."""
-    mp.setattr(wfk.filters, "_lattice", reference_lattice)
+    responses (in their first layout) and the signal path alike, and
+    interleave-then-roll."""
+    mp.setattr(wfk.filters.SubbandFilterSet, "responses", property(reference_responses))
     mp.setattr(wfk.signal, "_block_lattice", reference_lattice)
     mp.setattr(wfk.signal, "_interleave", lambda y, delay: np.roll(reference_interleave(y), delay))
 
@@ -281,14 +288,27 @@ class TestInPlaceKernels:
     against the kernels that allocate per step."""
 
     @pytest.mark.parametrize("band_length", [0, 1, 2, 10])
-    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
     def test_interleave_equals_roll_of_reference(self, n, band_length):
-        # every delay in [0, 3L); at L = 0 the delays still run to 3n
+        # every delay in [0, 3L) (at L = 0 they still run to 3n), and the
+        # benchmark's n*(m + 1) - 1, phase n - 1, at m = 3, 16 and 32
         x = random_signal(n * band_length, n + band_length)
         y = _polyphase(x, n)
-        for delay in range(3 * n * max(band_length, 1)):
+        delays = [*range(3 * n * max(band_length, 1)), *(n * (m + 1) - 1 for m in (3, 16, 32))]
+        for delay in delays:
             got = _interleave(y, delay)
             assert got.tobytes() == np.roll(reference_interleave(y), delay).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_polyphase_is_its_definition(self, n):
+        # y_i[j] = x[(n*j - i) mod L] at lengths 0, n and 7n, and at about
+        # 2**17 samples, where the last copy block is a partial one
+        for length in (0, n, 7 * n, n * (LONG // n + 1)):
+            x = random_signal(length, n + length)
+            j = np.arange(length // n)
+            want = x[(n * j - np.arange(n)[:, None]) % max(length, 1)]
+            got = _polyphase(x, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_outputs_match_reference(self, monkeypatch):
         # the responses and their delay bit for bit; the bands and the
@@ -296,6 +316,9 @@ class TestInPlaceKernels:
         # another order
         cases = [(p, random_signal(p.n * (p.m + 3), k)) for k, p in enumerate(lattice_params())]
         cases += [long_round_trip(n, m) for n, m in LONG_RUNGS]
+        cases += [
+            (sample_parameters(n + m, n, m, 0.0), random_signal(n * (m + 3), m)) for n, m in DEEP_RUNGS
+        ]
         got = [_run_all(p, x) for p, x in cases]
         with monkeypatch.context() as mp:
             _use_reference_kernels(mp)
