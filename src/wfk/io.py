@@ -113,16 +113,29 @@ def _number_blocks(flat: list, width: int, depth: int):
 
 def _skeleton(value, held: list):
     """``value`` with its ``k``-th long list of numbers replaced by the string
-    ``"\\x00k"``, and ``_number_list`` of that list appended to ``held``."""
+    ``"\\x00k"``, and ``_number_list`` of that list appended to ``held``.
+
+    A dict or list is copied only when something under it is replaced;
+    otherwise it is returned as it is, so a report with no long list is
+    laid out from the caller's own containers."""
     if type(value) is dict:
-        return {key: _skeleton(item, held) for key, item in value.items()}
-    if type(value) is not list:
+        entries = value.items()
+    elif type(value) is list:
+        numbers = _number_list(value)
+        if numbers is not None:
+            held.append(numbers)
+            return f"\x00{len(held) - 1}"
+        entries = enumerate(value)
+    else:
         return value
-    numbers = _number_list(value)
-    if numbers is None:
-        return [_skeleton(item, held) for item in value]
-    held.append(numbers)
-    return f"\x00{len(held) - 1}"
+    copy = None
+    for key, item in entries:
+        new = _skeleton(item, held)
+        if new is not item:
+            if copy is None:
+                copy = value.copy()
+            copy[key] = new
+    return value if copy is None else copy
 
 
 def write_json(doc, stream) -> None:

@@ -20,7 +20,7 @@ is tested with a relative margin, ``H > delta ||H||_1 I`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -282,7 +282,13 @@ def _pole_roots(alpha: complex, n: int) -> np.ndarray:
     r = complex(alpha) ** (1.0 / n)
     if n == 4:
         return np.array([r, -r, 1j * r, -1j * r])
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+    return r * _unity_roots(n)
+
+
+@lru_cache(maxsize=None)
+def _unity_roots(n: int) -> np.ndarray:
+    """The ``n`` n-th roots of unity, shared by every pole of a band count."""
+    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def realize_allpass_core(alpha: complex, n: int) -> Realization:
@@ -313,25 +319,53 @@ def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
 
 def _factor_blocks(v, alpha: complex, n: int) -> tuple[np.ndarray, ...]:
     """The blocks ``(A, B, C, D)`` of :func:`realize_decimated_unitary`, or of
-    :func:`realize_allpass_core` when ``v`` is None, as plain arrays.
+    :func:`realize_allpass_core` when ``v`` is None, as plain arrays: the
+    one-section case of :func:`_section_stack`."""
+    vectors = None if v is None else v[None, :]
+    return tuple(x[0] for x in _section_stack(vectors, [alpha], n))
+
+
+def _section_stack(vectors, alphas, n: int) -> tuple[np.ndarray, ...]:
+    """The blocks ``(A_s, B_s, C_s, D_s)`` of one degree-``n`` section per pole
+    in ``alphas``, as ``(m, ., .)`` stacks built in one pass.
 
     The core's ``A`` is bidiagonal, its ``B`` and ``C`` hold the gain
-    ``sqrt(1 - |alpha|**2)`` in their last and first entry; the factor wraps
-    the core between the complex vector ``v`` and ``v*``.  Raises
-    ``InvariantError`` unless ``|alpha| < 1``.
+    ``sqrt(1 - |alpha|**2)`` in their last and first entry; with unit
+    vectors as the ``m`` rows of ``vectors`` each section wraps its core
+    between ``v`` and ``v*`` (:func:`realize_decimated_unitary`), and with
+    ``vectors`` None it is the scalar core (:func:`realize_allpass_core`).
+    Every entry comes from the numpy operation, on the same operands, that
+    builds one section on its own, so a section has the same bits in any
+    stack: the diagonal and superdiagonal are added as whole matrices, the
+    gains come from Python's ``abs`` and ``**`` of each pole, and ``b v*``
+    and ``v c`` are stacked matrix products, which numpy runs a matrix at a
+    time.  Raises ``InvariantError`` unless every ``|alpha| < 1``.
     """
-    if abs(alpha) >= 1.0:
-        raise InvariantError(f"|alpha| must be < 1, got {abs(alpha)!r}")
-    a = np.diag(_pole_roots(alpha, n)) + np.diag(np.ones(n - 1), 1)
-    gain = np.sqrt(1.0 - abs(alpha) ** 2)
-    b = np.zeros((n, 1), dtype=complex)
-    b[n - 1, 0] = gain
-    c = np.zeros((1, n), dtype=complex)
-    c[0, 0] = gain
-    if v is None:
-        return a, b, c, np.zeros((1, 1), dtype=complex)
-    d = np.eye(v.size) - (1.0 + np.conj(alpha)) * np.outer(v, v.conj())
-    return a, b @ v.conj()[None, :], v[:, None] @ c, d
+    sizes = [abs(alpha) for alpha in alphas]
+    for size in sizes:
+        if size >= 1.0:
+            raise InvariantError(f"|alpha| must be < 1, got {size!r}")
+    m = len(sizes)
+    diagonal = np.zeros((m, n, n), dtype=complex)
+    roots = np.array([_pole_roots(alpha, n) for alpha in alphas], dtype=complex)
+    diagonal[:, np.arange(n), np.arange(n)] = roots.reshape(m, n)
+    a = diagonal + np.diag(np.ones(n - 1), 1)
+    gains = np.sqrt([1.0 - size**2 for size in sizes])
+    b = np.zeros((m, n, 1), dtype=complex)
+    b[:, n - 1, 0] = gains
+    c = np.zeros((m, 1, n), dtype=complex)
+    c[:, 0, 0] = gains
+    if vectors is None:
+        return a, b, c, np.zeros((m, 1, 1), dtype=complex)
+    outers = vectors[:, :, None] * vectors.conj()[:, None, :]
+    d = np.eye(vectors.shape[1]) - (1.0 + np.conj(alphas))[:, None, None] * outers
+    return a, b @ vectors.conj()[:, None, :], vectors[:, :, None] @ c, d
+
+
+def _sections(vectors, alphas, n: int):
+    """The sections of :func:`_section_stack`, one ``(A_s, B_s, C_s, D_s)`` at
+    a time; the stack is built when the first section is read."""
+    yield from zip(*_section_stack(vectors, alphas, n))
 
 
 def cascade(delta: Realization, inner: Realization) -> Realization:
@@ -377,10 +411,13 @@ def realize_wavelet(params: FilterParameters) -> Realization:
     degree-``n`` factor per stored parameter, raising the index by one each
     time; the state dimension is exactly ``n*((n-1)/2 + m)``.  The factors
     go through :func:`_cascade_sections`, the writer of :func:`cascade`, in
-    one pass.  A state count too large to allocate raises ``InvariantError``.
+    one pass; their blocks are built together by :func:`_section_stack`,
+    once ``A`` is allocated.  A state count too large to allocate raises
+    ``InvariantError`` before any section is built.
     """
     n = params.n
-    sections = (_factor_blocks(f.v, f.alpha, n) for f in params.factors)
+    alphas = [f.alpha for f in params.factors]
+    sections = _sections(params._factor_stack[0], alphas, n)
     return _cascade_sections(realize_elementary_wavelet(n), sections, n * params.m)
 
 

@@ -8,11 +8,14 @@ one row, the coordinate check of a box point, row by row, the
 one-factor lattice as it was before its work rows were reused
 (``_lattice``), which the blocked lattice of the signal path must agree
 with, the responses it gives in their first layout (``_responses``), which
-the package's must equal byte for byte, and the interleave as it was
-before the synthesis delay moved into it (``_interleave``, followed by
-``np.roll``).  None of these runs in a ``wfk`` command; each is a plain
-restatement of a definition that a faster or more structured path in the
-package must agree with.
+the package's must equal byte for byte, the interleave as it was before
+the synthesis delay moved into it (``_interleave``, followed by
+``np.roll``), the per-factor updates of ``wavelet_eval``'s array path
+(``_factor_updates``), which its blocked kernel must agree with, and the
+two circle residuals written with ``np.roll`` and ``np.eye``, whose bits
+the package's must keep.  None of these runs in a ``wfk`` command; each
+is a plain restatement of a definition that a faster or more structured
+path in the package must agree with.
 ``check_symmetry``, ``check_paraunitary`` and ``frequency_pr_check`` read
 one report off :func:`wfk.filters.circle_checks`.
 """
@@ -178,6 +181,35 @@ def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
         d -= s
         for row, vi in zip(y, v):
             row += vi * d
+
+
+def _factor_updates(w: np.ndarray, vectors: np.ndarray, scales: np.ndarray) -> None:
+    """Apply ``I + s_j v_j v_j*`` for each row ``v_j`` of ``vectors`` in turn to
+    the rows of ``w``, one rank-one update ``w += s_j v_j (v_j* w)`` per
+    factor, as ``wavelet_eval``'s array path did before its factors were
+    blocked.  ``scales`` is ``(m, K)``, and point ``k`` owns the
+    ``w.shape[1] // K`` adjacent columns from ``k * w.shape[1] // K`` on.
+    Works in place."""
+    points = scales.shape[1]
+    if not points:
+        return
+    for v, s in zip(vectors, scales):
+        t = (v.conj() @ w).reshape(points, -1)
+        t *= s[:, None]
+        w += v[:, None] * t.reshape(1, -1)
+
+
+def symmetry_residual(values: np.ndarray) -> np.ndarray:
+    """``||F(eps z) - F(z) P||_F`` per point from the stack ``[F(eps z); F(z)]``,
+    with ``F(z) P`` as a roll of the columns."""
+    rotated, plain = np.split(values, 2)
+    return np.linalg.norm(rotated - np.roll(plain, -1, axis=-1), axis=(1, 2))
+
+
+def unitarity_residual(values: np.ndarray) -> np.ndarray:
+    """``||F(z)* F(z) - I||_F`` per point of the stack ``F(z)``."""
+    eye = np.eye(values.shape[-1])
+    return np.linalg.norm(np.swapaxes(values.conj(), 1, 2) @ values - eye, axis=(1, 2))
 
 
 def _responses(filters) -> tuple[np.ndarray, ...]:

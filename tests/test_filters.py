@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference_matrices import closed_form_wa, closed_form_wb
+import reference_ops
 from reference_ops import (
     adjoint,
     box_coordinate_error,
@@ -41,6 +42,7 @@ from wfk import (
     unit_circle_points,
     wavelet_eval,
 )
+from wfk import filters
 from wfk.filters import _max_circle_residual
 
 R2 = 1 / np.sqrt(2)
@@ -277,6 +279,57 @@ class TestBatchedEvaluation:
             wavelet_eval(p, np.array([1.0, 0.5, 1j]))
         with pytest.raises(PoleError):
             wavelet_eval(p, np.array([1.0, 0.0]))
+
+
+class TestFactorBlocks:
+    """The array path applies its factors ``_FACTOR_BLOCK`` (8) at a time;
+    run with one rank-one update per factor instead, it gives the same
+    values within 1e-14 of their largest modulus."""
+
+    @staticmethod
+    def params(n, m, radius, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        alphas = radius * np.exp(2j * np.pi * rng.uniform(size=m))
+        factors = tuple(Factor(u, a) for u, a in zip(v, alphas))
+        return FilterParameters(n=n, rho=1.0 if radius else 0.0, factors=factors)
+
+    @staticmethod
+    def points(seed):
+        # circle points, with off-circle points and points whose z**n
+        # overflows mixed in among them
+        turns = np.exp(1j * np.array([0.3, 2.0, 4.1]))
+        pts = circle(24, seed=seed)
+        for at, z in ((3, 1e200), (4, 1.5), (10, 1e300), (11, 1e200), (17, 2.5)):
+            pts = np.insert(pts, at, z * turns)
+        return pts
+
+    @pytest.mark.parametrize("radius", [0.0, 0.999])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 33])
+    def test_matches_the_per_factor_loop(self, monkeypatch, m, n, radius):
+        p = self.params(n, m, radius, seed=100 * n + m)
+        pts = self.points(n + m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocked = wavelet_eval(p, pts)
+            monkeypatch.setattr(filters, "_factor_updates", reference_ops._factor_updates)
+            looped = wavelet_eval(p, pts)
+        assert np.isfinite(looped).all()
+        assert np.abs(blocked - looped).max() <= 1e-14 * np.abs(looped).max()
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_pole_point_is_named(self, n):
+        # the pole of factor 9, the first of the second block, among
+        # ordinary and overflowing points
+        p = self.params(n, 17, 0.999, seed=n)
+        root = complex(p.factors[8].alpha) ** (1.0 / n) * np.exp(2j * np.pi / n)
+        pts = np.insert(self.points(n), 12, root)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = complex((pts**n)[12])
+        with pytest.raises(PoleError, match=re.escape(f"(w = {w!r})")):
+            wavelet_eval(p, pts)
 
 
 RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
@@ -818,6 +871,28 @@ class TestSharedCirclePass:
                 assert abs(one.max_residual - max(alone)) <= 1e-14
                 assert one.resampled == 0
                 assert (one.sample_count, one.seed, one.tolerance) == (64, 3, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_residuals_keep_the_bits_of_their_definitions(self, n):
+        # ordinary, huge (the Gram and the norm overflow) and tiny values,
+        # signed zeros, and the layouts of wavelet_eval's array path and of
+        # a constant function's broadcast stack, since the layout sets the
+        # order in which the norm sums
+        rng = np.random.default_rng(n)
+        stacks = []
+        for scale in (1.0, 1e160, 1e-170):
+            v = scale * (rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n)))
+            v.real[rng.random(v.shape) < 0.3] = -0.0
+            v.imag[rng.random(v.shape) < 0.3] = -0.0
+            planes = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
+            stacks += [v, planes, np.broadcast_to(v[0], v.shape)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in stacks:
+                for got, want in (
+                    (filters._symmetry_residual(v), reference_ops.symmetry_residual(v)),
+                    (filters._unitarity_residual(v), reference_ops.unitarity_residual(v)),
+                ):
+                    assert got.tobytes() == want.tobytes()
 
     def test_pole_on_the_grid_is_redrawn_for_both(self):
         p = sample_parameters(14, 3, 2, 0.9)

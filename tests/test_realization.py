@@ -382,19 +382,21 @@ class TestRealizeWavelet:
     def test_refused_allocation_raises_before_any_factor(self, monkeypatch):
         p = sample_parameters(3, 2, 8, 0.5)
         states = mcmillan_degree(p)
-        allocate, blocks, calls = realization._state_matrix, realization._factor_blocks, []
+        allocate, build, calls = realization._state_matrix, realization._section_stack, []
         # a shape numpy refuses without allocating stands in for the whole cascade
         monkeypatch.setattr(
             realization, "_state_matrix", lambda q: allocate(1 << 62 if q == states else q)
         )
         monkeypatch.setattr(
-            realization, "_factor_blocks", lambda *args: calls.append(args) or blocks(*args)
+            realization, "_section_stack", lambda *args: calls.append(args) or build(*args)
         )
         with pytest.raises(InvariantError, match="too large to allocate"):
             realize_wavelet(p)
         assert calls == []
         monkeypatch.setattr(realization, "_state_matrix", allocate)
-        assert realize_wavelet(p).state_dim == states and len(calls) == 8
+        assert realize_wavelet(p).state_dim == states
+        # one build of all 8 sections
+        assert len(calls) == 1 and len(calls[0][1]) == 8
 
     def test_index_zero_is_elementary(self):
         p = FilterParameters(n=2, rho=0.0, factors=())
