@@ -216,15 +216,14 @@ class BoxPoint:
         return self.coords.shape[0]
 
 
-def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
+def _lattice(y: np.ndarray, vectors: np.ndarray) -> None:
     """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
 
     The one-factor lattice.  It builds :attr:`SubbandFilterSet.responses`,
     whose taps are trimmed at exact zeros, so their bits must not move; the
     signal path applies the same factors a block at a time
     (:func:`wfk.signal._block_lattice`).  ``S`` rolls a row circularly by
-    ``shift`` samples: ``1`` is the unit delay ``1/w`` of a factor, ``-1``
-    its adjoint.
+    one sample, the unit delay ``1/w`` of a factor.
 
     Works in place on two work rows of one row's length, ``s = v* y`` and
     ``d = S s - s``, and one array of ``y``'s shape for the update, all
@@ -234,17 +233,15 @@ def _lattice(y: np.ndarray, vectors: np.ndarray, shift: int) -> None:
     would, so the taps keep their bits.  ``s`` stays one product over the
     whole row: BLAS zgemv rounds a column by where it sits in the product,
     and running only the taps filled so far moved tap bits.  The bits are
-    pinned with one BLAS thread.  With OpenBLAS's default two threads the
-    product is split among them, and at (16, 32) the responses took 1.2 ms
-    against 0.63 ms with one.
+    pinned with one BLAS thread.
     """
     s = np.empty(y.shape[1:], dtype=complex)
     d = np.empty_like(s)
     update = np.empty_like(y)
     for v in vectors:
         np.matmul(v.conj(), y, out=s)
-        np.subtract(s[:-shift], s[shift:], out=d[shift:])
-        np.subtract(s[-shift:], s[:shift], out=d[:shift])
+        np.subtract(s[:-1], s[1:], out=d[1:])
+        np.subtract(s[-1:], s[:1], out=d[:1])
         np.multiply.outer(v, d, out=update)
         y += update
 
@@ -280,7 +277,7 @@ class SubbandFilterSet:
         y = np.zeros((n, n, self.vectors.shape[0] + 1), dtype=complex)
         # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
         y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
-        _lattice(y.reshape(n, -1), self.vectors, 1)
+        _lattice(y.reshape(n, -1), self.vectors)
         responses = []
         for band in y:
             coeffs = band.T.reshape(-1)

@@ -6,7 +6,8 @@ polyphase components of the signal pass through the factors in
 ``w = z**n``, and each factor ``I + (1/w - 1) v v*`` costs one inner
 product and one unit delay (Vaidyanathan, Nguyen, Doganata & Saramaki,
 IEEE Trans. ASSP 37(7), 1989).  The work is O(L*m) for a signal of length
-L, whatever the tap length.  Synthesis applies the adjoint lattice.
+L, whatever the tap length.  Synthesis, the adjoint lattice, is the same
+lattice with the factors in reverse order, run on time-reversed rows.
 
 The factors are applied a block of ``_BLOCK`` at a time, over column
 panels of the polyphase rows: one matrix product gives the block's inner
@@ -43,11 +44,9 @@ from .filters import SubbandFilterSet
 # Factors per block of _block_lattice, chosen by measurement: a round trip
 # of a 2**17-sample signal (subband_filters, analyze, synthesize) took
 # 5.6 / 6.0 / 5.9 ms at (n, m) = (8, 16) and 9.6 / 9.4 / 9.1 ms at
-# (16, 32) with 8 / 12 / 16 factors a block (one-factor lattice: 7.6 and
-# 12.9 ms), median of 35, one BLAS thread, 2-CPU Xeon.  Larger blocks mean
-# fewer passes over the rows but a longer sequential recurrence.  Slower
-# per (16, 32) analysis call than its 3.5 ms: 4- or 8-factor sub-blocks
-# (4.0 / 3.7 ms), two threads over the columns (5.0), a product per row (4.2).
+# (16, 32) with 8 / 12 / 16 factors a block, median of 35, one BLAS thread,
+# 2-CPU Xeon.  Larger blocks mean fewer passes over the rows but a longer
+# sequential recurrence.
 _BLOCK = 16
 # Widest panel, in columns, so that neither work array nears the size of a
 # signal-length array.  2048-column panels: 2.7 ms, but 4x the workspace.
@@ -138,27 +137,23 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
     return x
 
 
-def _block_lattice(
-    y: np.ndarray, vectors: np.ndarray, shift: int, width: int | None = None
-) -> None:
+def _block_lattice(y: np.ndarray, vectors: np.ndarray, width: int | None = None) -> None:
     """Apply ``I + (S - I) v v*`` for each row ``v`` of ``vectors`` in turn to
     the rows of ``y``, ``_BLOCK`` factors at a time.
 
-    ``S`` rolls a row circularly by ``shift`` columns: ``1`` is the unit
-    delay ``1/w`` of a factor, ``-1`` its adjoint.  For a block ``V`` of rows
-    ``v_1 .. v_k``, with ``G = conj(V) V^T`` (so ``G[j, i] = v_j* v_i``) and
-    ``P = conj(V) y``::
+    ``S`` rolls a row circularly by one column, the unit delay ``1/w`` of a
+    factor.  For a block ``V`` of rows ``v_1 .. v_k``, with
+    ``G = conj(V) V^T`` (so ``G[j, i] = v_j* v_i``) and ``P = conj(V) y``::
 
         s_j = P_j + sum_{i<j} G[j, i] d_i,   d_j = S s_j - s_j,   y += V^T D
 
     ``s_j`` is ``v_j* y`` after the factors before ``j``, so this is the
     one-factor lattice exactly.  Columns couple only through ``S``, so the
-    panels run in the direction of ``shift``, each carrying every ``s_j`` at
-    its last column into the next.  The wrap needs ``s_j`` at the far
-    column of ``y`` before the first panel: ``s_j`` at a column depends on
-    the ``j`` columns that end there, so the ``k`` columns next to the far
-    one, run without the wrap, give it exactly.  A block therefore holds at
-    most as many factors as ``y`` has columns.
+    panels run left to right, each carrying every ``s_j`` at its last column
+    into the next.  The wrap needs ``s_j`` at the last column before the
+    first panel: it depends on the ``j`` columns that end there, so the last
+    ``k`` columns, run without the wrap, give it exactly.  A block therefore
+    holds at most as many factors as ``y`` has columns.
 
     Works in place on two work arrays that together hold at most two rows'
     worth of samples (plus a few columns when a row is short): ``d`` holds
@@ -183,7 +178,7 @@ def _block_lattice(
     # a remainder under 8 columns joins the last panel: a one-column panel
     # would turn the products into matrix-vector products, with other bits
     starts = range(0, max(cols - 7, 1), width)
-    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])][::shift]
+    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])]
     span = max(max(p.shape[1] for p in panels), k)
     d = np.empty((k, span), dtype=complex)
     work = np.empty(max(k * (span + 1), n * span), dtype=complex)
@@ -195,10 +190,9 @@ def _block_lattice(
         g = np.tril(vc @ v.T, -1)
         np.fill_diagonal(g, 1.0)
         edge = np.zeros(len(v), dtype=complex)
-        head = slice(cols - len(v), cols) if shift > 0 else slice(len(v))
-        _block_differences(y[:, head], vc, g, d, work, edge, shift)
+        _block_differences(y[:, cols - len(v) :], vc, g, d, work, edge)
         for panel in panels:
-            diffs = _block_differences(panel, vc, g, d, work, edge, shift)
+            diffs = _block_differences(panel, vc, g, d, work, edge)
             update = work[: panel.size].reshape(panel.shape)
             np.matmul(v.T, diffs, out=update)
             # row by row: a 2-D in-place add over a strided panel makes
@@ -207,27 +201,25 @@ def _block_lattice(
                 row += add
 
 
-def _block_differences(panel, vc, g, d, work, edge, shift) -> np.ndarray:
+def _block_differences(panel, vc, g, d, work, edge) -> np.ndarray:
     """``D`` of one block on one panel, as a view of ``d``.
 
-    ``edge`` holds each ``s_j`` at the column before the panel, in the
-    direction of ``shift``, and is left holding it at the panel's last.
+    ``edge`` holds each ``s_j`` at the column before the panel, and is left
+    holding it at the panel's last.
     """
     k, w = vc.shape[0], panel.shape[1]
     diffs = d[:k, :w]
     s = work[: k * (w + 1)].reshape(k, w + 1)
-    # s_j over the panel, and S s_j: the same row one column over
-    body, shifted = (s[:, 1:], s[:, :-1])[::shift]
-    carry_in, carry_out = (0, -1)[::shift]
+    # s_j over the panel is s[:, 1:], and S s_j is s[:, :-1]
     np.matmul(vc, panel, out=diffs)
-    s[:, carry_in] = edge
+    s[:, 0] = edge
     # s_1 = P_1, plus 0 so that a zero is +0 as the one-term product gives it
-    np.add(diffs[0], 0.0, out=body[0])
-    np.subtract(shifted[0], body[0], out=diffs[0])
+    np.add(diffs[0], 0.0, out=s[0, 1:])
+    np.subtract(s[0, :-1], s[0, 1:], out=diffs[0])
     for j in range(1, k):
-        np.matmul(g[j, : j + 1], diffs[: j + 1], out=body[j])
-        np.subtract(shifted[j], body[j], out=diffs[j])
-    edge[:] = s[:, carry_out]
+        np.matmul(g[j, : j + 1], diffs[: j + 1], out=s[j, 1:])
+        np.subtract(s[j, :-1], s[j, 1:], out=diffs[j])
+    edge[:] = s[:, -1]
     return diffs
 
 
@@ -237,22 +229,26 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     Runs as the polyphase lattice of the factorization: the rows
     ``y_i[j] = x[n*j - i]`` (circularly) pass through ``V_1 .. V_m`` in
     ``w = z**n``, one inner product and one unit delay per factor, so the
-    work is O(L*m) whatever the tap length.  The factors are applied
-    ``_BLOCK`` at a time by :func:`_block_lattice`, whose two work arrays
-    hold at most two rows' worth of samples beside the rows; the bands equal
-    the one-factor lattice's up to rounding.  The ``sqrt(n)`` gain cancels
-    the ``1/sqrt(n)`` of the first column of ``Q``, so the rows are the
-    bands.  Band ``k`` is ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]``
-    for the response ``h_k``.  The signal length must be divisible by the
-    band count so the circular lattice is well defined.
+    work is O(L*m) whatever the tap length, ``_BLOCK`` factors at a time by
+    :func:`_block_lattice`; the bands equal the one-factor lattice's up to
+    rounding.  The ``sqrt(n)`` gain cancels the ``1/sqrt(n)`` of the first
+    column of ``Q``, so the rows are the bands.  Band ``k`` is
+    ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]`` for the response
+    ``h_k``.  The signal length must be divisible by the band count so the
+    circular lattice is well defined.  Raises :class:`InvariantError` on
+    overflow.
     """
     x = _as_signal(x)
     n = filters.n
     if x.size % n != 0:
         raise DimensionError(f"signal length {x.size} not divisible by {n}")
     y = _polyphase(x, n)
-    _block_lattice(y, filters.vectors, 1)
-    return SubbandSet(n=n, bands=tuple(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _block_lattice(y, filters.vectors)
+    try:
+        return SubbandSet(n=n, bands=tuple(y))
+    except InvariantError:  # x was finite, so a band that is not overflowed
+        raise InvariantError("analysis overflowed: a band left the float range") from None
 
 
 def synthesis_delay(filters: SubbandFilterSet) -> int:
@@ -264,20 +260,25 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     """Rebuild a signal from subbands; the result is the input delayed by
     ``synthesis_delay(filters)`` samples (circularly).
 
-    Applies the adjoint of :func:`analyze`: the adjoint factors in reverse
-    order, ``_BLOCK`` at a time, on a copy of the bands, then the rows
-    interleaved back onto the sample lattice with the delay applied by the
-    interleave, so the output is written once.  The reversed factors are
-    passed as a contiguous array, which the block products need to run at
-    full speed.  A round trip holds three signal-length arrays: the bands,
-    synthesis's working rows and the output; the lattice's two work arrays
-    add at most two rows' worth of samples.  Equals
-    the sum over bands of each band expanded by ``n`` and filtered with the
-    conjugate time-reversal of its response, all responses padded to one
-    shared delay, times ``sqrt(n)``.
+    Applies the adjoint of :func:`analyze`.  A factor's adjoint
+    ``I + (w - 1) v v*`` is the factor conjugated by the time reversal ``J``
+    of a row, so the adjoint lattice is ``J L' J``, ``L'`` the lattice of
+    the factors in reverse order (Vaidyanathan, Multirate Systems and Filter
+    Banks, 1993, ch. 14): a reversed copy of the bands runs through
+    :func:`_block_lattice` with the reversed factors, contiguous for the
+    block products, and the interleave reads it reversed, applies the delay
+    and writes the output once.  A round trip holds three signal-length
+    arrays (the bands, the working rows, the output) and the lattice's two
+    rows of work.  Equals the sum over bands of each band expanded by ``n``
+    and filtered with the conjugate time-reversal of its response, all
+    responses padded to one shared delay, times ``sqrt(n)``.  Raises
+    :class:`InvariantError` on overflow.
     """
     if bands.n != filters.n:
         raise DimensionError(f"band count {bands.n} != filter count {filters.n}")
-    y = np.array(bands.bands)
-    _block_lattice(y, filters.vectors[::-1].copy(), -1)
-    return _interleave(y, synthesis_delay(filters))
+    y = np.array([b[::-1] for b in bands.bands])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _block_lattice(y, filters.vectors[::-1].copy())
+    if not np.isfinite(y).all():
+        raise InvariantError("synthesis overflowed: a sample left the float range")
+    return _interleave(y[:, ::-1], synthesis_delay(filters))

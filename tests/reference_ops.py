@@ -5,9 +5,9 @@ convolution), the LTI state recursion, the series cascade of two
 realizations as one block matrix, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
 one row, the coordinate check of a box point, row by row, the
-one-factor lattice as it was before its work rows were reused
-(``_lattice``), which the blocked lattice of the signal path must agree
-with, the responses it gives in their first layout (``_responses``), which
+one-factor lattice as it was before its work rows were reused, in both
+directions (``_lattice``), which the blocked lattice of the signal path
+must agree with, the responses it gives in their first layout (``_responses``), which
 the package's must equal byte for byte, the interleave as it was before
 the synthesis delay moved into it (``_interleave``, followed by
 ``np.roll``), the per-factor updates of ``wavelet_eval``'s array path

@@ -1825,6 +1825,27 @@ class TestCliSubbands:
         assert err.count("\n") == 1 and str(ref) in err and "finite" in err
         assert not rec.exists() and not (tmp_path / "rec.csv.json").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_overflow_exit_3_writes_nothing(self, tmp_path, command):
+        # finite samples near the float's limit overflow in the lattice: one
+        # stderr line naming the overflow, no RuntimeWarning, no output
+        params, out = tmp_path / "p.json", tmp_path / "out"
+        assert main(["gen", "--n", "2", "--index", "3", "--seed", "1", "-o", str(params)]) == 0
+        if command == "analyze":
+            sig = tmp_path / "x.csv"
+            sig.write_text("1.7e+308,0.0\n-1.7e+308,0.0\n" * 8)
+            argv = ["analyze", str(params), "--signal", str(sig), "--out", str(out)]
+        else:
+            bands = tmp_path / "bands"
+            bands.mkdir()
+            (bands / "band_0.csv").write_text("1.7e+308,0.0\n" * 8)
+            (bands / "band_1.csv").write_text("-1.7e+308,0.0\n" * 8)
+            argv = ["synthesize", str(params), "--bands", str(bands), "--out", str(out)]
+        proc = _capped_cli(argv)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "overflowed" in proc.stderr
+        assert not out.exists() and not (tmp_path / "out.json").exists()
+
     def test_missing_reference_exit_2_writes_nothing(self, tmp_path, capsys):
         params, bands = self._bands(tmp_path, 16)
         ref, rec = tmp_path / "absent.csv", tmp_path / "rec.csv"

@@ -125,6 +125,13 @@ class TestAnalyze:
         with pytest.raises(DimensionError):
             analyze(np.ones(7), fs)
 
+    def test_overflow_raises(self):
+        # a finite signal whose bands leave the float range: the error names
+        # the overflow, and no RuntimeWarning (an error under pytest) escapes
+        fs = subband_filters(sample_parameters(1, 2, 3, 0.0))
+        with pytest.raises(InvariantError, match="analysis overflowed"):
+            analyze(np.tile([1.7e308, -1.7e308], 8), fs)
+
     @pytest.mark.parametrize("n,m", [(2, 0), (2, 2), (3, 1), (4, 2)])
     def test_energy_preserved(self, n, m):
         p = sample_parameters(60 + 10 * n + m, n, m, 0.0)
@@ -154,6 +161,12 @@ class TestSynthesize:
         fs = subband_filters(FilterParameters(n=2, rho=0.0, factors=()))
         bands = SubbandSet(n=2, bands=(np.zeros(4), np.zeros(4)))
         assert np.abs(synthesize(bands, fs)).max() == 0.0
+
+    def test_overflow_raises(self):
+        fs = subband_filters(sample_parameters(1, 2, 3, 0.0))
+        bands = SubbandSet(n=2, bands=(np.full(8, 1.7e308), np.full(8, -1.7e308)))
+        with pytest.raises(InvariantError, match="synthesis overflowed"):
+            synthesize(bands, fs)
 
     def test_band_length_mismatch(self):
         with pytest.raises(Exception):
@@ -265,22 +278,28 @@ BLOCK_BOUND = 1e-13
 
 
 def _use_reference_kernels(mp):
-    """Route the package through the one-factor reference lattice, for the
-    responses (in their first layout) and the signal path alike, and
-    interleave-then-roll."""
+    """Route the package's responses (in their first layout) and analysis
+    through the one-factor reference lattice."""
     mp.setattr(wfk.filters.SubbandFilterSet, "responses", property(reference_responses))
-    mp.setattr(wfk.signal, "_block_lattice", reference_lattice)
-    mp.setattr(wfk.signal, "_interleave", lambda y, delay: np.roll(reference_interleave(y), delay))
+    mp.setattr(wfk.signal, "_block_lattice", lambda y, vectors: reference_lattice(y, vectors, 1))
 
 
-def _run_all(p, x):
+def reference_synthesize(bands, fs):
+    """The adjoint lattice as the reference runs it, the adjoint factors in
+    reverse order with the roll of -1, then interleave-then-roll."""
+    y = np.array(bands.bands)
+    reference_lattice(y, fs.vectors[::-1], -1)
+    return np.roll(reference_interleave(y), synthesis_delay(fs))
+
+
+def _run_all(p, x, synth=synthesize):
     """Responses as bytes, their delay, and the bands and output of a fresh
     filter set."""
     fs = subband_filters(p)
     bands = analyze(x, fs)
     responses = [h.tobytes() for h in fs.responses]
     delays = fs.max_length, synthesis_delay(fs)
-    return responses, *delays, np.array(bands.bands), synthesize(bands, fs)
+    return responses, *delays, np.array(bands.bands), synth(bands, fs)
 
 
 class TestInPlaceKernels:
@@ -291,13 +310,16 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
     def test_interleave_equals_roll_of_reference(self, n, band_length):
         # every delay in [0, 3L) (at L = 0 they still run to 3n), and the
-        # benchmark's n*(m + 1) - 1, phase n - 1, at m = 3, 16 and 32
+        # benchmark's n*(m + 1) - 1, phase n - 1, at m = 3, 16 and 32; on
+        # the rows and on the negative-stride view that synthesis passes
         x = random_signal(n * band_length, n + band_length)
         y = _polyphase(x, n)
+        reversed_view = y[:, ::-1].copy()[:, ::-1]
         delays = [*range(3 * n * max(band_length, 1)), *(n * (m + 1) - 1 for m in (3, 16, 32))]
         for delay in delays:
-            got = _interleave(y, delay)
-            assert got.tobytes() == np.roll(reference_interleave(y), delay).tobytes()
+            want = np.roll(reference_interleave(y), delay).tobytes()
+            assert _interleave(y, delay).tobytes() == want
+            assert _interleave(reversed_view, delay).tobytes() == want
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_polyphase_is_its_definition(self, n):
@@ -322,7 +344,7 @@ class TestInPlaceKernels:
         got = [_run_all(p, x) for p, x in cases]
         with monkeypatch.context() as mp:
             _use_reference_kernels(mp)
-            want = [_run_all(p, x) for p, x in cases]
+            want = [_run_all(p, x, reference_synthesize) for p, x in cases]
         for (p, x), mine, ref in zip(cases, got, want):
             assert mine[:3] == ref[:3]
             for a, b in zip(mine[3:], ref[3:]):
@@ -372,6 +394,16 @@ def unit_rows(m, n, seed):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def block_lattice(y, vectors, shift, width=None):
+    """The lattice of :func:`reference_lattice` with the roll ``shift`` run
+    through ``_block_lattice``, whose roll is 1.  The roll -1 is the roll 1
+    conjugated by the time reversal, so it runs the kernel on a copy of the
+    rows reversed in time, as synthesis does."""
+    z = y[:, ::shift].copy()
+    wfk.signal._block_lattice(z, vectors, width)
+    y[:] = z[:, ::shift]
+
+
 PANEL_BANDS = (2, 3, 16)
 PANEL_SHIFTS = (1, -1)
 
@@ -387,7 +419,7 @@ def panel_width_outputs(n, shift):
         outs = []
         for width in (8, 128, cols, 2 * cols):
             z = y.copy()
-            wfk.signal._block_lattice(z, vectors, shift, width)
+            block_lattice(z, vectors, shift, width)
             outs.append(z)
         cases.append(outs)
     return cases
@@ -421,7 +453,7 @@ class TestBlockLattice:
                 y = random_signal(n * cols, m + cols).reshape(n, cols)
                 want = y.copy()
                 reference_lattice(want, vectors, shift)
-                wfk.signal._block_lattice(y, vectors, shift)
+                block_lattice(y, vectors, shift)
                 assert np.abs(y - want).max() <= BLOCK_BOUND * np.abs(want).max()
 
     @pytest.fixture(scope="class")
@@ -464,16 +496,17 @@ class TestBlockLattice:
                 assert np.abs(z - outs[0]).max() <= BLOCK_BOUND * np.abs(outs[0]).max()
 
     def test_reversed_stack_is_contiguous(self, monkeypatch):
-        # synthesis's reversed factors reach the products as a contiguous
-        # array; a negative-stride view makes them far slower
+        # synthesis's reversed factors and time-reversed rows reach the
+        # products as contiguous arrays; a negative-stride view makes them
+        # far slower
         seen = []
-        monkeypatch.setattr(
-            wfk.signal, "_block_lattice", lambda y, vectors, shift: seen.append(vectors)
-        )
+        monkeypatch.setattr(wfk.signal, "_block_lattice", lambda *args: seen.append(args))
         fs = subband_filters(sample_parameters(1, 4, 5, 0.0))
-        synthesize(analyze(random_signal(40, 1), fs), fs)
-        assert [v.flags.c_contiguous for v in seen] == [True, True]
-        assert np.array_equal(seen[1], fs.vectors[::-1])
+        bands = analyze(random_signal(40, 1), fs)
+        synthesize(bands, fs)
+        assert [(y.flags.c_contiguous, v.flags.c_contiguous) for y, v in seen] == [(True, True)] * 2
+        assert np.array_equal(seen[1][0], np.array(bands.bands)[:, ::-1])
+        assert np.array_equal(seen[1][1], fs.vectors[::-1])
 
     @pytest.mark.parametrize("n,m", LONG_RUNGS)
     def test_long_round_trip_error(self, n, m):
