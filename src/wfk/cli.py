@@ -321,9 +321,14 @@ def _cmd_synthesize(args) -> int:
         raise UsageError(f"reference length {ref.size} != reconstruction length {rebuilt.size}")
     wio.save_signal(rebuilt, args.out)
     if ref is not None:
-        err = float(np.linalg.norm(rebuilt - np.roll(ref, delay)))
-        scale = float(np.linalg.norm(ref))
-        sidecar["reconstruction_error"] = err / scale if scale else err
+        # divided by their largest part, no square of the signals leaves the float range
+        expected = np.roll(ref, delay)
+        parts = (np.abs(x.view(float)).max(initial=0.0) for x in (rebuilt, expected))
+        top = float(max(parts)) or 1.0
+        expected /= top
+        scale = float(np.linalg.norm(expected))
+        err = float(np.linalg.norm(np.subtract(rebuilt / top, expected, out=expected)))
+        sidecar["reconstruction_error"] = err / scale if scale else err * top
     else:
         sidecar["reconstruction_error"] = None
     wio.save_json(sidecar, str(args.out) + ".json")

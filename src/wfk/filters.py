@@ -425,11 +425,10 @@ def wavelet_eval(params: FilterParameters, z) -> np.ndarray:
             power[far] = 2.0
     # w[i, k, j] = W(z_k)[i, j]; its n x (K*n) view turns V* W into one product
     w = np.multiply(powers[:, :, None], _dft_cached(n)[:, None, :], order="C")
-    if params.factors:
-        vectors, alphas, alpha_conjugates, _ = params._factor_stack
-        scales = blaschke(alphas[:, None], power) - 1.0
-        scales[:, far] = -1.0 - alpha_conjugates[:, None]
-        _factor_updates(w.reshape(n, -1), vectors, scales)
+    vectors, alphas, alpha_conjugates, _ = params._factor_stack
+    scales = blaschke(alphas[:, None], power) - 1.0
+    scales[:, far] = -1.0 - alpha_conjugates[:, None]
+    _factor_updates(w.reshape(n, -1), vectors, scales)
     return w.transpose(1, 0, 2).reshape(z.shape + (n, n))
 
 

@@ -294,52 +294,46 @@ def _unity_roots(n: int) -> np.ndarray:
 def realize_allpass_core(alpha: complex, n: int) -> Realization:
     """Realize the scalar function ``(1 - |alpha|**2) / (z**n - alpha)``.
 
-    This is the strictly proper part of the degree-one all-pass factor in
-    ``z**n``.  The state matrix is upper bidiagonal with the ``n`` n-th
-    roots of ``alpha`` on the diagonal (a single nilpotent Jordan block
-    when ``alpha = 0``) and ones above it.
+    This is the strictly proper part of the degree-one all-pass factor
+    ``phi_alpha(z**n)``, realized as the one-input section with ``D = 0``
+    (:func:`realize_decimated_unitary` at ``v = [1]``).  Its state matrix is
+    upper bidiagonal with the ``n`` n-th roots of ``alpha`` on the diagonal
+    (a single nilpotent Jordan block when ``alpha = 0``) and ones above it.
     """
-    a, b, c, d = _factor_blocks(None, complex(alpha), n)
-    return Realization(a=a, b=b, c=c, d=d)
+    r = realize_decimated_unitary([1.0], alpha, n)
+    return Realization(a=r.a, b=r.b, c=r.c, d=np.zeros((1, 1), dtype=complex))
 
 
 def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
     """Realize ``I + (phi_alpha(z**n) - 1) v v*`` with state dimension ``n``.
 
-    Wraps the scalar core between ``v`` and ``v*``; the feedthrough is
+    Wraps the scalar core (:func:`realize_allpass_core`, the one-input
+    section with ``D = 0``) between ``v`` and ``v*``; the feedthrough is
     ``I - (1 + conj(alpha)) v v*``, the value of the factor at infinity
     plus the all-pass constant term.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(v) - 1.0) > _UNIT_NORM_TOL:
         raise InvariantError("v must have unit norm")
-    a, b, c, d = _factor_blocks(v, complex(alpha), n)
-    return Realization(a=a, b=b, c=c, d=d)
-
-
-def _factor_blocks(v, alpha: complex, n: int) -> tuple[np.ndarray, ...]:
-    """The blocks ``(A, B, C, D)`` of :func:`realize_decimated_unitary`, or of
-    :func:`realize_allpass_core` when ``v`` is None, as plain arrays: the
-    one-section case of :func:`_section_stack`."""
-    vectors = None if v is None else v[None, :]
-    return tuple(x[0] for x in _section_stack(vectors, [alpha], n))
+    return Realization(*(x[0] for x in _section_stack(v[None, :], [complex(alpha)], n)))
 
 
 def _section_stack(vectors, alphas, n: int) -> tuple[np.ndarray, ...]:
     """The blocks ``(A_s, B_s, C_s, D_s)`` of one degree-``n`` section per pole
-    in ``alphas``, as ``(m, ., .)`` stacks built in one pass.
+    in ``alphas``, wrapped between the unit vectors in the rows of
+    ``vectors``, as ``(m, ., .)`` stacks built in one pass.
 
     The core's ``A`` is bidiagonal, its ``B`` and ``C`` hold the gain
-    ``sqrt(1 - |alpha|**2)`` in their last and first entry; with unit
-    vectors as the ``m`` rows of ``vectors`` each section wraps its core
-    between ``v`` and ``v*`` (:func:`realize_decimated_unitary`), and with
-    ``vectors`` None it is the scalar core (:func:`realize_allpass_core`).
-    Every entry comes from the numpy operation, on the same operands, that
-    builds one section on its own, so a section has the same bits in any
-    stack: the diagonal and superdiagonal are added as whole matrices, the
-    gains come from Python's ``abs`` and ``**`` of each pole, and ``b v*``
-    and ``v c`` are stacked matrix products, which numpy runs a matrix at a
-    time.  Raises ``InvariantError`` unless every ``|alpha| < 1``.
+    ``sqrt(1 - |alpha|**2)`` in their last and first entry, and each section
+    wraps it between ``v`` and ``v*``; at ``v = [1]`` the section's ``A``,
+    ``B`` and ``C`` are the core's (:func:`realize_allpass_core`, the
+    section with ``D = 0``).  Every entry comes from the numpy operation, on
+    the same operands, that builds one section on its own, so a section has
+    the same bits in any stack: the diagonal and superdiagonal are added as
+    whole matrices, the gains come from Python's ``abs`` and ``**`` of each
+    pole, and ``b v*`` and ``v c`` are stacked matrix products, which numpy
+    runs a matrix at a time.  Raises ``InvariantError`` unless every
+    ``|alpha| < 1``.
     """
     sizes = [abs(alpha) for alpha in alphas]
     for size in sizes:
@@ -355,8 +349,6 @@ def _section_stack(vectors, alphas, n: int) -> tuple[np.ndarray, ...]:
     b[:, n - 1, 0] = gains
     c = np.zeros((m, 1, n), dtype=complex)
     c[:, 0, 0] = gains
-    if vectors is None:
-        return a, b, c, np.zeros((m, 1, 1), dtype=complex)
     outers = vectors[:, :, None] * vectors.conj()[:, None, :]
     d = np.eye(vectors.shape[1]) - (1.0 + np.conj(alphas))[:, None, None] * outers
     return a, b @ vectors.conj()[:, None, :], vectors[:, :, None] @ c, d
@@ -644,7 +636,8 @@ def _block_solution(r: Realization) -> tuple[np.ndarray, np.ndarray] | None:
     Returns the ``k`` core blocks stacked as ``(k, n, n)``, top first, and
     the identity for the elementary block, whose system matrix is a
     permutation times the DFT.  A core in the bidiagonal normal form of
-    :func:`realize_allpass_core` is similar to the lattice all-pass section
+    :func:`realize_allpass_core` (the one-input section with ``D = 0``, so
+    the ``A`` of every factor) is similar to the lattice all-pass section
     (Gray & Markel, IEEE Trans. AU-21(6), 1973), whose system matrix is
     unitary; with ``K_j = [e_n, A_jj e_n, ..., A_jj**(n-1) e_n]``, which is
     anti-triangular with a unit anti-diagonal, ``H_j = (K_j K_j*)**-1``.

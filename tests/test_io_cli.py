@@ -1846,6 +1846,37 @@ class TestCliSubbands:
         assert proc.stderr.count("\n") == 1 and "overflowed" in proc.stderr
         assert not out.exists() and not (tmp_path / "out.json").exists()
 
+    def _reference_errors(self, tmp_path, capsys, scale):
+        """``reconstruction_error`` against the true and a wrong reference, for
+        a 16-sample signal of size ``scale`` through an index-3 filter, with
+        the files in a new directory ``tmp_path``."""
+        tmp_path.mkdir()
+        params, bands = tmp_path / "p.json", tmp_path / "bands"
+        assert main(["gen", "--n", "2", "--index", "3", "--seed", "1", "-o", str(params)]) == 0
+        k = np.arange(16)
+        true, wrong = tmp_path / "x.csv", tmp_path / "wrong.csv"
+        wio.save_signal((k % 5 + 1) * scale, true)
+        wio.save_signal(-(k % 3 + 1) * scale + 1j * scale, wrong)
+        assert main(["analyze", str(params), "--signal", str(true), "--out", str(bands)]) == 0
+        errors = []
+        for ref in (true, wrong):
+            rec = tmp_path / f"rec-{ref.stem}.csv"
+            argv = ["synthesize", str(params), "--bands", str(bands), "--out", str(rec),
+                    "--reference", str(ref)]
+            assert main(argv) == 0
+            errors.append(json.loads(Path(f"{rec}.json").read_text())["reconstruction_error"])
+        assert capsys.readouterr().err == ""
+        return errors
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_reference_error_at_extreme_scales(self, tmp_path, capsys, scale):
+        # the squares of 1e200 samples overflow and those of 1e-200 underflow
+        # to 0, which read NaN and a false 0.0 on the raw signals
+        _, unit_wrong = self._reference_errors(tmp_path / "unit", capsys, 1.0)
+        true, wrong = self._reference_errors(tmp_path / "scaled", capsys, scale)
+        assert 0.0 <= true <= 1e-12
+        assert wrong == pytest.approx(unit_wrong, rel=1e-12) and wrong > 1.0
+
     def test_missing_reference_exit_2_writes_nothing(self, tmp_path, capsys):
         params, bands = self._bands(tmp_path, 16)
         ref, rec = tmp_path / "absent.csv", tmp_path / "rec.csv"

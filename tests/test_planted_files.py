@@ -16,10 +16,10 @@ from wfk import io as wio
 from wfk.cli import main
 from wfk.realization import (
     Realization,
-    _factor_blocks,
     _pole_roots,
     cascade,
     eval_realization,
+    realize_decimated_unitary,
 )
 
 POINTS = 256
@@ -52,8 +52,9 @@ def doubled_gain_core():
     inner = realize_wavelet(sample_parameters(3, n, 32, 0.999))
     theta = widest_gap_middles(unit_circle_points(POINTS, 0) ** n, 1)[0]
     v = unit_vector(np.random.default_rng(7), n)
-    a, b, c, d = _factor_blocks(v, (1 - 1e-12) * np.exp(1j * theta), n)
-    return cascade(Realization(a=a, b=b, c=2 * c, d=d), inner), np.exp(1j * theta / n)
+    core = realize_decimated_unitary(v, (1 - 1e-12) * np.exp(1j * theta), n)
+    doubled = Realization(a=core.a, b=core.b, c=2 * core.c, d=core.d)
+    return cascade(doubled, inner), np.exp(1j * theta / n)
 
 
 def hidden_asymmetry(delta=1e-12):

@@ -251,9 +251,16 @@ class TestAllpassCore:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_transfer_formula(self, alpha, n):
         r = realize_allpass_core(alpha, n)
+        # phi_alpha(w) = -conj(alpha) + (1 - |alpha|**2) / (w - alpha): the core
+        # is the one-input section with D = 0, its A, B and C byte for byte
+        section = realize_decimated_unitary([1.0], alpha, n)
+        for x, y in zip((r.a, r.b, r.c), (section.a, section.b, section.c)):
+            assert x.tobytes() == y.tobytes()
         for z in circle(8, seed=n):
             expected = (1 - abs(alpha) ** 2) / (z ** n - alpha)
-            assert abs(eval_realization(r, z)[0, 0] - expected) <= 1e-12
+            value = eval_realization(r, z)[0, 0]
+            assert abs(value - expected) <= 1e-12
+            assert abs(eval_realization(section, z)[0, 0] - (-np.conj(alpha) + value)) <= 1e-12
 
     def test_zero_alpha_is_nilpotent_chain(self):
         r = realize_allpass_core(0.0, 3)

@@ -168,6 +168,12 @@ class TestSynthesize:
         with pytest.raises(InvariantError, match="synthesis overflowed"):
             synthesize(bands, fs)
 
+    def test_sum_overflow_does_not_raise(self):
+        # every sample is finite, but their sum overflows: the full pass decides
+        fs = subband_filters(FilterParameters(n=2, rho=0.0, factors=()))
+        bands = SubbandSet(n=2, bands=(np.full(8, 1e308), np.full(8, 1e308)))
+        assert np.array_equal(synthesize(bands, fs), np.full(16, 1e308 + 0j))
+
     def test_band_length_mismatch(self):
         with pytest.raises(Exception):
             SubbandSet(n=2, bands=(np.zeros(4), np.zeros(5)))
