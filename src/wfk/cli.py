@@ -167,17 +167,6 @@ def _evaluator(target):
     return partial(fn, target)
 
 
-def _scalar_check(name, residual, tol, points, seed):
-    return CheckReport(
-        name=name,
-        max_residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        sample_count=points,
-        seed=seed,
-    )
-
-
 def _verify(target, points, tol, seed):
     """The checks of ``wfk verify`` and the report's Stein entry.
 
@@ -200,6 +189,7 @@ def _verify(target, points, tol, seed):
     Stein series diverges.
     """
     watch = _Stopwatch()
+    scalar = partial(CheckReport, sample_count=points, seed=seed)
     params = target if isinstance(target, FilterParameters) else None
     if params is None and (target.outputs != target.inputs or target.outputs < 2):
         # the circle checks compare n x n values: W(eps z) with W(z) P, W* W
@@ -217,7 +207,7 @@ def _verify(target, points, tol, seed):
         checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
     real = target if params is None else realize_wavelet(params)
     degree = 0.0 if cascade_index(real) is not None else 1.0
-    checks.append(watch.stamp(_scalar_check("degree", degree, 0.0, points, seed)))
+    checks.append(watch.stamp(scalar("degree", degree, 0.0)))
     # minimality: H > 0 together with the block identities (lossless case)
     try:
         cert = stein_certificate(real)
@@ -238,9 +228,9 @@ def _verify(target, points, tol, seed):
         minimal = False
         stein = None
     checks += [
-        watch.stamp(_scalar_check("stein_blocks", blocks, tol, points, seed)),
-        watch.stamp(_scalar_check("stein_hermiticity", hermiticity, 1e-10, points, seed)),
-        watch.stamp(_scalar_check("minimality", 0.0 if minimal else 1.0, 0.0, points, seed)),
+        watch.stamp(scalar("stein_blocks", blocks, tol)),
+        watch.stamp(scalar("stein_hermiticity", hermiticity, 1e-10)),
+        watch.stamp(scalar("minimality", 0.0 if minimal else 1.0, 0.0)),
     ]
     return checks, stein
 

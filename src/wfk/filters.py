@@ -27,7 +27,7 @@ one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,6 +47,9 @@ _UNIT_NORM_TOL = 1e-12
 _POLE_TOL = 1e-14
 # sample_parameters keeps |alpha| at or below this even when rho = 1.
 _ALPHA_CAP = 0.999
+# 1 - |alpha| >= this many n*2**-52 keeps the rounded n-th roots of every pole
+# inside the circle (n from 2 to 32: at n*2**-52 up to 35% of angles fail, at 2n none).
+_POLE_FLOOR_ULPS = 4
 # Factors per block of _factor_updates, chosen by measurement: wavelet_eval
 # at 512 circle points took 0.79 / 0.72 / 0.84 ms at (n, m, rho) =
 # (8, 16, 0.99) with 4 / 8 / 16 factors a block (1.06 ms one at a time),
@@ -96,8 +99,10 @@ class FilterParameters:
     """Full parameter point: band count, factor list and spectral-radius bound.
 
     ``rho`` bounds every ``|alpha_j|`` strictly; ``rho = 0`` forces all
-    ``alpha_j = 0`` (the FIR filters).  ``m = len(factors)`` is the index of
-    the filter and fixes its minimal state dimension ``n*((n-1)/2 + m)``.
+    ``alpha_j = 0`` (the FIR filters), and ``1 - |alpha_j| >= 4*n*2**-52``
+    keeps the rounded poles in ``z`` inside the circle.  ``m = len(factors)``
+    is the index of the filter and fixes its minimal state dimension
+    ``n*((n-1)/2 + m)``.
     """
 
     n: int
@@ -113,17 +118,22 @@ class FilterParameters:
             raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
         object.__setattr__(self, "rho", rho)
         factors = tuple(self.factors)
-        for f in factors:
+        for k, f in enumerate(factors):
             if f.v.shape != (self.n,):
                 raise InvariantError(
-                    f"factor vector has dimension {f.v.shape[0]}, expected {self.n}"
+                    f"factor {k}: factor vector has dimension {f.v.shape[0]}, expected {self.n}"
                 )
             if rho == 0.0:
                 if f.alpha != 0:
-                    raise InvariantError("rho = 0 forces every alpha to be exactly 0")
+                    raise InvariantError(f"factor {k}: rho = 0 forces every alpha to be exactly 0")
             elif abs(f.alpha) >= rho:
                 raise InvariantError(
-                    f"|alpha| = {abs(f.alpha)!r} must be strictly below rho = {rho!r}"
+                    f"factor {k}: |alpha| = {abs(f.alpha)!r} must be strictly below rho = {rho!r}"
+                )
+            elif (1.0 - abs(f.alpha)) * 2.0**52 < _POLE_FLOOR_ULPS * self.n:
+                raise InvariantError(
+                    f"factor {k}: |alpha| = {abs(f.alpha)!r} is within the floor"
+                    f" {_POLE_FLOOR_ULPS}*n*2**-52 = {_POLE_FLOOR_ULPS * self.n * 2.0**-52!r} of 1"
                 )
         object.__setattr__(self, "factors", factors)
 
@@ -293,12 +303,14 @@ class SubbandFilterSet:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one sampled verification check; reproducible from its fields."""
+    """Outcome of one sampled verification check, reproducible from its fields;
+    the verdict is derived: ``passed`` is ``max_residual <= tolerance``, so NaN fails."""
 
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+    _: KW_ONLY
     sample_count: int
     seed: int
     # circle points redrawn because a draw hit a pole
@@ -309,8 +321,7 @@ class CheckReport:
     argmax_z: complex | None = None
 
     def __post_init__(self):
-        if self.passed != (self.max_residual <= self.tolerance):
-            raise InvariantError("pass flag must equal (residual <= tolerance)")
+        object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -710,10 +721,8 @@ def _circle_reports(names, residual, sample_points, tol, seed) -> list[CheckRepo
         residual, unit_circle_points(sample_points, seed), seed
     )
     return [
-        CheckReport(
-            name, float(w), tol, float(w) <= tol, sample_points, seed, resampled,
-            argmax_z=complex(z),
-        )
+        CheckReport(name, float(w), tol, sample_count=sample_points, seed=seed,
+                    resampled=resampled, argmax_z=complex(z))
         for name, w, z in zip(names, worst, where)
     ]
 

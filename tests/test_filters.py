@@ -1,5 +1,6 @@
 """Tests for the parameter space, filter evaluation and circle checks."""
 
+import dataclasses
 import re
 import warnings
 
@@ -974,7 +975,35 @@ class TestSharedCirclePass:
         assert list(at) == [points[5], points[11]]
 
     def test_argmax_z_defaults_to_none(self):
-        assert CheckReport("degree", 0.0, 0.0, True, 8, 0).argmax_z is None
+        assert CheckReport("degree", 0.0, 0.0, sample_count=8, seed=0).argmax_z is None
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("kind", ["zero", "negative-zero", "tol", "above-tol", "inf", "nan"])
+    def test_passed_is_residual_at_most_tolerance(self, kind, tol):
+        residual = {
+            "zero": 0.0, "negative-zero": -0.0, "tol": tol,
+            "above-tol": np.nextafter(tol, np.inf), "inf": np.inf, "nan": np.nan,
+        }[kind]
+        report = CheckReport("demo", residual, tol, sample_count=8, seed=0)
+        assert type(report.passed) is bool
+        assert report.passed == (residual <= tol)
+        assert report.passed == (kind in ("zero", "negative-zero", "tol"))
+
+    def test_replace_recomputes_the_verdict(self):
+        report = CheckReport("demo", 0.0, 1e-9, sample_count=8, seed=0)
+        failed = dataclasses.replace(report, max_residual=1.0)
+        assert report.passed and not failed.passed
+        assert dataclasses.replace(failed, tolerance=1.0).passed
+        assert not dataclasses.replace(report, max_residual=np.nan).passed
+
+    def test_verdict_is_not_an_argument(self):
+        # an old positional call with a flag in fourth place
+        with pytest.raises(TypeError):
+            CheckReport("degree", 1.0, 0.0, True, 8, 0)
+        with pytest.raises(TypeError):
+            CheckReport("degree", 1.0, 0.0, passed=True, sample_count=8, seed=0)
 
 
 class TestSubbandFilters:
@@ -1020,15 +1049,13 @@ class TestSubbandFilters:
          "coords must have shape (m, 4), got (1, 3)"),
         (lambda: BoxPoint(n=2, rho=0.5, coords=np.zeros(4)), InvariantError,
          "coords must have shape (m, 4), got (4,)"),
-        (lambda: CheckReport("degree", 1.0, 0.0, True, 8, 0), InvariantError,
-         "pass flag must equal (residual <= tolerance)"),
         (lambda: unit_circle_points(0), InvariantError, "sample count must be >= 1, got 0"),
         (lambda: circle_checks(lambda zs: np.zeros((zs.size, 3, 3)), 2, 4), DimensionError,
          "expected 8 values of shape (2, 2), got (8, 3, 3)"),
         (lambda: circle_checks(lambda zs: np.full((zs.size, 2, 2), np.nan), 2, 4),
          DimensionError, "matrix entries must be finite"),
     ],
-    ids=["box-n", "box-rho-high", "box-rho-low", "box-columns", "box-ndim", "report-flag",
+    ids=["box-n", "box-rho-high", "box-rho-low", "box-columns", "box-ndim",
          "circle-count", "eval-shape", "eval-nan"],
 )
 def test_library_validation(call, error, fragment):

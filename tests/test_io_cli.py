@@ -134,6 +134,30 @@ class TestParameterFiles:
         err = capsys.readouterr().err
         assert err == "invariant violation: factor 0: factor vector must have unit norm, got 0.6\n"
 
+    @pytest.mark.parametrize(
+        "rho, second, message",
+        [
+            (0.5, {"v": [[0.0, 0.0], [1.0, 0.0]], "alpha": [0.7, 0.0]},
+             "|alpha| = 0.7 must be strictly below rho = 0.5"),
+            (0.5, {"v": [[1.0, 0.0]], "alpha": [0.0, 0.0]},
+             "factor vector has dimension 1, expected 2"),
+            (0.0, {"v": [[0.0, 0.0], [1.0, 0.0]], "alpha": [0.25, 0.0]},
+             "rho = 0 forces every alpha to be exactly 0"),
+            (1.0, {"v": [[0.0, 0.0], [1.0, 0.0]], "alpha": [0.9999999999999999, 0.0]},
+             "|alpha| = 0.9999999999999999 is within the floor"
+             " 4*n*2**-52 = 1.7763568394002505e-15 of 1"),
+        ],
+        ids=["above-rho", "dimension", "fir-alpha", "floor"],
+    )
+    def test_filter_errors_name_the_factor(self, tmp_path, rho, second, message):
+        # through the console entry point: exit 3 and one line on stderr
+        first = {"v": [[1.0, 0.0], [0.0, 0.0]], "alpha": [0.0, 0.0]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "rho": rho, "factors": [first, second]}))
+        done = _capped_cli(["verify", str(path)])
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == f"invariant violation: factor 1: {message}\n"
+
     def test_overflowing_vector_norm_exit_3_without_warning(self, tmp_path, capsys):
         # the squared norm overflows; the tier-1 run turns a RuntimeWarning into an error
         doc = wio.parameters_to_dict(sample_parameters(2, 2, 2, 0.9))
@@ -576,7 +600,7 @@ class TestLoaders:
 
 class TestReports:
     def test_report_embeds_reproduction_data(self):
-        checks = [CheckReport("demo", 1e-12, 1e-9, True, 64, 7)]
+        checks = [CheckReport("demo", 1e-12, 1e-9, sample_count=64, seed=7)]
         doc = wio.report_to_dict(checks, seed=7, points=64, tol=1e-9)
         assert doc["passed"] is True
         assert doc["seed"] == 7 and doc["points"] == 64 and doc["tolerance"] == 1e-9
@@ -584,8 +608,20 @@ class TestReports:
         assert entry["passed"] == (entry["max_residual"] <= entry["tolerance"])
 
     def test_report_flags_failure(self):
-        checks = [CheckReport("demo", 0.5, 1e-9, False, 64, 7)]
+        checks = [CheckReport("demo", 0.5, 1e-9, sample_count=64, seed=7)]
         assert wio.report_to_dict(checks, 7, 64, 1e-9)["passed"] is False
+
+    def test_numpy_residual_report_serializes(self):
+        checks = [
+            CheckReport("demo", np.float64(1e-12), 1e-9, sample_count=64, seed=7),
+            CheckReport("worse", np.float64(np.nan), 1e-9, sample_count=64, seed=7),
+        ]
+        assert [type(c.passed) for c in checks] == [bool, bool]
+        stream = io.StringIO()
+        wio.write_json(wio.report_to_dict(checks, 7, 64, 1e-9), stream)
+        doc = json.loads(stream.getvalue())
+        assert doc["passed"] is False
+        assert [c["passed"] for c in doc["checks"]] == [True, False]
 
 
 class TestSignals:
@@ -889,8 +925,8 @@ class TestJsonWriter:
         "report": lambda: {
             **wio.report_to_dict(
                 [
-                    CheckReport("paraunitary", 1e-15, 1e-9, True, 8, 0, argmax_z=1j),
-                    CheckReport("stein_blocks", np.inf, 1e-9, False, 8, 0),
+                    CheckReport("paraunitary", 1e-15, 1e-9, sample_count=8, seed=0, argmax_z=1j),
+                    CheckReport("stein_blocks", np.inf, 1e-9, sample_count=8, seed=0),
                 ],
                 seed=0, points=8, tol=1e-9,
             ),
@@ -1455,6 +1491,21 @@ class TestCliVerify:
         assert main(["verify", str(params), "--points", "16"]) == 0
         assert json.loads(capsys.readouterr().out)["environment"] == env
         assert cli._environment.cache_info().misses == 1
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_environment_without_blas_config(self, monkeypatch, error):
+        # numpy before 1.25 has no show_config(mode="dicts")
+        from wfk import cli
+
+        def show_config(*args, **kwargs):
+            raise error("mode")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        cli._environment.cache_clear()
+        try:
+            assert cli._environment()["blas"] == "unknown"
+        finally:
+            cli._environment.cache_clear()
 
     def test_stein_series_that_never_settles_reports_null(self, tmp_path, capsys):
         # eigenvalues +-i: the series hits its iteration cap, a check failure

@@ -986,6 +986,48 @@ class TestStein:
             stein_certificate(rotation_on_the_circle())
 
 
+FLOOR_BANDS = (2, 3, 4, 5, 7, 8, 12, 16, 32)
+
+
+def floor_angles(n):
+    """2000 equispaced pole angles, then the n-th roots of unity, pi/2 and pi."""
+    return np.concatenate(
+        [np.linspace(0.0, 2 * np.pi, 2000, endpoint=False), 2 * np.pi * np.arange(n) / n,
+         [np.pi / 2, np.pi]]
+    )
+
+
+def pole_at_the_floor(n, theta):
+    """The pole of angle ``theta`` nearest the circle that FilterParameters accepts."""
+    floor = 4 * n * 2.0**-52
+    radius = 1.0 - floor
+    while 1.0 - abs(radius * np.exp(1j * theta)) < floor:
+        radius = np.nextafter(radius, 0.0)
+    return radius * np.exp(1j * theta)
+
+
+class TestPoleFloor:
+    """``1 - |alpha| >= 4*n*2**-52`` keeps every root of every pole inside the circle."""
+
+    @pytest.mark.parametrize("n", FLOOR_BANDS)
+    def test_poles_at_the_floor_certify(self, n):
+        # the roots of each pole are the diagonal of its section; the
+        # certificate runs on filters of 16 poles, and at n = 32, where it
+        # takes the dense path at about 1 s a filter, on one filter of the
+        # pole at angle pi
+        v = np.eye(n)[0]
+        poles = [pole_at_the_floor(n, theta) for theta in floor_angles(n)]
+        roots = np.array([np.diagonal(realize_allpass_core(a, n).a) for a in poles])
+        assert np.abs(roots).max() < 1.0
+        blocks = [poles[lo : lo + 16] for lo in range(0, len(poles), 16)]
+        for block in blocks if n < 32 else [[pole_at_the_floor(n, np.pi)]]:
+            params = FilterParameters(n=n, rho=1.0, factors=tuple(Factor(v, a) for a in block))
+            stein_certificate(realize_wavelet(params))
+        for modulus in (1.0 - 2 * n * 2.0**-52, np.nextafter(1.0, 0.0)):
+            with pytest.raises(InvariantError, match=r"^factor 1: \|alpha\| = .* floor"):
+                FilterParameters(n=n, rho=1.0, factors=(Factor(v, 0.5), Factor(v, modulus)))
+
+
 class TestBlockStein:
     """The block-diagonal Stein solution of the cascade layout."""
 
