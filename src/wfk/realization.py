@@ -42,8 +42,22 @@ from .filters import (
 
 # An array chunk of eval_realization holds at most _CHUNK_ENTRIES entries of
 # each work array (X and the ratios that give Q in _sweep, the stacked
-# zI - A in _lu), or one point when that needs more.
-_CHUNK_ENTRIES = 1 << 18
+# zI - A in _lu, C X in both), or one point when that needs more.  2**15
+# complex entries are 512 KiB.  Measured with one BLAS thread on a 2-CPU
+# host, as ms for one 512-point call (warm heap, median of 3 in-process
+# runs interleaving the budgets) / minor faults of one `wfk verify` of a
+# realization file (in the certify benchmark's order; at (16,32) a loop of
+# verifies in a fresh process):
+#
+#   budget        2**18         2**16         2**15         2**14
+#   (4,8,.9)      1.08 / 16     1.10 / 33     1.09 / 33     1.15 / 22
+#   (8,16,.99)    2.77 / 740    2.56 / 515    2.23 / 134    2.57 / 15
+#   (12,16,.999)  5.28 / 2258   5.28 / 1536   5.79 / 843    6.86 / 846
+#   (16,32,.999) 13.41 / 2385  11.89 / 1415  13.91 / 1433  17.33 / 1500
+#
+# 2**15 faults half as often as 2**16 at n = 8 and 12; 2**14 faults no
+# less and computes slower.
+_CHUNK_ENTRIES = 1 << 15
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -201,7 +215,11 @@ class SteinCertificate:
     worst_block: int | str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _frozen(self.h))
+        # an array owning read-only memory, as _block_certificate builds H,
+        # is kept: nothing can write it through another array
+        h = self.h
+        if not isinstance(h, np.ndarray) or h.flags.writeable or h.base is not None:
+            object.__setattr__(self, "h", _frozen(h))
 
     @property
     def max_block_residual(self) -> float:
@@ -453,12 +471,14 @@ def eval_realization(r: Realization, z) -> np.ndarray:
         solve, entries = _sweep, max(r._head_plan.b_heads.size, p)
     else:
         solve, entries = _lu, p * max(p, r.inputs)
-    chunk = max(1, _CHUNK_ENTRIES // max(entries, 1))
+    # both solvers also form C X, N_out x N_in entries per point
+    chunk = max(1, _CHUNK_ENTRIES // max(entries, r.outputs * r.inputs, 1))
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     finite = np.empty(points.size, dtype=bool)
     for k in range(0, points.size, chunk):
-        finite[k : k + chunk] = solve(r, points[k : k + chunk], values[k : k + chunk])
-    finite &= np.isfinite(values).all(axis=(1, 2))
+        part = values[k : k + chunk]
+        solved = solve(r, points[k : k + chunk], part)
+        finite[k : k + chunk] = solved & np.isfinite(part).all(axis=(1, 2))
     if not finite.all():
         raise PoleError(f"z = {complex(points[finite.argmin()])!r} is a pole of the realization")
     return values.reshape(z.shape + r.d.shape)
@@ -586,9 +606,11 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     candidate ``diag(H_1, ..., H_k, I)`` of :func:`_block_solution`; no
     Stein equation is solved for it.  :func:`_block_certificate` sums the
     ``(p + N_in)**2`` residual over the nonzero columns of each block row
-    of ``S = [A B; C D]``, for a realization of any shape and without
-    forming ``diag(H, I)``, so every entry of ``S`` enters the residuals
-    and the block structure cannot create a false pass.  The candidate is
+    of ``S = [A B; C D]``, joined one block row at a time from ``A``,
+    ``B``, ``C`` and ``D`` and never assembled whole, for a realization of
+    any shape and without forming ``diag(H, I)``, so every entry of ``S``
+    enters the residuals and the block structure cannot create a false
+    pass.  The candidate is
     kept when its state-equation residual is at most ``TOL`` (1e-9)
     relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``: a stable
     ``A`` has exactly one solution of the state equation, so a kept
@@ -712,9 +734,12 @@ def _block_certificate(
     (the cores top first, ``last``, ``[C D]``) adds ``S_b[:, J]* W_b S_b[:, J]``
     into ``R[J, J]``, ``J`` the nonzero columns of ``S_b`` and ``W_b`` its
     block of ``H`` (none for ``[C D]``), so every nonzero of ``S`` enters the
-    residuals.  Then each block of ``H``, and 1 on the diagonal of
-    ``R[p:, p:]``, is subtracted: ``diag(H, I)`` is never formed, so any
-    realization shape is accepted.  The norms, the inverse, the Hermiticity
+    residuals.  Each ``S_b`` is joined from its rows of ``A`` and ``B``, or
+    from ``C`` and ``D``, and dropped before the next: ``S`` is never
+    assembled whole, and ``H``, built once and made read-only, is kept by
+    the certificate, not copied.  Then each block of ``H``, and 1 on the
+    diagonal of ``R[p:, p:]``, is subtracted: ``diag(H, I)`` is never
+    formed, so any realization shape is accepted.  The norms, the inverse, the Hermiticity
     and the Cholesky test of ``H`` are taken per block: for a block-diagonal
     ``H`` each is the dense one.
     """
@@ -723,13 +748,16 @@ def _block_certificate(
     h = np.zeros((p, p), dtype=complex)
     h[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = cores
     h[kn:, kn:] = last
-    system, size = system_matrix(r), p + r.inputs
+    h.flags.writeable = False
+    size = p + r.inputs
     residual = np.zeros((size, size), dtype=complex)
     flat = residual.reshape(-1)
-    bounds = [j * n for j in range(k + 1)] + [p, p + r.outputs]
-    for lo, hi, w in zip(bounds, bounds[1:], [*cores, last, None]):
-        cols = system[lo:hi].any(axis=0).nonzero()[0]
-        block = system[lo:hi, cols]
+    bounds = [j * n for j in range(k + 1)] + [p]
+    rows = [(r.a[lo:hi], r.b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] + [(r.c, r.d)]
+    for (left, right), w in zip(rows, [*cores, last, None]):
+        block = np.concatenate((left, right), axis=1)
+        cols = block.any(axis=0).nonzero()[0]
+        block = block[:, cols]
         # R[J, J] through its flat indices, which numpy gathers faster
         flat[cols[:, None] * size + cols] += block.conj().T @ (block if w is None else w @ block)
     # H's blocks alone: a strided pass over all of R[:p, :p] took 0.1 ms at 258 states

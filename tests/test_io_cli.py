@@ -1316,6 +1316,31 @@ class TestCliVerify:
                 "stein_blocks", "stein_hermiticity", "minimality"} <= names
 
     @pytest.mark.parametrize(
+        "n",
+        [
+            16,
+            20,
+            pytest.param(
+                24,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=(
+                        "the closed-form H_j has a 1-norm condition near 5e12 at n = 24, so "
+                        "the block candidate fails H > 1e-12 ||H||_1 I and the dense series "
+                        "fails minimality"
+                    ),
+                ),
+            ),
+        ],
+    )
+    def test_one_factor_params_pass_up_to_twenty_bands(self, tmp_path, capsys, n):
+        params = tmp_path / "p.json"
+        wio.save_parameters(FilterParameters(n, 1.0, (Factor(np.eye(n)[0], 0.5),)), params)
+        code = main(["verify", str(params)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["passed"] and doc["stein"]["method"] == "block"
+
+    @pytest.mark.parametrize(
         "entry, infinite", [(1e200, {"symmetry", "paraunitary"}), (1e100, {"paraunitary"})]
     )
     def test_overflowing_circle_residual_reads_infinity(self, tmp_path, capsys, entry, infinite):

@@ -2,12 +2,14 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from edge_realizations import allpass_over_zero, huge_superdiagonal, rotation_on_the_circle
+from one_thread import one_thread_json
 from reference_matrices import (
     blocks,
     closed_form_wa,
@@ -43,6 +45,7 @@ from wfk import (
     sample_parameters,
     stein_certificate,
     system_matrix,
+    unit_circle_points,
     wavelet_eval,
 )
 from wfk import realization
@@ -725,6 +728,89 @@ class TestEvalRealization:
                 assert np.abs(eval_realization(target, z) - expected).max() <= 1e-12
 
 
+# One work array of eval_realization at its budget of 2**15 complex entries.
+BUDGET_BYTES = 16 << 15
+BUDGET_RUNGS = [(4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999)]
+BUDGETS = [1, 1 << 12, None, 1 << 18]
+
+
+def traced_peak(fn):
+    """The peak, in bytes, of the memory that ``fn`` allocates, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def verify_points(n):
+    """The 512 points at which ``wfk verify --seed 0`` evaluates an ``n``-band file."""
+    zs = unit_circle_points(256, 0)
+    return np.concatenate([np.exp(2j * np.pi / n) * zs, zs])
+
+
+def budget_files():
+    """The cascades of :data:`BUDGET_RUNGS` and one rotated (dense ``A``)
+    file, which takes the stacked LU, by name."""
+    files = {
+        f"{n},{m},{rho}": realize_wavelet(sample_parameters(5, n, m, rho))
+        for n, m, rho in BUDGET_RUNGS
+    }
+    files["rotated 4,8,0.9"] = rotate(files["4,8,0.9"], seed=3)
+    return files
+
+
+def distinct_budget_values():
+    """Distinct bytes of ``eval_realization`` at :func:`verify_points` over
+    the chunk budgets of :data:`BUDGETS` (None is the default), per file
+    of :func:`budget_files`."""
+    default = realization._CHUNK_ENTRIES
+    distinct = {}
+    try:
+        for name, r in budget_files().items():
+            values = set()
+            for budget in BUDGETS:
+                realization._CHUNK_ENTRIES = default if budget is None else budget
+                values.add(eval_realization(r, verify_points(r.outputs)).tobytes())
+            distinct[name] = len(values)
+    finally:
+        realization._CHUNK_ENTRIES = default
+    return distinct
+
+
+class TestChunkBudget:
+    """Chunking bounds ``eval_realization``'s work arrays and moves no bit."""
+
+    def test_values_independent_of_budget(self):
+        distinct = one_thread_json("test_realization", "distinct_budget_values")
+        assert distinct == {name: 1 for name in budget_files()}
+
+    @pytest.mark.parametrize(
+        "a", [[[0.5]], [[0.0, 0.5], [0.5, 0.0]]], ids=["triangular", "dense"]
+    )
+    def test_budget_counts_c_x(self, a):
+        # one state and 64 inputs and outputs: C X, 64 x 64 per point, is the
+        # largest work array of both solvers
+        rng = np.random.default_rng(0)
+        p = len(a)
+        r = Realization(
+            a=a, b=0.1 * rng.standard_normal((p, 64)), c=0.1 * rng.standard_normal((64, p)),
+            d=np.eye(64),
+        )
+        pts = circle(2048, seed=1)
+        eval_realization(r, pts[:1])  # builds the cached plan before tracing
+        peak, values = traced_peak(lambda: eval_realization(r, pts))
+        assert peak < values.nbytes + 3 * BUDGET_BYTES
+
+    def test_verify_points_stay_within_budget(self):
+        r = realize_wavelet(sample_parameters(5, 12, 16, 0.999))
+        pts = verify_points(12)
+        eval_realization(r, pts[:1])
+        peak, values = traced_peak(lambda: eval_realization(r, pts))
+        assert peak < values.nbytes + 3 * BUDGET_BYTES
+
+
 RUNGS = [(2, 3, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999), (16, 32, 0.999)]
 
 
@@ -1044,6 +1130,17 @@ class TestBlockStein:
         edges = cascade_edges(r)
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert not cert.h[lo:hi, hi:].any()
+
+    def test_certificate_holds_h_and_residual_once(self):
+        # neither a second copy of H nor the whole system matrix [A B; C D]
+        # is made (each about 1.1 MB at 258 states); the margin holds one
+        # block row of S at a time and its products
+        r = realize_wavelet(sample_parameters(5, 12, 16, 0.999))
+        stein_certificate(r)
+        peak, cert = traced_peak(lambda: stein_certificate(r))
+        residual_bytes = 16 * (r.state_dim + r.inputs) ** 2
+        assert cert.method == "block" and not cert.h.flags.writeable
+        assert peak < cert.h.nbytes + residual_bytes + (1 << 20)
 
     def test_relative_residuals_use_norm_of_h(self):
         cert = stein_certificate(realize_wavelet(sample_parameters(1, 4, 8, 0.9)))

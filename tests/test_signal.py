@@ -1,18 +1,14 @@
 """Tests for decimation, convolution, subband round trips and simulation."""
 
-import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wfk.filters
 import wfk.signal
+from one_thread import one_thread_json
 from reference_ops import (
     _interleave as reference_interleave,
     _lattice as reference_lattice,
@@ -464,32 +460,7 @@ class TestBlockLattice:
 
     @pytest.fixture(scope="class")
     def one_thread_distinct(self):
-        # OpenBLAS splits a large enough product among its threads at
-        # columns that depend on the product's width, and rounds the columns
-        # next to a split another way, so the bits are those of one BLAS
-        # thread, as in the benchmark; a child process pins it before numpy
-        # loads
-        here = Path(__file__).resolve().parent
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            MKL_NUM_THREADS="1",
-            PYTHONDONTWRITEBYTECODE="1",
-        )
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")])
-        )
-        code = (
-            "import json\n"
-            "from test_signal import distinct_panel_width_outputs\n"
-            "print(json.dumps(distinct_panel_width_outputs()))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        return one_thread_json("test_signal", "distinct_panel_width_outputs", timeout=60)
 
     @pytest.mark.parametrize("shift", PANEL_SHIFTS)
     @pytest.mark.parametrize("n", PANEL_BANDS)
