@@ -142,23 +142,24 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
-class _Stopwatch:
-    """Stamps each check with the wall time since the previous stamp.
+def _stopwatch():
+    """A ``lap()`` that returns the wall time in ms since the previous lap.
 
-    The first stamp counts from creation.  A check read off an earlier
-    computation gets about 0 ms: ``paraunitary`` comes from the circle
-    evaluation of ``symmetry`` (see :func:`wfk.filters.circle_checks`),
+    The first lap counts from the call that made it.  A check read off an
+    earlier computation gets about 0 ms: ``paraunitary`` comes from the
+    circle evaluation of ``symmetry`` (see :func:`wfk.filters.circle_checks`),
     ``frequency_pr`` from ``paraunitary``, and ``stein_hermiticity`` and
     ``minimality`` from the Stein certificate.
     """
+    last = time.perf_counter()
 
-    def __init__(self):
-        self._last = time.perf_counter()
-
-    def stamp(self, check: CheckReport) -> CheckReport:
+    def lap() -> float:
+        nonlocal last
         now = time.perf_counter()
-        wall_ms, self._last = (now - self._last) * 1e3, now
-        return dataclasses.replace(check, wall_ms=wall_ms)
+        wall_ms, last = (now - last) * 1e3, now
+        return wall_ms
+
+    return lap
 
 
 def _evaluator(target):
@@ -188,7 +189,7 @@ def _verify(target, points, tol, seed):
     argmax of rounding noise, and on the dense path); it is None when the
     Stein series diverges.
     """
-    watch = _Stopwatch()
+    lap = _stopwatch()
     scalar = partial(CheckReport, sample_count=points, seed=seed)
     params = target if isinstance(target, FilterParameters) else None
     if params is None and (target.outputs != target.inputs or target.outputs < 2):
@@ -200,14 +201,14 @@ def _verify(target, points, tol, seed):
     n = target.outputs if params is None else params.n
     with _allocation(f"--points {points}: too many sample points to allocate"):
         circle = circle_checks(_evaluator(target), n, points, tol, seed)
-    checks = [watch.stamp(c) for c in circle]
+    checks = [dataclasses.replace(c, wall_ms=lap()) for c in circle]
     if params is not None:
         # on the circle reconstruction is exact precisely when W is unitary,
         # so the perfect-reconstruction check is the same computation
-        checks.append(watch.stamp(dataclasses.replace(checks[-1], name="frequency_pr")))
+        checks.append(dataclasses.replace(checks[-1], name="frequency_pr", wall_ms=lap()))
     real = target if params is None else realize_wavelet(params)
     degree = 0.0 if cascade_index(real) is not None else 1.0
-    checks.append(watch.stamp(scalar("degree", degree, 0.0)))
+    checks.append(scalar("degree", degree, 0.0, wall_ms=lap()))
     # minimality: H > 0 together with the block identities (lossless case)
     try:
         cert = stein_certificate(real)
@@ -228,9 +229,9 @@ def _verify(target, points, tol, seed):
         minimal = False
         stein = None
     checks += [
-        watch.stamp(scalar("stein_blocks", blocks, tol)),
-        watch.stamp(scalar("stein_hermiticity", hermiticity, 1e-10)),
-        watch.stamp(scalar("minimality", 0.0 if minimal else 1.0, 0.0)),
+        scalar("stein_blocks", blocks, tol, wall_ms=lap()),
+        scalar("stein_hermiticity", hermiticity, 1e-10, wall_ms=lap()),
+        scalar("minimality", 0.0 if minimal else 1.0, 0.0, wall_ms=lap()),
     ]
     return checks, stein
 

@@ -56,7 +56,11 @@ from .filters import (
 #   (16,32,.999) 13.41 / 2385  11.89 / 1415  13.91 / 1433  17.33 / 1500
 #
 # 2**15 faults half as often as 2**16 at n = 8 and 12; 2**14 faults no
-# less and computes slower.
+# less and computes slower.  With one BLAS thread the values' bytes do not
+# depend on the budget, or on a point's place in the array, only when N_in
+# is a multiple of 4: otherwise BLAS rounds a column of _sweep's
+# vector-matrix products by its place in the unrolled loop, which moved
+# values by up to 6.5e-16 of their largest modulus at N_in = 2, 3 and 5.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -727,7 +731,8 @@ def _block_certificate(
     """The certificate of ``H = diag(cores[0], ..., cores[k-1], last)``.
 
     ``last`` is the elementary block, or all of ``H`` with no cores on the
-    dense path, where ``worst_block`` stays None.  With ``S = [A B; C D]``,
+    dense path, where ``worst_block`` stays None and ``last`` itself, made
+    read-only, is the ``H`` the certificate keeps.  With ``S = [A B; C D]``,
     ``R = S* diag(H, I) S - diag(H, I)``, of size ``(p + N_in)**2``, holds
     the state equation in ``R[:p, :p]``, the cross identity in ``R[:p, p:]``
     and the input identity in ``R[p:, p:]``.  One pass per block row ``S_b``
@@ -745,9 +750,12 @@ def _block_certificate(
     """
     k, n, _ = cores.shape
     kn, p = k * n, r.state_dim
-    h = np.zeros((p, p), dtype=complex)
-    h[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = cores
-    h[kn:, kn:] = last
+    if k:
+        h = np.zeros((p, p), dtype=complex)
+        h[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = cores
+        h[kn:, kn:] = last
+    else:
+        h = last
     h.flags.writeable = False
     size = p + r.inputs
     residual = np.zeros((size, size), dtype=complex)

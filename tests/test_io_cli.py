@@ -1,11 +1,13 @@
 """Tests for file formats and the command-line interface."""
 
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -32,6 +34,7 @@ from wfk.cli import main
 
 from edge_realizations import huge_superdiagonal, overflowing_values, rotation_on_the_circle
 from legacy_format import dense_document
+from one_thread import one_thread_peak_mb
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1457,6 +1460,26 @@ class TestCliVerify:
             scale = max(1.0, stein["norm_h"])
             assert blocks["max_residual"] == stein["residual_abs"] / scale
 
+    def test_wall_ms_is_the_time_since_the_previous_check(self, tmp_path, capsys, monkeypatch):
+        # a clock that advances 0.25 s per read: one read when verify starts
+        # and one as each check is finished
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.25 * next(ticks))
+        p = sample_parameters(3, 3, 2, 0.9)
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        wio.save_parameters(p, params)
+        wio.save_realization(realize_wavelet(p), real)
+        tail = ["degree", "stein_blocks", "stein_hermiticity", "minimality"]
+        for path, names in (
+            (params, ["symmetry", "paraunitary", "frequency_pr", *tail]),
+            (real, ["symmetry", "paraunitary", *tail]),
+        ):
+            assert main(["verify", str(path), "--points", "32"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert [(c["name"], c["wall_ms"]) for c in doc["checks"]] == [
+                (name, 250.0) for name in names
+            ]
+
     def test_report_locates_worst_point_and_block(self, tmp_path, capsys):
         from wfk import Realization
 
@@ -1553,6 +1576,11 @@ class TestCliVerify:
         assert captured.err == (
             "numeric singularity: exhausted retries while avoiding poles on the circle\n"
         )
+        # eval takes the roots of unity as they are and names the first
+        assert main(["eval", str(path), "--circle", "8"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric singularity: z = (1+0j) is a pole of the realization\n"
 
     def test_divergent_stein_series_reports_null(self, tmp_path, capsys):
         from wfk import Realization
@@ -1617,6 +1645,25 @@ class TestCliVerify:
         assert main(["verify", str(params)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["stein"]["method"] == "block" and doc["stein"]["residual_abs"] > 1e-9
+
+    def test_north_star_verify_memory_is_bounded(self, tmp_path):
+        # a (16, 32, 0.999) verify of either file kind, in a child with one
+        # BLAS thread, may peak at most 34 MB above a child that only
+        # imports wfk.cli: the evaluator's chunks and the certificate's
+        # arrays, held once each, measured 27.9-31.0 MB
+        if not sys.platform.startswith("linux"):
+            pytest.skip("reads ru_maxrss in Linux's kilobytes")
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        argv = ["gen", "--n", "16", "--index", "32", "--rho", "0.999", "--seed", "5"]
+        assert main(argv + ["-o", str(params)]) == 0
+        assert main(["realize", str(params), "-o", str(real)]) == 0
+        base, *peaks = one_thread_peak_mb(
+            ["-c", "import wfk.cli"],
+            *(["-m", "wfk.cli", "verify", str(path)] for path in (params, real)),
+        )
+        for path, peak in zip((params, real), peaks):
+            above = peak - base
+            assert above <= 34, f"verify {path.name}: {above:.1f} MB above {base:.1f} MB"
 
     def test_hidden_core_realization_fails_minimality(self, tmp_path, capsys):
         from wfk import Realization
@@ -1742,6 +1789,22 @@ class TestCliEval:
         value = (rows[0, 2::2] + 1j * rows[0, 3::2]).reshape(4, 4)
         expected = wavelet_eval(p, -0.5 + 0.5j)
         assert np.abs(value - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("z", ["1e200,0", "1e308,1e308"])
+    @pytest.mark.parametrize("kind", ["params", "realization"])
+    def test_far_point_gives_the_value_at_infinity(self, tmp_path, capsys, kind, z):
+        # z**n leaves the float range at |z| = 1e200, and 1/z at
+        # 1e308 + 1e308j: each file kind gives the finite value there, the
+        # realization's D within rounding, with nothing on stderr
+        params, real = tmp_path / "p.json", tmp_path / "r.json"
+        assert main(["gen", "--n", "2", "--index", "1", "--seed", "0", "-o", str(params)]) == 0
+        assert main(["realize", str(params), "-o", str(real)]) == 0
+        assert main(["eval", str(params if kind == "params" else real), f"--z={z}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = np.loadtxt(io.StringIO(captured.out), delimiter=",")
+        value = (row[2::2] + 1j * row[3::2]).reshape(2, 2)
+        assert np.abs(value - wio.load_realization(real).d).max() <= 1e-14
 
     def test_pole_exit_4(self, tmp_path):
         params = tmp_path / "p.json"

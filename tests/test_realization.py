@@ -730,7 +730,7 @@ class TestEvalRealization:
 
 # One work array of eval_realization at its budget of 2**15 complex entries.
 BUDGET_BYTES = 16 << 15
-BUDGET_RUNGS = [(4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999)]
+BUDGET_RUNGS = [(2, 3, 0.9), (3, 4, 0.9), (4, 8, 0.9), (8, 16, 0.99), (12, 16, 0.999)]
 BUDGETS = [1, 1 << 12, None, 1 << 18]
 
 
@@ -751,40 +751,56 @@ def verify_points(n):
 
 
 def budget_files():
-    """The cascades of :data:`BUDGET_RUNGS` and one rotated (dense ``A``)
-    file, which takes the stacked LU, by name."""
+    """The cascades of :data:`BUDGET_RUNGS` and, at n = 2, 3 and 4, their
+    rotated (dense ``A``) files, which take the stacked LU, by name."""
     files = {
         f"{n},{m},{rho}": realize_wavelet(sample_parameters(5, n, m, rho))
         for n, m, rho in BUDGET_RUNGS
     }
-    files["rotated 4,8,0.9"] = rotate(files["4,8,0.9"], seed=3)
+    for name in ("2,3,0.9", "3,4,0.9", "4,8,0.9"):
+        files[f"rotated {name}"] = rotate(files[name], seed=3)
     return files
 
 
-def distinct_budget_values():
-    """Distinct bytes of ``eval_realization`` at :func:`verify_points` over
-    the chunk budgets of :data:`BUDGETS` (None is the default), per file
-    of :func:`budget_files`."""
+def budget_values():
+    """Per file of :func:`budget_files`, the inputs, the number of distinct
+    bytes of ``eval_realization`` at :func:`verify_points` over the chunk
+    budgets of :data:`BUDGETS` (None is the default), and their largest
+    difference from the default's values relative to its largest modulus."""
     default = realization._CHUNK_ENTRIES
-    distinct = {}
+    found = {}
     try:
         for name, r in budget_files().items():
-            values = set()
+            values = []
             for budget in BUDGETS:
                 realization._CHUNK_ENTRIES = default if budget is None else budget
-                values.add(eval_realization(r, verify_points(r.outputs)).tobytes())
-            distinct[name] = len(values)
+                values.append(eval_realization(r, verify_points(r.outputs)))
+            reference = values[BUDGETS.index(None)]
+            spread = max(np.abs(v - reference).max() for v in values)
+            found[name] = (
+                r.inputs,
+                len({v.tobytes() for v in values}),
+                float(spread / np.abs(reference).max()),
+            )
     finally:
         realization._CHUNK_ENTRIES = default
-    return distinct
+    return found
 
 
 class TestChunkBudget:
-    """Chunking bounds ``eval_realization``'s work arrays and moves no bit."""
+    """Chunking bounds ``eval_realization``'s work arrays and moves no bit
+    where ``N_in`` is a multiple of 4."""
 
     def test_values_independent_of_budget(self):
-        distinct = one_thread_json("test_realization", "distinct_budget_values")
-        assert distinct == {name: 1 for name in budget_files()}
+        # the bytes hold when N_in is a multiple of 4; otherwise BLAS rounds a
+        # point of the sweep's vector-matrix products by its place in the
+        # array, and budget 1 puts each point in an array of its own
+        found = one_thread_json("test_realization", "budget_values")
+        assert sorted(found) == sorted(budget_files())
+        for name, (inputs, distinct, spread) in found.items():
+            assert spread <= 1e-14, name
+            if inputs % 4 == 0:
+                assert distinct == 1, name
 
     @pytest.mark.parametrize(
         "a", [[[0.5]], [[0.0, 0.5], [0.5, 0.0]]], ids=["triangular", "dense"]
@@ -1192,6 +1208,16 @@ class TestBlockStein:
         cert = stein_certificate(rotated)
         assert cert.method == "dense" and cert.positive_definite
         assert cert.max_block_residual <= 1e-9
+
+    def test_dense_path_keeps_the_h_it_solved(self, monkeypatch):
+        solved = []
+        series = realization._series_solution
+        monkeypatch.setattr(
+            realization, "_series_solution", lambda r: solved.append(series(r)) or solved[-1]
+        )
+        cert = stein_certificate(rotate(realize_wavelet(sample_parameters(5, 4, 8, 0.9)), seed=3))
+        assert cert.method == "dense" and len(solved) == 1
+        assert np.shares_memory(cert.h, solved[0]) and not cert.h.flags.writeable
 
     @pytest.mark.parametrize(
         "n, m, rho",
