@@ -9,6 +9,11 @@ with ``Q`` the unitary DFT matrix.  ``FilterParameters`` stores exactly the
 data of that factorization; ``BoxPoint`` is the equivalent coordinate
 parametrization over a real box, convenient for sampling and optimization.
 
+Two blocked kernels apply the factors: :func:`_factor_updates` for the
+evaluators, and :func:`_block_lattice`, the FIR polyphase lattice, for the
+impulse responses of :class:`SubbandFilterSet` and the subband signals of
+:mod:`wfk.signal`.
+
 Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
 decide a degree-``d`` identity, but for ``d = n*(n-1)/2 + n*m`` the
@@ -57,6 +62,16 @@ _POLE_FLOOR_ULPS = 4
 # (16, 32, 0.999); median of 80, alternating in one process, one BLAS
 # thread, 2-CPU Xeon.
 _FACTOR_BLOCK = 8
+# Factors per block of _block_lattice, chosen by measurement: a round trip
+# of a 2**17-sample signal (subband_filters, analyze, synthesize) took
+# 5.6 / 6.0 / 5.9 ms at (n, m) = (8, 16) and 9.6 / 9.4 / 9.1 ms at
+# (16, 32) with 8 / 12 / 16 factors a block, median of 35, one BLAS thread,
+# 2-CPU Xeon.  Larger blocks mean fewer passes over the rows but a longer
+# sequential recurrence.
+_BLOCK = 16
+# Widest panel, in columns, so that neither work array nears the size of a
+# signal-length array.  2048-column panels: 2.7 ms, but 4x the workspace.
+_MAX_PANEL = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -226,36 +241,6 @@ class BoxPoint:
         return self.coords.shape[0]
 
 
-def _lattice(y: np.ndarray, vectors: np.ndarray) -> None:
-    """Apply ``I + (S - I) v v*`` for each ``v`` in turn to the rows of ``y``.
-
-    The one-factor lattice.  It builds :attr:`SubbandFilterSet.responses`,
-    whose taps are trimmed at exact zeros, so their bits must not move; the
-    signal path applies the same factors a block at a time
-    (:func:`wfk.signal._block_lattice`).  ``S`` rolls a row circularly by
-    one sample, the unit delay ``1/w`` of a factor.
-
-    Works in place on two work rows of one row's length, ``s = v* y`` and
-    ``d = S s - s``, and one array of ``y``'s shape for the update, all
-    allocated once per call: a factor is one vector-matrix product, two
-    subtractions, one outer product ``v d`` and one add, and allocates
-    nothing.  The outer product rounds each ``v_i d`` as a product per row
-    would, so the taps keep their bits.  ``s`` stays one product over the
-    whole row: BLAS zgemv rounds a column by where it sits in the product,
-    and running only the taps filled so far moved tap bits.  The bits are
-    pinned with one BLAS thread.
-    """
-    s = np.empty(y.shape[1:], dtype=complex)
-    d = np.empty_like(s)
-    update = np.empty_like(y)
-    for v in vectors:
-        np.matmul(v.conj(), y, out=s)
-        np.subtract(s[:-1], s[1:], out=d[1:])
-        np.subtract(s[-1:], s[:1], out=d[:1])
-        np.multiply.outer(v, d, out=update)
-        y += update
-
-
 @dataclass(frozen=True)
 class SubbandFilterSet:
     """The N subband filters of a polynomial filter, kept as its FIR factors.
@@ -263,7 +248,10 @@ class SubbandFilterSet:
     ``vectors`` holds one unit vector per factor, row ``j`` for ``V_{j+1}``,
     in stored order; it is the only data.  The impulse responses (the first
     column of the filter as a polynomial in ``1/z``) and their maximal
-    length are derived from it on first use.  Built by
+    length are derived from it on first use, by the lattice that runs the
+    signals (:func:`_block_lattice`).  Their lengths, and so
+    :func:`wfk.signal.synthesis_delay`, equal the one-factor lattice's; their
+    values agree with its values up to rounding.  Built by
     :func:`subband_filters`.
     """
 
@@ -278,16 +266,19 @@ class SubbandFilterSet:
     def responses(self) -> tuple[np.ndarray, ...]:
         """First-column taps, each trimmed after its last nonzero tap.
 
-        The impulse runs through :func:`_lattice` laid out as ``y[i, r, j]``
-        = tap ``n*j + r`` of band ``i``, so the delay ``z**-n`` of a factor
-        is a shift by one in ``j``.  The shift never wraps a nonzero tap:
-        before factor ``k`` only ``j < k`` is filled.
+        The impulse runs through :func:`_block_lattice`, the kernel of the
+        signal path, laid out as ``y[i, r, j]`` = tap ``n*j + r`` of band
+        ``i``, so the delay ``z**-n`` of a factor is a shift by one in
+        ``j``.  The shift never wraps a nonzero tap: before factor ``k``
+        only ``j < k`` is filled.  A row is one panel: the default panels,
+        sized for signals, cut the short tap rows into 8-column pieces.
         """
         n = self.n
         y = np.zeros((n, n, self.vectors.shape[0] + 1), dtype=complex)
         # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
         y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
-        _lattice(y.reshape(n, -1), self.vectors)
+        rows = y.reshape(n, -1)
+        _block_lattice(rows, self.vectors, rows.shape[1])
         responses = []
         for band in y:
             coeffs = band.T.reshape(-1)
@@ -459,8 +450,9 @@ def _factor_updates(w: np.ndarray, vectors: np.ndarray, scales: np.ndarray) -> N
     before ``j``, so this is the one-factor update ``w += s_j v_j (v_j* w)``
     up to rounding (the WY form of a product of rank-one updates; Bischof &
     Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987).  It is the lattice of
-    :func:`wfk.signal._block_lattice` with the shift of a row replaced by a
-    multiplier per point, so no value is carried between columns.  A block
+    :func:`_block_lattice` with the shift of a row replaced by a multiplier
+    per point, so no value is carried between columns; the two kernels set
+    up a block alike (:func:`_block_setup`).  A block
     costs two matrix products over ``w`` and ``k`` vector-matrix products
     over the block's rows of ``D``; the work arrays, ``D``, one row and one
     array of ``w``'s shape for ``V^T D``, are allocated once per call.
@@ -474,9 +466,7 @@ def _factor_updates(w: np.ndarray, vectors: np.ndarray, scales: np.ndarray) -> N
     update = np.empty_like(w)
     for lo in range(0, m, k):
         v, s = vectors[lo : lo + k], scales[lo : lo + k, :, None]
-        vc = v.conj()
-        g = np.tril(vc @ v.T, -1)
-        np.fill_diagonal(g, 1.0)
+        vc, g = _block_setup(v)
         diffs = d[: len(v)]
         np.matmul(vc, w, out=diffs)
         per_point = diffs.reshape(len(v), points, -1)
@@ -486,6 +476,100 @@ def _factor_updates(w: np.ndarray, vectors: np.ndarray, scales: np.ndarray) -> N
             np.multiply(row.reshape(points, -1), s[j], out=per_point[j])
         np.matmul(v.T, diffs, out=update)
         w += update
+
+
+def _block_setup(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``conj(V)`` and the unit lower-triangular ``G = tril(conj(V) V^T, -1) + I``
+    of a block ``V`` of factor rows, for both blocked kernels."""
+    vc = v.conj()
+    g = np.tril(vc @ v.T, -1)
+    np.fill_diagonal(g, 1.0)
+    return vc, g
+
+
+def _block_lattice(y: np.ndarray, vectors: np.ndarray, width: int | None = None) -> None:
+    """Apply ``I + (S - I) v v*`` for each row ``v`` of ``vectors`` in turn to
+    the rows of ``y``, ``_BLOCK`` factors at a time.
+
+    The one FIR lattice: :func:`wfk.signal.analyze` and
+    :func:`wfk.signal.synthesize` run it on polyphase rows and
+    :attr:`SubbandFilterSet.responses` on the taps.  ``S`` rolls a row
+    circularly by one column, the unit delay ``1/w`` of a factor.  For a
+    block ``V`` of rows ``v_1 .. v_k``, with ``G = conj(V) V^T`` (so
+    ``G[j, i] = v_j* v_i``) and ``P = conj(V) y``::
+
+        s_j = P_j + sum_{i<j} G[j, i] d_i,   d_j = S s_j - s_j,   y += V^T D
+
+    ``s_j`` is ``v_j* y`` after the factors before ``j``, so this is the
+    one-factor lattice exactly, up to the order of its sums.  Columns
+    couple only through ``S``, so the panels run left to right, each
+    carrying every ``s_j`` at its last column into the next.  The wrap
+    needs ``s_j`` at the last column before the first panel: it depends on
+    the ``j`` columns that end there, so the last ``k`` columns, run
+    without the wrap, give it exactly.  A block therefore holds at most as
+    many factors as ``y`` has columns.
+
+    Works in place on two work arrays that together hold at most two rows'
+    worth of samples (plus a few columns when a row is short): ``d`` holds
+    a panel's ``P`` and then its ``D``; ``work`` holds the ``s_j``, each
+    with a spare column for the carried value, and then ``V^T D``.  Panels
+    are ``width`` columns wide when it is given, else the widest multiple
+    of 8 that keeps that bound, at most ``_MAX_PANEL``.  With one BLAS
+    thread any multiple of 8, or a width of at least the row, gives the
+    same bits: every panel then starts at a multiple of 8, and the products
+    round a column alike wherever such a panel puts it.  With more threads
+    OpenBLAS splits a large enough product at columns that depend on its
+    width, and the bits may move by rounding there.
+    """
+    n, cols = y.shape
+    k = min(_BLOCK, vectors.shape[0], cols)
+    if not k:
+        return
+    if width is None:
+        width = (2 * cols // (k + max(k, n)) - 8) // 8 * 8
+        width = min(max(width, 8), _MAX_PANEL)
+    # a remainder under 8 columns joins the last panel: a one-column panel
+    # would turn the products into matrix-vector products, with other bits
+    starts = range(0, max(cols - 7, 1), width)
+    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])]
+    span = max(max(p.shape[1] for p in panels), k)
+    d = np.empty((k, span), dtype=complex)
+    work = np.empty(max(k * (span + 1), n * span), dtype=complex)
+    for lo in range(0, vectors.shape[0], k):
+        v = vectors[lo : lo + k]
+        vc, g = _block_setup(v)
+        edge = np.zeros(len(v), dtype=complex)
+        _block_differences(y[:, cols - len(v) :], vc, g, d, work, edge)
+        for panel in panels:
+            diffs = _block_differences(panel, vc, g, d, work, edge)
+            update = work[: panel.size].reshape(panel.shape)
+            np.matmul(v.T, diffs, out=update)
+            # row by row: a 2-D in-place add over a strided panel makes
+            # numpy allocate ufunc buffers of about the panel's size
+            for row, add in zip(panel, update):
+                row += add
+
+
+def _block_differences(panel, vc, g, d, work, edge) -> np.ndarray:
+    """``D`` of one block on one panel, as a view of ``d``.
+
+    ``edge`` holds each ``s_j`` at the column before the panel, and is left
+    holding it at the panel's last.
+    """
+    k, w = vc.shape[0], panel.shape[1]
+    diffs = d[:k, :w]
+    s = work[: k * (w + 1)].reshape(k, w + 1)
+    # s_j over the panel is s[:, 1:], and S s_j is s[:, :-1]
+    np.matmul(vc, panel, out=diffs)
+    s[:, 0] = edge
+    # s_1 = P_1, plus 0 so that a zero is +0 as the one-term product gives it
+    np.add(diffs[0], 0.0, out=s[0, 1:])
+    np.subtract(s[0, :-1], s[0, 1:], out=diffs[0])
+    for j in range(1, k):
+        np.matmul(g[j, : j + 1], diffs[: j + 1], out=s[j, 1:])
+        np.subtract(s[j, :-1], s[j, 1:], out=diffs[j])
+    edge[:] = s[:, -1]
+    return diffs
 
 
 def _wavelet_point(params: FilterParameters, z: complex) -> np.ndarray:

@@ -9,10 +9,12 @@ IEEE Trans. ASSP 37(7), 1989).  The work is O(L*m) for a signal of length
 L, whatever the tap length.  Synthesis, the adjoint lattice, is the same
 lattice with the factors in reverse order, run on time-reversed rows.
 
-The factors are applied a block of ``_BLOCK`` at a time, over column
-panels of the polyphase rows: one matrix product gives the block's inner
-products and one its rank-one updates (the WY form of a product of
-rank-one updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
+The lattice is :func:`wfk.filters._block_lattice`, the one kernel that
+also builds the impulse responses of :class:`wfk.filters.SubbandFilterSet`.
+It applies the factors a block of ``_BLOCK`` at a time, over column panels
+of the polyphase rows: one matrix product gives the block's inner products
+and one its rank-one updates (the WY form of a product of rank-one
+updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
 Schreiber & Van Loan, ibid. 10, 1989).  Each factor's algebra is that of
 the one-factor lattice, so the bands equal its bands up to rounding.  The
 two work arrays together hold at most two polyphase rows' worth of
@@ -39,18 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import SubbandFilterSet
+from .filters import SubbandFilterSet, _block_lattice
 
-# Factors per block of _block_lattice, chosen by measurement: a round trip
-# of a 2**17-sample signal (subband_filters, analyze, synthesize) took
-# 5.6 / 6.0 / 5.9 ms at (n, m) = (8, 16) and 9.6 / 9.4 / 9.1 ms at
-# (16, 32) with 8 / 12 / 16 factors a block, median of 35, one BLAS thread,
-# 2-CPU Xeon.  Larger blocks mean fewer passes over the rows but a longer
-# sequential recurrence.
-_BLOCK = 16
-# Widest panel, in columns, so that neither work array nears the size of a
-# signal-length array.  2048-column panels: 2.7 ms, but 4x the workspace.
-_MAX_PANEL = 4096
 # Samples per block of _polyphase's copy (512 KiB), so that every row takes
 # its part of a block while the block is in cache; at 2**17 samples,
 # n = 2 / 16: 0.14 / 0.24 ms against 0.18 / 0.41 ms unblocked.
@@ -135,92 +127,6 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
         out[: cols - k, phases] = rows[:, k:].T
         out[cols - k :, phases] = rows[:, :k].T
     return x
-
-
-def _block_lattice(y: np.ndarray, vectors: np.ndarray, width: int | None = None) -> None:
-    """Apply ``I + (S - I) v v*`` for each row ``v`` of ``vectors`` in turn to
-    the rows of ``y``, ``_BLOCK`` factors at a time.
-
-    ``S`` rolls a row circularly by one column, the unit delay ``1/w`` of a
-    factor.  For a block ``V`` of rows ``v_1 .. v_k``, with
-    ``G = conj(V) V^T`` (so ``G[j, i] = v_j* v_i``) and ``P = conj(V) y``::
-
-        s_j = P_j + sum_{i<j} G[j, i] d_i,   d_j = S s_j - s_j,   y += V^T D
-
-    ``s_j`` is ``v_j* y`` after the factors before ``j``, so this is the
-    one-factor lattice exactly.  Columns couple only through ``S``, so the
-    panels run left to right, each carrying every ``s_j`` at its last column
-    into the next.  The wrap needs ``s_j`` at the last column before the
-    first panel: it depends on the ``j`` columns that end there, so the last
-    ``k`` columns, run without the wrap, give it exactly.  A block therefore
-    holds at most as many factors as ``y`` has columns.
-
-    Works in place on two work arrays that together hold at most two rows'
-    worth of samples (plus a few columns when a row is short): ``d`` holds
-    a panel's ``P`` and then its ``D``; ``work`` holds the ``s_j``, each
-    with a spare column for the carried value, and then ``V^T D``.  Panels
-    are ``width`` columns wide when it is given, else the widest multiple
-    of 8 that keeps that bound, at most ``_MAX_PANEL``.  With one BLAS
-    thread any multiple of 8, or a width of at least the row, gives the
-    same bits: every panel then starts at a multiple of 8, and the products
-    round a column alike wherever such a panel puts it.  With more threads
-    OpenBLAS splits a large enough product at columns that depend on its
-    width, and the bits may move by rounding there, as those of the
-    one-factor lattice's inner products may.
-    """
-    n, cols = y.shape
-    k = min(_BLOCK, vectors.shape[0], cols)
-    if not k:
-        return
-    if width is None:
-        width = (2 * cols // (k + max(k, n)) - 8) // 8 * 8
-        width = min(max(width, 8), _MAX_PANEL)
-    # a remainder under 8 columns joins the last panel: a one-column panel
-    # would turn the products into matrix-vector products, with other bits
-    starts = range(0, max(cols - 7, 1), width)
-    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])]
-    span = max(max(p.shape[1] for p in panels), k)
-    d = np.empty((k, span), dtype=complex)
-    work = np.empty(max(k * (span + 1), n * span), dtype=complex)
-    for lo in range(0, vectors.shape[0], k):
-        v = vectors[lo : lo + k]
-        vc = v.conj()
-        # G with its diagonal set to 1, so that one product with
-        # [d_1 .. d_(j-1), P_j] gives s_j
-        g = np.tril(vc @ v.T, -1)
-        np.fill_diagonal(g, 1.0)
-        edge = np.zeros(len(v), dtype=complex)
-        _block_differences(y[:, cols - len(v) :], vc, g, d, work, edge)
-        for panel in panels:
-            diffs = _block_differences(panel, vc, g, d, work, edge)
-            update = work[: panel.size].reshape(panel.shape)
-            np.matmul(v.T, diffs, out=update)
-            # row by row: a 2-D in-place add over a strided panel makes
-            # numpy allocate ufunc buffers of about the panel's size
-            for row, add in zip(panel, update):
-                row += add
-
-
-def _block_differences(panel, vc, g, d, work, edge) -> np.ndarray:
-    """``D`` of one block on one panel, as a view of ``d``.
-
-    ``edge`` holds each ``s_j`` at the column before the panel, and is left
-    holding it at the panel's last.
-    """
-    k, w = vc.shape[0], panel.shape[1]
-    diffs = d[:k, :w]
-    s = work[: k * (w + 1)].reshape(k, w + 1)
-    # s_j over the panel is s[:, 1:], and S s_j is s[:, :-1]
-    np.matmul(vc, panel, out=diffs)
-    s[:, 0] = edge
-    # s_1 = P_1, plus 0 so that a zero is +0 as the one-term product gives it
-    np.add(diffs[0], 0.0, out=s[0, 1:])
-    np.subtract(s[0, :-1], s[0, 1:], out=diffs[0])
-    for j in range(1, k):
-        np.matmul(g[j, : j + 1], diffs[: j + 1], out=s[j, 1:])
-        np.subtract(s[j, :-1], s[j, 1:], out=diffs[j])
-    edge[:] = s[:, -1]
-    return diffs
 
 
 def analyze(x, filters: SubbandFilterSet) -> SubbandSet:

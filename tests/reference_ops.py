@@ -4,18 +4,19 @@ Direct-form signal operations (decimation, expansion, circular
 convolution), the LTI state recursion, the series cascade of two
 realizations as one block matrix, pointwise values of single factors,
 the quotient decimation check, the conjugate transpose, the box map of
-one row, the coordinate check of a box point, row by row, the
-one-factor lattice as it was before its work rows were reused, in both
-directions (``_lattice``), which the blocked lattice of the signal path
-must agree with, the responses it gives in their first layout (``_responses``), which
-the package's must equal byte for byte, the interleave as it was before
-the synthesis delay moved into it (``_interleave``, followed by
-``np.roll``), the per-factor updates of ``wavelet_eval``'s array path
-(``_factor_updates``), which its blocked kernel must agree with, and the
-two circle residuals written with ``np.roll`` and ``np.eye``, whose bits
-the package's must keep.  None of these runs in a ``wfk`` command; each
-is a plain restatement of a definition that a faster or more structured
-path in the package must agree with.
+one row, the coordinate check of a box point, row by row, the one-factor
+lattice as it was before its work rows were reused, in both directions
+(``_lattice``), which the blocked lattice of the taps and the signals
+must agree with, the responses it gives in their first layout
+(``_responses``), which the package's must equal in length and up to
+rounding, the interleave as it was before the synthesis delay moved into
+it (``_interleave``, followed by ``np.roll``), the per-factor updates of
+``wavelet_eval``'s array path (``_factor_updates``), which its blocked
+kernel must agree with, and the two circle residuals written with
+``np.roll`` and ``np.eye``, whose bits the package's must keep. None of
+these runs in a ``wfk`` command; each is a plain restatement of a
+definition that a faster or more structured path in the package must
+agree with.
 ``check_symmetry``, ``check_paraunitary`` and ``frequency_pr_check`` read
 one report off :func:`wfk.filters.circle_checks`.
 """

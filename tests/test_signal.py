@@ -227,7 +227,10 @@ class TestLatticeReference:
     """The lattice against the realization and the convolution reference."""
 
     def test_taps_match_realization(self):
-        for p in lattice_params():
+        # also past LATTICE_CASES' indices, at band counts that are not
+        # powers of two, and at the benchmark's (8, 16)
+        deep = [sample_parameters(n + m, n, m, 0.0) for n, m in [*DEEP_RUNGS, (8, 16)]]
+        for p in [*lattice_params(), *deep]:
             fs = subband_filters(p)
             ref = realized_taps(p)
             assert [h.size for h in fs.responses] == [h.size for h in ref]
@@ -270,12 +273,14 @@ def long_round_trip(n, m):
 
 
 # Indices past LATTICE_CASES' 6, at band counts that are not powers of two,
-# for the byte comparison of the responses.
+# for the comparison of the responses with the one-factor lattice's and the
+# realization's.
 DEEP_RUNGS = [(3, 33), (5, 17)]
 
 
-# Largest deviation of the blocked lattice's bands and output from the
-# one-factor lattice's, relative to max|x|; the largest seen is about 3e-15.
+# Largest deviation of the blocked lattice's taps, bands and output from the
+# one-factor lattice's, relative to the largest input sample (the impulse's
+# 1/sqrt(n) for the taps); the largest seen is about 3e-15.
 BLOCK_BOUND = 1e-13
 
 
@@ -295,13 +300,11 @@ def reference_synthesize(bands, fs):
 
 
 def _run_all(p, x, synth=synthesize):
-    """Responses as bytes, their delay, and the bands and output of a fresh
-    filter set."""
+    """Responses, their delay, and the bands and output of a fresh filter set."""
     fs = subband_filters(p)
     bands = analyze(x, fs)
-    responses = [h.tobytes() for h in fs.responses]
     delays = fs.max_length, synthesis_delay(fs)
-    return responses, *delays, np.array(bands.bands), synth(bands, fs)
+    return fs.responses, *delays, np.array(bands.bands), synth(bands, fs)
 
 
 class TestInPlaceKernels:
@@ -335,8 +338,8 @@ class TestInPlaceKernels:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_outputs_match_reference(self, monkeypatch):
-        # the responses and their delay bit for bit; the bands and the
-        # output within BLOCK_BOUND, since the blocked lattice sums in
+        # the tap lengths and the delay exactly; the taps, the bands and
+        # the output within BLOCK_BOUND, since the blocked lattice sums in
         # another order
         cases = [(p, random_signal(p.n * (p.m + 3), k)) for k, p in enumerate(lattice_params())]
         cases += [long_round_trip(n, m) for n, m in LONG_RUNGS]
@@ -348,7 +351,10 @@ class TestInPlaceKernels:
             _use_reference_kernels(mp)
             want = [_run_all(p, x, reference_synthesize) for p, x in cases]
         for (p, x), mine, ref in zip(cases, got, want):
-            assert mine[:3] == ref[:3]
+            assert [h.size for h in mine[0]] == [h.size for h in ref[0]]
+            assert mine[1:3] == ref[1:3]
+            for h, g in zip(mine[0], ref[0]):
+                assert np.abs(h - g).max() <= BLOCK_BOUND / np.sqrt(p.n)
             for a, b in zip(mine[3:], ref[3:]):
                 assert np.abs(a - b).max() <= BLOCK_BOUND * np.abs(x).max()
 
@@ -402,7 +408,7 @@ def block_lattice(y, vectors, shift, width=None):
     conjugated by the time reversal, so it runs the kernel on a copy of the
     rows reversed in time, as synthesis does."""
     z = y[:, ::shift].copy()
-    wfk.signal._block_lattice(z, vectors, width)
+    wfk.filters._block_lattice(z, vectors, width)
     y[:] = z[:, ::shift]
 
 
@@ -413,7 +419,7 @@ PANEL_SHIFTS = (1, -1)
 def panel_width_outputs(n, shift):
     """``_block_lattice`` at panel widths 8, 128, the row and twice the row,
     for three block and remainder cases: one list of outputs per case."""
-    k = wfk.signal._BLOCK
+    k = wfk.filters._BLOCK
     cases = []
     for m, cols in ((k + 1, 300), (2 * k + 1, 301), (3, 17)):
         vectors = unit_rows(m, n, m)
@@ -438,9 +444,10 @@ def distinct_panel_width_outputs():
 
 
 class TestBlockLattice:
-    """The blocked lattice of the signal path against the one-factor lattice."""
+    """The blocked lattice of the taps and the signal path against the
+    one-factor lattice."""
 
-    K = wfk.signal._BLOCK
+    K = wfk.filters._BLOCK
 
     @pytest.mark.parametrize("shift", [1, -1])
     @pytest.mark.parametrize("n", [2, 3, 16])
