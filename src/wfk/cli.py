@@ -246,9 +246,9 @@ def _cmd_verify(args) -> int:
     report = wio.report_to_dict(checks, args.seed, args.points, args.tol)
     report["stein"] = stein
     report["environment"] = _environment()
-    wio.write_json(report, sys.stdout)
     if args.output:
         wio.save_json(report, args.output)
+    wio.write_json(report, sys.stdout)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

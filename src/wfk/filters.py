@@ -50,8 +50,6 @@ TOL = 1e-9
 _UNIT_NORM_TOL = 1e-12
 # Pole guard for Blaschke factors and the z = 0 pole of the elementary filter.
 _POLE_TOL = 1e-14
-# sample_parameters keeps |alpha| at or below this even when rho = 1.
-_ALPHA_CAP = 0.999
 # 1 - |alpha| >= this many n*2**-52 keeps the rounded n-th roots of every pole
 # inside the circle (n from 2 to 32: at n*2**-52 up to 35% of angles fail, at 2n none).
 _POLE_FLOOR_ULPS = 4
@@ -677,15 +675,18 @@ def params_to_box(params: FilterParameters) -> BoxPoint:
 
 
 def sample_box(seed: int, n: int, m: int, rho: float) -> BoxPoint:
-    """Draw box coordinates uniformly; deterministic for a fixed seed."""
+    """Draw box coordinates uniformly; deterministic for a fixed seed.
+
+    Each pole's radius is uniform on ``[0, rho)``, the paper's box, with no
+    cap below ``rho``.
+    """
     rng = np.random.default_rng(seed)
     coords = np.zeros((m, 2 * n))
     if m:
         coords[:, 0] = rng.uniform(0.0, np.pi, size=m)
         coords[:, 1 : 2 * n - 1] = rng.uniform(0.0, 2 * np.pi, size=(m, 2 * n - 2))
-        cap = min(float(rho), _ALPHA_CAP)
-        if cap > 0.0:
-            coords[:, 2 * n - 1] = rng.uniform(0.0, cap, size=m)
+        if rho > 0.0:
+            coords[:, 2 * n - 1] = rng.uniform(0.0, float(rho), size=m)
     return BoxPoint(n=n, rho=rho, coords=coords)
 
 

@@ -20,7 +20,7 @@ is tested with a relative margin, ``H > delta ||H||_1 I`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -200,6 +200,10 @@ class SteinCertificate:
     ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.  ``method`` is
     ``"block"`` when ``H`` is the closed-form block-diagonal solution of the
     cascade layout and ``"dense"`` when it came from the doubling series.
+    On the block path the elementary block of ``H`` is ``I``, which enters
+    the residuals unweighted and is neither inverted nor factored: every
+    core has ``||H_j||_1 >= 1``, ``||H_j^-1||_1 >= 1`` and
+    ``lambda_min(H_j) <= 1``, so the identity changes no field.
     ``worst_block`` names the block whose rows of the full residual
     ``[A B; C D]* diag(H, I) [A B; C D] - diag(H, I)`` have the largest
     Frobenius norm: the 0-based index ``i`` of the factor whose core it is
@@ -304,13 +308,7 @@ def _pole_roots(alpha: complex, n: int) -> np.ndarray:
     r = complex(alpha) ** (1.0 / n)
     if n == 4:
         return np.array([r, -r, 1j * r, -1j * r])
-    return r * _unity_roots(n)
-
-
-@lru_cache(maxsize=None)
-def _unity_roots(n: int) -> np.ndarray:
-    """The ``n`` n-th roots of unity, shared by every pole of a band count."""
-    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
+    return r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def realize_allpass_core(alpha: complex, n: int) -> Realization:
@@ -496,7 +494,8 @@ def _lu(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
     pivot; ``slogdet`` factors each matrix the same way and has sign 0
     just there, so the other points are solved again without them.
     """
-    shifted = points[:, None, None] * _eye(r.state_dim) - r.a
+    shifted = np.negative(np.broadcast_to(r.a, (points.size,) + r.a.shape), order="C")
+    shifted.reshape(points.size, -1)[:, :: r.state_dim + 1] += points[:, None]
     invertible = np.ones(points.size, dtype=bool)
     try:
         x = np.linalg.solve(shifted, r.b[None])
@@ -607,28 +606,26 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     A realization in the cascade layout (``A`` upper triangular with
     ``n*(n-1)/2 + k*n`` states for ``n`` outputs, as :func:`realize_wavelet`
     builds and a realization file keeps) first gets the closed-form
-    candidate ``diag(H_1, ..., H_k, I)`` of :func:`_block_solution`; no
-    Stein equation is solved for it.  :func:`_block_certificate` sums the
-    ``(p + N_in)**2`` residual over the nonzero columns of each block row
-    of ``S = [A B; C D]``, joined one block row at a time from ``A``,
-    ``B``, ``C`` and ``D`` and never assembled whole, for a realization of
-    any shape and without forming ``diag(H, I)``, so every entry of ``S``
-    enters the residuals and the block structure cannot create a false
-    pass.  The candidate is
-    kept when its state-equation residual is at most ``TOL`` (1e-9)
-    relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``: a stable
-    ``A`` has exactly one solution of the state equation, so a kept
-    candidate is that solution, and a failed cross or input identity is
-    the realization's own.  Otherwise (as for a cascade-layout file whose
-    cores are not in the bidiagonal normal form) and for every other
-    layout, ``H`` is summed from the series ``sum_k (A*)**k C*C A**k`` with
-    doubling acceleration, which converges quadratically when the spectral
-    radius of ``A`` is below one, and the same routine certifies it as a
-    single block.
+    candidate ``diag(H_1, ..., H_k, I)``: :func:`_block_solution` gives the
+    cores, with no Stein equation solved, and the elementary block ``I``
+    enters the residuals unweighted and is neither inverted nor factored,
+    which changes no field (see :class:`SteinCertificate`).
+    :func:`_block_certificate` sums the residual over every nonzero of
+    ``S = [A B; C D]``, one block row at a time, for a realization of any
+    shape, so the block structure cannot create a false pass.  The
+    candidate is kept when its state-equation residual is at most ``TOL``
+    (1e-9) relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``: a
+    stable ``A`` has exactly one solution of the state equation, so a kept
+    candidate is that solution, and a failed cross or input identity is the
+    realization's own.  Otherwise (as for a cascade-layout file whose cores
+    are not in the bidiagonal normal form) and for every other layout,
+    ``H`` is summed from the series ``sum_k (A*)**k C*C A**k`` with doubling
+    acceleration, which converges quadratically when the spectral radius of
+    ``A`` is below one, and the same routine certifies it as a single block.
 
     The certificate reports Hermiticity, the 1-norm condition number of
     ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I``
-    (``delta = 1e-12``, one Cholesky factorization per block), which with
+    (``delta = 1e-12``, one stacked Cholesky factorization), which with
     the block identities certifies minimality: the ``H``-balanced system
     matrix is then unitary, so both of its Gramians are the identity.  A
     plain Cholesky is not enough: rounding lets it succeed on ``H`` with a
@@ -648,29 +645,31 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     if r.upper_triangular and np.abs(np.diagonal(r.a)).max(initial=0.0) >= 1.0:
         raise ConvergenceError("Stein equation rejected: spectral radius max |a_ii| is >= 1")
     if cascade_index(r) is not None and r.upper_triangular:
-        blocks = _block_solution(r)
-        if blocks is not None:
-            cert = _block_certificate(r, *blocks)
+        cores = _block_solution(r)
+        if cores is not None:
+            cert = _block_certificate(r, cores)
             if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
                 return cert
-    return _block_certificate(r, np.zeros((0, 0, 0)), _series_solution(r), "dense")
+    return _block_certificate(r, np.zeros((0, 0, 0)), _series_solution(r))
 
 
-def _block_solution(r: Realization) -> tuple[np.ndarray, np.ndarray] | None:
-    """The closed-form diagonal blocks of the cascade's Stein solution, or None.
+def _block_solution(r: Realization) -> np.ndarray | None:
+    """The closed-form core blocks of the cascade's Stein solution, or None.
 
-    Returns the ``k`` core blocks stacked as ``(k, n, n)``, top first, and
-    the identity for the elementary block, whose system matrix is a
-    permutation times the DFT.  A core in the bidiagonal normal form of
-    :func:`realize_allpass_core` (the one-input section with ``D = 0``, so
-    the ``A`` of every factor) is similar to the lattice all-pass section
-    (Gray & Markel, IEEE Trans. AU-21(6), 1973), whose system matrix is
-    unitary; with ``K_j = [e_n, A_jj e_n, ..., A_jj**(n-1) e_n]``, which is
+    Returns the ``k`` core blocks stacked as ``(k, n, n)``, top first.  A
+    core in the bidiagonal normal form of :func:`realize_allpass_core` (the
+    one-input section with ``D = 0``, so the ``A`` of every factor) is
+    similar to the lattice all-pass section (Gray & Markel, IEEE Trans.
+    AU-21(6), 1973), whose system matrix is unitary; with
+    ``K_j = [e_n, A_jj e_n, ..., A_jj**(n-1) e_n]``, which is
     anti-triangular with a unit anti-diagonal, ``H_j = (K_j K_j*)**-1``.
     It is formed as ``K_j**-* K_j**-1``: inverting ``K_j K_j*`` would square
     the condition number, and at (16, 32) its state residual measured
     1.4e-9 relative against 1.1e-13.  A singular or non-finite ``K_j``
-    gives None.
+    gives None.  The elementary block, whose system matrix is a permutation
+    times the DFT, is ``I`` and is not built here: :func:`_block_certificate`
+    puts it in ``h`` alone, takes its rows unweighted and neither inverts
+    nor factors it, which changes no field (see there).
     """
     n, k = r.outputs, cascade_index(r)
     kn = k * n
@@ -686,7 +685,7 @@ def _block_solution(r: Realization) -> tuple[np.ndarray, np.ndarray] | None:
         cores = _stack_adjoint(inverse) @ inverse
     if not np.isfinite(cores).all():
         return None
-    return (cores + _stack_adjoint(cores)) / 2.0, np.eye(r.state_dim - kn, dtype=complex)
+    return (cores + _stack_adjoint(cores)) / 2.0
 
 
 def _series_solution(r: Realization) -> np.ndarray:
@@ -726,43 +725,46 @@ def _row_energy(x: np.ndarray) -> np.ndarray:
 
 
 def _block_certificate(
-    r: Realization, cores: np.ndarray, last: np.ndarray, method: str = "block"
+    r: Realization, cores: np.ndarray, dense: np.ndarray | None = None
 ) -> SteinCertificate:
-    """The certificate of ``H = diag(cores[0], ..., cores[k-1], last)``.
+    """The certificate of ``H = diag(cores[0], ..., cores[k-1], I)``, the
+    block path, or with empty ``cores`` of ``H = dense``, the dense path,
+    where ``worst_block`` stays None.
 
-    ``last`` is the elementary block, or all of ``H`` with no cores on the
-    dense path, where ``worst_block`` stays None and ``last`` itself, made
-    read-only, is the ``H`` the certificate keeps.  With ``S = [A B; C D]``,
-    ``R = S* diag(H, I) S - diag(H, I)``, of size ``(p + N_in)**2``, holds
-    the state equation in ``R[:p, :p]``, the cross identity in ``R[:p, p:]``
-    and the input identity in ``R[p:, p:]``.  One pass per block row ``S_b``
-    (the cores top first, ``last``, ``[C D]``) adds ``S_b[:, J]* W_b S_b[:, J]``
-    into ``R[J, J]``, ``J`` the nonzero columns of ``S_b`` and ``W_b`` its
-    block of ``H`` (none for ``[C D]``), so every nonzero of ``S`` enters the
-    residuals.  Each ``S_b`` is joined from its rows of ``A`` and ``B``, or
-    from ``C`` and ``D``, and dropped before the next: ``S`` is never
-    assembled whole, and ``H``, built once and made read-only, is kept by
-    the certificate, not copied.  Then each block of ``H``, and 1 on the
-    diagonal of ``R[p:, p:]``, is subtracted: ``diag(H, I)`` is never
-    formed, so any realization shape is accepted.  The norms, the inverse, the Hermiticity
-    and the Cholesky test of ``H`` are taken per block: for a block-diagonal
-    ``H`` each is the dense one.
+    With ``S = [A B; C D]``, ``R = S* diag(H, I) S - diag(H, I)`` holds the
+    state equation in ``R[:p, :p]``, the cross identity in ``R[:p, p:]``
+    and the input identity in ``R[p:, p:]``.  One pass per block row
+    ``S_b`` (the cores top first, the rest of ``[A B]``, ``[C D]``) adds
+    ``S_b[:, J]* W_b S_b[:, J]`` into ``R[J, J]``, ``J`` the nonzero columns
+    of ``S_b`` and ``W_b`` its block of ``H``, so every nonzero of ``S``
+    enters.  The elementary rows enter unweighted, as ``[C D]``'s do: their
+    block is ``I``.  ``S`` is never assembled whole, and ``H``, built once
+    and made read-only (``dense`` itself), is kept, not copied.  The cores,
+    or ``dense``, then 1 on the diagonal past them are subtracted, so
+    ``diag(H, I)`` is never formed and any shape is accepted.  The
+    Hermiticity, the norms, the inverse and the Cholesky test run over the
+    cores, or ``dense``, alone, each the dense one for a block-diagonal
+    ``H``.  The identity is neither inverted nor factored and changes none
+    of them: ``det K_j = +-1`` gives every core ``||H_j||_1 >= 1``,
+    ``||H_j**-1||_1 >= 1`` and ``lambda_min(H_j) <= 1``.  With no cores the
+    identity's values stand: norm 1, condition 1, positive definite.
     """
     k, n, _ = cores.shape
     kn, p = k * n, r.state_dim
-    if k:
+    if dense is None:
         h = np.zeros((p, p), dtype=complex)
         h[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = cores
-        h[kn:, kn:] = last
+        h.reshape(-1)[kn * (p + 1) :: p + 1] = 1.0
     else:
-        h = last
+        # one block of size p, and no identity past it
+        h, cores, k, n, kn = dense, dense[None], 1, p, p
     h.flags.writeable = False
     size = p + r.inputs
     residual = np.zeros((size, size), dtype=complex)
     flat = residual.reshape(-1)
     bounds = [j * n for j in range(k + 1)] + [p]
     rows = [(r.a[lo:hi], r.b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] + [(r.c, r.d)]
-    for (left, right), w in zip(rows, [*cores, last, None]):
+    for (left, right), w in zip(rows, [*cores, None, None]):
         block = np.concatenate((left, right), axis=1)
         cols = block.any(axis=0).nonzero()[0]
         block = block[:, cols]
@@ -770,32 +772,27 @@ def _block_certificate(
         flat[cols[:, None] * size + cols] += block.conj().T @ (block if w is None else w @ block)
     # H's blocks alone: a strided pass over all of R[:p, :p] took 0.1 ms at 258 states
     residual[:kn, :kn].reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] -= cores
-    residual[kn:p, kn:p] -= last
-    flat[p * size + p :: size + 1] -= 1.0
-    stacks = [s for s in (cores, last[None]) if s.size]
-    hermiticity = float(np.linalg.norm([np.linalg.norm(s - _stack_adjoint(s)) for s in stacks]))
-    condition, positive, norm_h, worst = 1.0, True, 0.0, None
-    if p:
-        norm_h = max(float(np.abs(s).sum(axis=1).max()) for s in stacks)
+    flat[kn * (size + 1) :: size + 1] -= 1.0
+    hermiticity = float(np.linalg.norm(cores - _stack_adjoint(cores)))
+    # the identity's values with no cores, and norm 0 for an empty H
+    condition, positive, norm_h, worst = 1.0, True, float(p > 0), None
+    if cores.size:
+        norm_h = float(np.abs(cores).sum(axis=1).max())
         try:
-            condition = norm_h * max(
-                float(np.abs(np.linalg.inv(s)).sum(axis=1).max()) for s in stacks
-            )
+            condition = norm_h * float(np.abs(np.linalg.inv(cores)).sum(axis=1).max())
         except np.linalg.LinAlgError:
             condition = float("inf")
+        shifted = (cores + _stack_adjoint(cores)) / 2.0
+        shifted.reshape(k, -1)[:, :: n + 1] -= _PD_MARGIN * norm_h
         try:
-            for s in stacks:
-                margin = _PD_MARGIN * norm_h * _eye(s.shape[-1])
-                np.linalg.cholesky((s + _stack_adjoint(s)) / 2.0 - margin)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             positive = False
     state, cross = _row_energy(residual[:p, :p]), _row_energy(residual[:p, p:])
-    if p and method == "block":
+    if p and dense is None:
         # squared Frobenius norm of each block's rows of R, cores top first
         rows = state + cross
-        energy = list(rows[:kn].reshape(k, n).sum(axis=1))
-        if last.size:
-            energy.append(rows[kn:].sum())
+        energy = [*rows[:kn].reshape(k, n).sum(axis=1), rows[kn:].sum()]
         top = int(np.argmax(energy))
         worst = k - 1 - top if top < k else "elementary"
     return SteinCertificate(
@@ -807,6 +804,6 @@ def _block_certificate(
         condition_estimate=condition,
         positive_definite=positive,
         norm_h=norm_h,
-        method=method,
+        method="block" if dense is None else "dense",
         worst_block=worst,
     )

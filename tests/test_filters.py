@@ -608,6 +608,23 @@ class TestSampling:
             assert np.array_equal(f.v, g.v)
             assert f.alpha == g.alpha
 
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 0.0), (4, 8, 0.9), (16, 32, 0.999), (4, 32, 1.0)])
+    def test_draws_replay_the_generator_stream(self, n, m, rho):
+        # the chain angle, the phases and the pole angle, then the radius
+        # uniform on [0, rho), all from one stream
+        rng = np.random.default_rng(3)
+        coords = np.zeros((m, 2 * n))
+        coords[:, 0] = rng.uniform(0.0, np.pi, size=m)
+        coords[:, 1:-1] = rng.uniform(0.0, 2 * np.pi, size=(m, 2 * n - 2))
+        if rho:
+            coords[:, -1] = rng.uniform(0.0, rho, size=m)
+        assert sample_box(3, n, m, rho).coords.tobytes() == coords.tobytes()
+
+    def test_unit_radius_draws_near_the_circle(self):
+        # no cap below rho: at rho = 1 this seed draws a pole past 0.999
+        p = sample_parameters(124, 4, 32, 1.0)
+        assert 0.999 < max(abs(f.alpha) for f in p.factors) < 1.0
+
     def test_invariants_over_seed_sweep(self):
         for seed in range(100):
             p = sample_parameters(seed, 3, 3, 0.9)

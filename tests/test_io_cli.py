@@ -1051,8 +1051,9 @@ class TestUnwritableOutput:
         }[command]
         capsys.readouterr()
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{out}: cannot write" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"{out}: cannot write" in captured.err
 
     @pytest.mark.parametrize(
         "write",

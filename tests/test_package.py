@@ -1,5 +1,6 @@
 """Tests of the package surface and its runtime dependencies."""
 
+import ast
 import json
 import os
 import re
@@ -95,3 +96,57 @@ def test_readme_cli_tour_runs(tmp_path, monkeypatch, capsys):
         assert argv[0] == "wfk", argv
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
     assert json.loads(Path("rebuilt.csv.json").read_text())["reconstruction_error"] <= 1e-12
+
+
+def _read_names(tree):
+    """Every name ``tree`` reads: loaded names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported_names(tree):
+    """The names that the imports of ``tree`` bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+
+
+def _private_names(tree):
+    """The private names that the top level of ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_no_unread_imports_or_private_names():
+    # a leftover of a removal: an import the module no longer reads, or a
+    # private top-level name that nothing in the package reads
+    trees = {path.name: ast.parse(path.read_text()) for path in (SRC / "wfk").glob("*.py")}
+    read = {name: _read_names(tree) for name, tree in trees.items()}
+    everywhere = set().union(*read.values())
+    unread = [
+        f"{name}: import {bound}"
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for bound in _imported_names(tree)
+        if bound not in read[name]
+    ]
+    unread += [
+        f"{name}: {private}"
+        for name, tree in trees.items()
+        for private in _private_names(tree)
+        if private not in everywhere
+    ]
+    assert not unread

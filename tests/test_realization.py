@@ -48,7 +48,7 @@ from wfk import (
     unit_circle_points,
     wavelet_eval,
 )
-from wfk import realization
+from wfk import filters, realization
 from wfk.io import load_realization, save_realization
 from wfk.realization import (
     _block_certificate,
@@ -1219,6 +1219,21 @@ class TestBlockStein:
         assert cert.method == "dense" and len(solved) == 1
         assert np.shares_memory(cert.h, solved[0]) and not cert.h.flags.writeable
 
+    def test_dense_path_asks_the_identity_cache_for_band_sizes_only(self, monkeypatch):
+        # filters._eye keeps every identity it builds for the life of the
+        # process, so a state-sized one would stay
+        sizes = []
+        eye = filters._eye
+        for module in (filters, realization):
+            monkeypatch.setattr(module, "_eye", lambda k: sizes.append(k) or eye(k))
+        params = sample_parameters(5, 4, 8, 0.9)
+        r = rotate(realize_wavelet(params), seed=3)
+        assert r.state_dim == 38 and not r.upper_triangular
+        eval_realization(r, circle(64, seed=1))
+        eval_realization(r, complex(circle(1, seed=2)[0]))
+        assert stein_certificate(r).method == "dense"
+        assert max(sizes, default=0) <= params.n
+
     @pytest.mark.parametrize(
         "n, m, rho",
         [
@@ -1232,19 +1247,19 @@ class TestBlockStein:
     )
     def test_structured_certificate_equals_dense(self, n, m, rho):
         valid = realize_wavelet(sample_parameters(1, n, m, rho))
-        cores, elementary = _block_solution(valid)
-        assert cores.shape == (m, n, n) and elementary.shape == (n * (n - 1) // 2,) * 2
+        cores = _block_solution(valid)
+        assert cores.shape == (m, n, n)
         # the valid system, and one with every nonzero of S moved and a zero
         # of A and of C filled in, so that every residual is far from 0 and
         # a block row's nonzero columns differ from the cascade's
         for r in (valid, _perturbed(valid, seed=n + m)):
-            block = _block_certificate(r, cores, elementary)
+            block = _block_certificate(r, cores)
             # the same H certified as one dense block, as the series solution is
-            single = _block_certificate(r, np.zeros((0, 0, 0)), block.h, "dense")
+            single = _block_certificate(r, np.zeros((0, 0, 0)), block.h)
             assert np.array_equal(block.h, single.h)
             for lo in range(0, m * n, n):
                 assert np.array_equal(block.h[lo : lo + n, lo : lo + n], cores[lo // n])
-            assert np.array_equal(block.h[m * n :, m * n :], elementary)
+            assert np.array_equal(block.h[m * n :, m * n :], np.eye(n * (n - 1) // 2))
             # the dense formulas, written out
             h, a_h, c_h = block.h, adjoint(r.a), adjoint(r.c)
             dense = {
@@ -1290,19 +1305,32 @@ class TestBlockStein:
             op = np.eye((hi - lo) ** 2) - np.kron(a_j.T, adjoint(a_j))
             x = np.linalg.solve(op, q.reshape(-1, order="F")).reshape(q.shape, order="F")
             h[lo:hi, lo:hi] = (x + adjoint(x)) / 2.0
-        k = len(edges) - 2
-        cores = np.array([h[lo:hi, lo:hi] for lo, hi in zip(edges[:k], edges[1 : k + 1])])
-        block = _block_certificate(bad, cores, h[edges[k] :, edges[k] :])
+        # its elementary block is not the identity, so it is certified whole
+        block = _block_certificate(bad, np.zeros((0, 0, 0)), h)
         state = adjoint(bad.a) @ block.h @ bad.a + adjoint(bad.c) @ bad.c - block.h
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert np.linalg.norm(state[lo:hi, lo:hi]) <= 1e-12 * block.scale
         assert block.residual_state > 1e-6 * block.scale
         # the closed-form candidate reads only the diagonal blocks of A, so
         # the change does not reach it; the certificate rejects it
-        assert np.array_equal(_block_solution(bad)[0], _block_solution(r)[0])
+        assert np.array_equal(_block_solution(bad), _block_solution(r))
         cert = stein_certificate(bad)
         assert cert.method == "dense"
         assert cert.relative_block_residual > 1e-9
+
+    @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (4, 0, 0.0), (16, 32, 0.999)])
+    def test_only_the_cores_are_inverted_and_factored(self, n, m, rho, monkeypatch):
+        # the elementary block of H is the identity: it is neither inverted
+        # nor Cholesky-factored
+        shapes = []
+        for name in ("inv", "cholesky"):
+            routine = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda x, f=routine: shapes.append(np.shape(x)) or f(x)
+            )
+        cert = stein_certificate(realize_wavelet(sample_parameters(1, n, m, rho)))
+        assert cert.method == "block" and cert.positive_definite
+        assert shapes and all(shape[-2:] == (n, n) for shape in shapes)
 
     def test_worst_block_names_a_factor_of_a_scaled_input(self):
         params = sample_parameters(2, 4, 8, 0.9)
