@@ -12,7 +12,8 @@ parametrization over a real box, convenient for sampling and optimization.
 Two blocked kernels apply the factors: :func:`_factor_updates` for the
 evaluators, and :func:`_block_lattice`, the FIR polyphase lattice, for the
 impulse responses of :class:`SubbandFilterSet` and the subband signals of
-:mod:`wfk.signal`.
+:mod:`wfk.signal`.  It, the polyphase split and the realization evaluator
+size their working sets by one budget, ``_WORK_ENTRIES``.
 
 Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
@@ -67,12 +68,40 @@ _FACTOR_BLOCK = 8
 # 2-CPU Xeon.  Larger blocks mean fewer passes over the rows but a longer
 # sequential recurrence.
 _BLOCK = 16
-# Widest panel, in columns, so that neither work array nears the size of a
-# signal-length array.  2048-column panels: 2.7 ms, but 4x the workspace.
-_MAX_PANEL = 4096
+# Entries that a blocked loop's work may hold at a time, 2**15 complex
+# entries (512 KiB): each work array of an eval_realization point chunk (X
+# and the ratios that give Q in _sweep, the stacked zI - A in _lu, C X in
+# both; one point when that needs more), the samples of a _polyphase copy
+# block, and both work arrays of a _block_lattice panel.  Measured with one
+# BLAS thread on a 2-CPU host, eval_realization as ms for one 512-point call
+# (warm heap, median of 3 in-process runs interleaving the budgets) / minor
+# faults of one `wfk verify` of a realization file (in the certify
+# benchmark's order; at (16,32) a loop of verifies in a fresh process):
+#
+#   budget        2**18         2**16         2**15         2**14
+#   (4,8,.9)      1.08 / 16     1.10 / 33     1.09 / 33     1.15 / 22
+#   (8,16,.99)    2.77 / 740    2.56 / 515    2.23 / 134    2.57 / 15
+#   (12,16,.999)  5.28 / 2258   5.28 / 1536   5.79 / 843    6.86 / 846
+#   (16,32,.999) 13.41 / 2385  11.89 / 1415  13.91 / 1433  17.33 / 1500
+#
+# 2**15 faults half as often as 2**16 at n = 8 and 12; 2**14 faults no
+# less and computes slower.  _polyphase at 2**17 samples, n = 2 / 16:
+# 0.14 / 0.24 ms against 0.18 / 0.41 ms unblocked.  With one BLAS thread a
+# budget moves no bit of _polyphase or _block_lattice, and none of
+# eval_realization when N_in is a multiple of 4: otherwise BLAS rounds a
+# column of _sweep's vector-matrix products by its place in the unrolled
+# loop, which moved values by up to 6.5e-16 of their largest modulus at
+# N_in = 2, 3 and 5.
+_WORK_ENTRIES = 1 << 15
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """``a`` as an array that nothing can write: ``a`` itself when it and
+    the array that owns its memory are read-only, else a read-only copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        owner = a if a.base is None else a.base
+        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
+            return a
     out = np.array(a)
     out.flags.writeable = False
     return out
@@ -268,15 +297,14 @@ class SubbandFilterSet:
         signal path, laid out as ``y[i, r, j]`` = tap ``n*j + r`` of band
         ``i``, so the delay ``z**-n`` of a factor is a shift by one in
         ``j``.  The shift never wraps a nonzero tap: before factor ``k``
-        only ``j < k`` is filled.  A row is one panel: the default panels,
-        sized for signals, cut the short tap rows into 8-column pieces.
+        only ``j < k`` is filled.  A tap row is one panel when its work fits
+        in ``_WORK_ENTRIES``: for ``n <= 16`` whenever ``n*(m+1) <= 1024``.
         """
         n = self.n
         y = np.zeros((n, n, self.vectors.shape[0] + 1), dtype=complex)
         # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
         y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
-        rows = y.reshape(n, -1)
-        _block_lattice(rows, self.vectors, rows.shape[1])
+        _block_lattice(y.reshape(n, -1), self.vectors)
         responses = []
         for band in y:
             coeffs = band.T.reshape(-1)
@@ -485,7 +513,7 @@ def _block_setup(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vc, g
 
 
-def _block_lattice(y: np.ndarray, vectors: np.ndarray, width: int | None = None) -> None:
+def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
     """Apply ``I + (S - I) v v*`` for each row ``v`` of ``vectors`` in turn to
     the rows of ``y``, ``_BLOCK`` factors at a time.
 
@@ -507,25 +535,25 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray, width: int | None = None)
     without the wrap, give it exactly.  A block therefore holds at most as
     many factors as ``y`` has columns.
 
-    Works in place on two work arrays that together hold at most two rows'
-    worth of samples (plus a few columns when a row is short): ``d`` holds
-    a panel's ``P`` and then its ``D``; ``work`` holds the ``s_j``, each
-    with a spare column for the carried value, and then ``V^T D``.  Panels
-    are ``width`` columns wide when it is given, else the widest multiple
-    of 8 that keeps that bound, at most ``_MAX_PANEL``.  With one BLAS
-    thread any multiple of 8, or a width of at least the row, gives the
-    same bits: every panel then starts at a multiple of 8, and the products
-    round a column alike wherever such a panel puts it.  With more threads
-    OpenBLAS splits a large enough product at columns that depend on its
-    width, and the bits may move by rounding there.
+    Works in place on two work arrays, ``k + max(k, n)`` entries a panel
+    column: ``d`` holds a panel's ``P`` and then its ``D``; ``work`` the
+    ``s_j``, each with a spare column for the carried value, then ``V^T D``.
+    A row whose one panel fits in ``_WORK_ENTRIES`` entries is one panel,
+    as the taps are; any other is cut into panels of the widest multiple of
+    8 that keeps the arrays within two rows' worth and ``_WORK_ENTRIES``.
+    With one BLAS thread any multiple of 8, or a width of at least the row,
+    gives the same bits: every panel then starts at a multiple of 8, and the
+    products round a column alike wherever such a panel puts it.  With more
+    threads OpenBLAS splits a large enough product at columns that depend on
+    its width, and the bits may move by rounding there.
     """
     n, cols = y.shape
     k = min(_BLOCK, vectors.shape[0], cols)
     if not k:
         return
-    if width is None:
-        width = (2 * cols // (k + max(k, n)) - 8) // 8 * 8
-        width = min(max(width, 8), _MAX_PANEL)
+    per_column = k + max(k, n)
+    width = max((min(2 * cols, _WORK_ENTRIES) // per_column - 8) // 8 * 8, 8)
+    width = cols if cols * per_column <= _WORK_ENTRIES else width
     # a remainder under 8 columns joins the last panel: a one-column panel
     # would turn the products into matrix-vector products, with other bits
     starts = range(0, max(cols - 7, 1), width)

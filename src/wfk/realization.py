@@ -32,6 +32,7 @@ from .errors import (
 )
 from .filters import (
     _UNIT_NORM_TOL,
+    _WORK_ENTRIES,
     TOL,
     FilterParameters,
     _eye,
@@ -39,29 +40,6 @@ from .filters import (
     _point_or_array,
     dft_matrix,
 )
-
-# An array chunk of eval_realization holds at most _CHUNK_ENTRIES entries of
-# each work array (X and the ratios that give Q in _sweep, the stacked
-# zI - A in _lu, C X in both), or one point when that needs more.  2**15
-# complex entries are 512 KiB.  Measured with one BLAS thread on a 2-CPU
-# host, as ms for one 512-point call (warm heap, median of 3 in-process
-# runs interleaving the budgets) / minor faults of one `wfk verify` of a
-# realization file (in the certify benchmark's order; at (16,32) a loop of
-# verifies in a fresh process):
-#
-#   budget        2**18         2**16         2**15         2**14
-#   (4,8,.9)      1.08 / 16     1.10 / 33     1.09 / 33     1.15 / 22
-#   (8,16,.99)    2.77 / 740    2.56 / 515    2.23 / 134    2.57 / 15
-#   (12,16,.999)  5.28 / 2258   5.28 / 1536   5.79 / 843    6.86 / 846
-#   (16,32,.999) 13.41 / 2385  11.89 / 1415  13.91 / 1433  17.33 / 1500
-#
-# 2**15 faults half as often as 2**16 at n = 8 and 12; 2**14 faults no
-# less and computes slower.  With one BLAS thread the values' bytes do not
-# depend on the budget, or on a point's place in the array, only when N_in
-# is a multiple of 4: otherwise BLAS rounds a column of _sweep's
-# vector-matrix products by its place in the unrolled loop, which moved
-# values by up to 6.5e-16 of their largest modulus at N_in = 2, 3 and 5.
-_CHUNK_ENTRIES = 1 << 15
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -223,11 +201,7 @@ class SteinCertificate:
     worst_block: int | str | None = None
 
     def __post_init__(self):
-        # an array owning read-only memory, as _block_certificate builds H,
-        # is kept: nothing can write it through another array
-        h = self.h
-        if not isinstance(h, np.ndarray) or h.flags.writeable or h.base is not None:
-            object.__setattr__(self, "h", _frozen(h))
+        object.__setattr__(self, "h", _frozen(self.h))
 
     @property
     def max_block_residual(self) -> float:
@@ -454,9 +428,9 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     are solved one at a time, last first, for all points at once, and ``X``
     is formed only at the tops.  A state matrix that is not upper
     triangular gets one stacked LU, for a point or an array.  Both array
-    solvers take the points in chunks sized from one entry budget,
-    ``_CHUNK_ENTRIES``, and each returns its chunk's values with a
-    per-point mask of where it could solve.
+    solvers take the points in chunks sized from ``_WORK_ENTRIES``, the
+    budget of every blocked loop, and each returns its chunk's values with
+    a per-point mask of where it could solve.
 
     Raises
     ------
@@ -474,7 +448,7 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     else:
         solve, entries = _lu, p * max(p, r.inputs)
     # both solvers also form C X, N_out x N_in entries per point
-    chunk = max(1, _CHUNK_ENTRIES // max(entries, r.outputs * r.inputs, 1))
+    chunk = max(1, _WORK_ENTRIES // max(entries, r.outputs * r.inputs, 1))
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     finite = np.empty(points.size, dtype=bool)
     for k in range(0, points.size, chunk):

@@ -17,8 +17,8 @@ and one its rank-one updates (the WY form of a product of rank-one
 updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
 Schreiber & Van Loan, ibid. 10, 1989).  Each factor's algebra is that of
 the one-factor lattice, so the bands equal its bands up to rounding.  The
-two work arrays together hold at most two polyphase rows' worth of
-samples, about ``2L/n``.
+two work arrays hold a whole row when that fits in ``_WORK_ENTRIES``
+entries, else at most two rows' worth, about ``2L/n``, and that budget.
 
 The subband path is circular (periodic) by design: with a signal length
 divisible by the band count the round trip is an exact circular delay, so
@@ -41,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import SubbandFilterSet, _block_lattice
-
-# Samples per block of _polyphase's copy (512 KiB), so that every row takes
-# its part of a block while the block is in cache; at 2**17 samples,
-# n = 2 / 16: 0.14 / 0.24 ms against 0.18 / 0.41 ms unblocked.
-_COPY_CELLS = 1 << 15
+from .filters import _WORK_ENTRIES, SubbandFilterSet, _block_lattice, _frozen
 
 
 def _as_signal(x) -> np.ndarray:
@@ -66,12 +61,10 @@ class SubbandSet:
     def __post_init__(self):
         if len(self.bands) != self.n:
             raise InvariantError(f"expected {self.n} bands, got {len(self.bands)}")
-        bands = tuple(_as_signal(b) for b in self.bands)
+        bands = tuple(_frozen(_as_signal(b)) for b in self.bands)
         lengths = {b.size for b in bands}
         if len(lengths) > 1:
             raise InvariantError(f"bands must have equal lengths, got {sorted(lengths)}")
-        for b in bands:
-            b.flags.writeable = False
         object.__setattr__(self, "bands", bands)
 
     @property
@@ -83,7 +76,7 @@ def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
     """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``.
 
     A transpose of ``x`` seen as ``L/n`` rows of ``n``, copied a block of
-    about ``_COPY_CELLS`` samples at a time: every row takes its part of a
+    about ``_WORK_ENTRIES`` samples at a time: every row takes its part of a
     block while the block is in cache, so each cache line of ``x`` is
     fetched once, not once per row that reads it.  A copy moves no bits.
     """
@@ -92,7 +85,7 @@ def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
     y = np.empty(cols.shape, dtype=complex)
     if c:
         y[1:, 0] = cols[:0:-1, -1]
-    step = max(_COPY_CELLS // n, 1)
+    step = max(_WORK_ENTRIES // n, 1)
     for a in range(0, c, step):
         b = min(a + step, c)
         y[0, a:b] = cols[0, a:b]
@@ -151,6 +144,7 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     y = _polyphase(x, n)
     with np.errstate(over="ignore", invalid="ignore"):
         _block_lattice(y, filters.vectors)
+    y.flags.writeable = False  # so the set keeps the rows, not a copy
     try:
         return SubbandSet(n=n, bands=tuple(y))
     except InvariantError:  # x was finite, so a band that is not overflowed

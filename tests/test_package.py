@@ -150,3 +150,49 @@ def test_no_unread_imports_or_private_names():
         if private not in everywhere
     ]
     assert not unread
+
+
+def _defaulted_parameters(function):
+    """``(position, name)`` of each defaulted parameter of ``function``;
+    the position is None for a keyword-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    for position in range(len(positional) - len(args.defaults), len(positional)):
+        yield position, positional[position].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, position, name, bound):
+    """Whether ``call`` gives the parameter ``name`` at ``position``, for a
+    function that binds ``bound`` leading arguments when called as an attribute."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    given = len(call.args) + (bound if isinstance(call.func, ast.Attribute) else 0)
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (given > position or starred)
+
+
+def test_every_default_of_a_private_function_is_passed():
+    # a default that no call in the package overrides is a setting that
+    # only tests use; a private function takes such a value as a constant
+    nodes = [node for path in (SRC / "wfk").glob("*.py") for node in ast.walk(ast.parse(path.read_text()))]
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            callee = node.func
+            calls.setdefault(getattr(callee, "id", getattr(callee, "attr", None)), []).append(node)
+    unpassed = []
+    for node in nodes:
+        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+            continue
+        if node.name.endswith("__"):
+            continue
+        bound = int(bool(node.args.args) and node.args.args[0].arg in ("self", "cls"))
+        unpassed += [
+            f"{node.name}: {name}"
+            for position, name in _defaulted_parameters(node)
+            if not any(_passes(call, position, name, bound) for call in calls.get(node.name, []))
+        ]
+    assert not unpassed

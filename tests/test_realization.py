@@ -98,7 +98,7 @@ def chunk_sizes(monkeypatch, solver, budget=None):
         realization, solver, lambda r, pts, out: sizes.append(pts.size) or solve(r, pts, out)
     )
     if budget is not None:
-        monkeypatch.setattr(realization, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(realization, "_WORK_ENTRIES", budget)
     return sizes
 
 
@@ -611,7 +611,7 @@ class TestEvalRealization:
         # pole at -0.5 comes later and is not the one named
         r = Realization(a=a, b=[[1e300], [1e300]], c=[[1.0, 1.0]], d=[[0.0]])
         if chunk:
-            monkeypatch.setattr(realization, "_CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(realization, "_WORK_ENTRIES", chunk)
         pts = np.array([0.9, 0.5 + 1e-10, 0.1, -0.5])
         with np.errstate(over="ignore"):
             with pytest.raises(PoleError, match=re.escape(f"z = {complex(pts[1])!r}")):
@@ -767,13 +767,13 @@ def budget_values():
     bytes of ``eval_realization`` at :func:`verify_points` over the chunk
     budgets of :data:`BUDGETS` (None is the default), and their largest
     difference from the default's values relative to its largest modulus."""
-    default = realization._CHUNK_ENTRIES
+    default = realization._WORK_ENTRIES
     found = {}
     try:
         for name, r in budget_files().items():
             values = []
             for budget in BUDGETS:
-                realization._CHUNK_ENTRIES = default if budget is None else budget
+                realization._WORK_ENTRIES = default if budget is None else budget
                 values.append(eval_realization(r, verify_points(r.outputs)))
             reference = values[BUDGETS.index(None)]
             spread = max(np.abs(v - reference).max() for v in values)
@@ -783,7 +783,7 @@ def budget_values():
                 float(spread / np.abs(reference).max()),
             )
     finally:
-        realization._CHUNK_ENTRIES = default
+        realization._WORK_ENTRIES = default
     return found
 
 

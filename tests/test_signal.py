@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -170,6 +171,16 @@ class TestSynthesize:
         bands = SubbandSet(n=2, bands=(np.full(8, 1e308), np.full(8, 1e308)))
         assert np.array_equal(synthesize(bands, fs), np.full(16, 1e308 + 0j))
 
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_bands_do_not_change_with_the_callers_arrays(self, read_only_view):
+        # a read-only view of a writable array is no more frozen than the array
+        a, b = np.zeros(4, dtype=complex), np.ones(4, dtype=complex)
+        band = a[:] if read_only_view else a
+        band.flags.writeable = not read_only_view
+        bands = SubbandSet(n=2, bands=(band, b))
+        a[0] = 99
+        assert bands.bands[0][0] == 0 and not bands.bands[0].flags.writeable
+
     def test_band_length_mismatch(self):
         with pytest.raises(Exception):
             SubbandSet(n=2, bands=(np.zeros(4), np.zeros(5)))
@@ -327,15 +338,19 @@ class TestInPlaceKernels:
             assert _interleave(reversed_view, delay).tobytes() == want
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
-    def test_polyphase_is_its_definition(self, n):
+    def test_polyphase_is_its_definition(self, n, monkeypatch):
         # y_i[j] = x[(n*j - i) mod L] at lengths 0, n and 7n, and at about
-        # 2**17 samples, where the last copy block is a partial one
-        for length in (0, n, 7 * n, n * (LONG // n + 1)):
-            x = random_signal(length, n + length)
-            j = np.arange(length // n)
-            want = x[(n * j - np.arange(n)[:, None]) % max(length, 1)]
-            got = _polyphase(x, n)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # 2**17 samples, where the last copy block is a partial one; the
+        # same at copy blocks of one column, of 7 // n (at least one) and of
+        # the default budget
+        for budget in (1, 7, wfk.signal._WORK_ENTRIES):
+            monkeypatch.setattr(wfk.signal, "_WORK_ENTRIES", budget)
+            for length in (0, n, 7 * n, n * (LONG // n + 1)):
+                x = random_signal(length, n + length)
+                j = np.arange(length // n)
+                want = x[(n * j - np.arange(n)[:, None]) % max(length, 1)]
+                got = _polyphase(x, n)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_outputs_match_reference(self, monkeypatch):
         # the tap lengths and the delay exactly; the taps, the bands and
@@ -402,32 +417,50 @@ def unit_rows(m, n, seed):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def block_lattice(y, vectors, shift, width=None):
+def block_lattice(y, vectors, shift):
     """The lattice of :func:`reference_lattice` with the roll ``shift`` run
     through ``_block_lattice``, whose roll is 1.  The roll -1 is the roll 1
     conjugated by the time reversal, so it runs the kernel on a copy of the
     rows reversed in time, as synthesis does."""
     z = y[:, ::shift].copy()
-    wfk.filters._block_lattice(z, vectors, width)
+    wfk.filters._block_lattice(z, vectors)
     y[:] = z[:, ::shift]
 
 
+@contextmanager
+def work_entries(budget):
+    """``filters._WORK_ENTRIES`` set to ``budget`` (None keeps the default)
+    for the ``with`` body, also where no ``monkeypatch`` is at hand."""
+    default = wfk.filters._WORK_ENTRIES
+    wfk.filters._WORK_ENTRIES = default if budget is None else budget
+    try:
+        yield
+    finally:
+        wfk.filters._WORK_ENTRIES = default
+
+
+K = wfk.filters._BLOCK
 PANEL_BANDS = (2, 3, 16)
 PANEL_SHIFTS = (1, -1)
 
 
 def panel_width_outputs(n, shift):
-    """``_block_lattice`` at panel widths 8, 128, the row and twice the row,
-    for three block and remainder cases: one list of outputs per case."""
-    k = wfk.filters._BLOCK
+    """``_block_lattice`` at the budgets that give panels 8 and 128 columns
+    wide, at the least budget that makes the row one panel, and at the
+    default, which cuts the long rows into panels of two rows' worth, for
+    three block and remainder cases: one list of outputs per case.  The
+    short row is one panel at every budget but the first."""
     cases = []
-    for m, cols in ((k + 1, 300), (2 * k + 1, 301), (3, 17)):
+    for m, cols in ((K + 1, 3000), (2 * K + 1, 3001), (3, 17)):
+        k = min(K, m)
+        per_column = k + max(k, n)  # entries of the two work arrays
         vectors = unit_rows(m, n, m)
         y = random_signal(n * cols, n + m).reshape(n, cols)
         outs = []
-        for width in (8, 128, cols, 2 * cols):
+        for budget in (16 * per_column, 136 * per_column, cols * per_column, None):
             z = y.copy()
-            block_lattice(z, vectors, shift, width)
+            with work_entries(budget):
+                block_lattice(z, vectors, shift)
             outs.append(z)
         cases.append(outs)
     return cases
@@ -447,22 +480,21 @@ class TestBlockLattice:
     """The blocked lattice of the taps and the signal path against the
     one-factor lattice."""
 
-    K = wfk.filters._BLOCK
-
     @pytest.mark.parametrize("shift", [1, -1])
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_matches_one_factor_lattice(self, n, shift):
         # block edges (m around K), the wrap and one-column bands (cols
-        # around K), and several default-width panels with a remainder
-        # folded into the last (43) or in a panel of its own (1000)
-        k = self.K
-        for m in (0, 1, k - 1, k, k + 1, 2 * k + 1):
+        # around K), one panel each, and several panels of two rows' worth
+        # with a remainder folded into the last (43) or in a panel of its
+        # own (1000), under a budget of two rows, which no row fits whole
+        for m in (0, 1, K - 1, K, K + 1, 2 * K + 1):
             vectors = unit_rows(m, n, 10 * n + m)
-            for cols in (1, 2, k - 1, k, k + 1, 43, 1000):
+            for cols in (1, 2, K - 1, K, K + 1, 43, 1000):
                 y = random_signal(n * cols, m + cols).reshape(n, cols)
                 want = y.copy()
                 reference_lattice(want, vectors, shift)
-                block_lattice(y, vectors, shift)
+                with work_entries(2 * cols if cols > K + 1 else None):
+                    block_lattice(y, vectors, shift)
                 assert np.abs(y - want).max() <= BLOCK_BOUND * np.abs(want).max()
 
     @pytest.fixture(scope="class")
@@ -478,6 +510,17 @@ class TestBlockLattice:
         for outs in panel_width_outputs(n, shift):
             for z in outs[1:]:
                 assert np.abs(z - outs[0]).max() <= BLOCK_BOUND * np.abs(outs[0]).max()
+
+    def test_taps_run_one_panel_a_block(self, monkeypatch):
+        # the tap rows at (16, 32) fit the budget whole: each block of
+        # factors makes the wrap pass and one panel's
+        calls = []
+        differences = wfk.filters._block_differences
+        monkeypatch.setattr(
+            wfk.filters, "_block_differences", lambda *a: calls.append(1) or differences(*a)
+        )
+        subband_filters(sample_parameters(3, 16, 32, 0.0)).responses
+        assert len(calls) == 2 * -(-32 // K)
 
     def test_reversed_stack_is_contiguous(self, monkeypatch):
         # synthesis's reversed factors and time-reversed rows reach the
