@@ -301,9 +301,6 @@ def _cmd_synthesize(args) -> int:
     filters = subband_filters(params)
     band_dir = Path(args.bands)
     bands = [wio.load_signal(band_dir / f"band_{k}.csv") for k in range(params.n)]
-    for band in bands:  # read-only with its memory's owner, so the set keeps it
-        (band if band.base is None else band.base).flags.writeable = False
-        band.flags.writeable = False
     rebuilt = synthesize(SubbandSet(n=params.n, bands=tuple(bands)), filters)
     delay = synthesis_delay(filters)
     sidecar = {"delay": delay, "bands": params.n, "signal_length": int(rebuilt.size)}

@@ -95,14 +95,15 @@ _BLOCK = 16
 _WORK_ENTRIES = 1 << 15
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` as an array that nothing can write: ``a`` itself when it and
-    the array that owns its memory are read-only, else a read-only copy."""
-    if isinstance(a, np.ndarray) and not a.flags.writeable:
+def _frozen(a, dtype=None) -> np.ndarray:
+    """``a`` as an array of ``dtype`` (by default its own) that nothing can
+    write: ``a`` itself when it has that dtype and it and the array that
+    owns its memory are read-only, else one read-only copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == (dtype or a.dtype):
         owner = a if a.base is None else a.base
         if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
             return a
-    out = np.array(a)
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -540,7 +541,8 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
     ``s_j``, each with a spare column for the carried value, then ``V^T D``.
     A row whose one panel fits in ``_WORK_ENTRIES`` entries is one panel,
     as the taps are; any other is cut into panels of the widest multiple of
-    8 that keeps the arrays within two rows' worth and ``_WORK_ENTRIES``.
+    8 that keeps the arrays within two rows' worth, at most
+    ``_WORK_ENTRIES // 8`` (4096) columns.
     With one BLAS thread any multiple of 8, or a width of at least the row,
     gives the same bits: every panel then starts at a multiple of 8, and the
     products round a column alike wherever such a panel puts it.  With more
@@ -552,7 +554,7 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
     if not k:
         return
     per_column = k + max(k, n)
-    width = max((min(2 * cols, _WORK_ENTRIES) // per_column - 8) // 8 * 8, 8)
+    width = min(max((2 * cols // per_column - 8) // 8 * 8, 8), _WORK_ENTRIES // 8)
     width = cols if cols * per_column <= _WORK_ENTRIES else width
     # a remainder under 8 columns joins the last panel: a one-column panel
     # would turn the products into matrix-vector products, with other bits

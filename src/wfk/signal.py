@@ -18,7 +18,7 @@ updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
 Schreiber & Van Loan, ibid. 10, 1989).  Each factor's algebra is that of
 the one-factor lattice, so the bands equal its bands up to rounding.  The
 two work arrays hold a whole row when that fits in ``_WORK_ENTRIES``
-entries, else at most two rows' worth, about ``2L/n``, and that budget.
+entries, else at most two rows' worth, about ``2L/n``.
 
 The subband path is circular (periodic) by design: with a signal length
 divisible by the band count the round trip is an exact circular delay, so
@@ -61,7 +61,7 @@ class SubbandSet:
     def __post_init__(self):
         if len(self.bands) != self.n:
             raise InvariantError(f"expected {self.n} bands, got {len(self.bands)}")
-        bands = tuple(_frozen(_as_signal(b)) for b in self.bands)
+        bands = tuple(_as_signal(_frozen(b, complex)) for b in self.bands)
         lengths = {b.size for b in bands}
         if len(lengths) > 1:
             raise InvariantError(f"bands must have equal lengths, got {sorted(lengths)}")
@@ -168,11 +168,12 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     :func:`_block_lattice` with the reversed factors, contiguous for the
     block products, and the interleave reads it reversed, applies the delay
     and writes the output once.  A round trip holds three signal-length
-    arrays (the bands, the working rows, the output) and the lattice's two
-    rows of work.  Equals the sum over bands of each band expanded by ``n``
-    and filtered with the conjugate time-reversal of its response, all
-    responses padded to one shared delay, times ``sqrt(n)``.  Raises
-    :class:`InvariantError` on overflow.
+    arrays (the bands, the working rows, the output) and the lattice's
+    work: one panel within ``_WORK_ENTRIES`` entries, or at most two rows'
+    worth for rows that do not fit.  Equals the sum over bands of each band
+    expanded by ``n`` and filtered with the conjugate time-reversal of its
+    response, all responses padded to one shared delay, times ``sqrt(n)``.
+    Raises :class:`InvariantError` on overflow.
     """
     if bands.n != filters.n:
         raise DimensionError(f"band count {bands.n} != filter count {filters.n}")

@@ -29,7 +29,6 @@ from wfk import (
     box_to_params,
     wavelet_eval,
 )
-import wfk.cli
 from wfk import io as wio
 from wfk.cli import main
 
@@ -1938,16 +1937,6 @@ class TestCliSubbands:
         sidecar = json.loads(text)
         assert sidecar["reconstruction_error"] is None and sidecar["signal_length"] == 16
         assert '"reconstruction_error": null' in text
-
-    def test_synthesize_keeps_the_bands_it_loaded(self, tmp_path, monkeypatch):
-        # read-only with the arrays that own their memory, the loaded bands
-        # go into the set as they are, not as copies
-        params, bands = self._bands(tmp_path, 16)
-        seen, run = [], wfk.cli.synthesize
-        monkeypatch.setattr(wfk.cli, "synthesize", lambda b, fs: seen.append(b) or run(b, fs))
-        assert main(["synthesize", str(params), "--bands", str(bands), "--out", str(tmp_path / "r.csv")]) == 0
-        owners = [band.base for band in seen[0].bands]
-        assert all(owner is not None and not owner.flags.writeable for owner in owners)
 
     @pytest.mark.parametrize("length", [0, 14, 18])
     def test_reference_of_another_length_exit_2(self, tmp_path, capsys, length):

@@ -181,6 +181,22 @@ class TestSynthesize:
         a[0] = 99
         assert bands.bands[0][0] == 0 and not bands.bands[0].flags.writeable
 
+    @pytest.mark.parametrize("kind", ["real", "list", "complex"])
+    def test_bands_are_copied_once(self, kind):
+        # a band the caller could write is copied into complex once, also
+        # when it had to be converted; a second copy would add 1 MiB a band
+        rng = np.random.default_rng(5)
+        raw = [rng.standard_normal(1 << 16) for _ in range(2)]
+        given = {"real": raw, "list": [a.tolist() for a in raw], "complex": [a + 0j for a in raw]}[kind]
+        tracemalloc.start()
+        try:
+            bands = SubbandSet(n=2, bands=tuple(given))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(b.nbytes for b in bands.bands) + (128 << 10)
+        assert all(np.array_equal(b, a) for b, a in zip(bands.bands, raw))
+
     def test_band_length_mismatch(self):
         with pytest.raises(Exception):
             SubbandSet(n=2, bands=(np.zeros(4), np.zeros(5)))
@@ -445,8 +461,8 @@ PANEL_SHIFTS = (1, -1)
 
 
 def panel_width_outputs(n, shift):
-    """``_block_lattice`` at the budgets that give panels 8 and 128 columns
-    wide, at the least budget that makes the row one panel, and at the
+    """``_block_lattice`` at the budgets that cap the panels at 8 and 128
+    columns, at the least budget that makes the row one panel, and at the
     default, which cuts the long rows into panels of two rows' worth, for
     three block and remainder cases: one list of outputs per case.  The
     short row is one panel at every budget but the first."""
@@ -457,7 +473,7 @@ def panel_width_outputs(n, shift):
         vectors = unit_rows(m, n, m)
         y = random_signal(n * cols, n + m).reshape(n, cols)
         outs = []
-        for budget in (16 * per_column, 136 * per_column, cols * per_column, None):
+        for budget in (8 * 8, 8 * 128, cols * per_column, None):
             z = y.copy()
             with work_entries(budget):
                 block_lattice(z, vectors, shift)
@@ -484,9 +500,10 @@ class TestBlockLattice:
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_matches_one_factor_lattice(self, n, shift):
         # block edges (m around K), the wrap and one-column bands (cols
-        # around K), one panel each, and several panels of two rows' worth
-        # with a remainder folded into the last (43) or in a panel of its
-        # own (1000), under a budget of two rows, which no row fits whole
+        # around K), one panel each, and several panels with a remainder
+        # folded into the last (43) or in a panel of its own (1000), under
+        # a budget of two rows, which no row fits whole and which caps the
+        # panels at a quarter row where two rows' worth is wider
         for m in (0, 1, K - 1, K, K + 1, 2 * K + 1):
             vectors = unit_rows(m, n, 10 * n + m)
             for cols in (1, 2, K - 1, K, K + 1, 43, 1000):
