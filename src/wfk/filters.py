@@ -108,6 +108,13 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _band_count(n) -> int:
+    """``n`` as an ``int``: the band-count rule of every public entry point."""
+    if not (isinstance(n, (int, float, np.integer, np.floating)) and n % 1 == 0 and n >= 2):
+        raise InvariantError(f"band count must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Factor:
     """One degree-one unitary factor: a unit vector ``v`` and a pole ``alpha``.
@@ -153,9 +160,7 @@ class FilterParameters:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise InvariantError(f"band count must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _band_count(self.n))
         rho = float(self.rho)
         if not 0.0 <= rho <= 1.0:
             raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
@@ -233,8 +238,7 @@ class BoxPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvariantError(f"band count must be >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _band_count(self.n))
         rho = float(self.rho)
         if not 0.0 <= rho <= 1.0:
             raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
@@ -344,9 +348,7 @@ class CheckReport:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix with entries ``eps**(-j*k) / sqrt(n)`` (0-indexed)."""
-    if n < 2:
-        raise InvariantError(f"band count must be >= 2, got {n!r}")
-    return _dft_cached(int(n)).copy()
+    return _dft_cached(_band_count(n)).copy()
 
 
 @lru_cache(maxsize=None)
@@ -710,6 +712,7 @@ def sample_box(seed: int, n: int, m: int, rho: float) -> BoxPoint:
     Each pole's radius is uniform on ``[0, rho)``, the paper's box, with no
     cap below ``rho``.
     """
+    n = _band_count(n)
     rng = np.random.default_rng(seed)
     coords = np.zeros((m, 2 * n))
     if m:

@@ -35,6 +35,7 @@ from .filters import (
     _WORK_ENTRIES,
     TOL,
     FilterParameters,
+    _band_count,
     _eye,
     _frozen,
     _point_or_array,
@@ -241,8 +242,7 @@ def realize_elementary_wavelet(n: int) -> Realization:
     multiplies the input side by the DFT matrix.  A state count too large
     to allocate raises ``InvariantError``.
     """
-    if n < 2:
-        raise InvariantError(f"band count must be >= 2, got {n!r}")
+    n = _band_count(n)
     p = n * (n - 1) // 2
     a = _state_matrix(p)
     b_pre = np.zeros((p, n), dtype=complex)
@@ -587,15 +587,15 @@ def stein_certificate(r: Realization) -> SteinCertificate:
     :func:`_block_certificate` sums the residual over every nonzero of
     ``S = [A B; C D]``, one block row at a time, for a realization of any
     shape, so the block structure cannot create a false pass.  The
-    candidate is kept when its state-equation residual is at most ``TOL``
-    (1e-9) relative to ``max(1, ||H||_1)`` and ``H > delta ||H||_1 I``: a
-    stable ``A`` has exactly one solution of the state equation, so a kept
-    candidate is that solution, and a failed cross or input identity is the
-    realization's own.  Otherwise (as for a cascade-layout file whose cores
-    are not in the bidiagonal normal form) and for every other layout,
-    ``H`` is summed from the series ``sum_k (A*)**k C*C A**k`` with doubling
-    acceleration, which converges quadratically when the spectral radius of
-    ``A`` is below one, and the same routine certifies it as a single block.
+    candidate is kept whenever its state-equation residual is at most
+    ``TOL`` (1e-9) relative to ``max(1, ||H||_1)``: a stable ``A`` has one
+    solution of the state equation, so a kept candidate is that solution,
+    and a failed identity or ``H > 0`` is the realization's own.  The series
+    ``sum_k (A*)**k C*C A**k``, with doubling acceleration (quadratic when
+    the spectral radius of ``A`` is below one), gives ``H`` only when the
+    closed form does not solve the state equation (cores off the bidiagonal
+    normal form, a singular or non-finite Krylov matrix) or the layout is
+    not the cascade's, and the same routine certifies it as a single block.
 
     The certificate reports Hermiticity, the 1-norm condition number of
     ``H`` (``inf`` if singular), and whether ``H > delta ||H||_1 I``
@@ -622,7 +622,7 @@ def stein_certificate(r: Realization) -> SteinCertificate:
         cores = _block_solution(r)
         if cores is not None:
             cert = _block_certificate(r, cores)
-            if cert.residual_state <= TOL * cert.scale and cert.positive_definite:
+            if cert.residual_state <= TOL * cert.scale:
                 return cert
     return _block_certificate(r, np.zeros((0, 0, 0)), _series_solution(r))
 

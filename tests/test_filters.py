@@ -30,12 +30,14 @@ from wfk import (
     InvariantError,
     PoleError,
     SamplingError,
+    SubbandSet,
     box_to_params,
     circle_checks,
     dft_matrix,
     elementary_wavelet_eval,
     eval_realization,
     params_to_box,
+    realize_elementary_wavelet,
     realize_wavelet,
     sample_box,
     sample_parameters,
@@ -707,6 +709,30 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             FilterParameters(n=3, rho=0.5, factors=(Factor(E2, 0.0),))
 
+    # each entry point that takes a band count, returning the count it keeps
+    BAND_COUNT_ENTRIES = {
+        "params": lambda n: FilterParameters(n=n, rho=0.0, factors=()).n,
+        "box": lambda n: BoxPoint(n=n, rho=0.0, coords=np.zeros((0, 2 * int(n)))).n,
+        "subbands": lambda n: SubbandSet(n=n, bands=(np.zeros(2),) * int(n)).n,
+        "dft": lambda n: dft_matrix(n).shape[0],
+        "elementary": lambda n: realize_elementary_wavelet(n).outputs,
+        "sample-box": lambda n: sample_box(0, n, 1, 0.0).n,
+    }
+
+    @pytest.mark.parametrize("entry", BAND_COUNT_ENTRIES)
+    @pytest.mark.parametrize("n", [2.5, 1, True, "3"])
+    def test_band_count_rejected_by_one_rule(self, entry, n):
+        with pytest.raises(InvariantError, match=re.escape(
+            f"band count must be an integer >= 2, got {n!r}"
+        )):
+            self.BAND_COUNT_ENTRIES[entry](n)
+
+    @pytest.mark.parametrize("entry", BAND_COUNT_ENTRIES)
+    @pytest.mark.parametrize("n", [2.0, np.int64(3)], ids=["float", "int64"])
+    def test_integral_band_count_kept_as_int(self, entry, n):
+        kept = self.BAND_COUNT_ENTRIES[entry](n)
+        assert type(kept) is int and kept == n
+
 
 class TestChecks:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1057,7 +1083,7 @@ class TestSubbandFilters:
     "call, error, fragment",
     [
         (lambda: BoxPoint(n=1, rho=0.0, coords=np.zeros((0, 2))), InvariantError,
-         "band count must be >= 2, got 1"),
+         "band count must be an integer >= 2, got 1"),
         (lambda: BoxPoint(n=2, rho=1.5, coords=np.zeros((0, 4))), InvariantError,
          "rho must lie in [0, 1], got 1.5"),
         (lambda: BoxPoint(n=2, rho=-0.5, coords=np.zeros((0, 4))), InvariantError,

@@ -27,9 +27,11 @@ from wfk import (
     sample_box,
     sample_parameters,
     box_to_params,
+    stein_certificate,
     wavelet_eval,
 )
 from wfk import io as wio
+from wfk import realization
 from wfk.cli import main
 
 from edge_realizations import huge_superdiagonal, overflowing_values, rotation_on_the_circle
@@ -1321,20 +1323,20 @@ class TestCliVerify:
 
     @pytest.mark.parametrize(
         "n",
-        [
-            16,
-            20,
+        [16, 20, 22]
+        + [
             pytest.param(
-                24,
+                n,
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason=(
-                        "the closed-form H_j has a 1-norm condition near 5e12 at n = 24, so "
-                        "the block candidate fails H > 1e-12 ||H||_1 I and the dense series "
-                        "fails minimality"
+                        "ROADMAP item 17 (item 2, stage C): from n = 23 the closed-form H_j is "
+                        "so ill-conditioned that the block candidate misses the "
+                        "H > 1e-12 ||H||_1 I margin, so minimality fails"
                     ),
                 ),
-            ),
+            )
+            for n in (23, 24, 28, 32)
         ],
     )
     def test_one_factor_params_pass_up_to_twenty_bands(self, tmp_path, capsys, n):
@@ -1343,6 +1345,27 @@ class TestCliVerify:
         code = main(["verify", str(params)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["passed"] and doc["stein"]["method"] == "block"
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("alpha", [0.5, 0.999])
+    def test_closed_form_kept_when_it_misses_the_margin(
+        self, tmp_path, capsys, monkeypatch, n, alpha
+    ):
+        # the closed form solves the state equation, and a stable A has one
+        # solution, so a missed H > 1e-12 ||H||_1 I margin fails minimality
+        # with no second, dense solve
+        def no_series(r):
+            raise AssertionError("the dense series ran")
+
+        monkeypatch.setattr(realization, "_series_solution", no_series)
+        params = FilterParameters(n, 1.0, (Factor(np.eye(n)[0], alpha),))
+        cert = stein_certificate(realize_wavelet(params))
+        assert cert.method == "block" and not cert.positive_definite
+        path = tmp_path / "p.json"
+        wio.save_parameters(params, path)
+        assert main(["verify", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["minimality"]
 
     @pytest.mark.parametrize(
         "entry, infinite", [(1e200, {"symmetry", "paraunitary"}), (1e100, {"paraunitary"})]

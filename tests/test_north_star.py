@@ -12,8 +12,9 @@ Known wrong verdicts kept in other modules, and only listed here:
   stage A): ``test_planted_files.py::test_doubled_gain_core_fails_verify``;
 - the hidden asymmetry, a false pass of ``symmetry`` (item 3):
   ``test_planted_files.py::test_hidden_asymmetry_fails_verify``;
-- the one-factor parameter file at n = 24, a false fail (item 2, stage C):
-  ``test_io_cli.py::TestCliVerify::test_one_factor_params_pass_up_to_twenty_bands[24]``.
+- the one-factor parameter files at n = 23, 24, 28 and 32, false fails of
+  ``minimality`` (item 2, stage C; item 17 is the route):
+  ``test_io_cli.py::TestCliVerify::test_one_factor_params_pass_up_to_twenty_bands``.
 """
 
 import json
