@@ -120,6 +120,7 @@ def _allocation(message: str):
 
 
 def _cmd_gen(args) -> int:
+    # a bad flag is a usage error naming the flag (exit 2), not a file invariant (exit 3)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
     if args.index < 0:
@@ -178,16 +179,16 @@ def _verify(target, points, tol, seed):
     is not square or has one row (one band) raises ``InvariantError``.
 
     ``stein_blocks`` gates the largest Stein block residual and
-    ``stein_hermiticity`` gates ``||H - H*||_F``, both relative to
-    ``max(1, ||H||_1)``: rounding in ``A* H A`` grows with ``H``, and below
-    ``||H||_1 = 1`` the gates are the absolute ones.  The entry holds the
-    certificate's condition estimate, its positive-definiteness flag,
-    ``||H||_1``, the solution ``method`` and ``residual_abs``, the absolute
-    largest block residual, and ``worst_block``, the factor index or
-    ``"elementary"`` of the block with the largest residual rows when
-    ``stein_blocks`` fails (null when it passes, where that block is the
-    argmax of rounding noise, and on the dense path); it is None when the
-    Stein series diverges.
+    ``stein_hermiticity`` gates ``||H - H*||_F`` (exactly 0 on the block path,
+    so only a dense ``H`` can fail it), both relative to ``max(1, ||H||_1)``:
+    rounding in ``A* H A`` grows with ``H``, and below ``||H||_1 = 1`` the
+    gates are the absolute ones.  The entry holds the certificate's
+    condition estimate, its positive-definiteness flag, ``||H||_1``, the
+    solution ``method`` and ``residual_abs``, the absolute largest block
+    residual, and ``worst_block``, the factor index or ``"elementary"`` of
+    the block with the largest residual rows when ``stein_blocks`` fails
+    (null when it passes, where that block is the argmax of rounding noise,
+    and on the dense path); it is None when the Stein series diverges.
     """
     lap = _stopwatch()
     scalar = partial(CheckReport, sample_count=points, seed=seed)

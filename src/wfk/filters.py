@@ -108,11 +108,46 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return out
 
 
-def _band_count(n) -> int:
-    """``n`` as an ``int``: the band-count rule of every public entry point."""
-    if not (isinstance(n, (int, float, np.integer, np.floating)) and n % 1 == 0 and n >= 2):
-        raise InvariantError(f"band count must be an integer >= 2, got {n!r}")
-    return int(n)
+def _integral(value) -> int | None:
+    """``value`` as an ``int`` when it is an integer or an integral float,
+    numpy's too, else None; a bool is not an integer here."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
+def _count(value, name: str = "band count", low: int = 2) -> int:
+    """``value`` as an ``int`` of at least ``low``: the rule of every count and seed."""
+    count = _integral(value)
+    if count is None or count < low:
+        raise InvariantError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
+
+
+def _rho(rho) -> float:
+    """``rho`` as a float in ``[0, 1]``: the rule of every entry point that takes it."""
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
+    return rho
+
+
+def _unit_vectors(v, shape) -> np.ndarray:
+    """``v`` as a read-only complex array of ``shape`` after the vector rule, finite
+    entries and unit norm within ``_UNIT_NORM_TOL``, on one vector or all rows at once."""
+    v = np.asarray(v, dtype=complex).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, rejected below
+        norms = np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1))
+    good = abs(norms - 1.0) <= _UNIT_NORM_TOL
+    if not good.all():
+        k = int(np.argmin(good))
+        tag = f"factor {k}: " if v.ndim == 2 else ""
+        if not np.isfinite(np.atleast_2d(v)[k]).all():
+            raise InvariantError(f"{tag}factor vector must have finite entries")
+        raise InvariantError(f"{tag}factor vector must have unit norm, got {float(norms.flat[k])}")
+    return _frozen(v)
 
 
 @dataclass(frozen=True)
@@ -128,19 +163,12 @@ class Factor:
     alpha: complex
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
-        if not np.isfinite(v).all():
-            raise InvariantError("factor vector must have finite entries")
-        with np.errstate(over="ignore"):  # a huge entry gives inf, rejected below
-            nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > _UNIT_NORM_TOL:
-            raise InvariantError(f"factor vector must have unit norm, got {float(nrm)!r}")
+        object.__setattr__(self, "v", _unit_vectors(self.v, -1))
         alpha = complex(self.alpha)
-        if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise InvariantError("alpha must be finite")
         if abs(alpha) >= 1.0:
             raise InvariantError(f"|alpha| must be < 1, got {abs(alpha)!r}")
-        object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -160,11 +188,8 @@ class FilterParameters:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _band_count(self.n))
-        rho = float(self.rho)
-        if not 0.0 <= rho <= 1.0:
-            raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "n", _count(self.n))
+        object.__setattr__(self, "rho", rho := _rho(self.rho))
         factors = tuple(self.factors)
         for k, f in enumerate(factors):
             if f.v.shape != (self.n,):
@@ -238,11 +263,8 @@ class BoxPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _band_count(self.n))
-        rho = float(self.rho)
-        if not 0.0 <= rho <= 1.0:
-            raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "n", _count(self.n))
+        object.__setattr__(self, "rho", rho := _rho(self.rho))
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2 * self.n:
             raise InvariantError(
@@ -278,21 +300,21 @@ class SubbandFilterSet:
     """The N subband filters of a polynomial filter, kept as its FIR factors.
 
     ``vectors`` holds one unit vector per factor, row ``j`` for ``V_{j+1}``,
-    in stored order; it is the only data.  The impulse responses (the first
-    column of the filter as a polynomial in ``1/z``) and their maximal
-    length are derived from it on first use, by the lattice that runs the
-    signals (:func:`_block_lattice`).  Their lengths, and so
-    :func:`wfk.signal.synthesis_delay`, equal the one-factor lattice's; their
-    values agree with its values up to rounding.  Built by
-    :func:`subband_filters`.
+    in stored order, each under :class:`Factor`'s vector rule; it is the only
+    data.  The impulse responses (the first column of the filter as a
+    polynomial in ``1/z``) and their maximal length are derived from it on
+    first use, by the lattice that runs the signals (:func:`_block_lattice`).
+    Their lengths, and so :func:`wfk.signal.synthesis_delay`, equal the
+    one-factor lattice's; their values agree with its values up to rounding.
+    Built by :func:`subband_filters`.
     """
 
     n: int
     vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=complex).reshape(-1, self.n)
-        object.__setattr__(self, "vectors", _frozen(vectors))
+        object.__setattr__(self, "n", _count(self.n))
+        object.__setattr__(self, "vectors", _unit_vectors(self.vectors, (-1, self.n)))
 
     @cached_property
     def responses(self) -> tuple[np.ndarray, ...]:
@@ -348,7 +370,7 @@ class CheckReport:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix with entries ``eps**(-j*k) / sqrt(n)`` (0-indexed)."""
-    return _dft_cached(_band_count(n)).copy()
+    return _dft_cached(_count(n)).copy()
 
 
 @lru_cache(maxsize=None)
@@ -712,8 +734,8 @@ def sample_box(seed: int, n: int, m: int, rho: float) -> BoxPoint:
     Each pole's radius is uniform on ``[0, rho)``, the paper's box, with no
     cap below ``rho``.
     """
-    n = _band_count(n)
-    rng = np.random.default_rng(seed)
+    n, m = _count(n), _count(m, "m", 0)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     coords = np.zeros((m, 2 * n))
     if m:
         coords[:, 0] = rng.uniform(0.0, np.pi, size=m)
@@ -735,11 +757,10 @@ def unit_circle_points(count: int, seed: int = 0) -> np.ndarray:
     failures are reproducible without the seed); the rest are i.i.d.
     uniform angles from ``seed``.
     """
-    if count < 1:
-        raise InvariantError(f"sample count must be >= 1, got {count!r}")
+    count = _count(count, "sample count", 1)
     grid = (count + 1) // 2
     det = np.exp(2j * np.pi * np.arange(grid) / grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     rand = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=count - grid))
     return np.concatenate([det, rand])
 
@@ -861,6 +882,8 @@ def circle_checks(
     both reports carry the same ``resampled`` count.  Finite values whose
     residual overflows give ``inf``, never NaN.
     """
+    n, sample_points = _count(n), _count(sample_points, "sample count", 1)
+    seed = _count(seed, "seed", 0)
     root = np.exp(2j * np.pi / n)
 
     def residual(zs):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, InvariantError
-from .filters import BoxPoint, CheckReport, Factor, FilterParameters
+from .filters import BoxPoint, CheckReport, Factor, FilterParameters, _integral
 from .realization import Realization
 
 
@@ -217,18 +217,6 @@ def parameters_to_dict(params: FilterParameters, box: BoxPoint | None = None) ->
     if box is not None:
         doc["box"] = [float(x) for x in box.coords.reshape(-1)]
     return doc
-
-
-def _integral(value) -> int | None:
-    """``value`` as an int when it is an int or an integral float, else None.
-
-    A bool is not an integer here, although Python counts it as one.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
 
 
 def _integer(doc: dict, key: str, where: str = "") -> int:

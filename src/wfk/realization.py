@@ -31,11 +31,11 @@ from .errors import (
     PoleError,
 )
 from .filters import (
-    _UNIT_NORM_TOL,
     _WORK_ENTRIES,
     TOL,
+    Factor,
     FilterParameters,
-    _band_count,
+    _count,
     _eye,
     _frozen,
     _point_or_array,
@@ -179,10 +179,11 @@ class SteinCertificate:
     ``||H||_1 ||H^-1||_1``, ``inf`` when ``H`` is singular.  ``method`` is
     ``"block"`` when ``H`` is the closed-form block-diagonal solution of the
     cascade layout and ``"dense"`` when it came from the doubling series.
-    On the block path the elementary block of ``H`` is ``I``, which enters
-    the residuals unweighted and is neither inverted nor factored: every
-    core has ``||H_j||_1 >= 1``, ``||H_j^-1||_1 >= 1`` and
-    ``lambda_min(H_j) <= 1``, so the identity changes no field.
+    On the block path ``hermiticity`` is exactly 0.0, the cores being
+    symmetrized, and the elementary block ``I`` of ``H`` enters the residuals
+    unweighted and is neither inverted nor factored: every core has
+    ``||H_j||_1 >= 1``, ``||H_j^-1||_1 >= 1`` and ``lambda_min(H_j) <= 1``,
+    so the identity changes no field.
     ``worst_block`` names the block whose rows of the full residual
     ``[A B; C D]* diag(H, I) [A B; C D] - diag(H, I)`` have the largest
     Frobenius norm: the 0-based index ``i`` of the factor whose core it is
@@ -242,7 +243,7 @@ def realize_elementary_wavelet(n: int) -> Realization:
     multiplies the input side by the DFT matrix.  A state count too large
     to allocate raises ``InvariantError``.
     """
-    n = _band_count(n)
+    n = _count(n)
     p = n * (n - 1) // 2
     a = _state_matrix(p)
     b_pre = np.zeros((p, n), dtype=complex)
@@ -306,10 +307,8 @@ def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
     ``I - (1 + conj(alpha)) v v*``, the value of the factor at infinity
     plus the all-pass constant term.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_NORM_TOL:
-        raise InvariantError("v must have unit norm")
-    return Realization(*(x[0] for x in _section_stack(v[None, :], [complex(alpha)], n)))
+    f = Factor(v=v, alpha=alpha)
+    return Realization(*(x[0] for x in _section_stack(f.v[None, :], [f.alpha], n)))
 
 
 def _section_stack(vectors, alphas, n: int) -> tuple[np.ndarray, ...]:
@@ -326,13 +325,9 @@ def _section_stack(vectors, alphas, n: int) -> tuple[np.ndarray, ...]:
     the same bits in any stack: the diagonal and superdiagonal are added as
     whole matrices, the gains come from Python's ``abs`` and ``**`` of each
     pole, and ``b v*`` and ``v c`` are stacked matrix products, which numpy
-    runs a matrix at a time.  Raises ``InvariantError`` unless every
-    ``|alpha| < 1``.
+    runs a matrix at a time.  Its vectors and poles come from a ``Factor``.
     """
     sizes = [abs(alpha) for alpha in alphas]
-    for size in sizes:
-        if size >= 1.0:
-            raise InvariantError(f"|alpha| must be < 1, got {size!r}")
     m = len(sizes)
     diagonal = np.zeros((m, n, n), dtype=complex)
     roots = np.array([_pole_roots(alpha, n) for alpha in alphas], dtype=complex)
@@ -536,11 +531,9 @@ def _sweep(r: Realization, points: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def impulse_response(r: Realization, horizon: int) -> list[np.ndarray]:
     """Matrix taps ``h(0) = D`` and ``h(k) = C A**(k-1) B`` for ``k < horizon``."""
-    if horizon < 1:
-        raise InvariantError(f"horizon must be >= 1, got {horizon!r}")
     taps = [np.array(r.d)]
     reach = np.array(r.b)
-    for _ in range(1, horizon):
+    for _ in range(1, _count(horizon, "horizon", 1)):
         taps.append(r.c @ reach)
         reach = r.a @ reach
     return taps

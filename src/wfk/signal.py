@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import _WORK_ENTRIES, SubbandFilterSet, _band_count, _block_lattice, _frozen
+from .filters import _WORK_ENTRIES, SubbandFilterSet, _block_lattice, _count, _frozen
 
 
 def _as_signal(x) -> np.ndarray:
@@ -59,7 +59,7 @@ class SubbandSet:
     bands: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _band_count(self.n))
+        object.__setattr__(self, "n", _count(self.n))
         if len(self.bands) != self.n:
             raise InvariantError(f"expected {self.n} bands, got {len(self.bands)}")
         bands = tuple(_as_signal(_frozen(b, complex)) for b in self.bands)

@@ -30,13 +30,17 @@ from wfk import (
     InvariantError,
     PoleError,
     SamplingError,
+    SubbandFilterSet,
     SubbandSet,
     box_to_params,
     circle_checks,
     dft_matrix,
     elementary_wavelet_eval,
     eval_realization,
+    impulse_response,
     params_to_box,
+    realize_allpass_core,
+    realize_decimated_unitary,
     realize_elementary_wavelet,
     realize_wavelet,
     sample_box,
@@ -709,7 +713,8 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             FilterParameters(n=3, rho=0.5, factors=(Factor(E2, 0.0),))
 
-    # each entry point that takes a band count, returning the count it keeps
+    # each entry point that takes a band count, returning the count it keeps;
+    # circle_checks keeps none, and gives the count when both checks pass
     BAND_COUNT_ENTRIES = {
         "params": lambda n: FilterParameters(n=n, rho=0.0, factors=()).n,
         "box": lambda n: BoxPoint(n=n, rho=0.0, coords=np.zeros((0, 2 * int(n)))).n,
@@ -717,6 +722,10 @@ class TestInvariants:
         "dft": lambda n: dft_matrix(n).shape[0],
         "elementary": lambda n: realize_elementary_wavelet(n).outputs,
         "sample-box": lambda n: sample_box(0, n, 1, 0.0).n,
+        "circle": lambda n: int(n) if all(
+            r.passed for r in circle_checks(lambda zs: elementary_wavelet_eval(int(n), zs), n, 4)
+        ) else None,
+        "subband-filters": lambda n: SubbandFilterSet(n=n, vectors=np.zeros((0, int(n)))).n,
     }
 
     @pytest.mark.parametrize("entry", BAND_COUNT_ENTRIES)
@@ -732,6 +741,59 @@ class TestInvariants:
     def test_integral_band_count_kept_as_int(self, entry, n):
         kept = self.BAND_COUNT_ENTRIES[entry](n)
         assert type(kept) is int and kept == n
+
+    # the other rules at each entry point that takes their input: a count
+    # or seed, rho, a factor vector (a stack names its bad row) and a pole
+    RULE_ENTRIES = {
+        "sample-box-m": (lambda: sample_box(0, 2, -1, 0.0), "m must be an integer >= 0, got -1"),
+        "sample-box-m-float": (lambda: sample_box(0, 2, 2.5, 0.0),
+                               "m must be an integer >= 0, got 2.5"),
+        "sample-box-m-bool": (lambda: sample_box(0, 2, True, 0.0),
+                              "m must be an integer >= 0, got True"),
+        "sample-params-m": (lambda: sample_parameters(0, 2, -1, 0.0),
+                            "m must be an integer >= 0, got -1"),
+        "sample-box-seed": (lambda: sample_box(-1, 2, 1, 0.0),
+                            "seed must be an integer >= 0, got -1"),
+        "circle-seed": (lambda: unit_circle_points(4, seed=-1),
+                        "seed must be an integer >= 0, got -1"),
+        "circle-count-float": (lambda: unit_circle_points(2.5),
+                               "sample count must be an integer >= 1, got 2.5"),
+        "circle-count-bool": (lambda: unit_circle_points(True),
+                              "sample count must be an integer >= 1, got True"),
+        "horizon-float": (lambda: impulse_response(realize_elementary_wavelet(2), 2.5),
+                          "horizon must be an integer >= 1, got 2.5"),
+        "horizon-bool": (lambda: impulse_response(realize_elementary_wavelet(2), True),
+                         "horizon must be an integer >= 1, got True"),
+        "params-rho": (lambda: FilterParameters(n=2, rho=1.5, factors=()),
+                       "rho must lie in [0, 1], got 1.5"),
+        "sample-box-rho": (lambda: sample_box(0, 2, 1, -0.5), "rho must lie in [0, 1], got -0.5"),
+        "factor-norm": (lambda: Factor(np.array([1.0, 1.0]), 0.0),
+                        "factor vector must have unit norm, got 1.41"),
+        "subband-filters-norm": (lambda: SubbandFilterSet(n=2, vectors=[[1, 0], [1, 1]]),
+                                 "factor 1: factor vector must have unit norm, got 1.41"),
+        "subband-filters-nan": (lambda: SubbandFilterSet(n=2, vectors=[[np.nan, 0]]),
+                                "factor 0: factor vector must have finite entries"),
+        "section-nan": (lambda: realize_decimated_unitary([np.nan, 0], 0.5, 2),
+                        "factor vector must have finite entries"),
+        "section-alpha-nan": (lambda: realize_decimated_unitary(E1, np.nan, 2),
+                              "alpha must be finite"),
+        "core-nan": (lambda: realize_allpass_core(np.nan, 2), "alpha must be finite"),
+        "factor-alpha": (lambda: Factor(E1, 1.0), "|alpha| must be < 1, got 1.0"),
+    }
+
+    @pytest.mark.parametrize("entry", RULE_ENTRIES)
+    def test_other_rules_rejected_by_one_rule(self, entry):
+        call, message = self.RULE_ENTRIES[entry]
+        with pytest.raises(InvariantError, match="^" + re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize("k", [2.0, np.int64(3)], ids=["float", "int64"])
+    def test_integral_count_and_seed_kept_as_int(self, k):
+        report = circle_checks(lambda zs: elementary_wavelet_eval(2, zs), 2, k, seed=k)[0]
+        kept = [sample_box(0, 2, k, 0.0).m, report.sample_count, report.seed,
+                unit_circle_points(k).size, len(impulse_response(realize_elementary_wavelet(2), k))]
+        assert all(type(x) is int and x == k for x in kept), kept
+        assert (sample_box(k, 2, 1, 0.0).coords == sample_box(int(k), 2, 1, 0.0).coords).all()
 
 
 class TestChecks:
@@ -1092,7 +1154,8 @@ class TestSubbandFilters:
          "coords must have shape (m, 4), got (1, 3)"),
         (lambda: BoxPoint(n=2, rho=0.5, coords=np.zeros(4)), InvariantError,
          "coords must have shape (m, 4), got (4,)"),
-        (lambda: unit_circle_points(0), InvariantError, "sample count must be >= 1, got 0"),
+        (lambda: unit_circle_points(0), InvariantError,
+         "sample count must be an integer >= 1, got 0"),
         (lambda: circle_checks(lambda zs: np.zeros((zs.size, 3, 3)), 2, 4), DimensionError,
          "expected 8 values of shape (2, 2), got (8, 3, 3)"),
         (lambda: circle_checks(lambda zs: np.full((zs.size, 2, 2), np.nan), 2, 4),

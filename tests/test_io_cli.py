@@ -1944,6 +1944,14 @@ class TestCliSubbands:
         assert sidecar["signal_length"] == 0
         assert sidecar["reconstruction_error"] == 0.0
 
+    def test_length_not_divisible_exit_2_writes_nothing(self, tmp_path, capsys):
+        params, sig, out = tmp_path / "p.json", tmp_path / "x.csv", tmp_path / "bands"
+        wio.save_parameters(sample_parameters(10, 4, 2, 0.0), params)
+        wio.save_signal(np.arange(10.0), sig)
+        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: signal length 10 not divisible by 4\n"
+        assert not out.exists()
+
     def _bands(self, tmp_path, length):
         params = self._fir_params(tmp_path)
         sig = tmp_path / "x.csv"

@@ -232,3 +232,42 @@ def test_every_xfail_names_the_roadmap_item_that_flips_it():
             if not any("ROADMAP item" in part for part in parts):
                 unnamed.append(f"{path.name}::{where}")
     assert unnamed == ["test_acceptance.py::test_criterion_2_reference_mb_transfer"]
+
+
+# A fragment of each input rule's message: a count or seed, rho, a factor
+# vector and a pole.
+RULE_MESSAGES = [
+    "must be an integer >=", "rho must lie in [0, 1], got",
+    "factor vector must have finite entries", "must have unit norm",
+    "alpha must be finite", "|alpha| must be < 1",
+]
+
+
+def _raised_strings(node, owner):
+    """``(owner, text)`` for each constant string in a ``raise`` under
+    ``node``, ``owner`` being the dotted name of the innermost class or
+    function around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{owner}.{child.name}"
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            for part in ast.walk(child.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield inner, part.value
+        yield from _raised_strings(child, inner)
+
+
+def test_each_input_rule_is_raised_from_one_function():
+    # a partial copy of a rule at one entry point raises its message from a
+    # second function; wfk's flag checks are its usage layer (exit 2, naming
+    # the flag) and are not counted
+    raisers = {fragment: set() for fragment in RULE_MESSAGES}
+    for path in sorted((SRC / "wfk").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for owner, text in _raised_strings(ast.parse(path.read_text()), path.stem):
+            for fragment, owners in raisers.items():
+                if fragment in text:
+                    owners.add(owner)
+    assert {fragment: owners for fragment, owners in raisers.items() if len(owners) != 1} == {}

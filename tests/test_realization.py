@@ -1147,6 +1147,17 @@ class TestBlockStein:
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert not cert.h[lo:hi, hi:].any()
 
+    @pytest.mark.parametrize("n, m, rho", [(2, 3, 0.0), (4, 8, 0.9), (8, 16, 0.99)])
+    def test_hermiticity_is_exactly_zero_on_the_block_path_only(self, n, m, rho):
+        # the block path returns (cores + cores*) / 2, Hermitian in every bit,
+        # so stein_hermiticity can fail only on the dense path, where rounding
+        # shows (5.7e-15 at (4, 8, 0.9))
+        for seed in range(4):
+            cert = stein_certificate(realize_wavelet(sample_parameters(seed, n, m, rho)))
+            assert cert.method == "block" and cert.hermiticity == 0.0
+        dense = stein_certificate(rotate(realize_wavelet(sample_parameters(5, n, m, rho)), seed=3))
+        assert dense.method == "dense" and 0.0 < dense.relative_hermiticity <= 1e-10
+
     def test_certificate_holds_h_and_residual_once(self):
         # neither a second copy of H nor the whole system matrix [A B; C D]
         # is made (each about 1.1 MB at 258 states); the margin holds one
@@ -1454,10 +1465,10 @@ class TestMinimality:
         (lambda: realize_elementary_wavelet(1), InvariantError,
          "band count must be an integer >= 2, got 1"),
         (lambda: realize_decimated_unitary([1.0, 1.0], 0.5, 2), InvariantError,
-         "v must have unit norm"),
+         "factor vector must have unit norm, got 1.41"),
         (lambda: realize_allpass_core(1.0, 2), InvariantError, "|alpha| must be < 1, got 1.0"),
         (lambda: impulse_response(realize_elementary_wavelet(2), 0), InvariantError,
-         "horizon must be >= 1, got 0"),
+         "horizon must be an integer >= 1, got 0"),
     ],
     ids=["matrix-ndim", "matrix-rows", "matrix-cols", "a-not-square", "elementary-n",
          "factor-v", "core-alpha", "horizon"],
