@@ -22,7 +22,6 @@ from .filters import (
     CheckReport,
     Factor,
     FilterParameters,
-    SubbandFilterSet,
     box_to_params,
     circle_checks,
     dft_matrix,
@@ -64,7 +63,6 @@ __all__ = [
     "Realization",
     "SamplingError",
     "SteinCertificate",
-    "SubbandFilterSet",
     "SubbandSet",
     "TOL",
     "WfkError",

@@ -286,10 +286,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = wio.load_parameters(args.params)
-    filters = subband_filters(params)
-    x = wio.load_signal(args.signal)
-    bands = analyze(x, filters)
+    params = subband_filters(wio.load_parameters(args.params))
+    bands = analyze(wio.load_signal(args.signal), params)
     out = Path(args.out)
     wio.make_output_dir(out)
     for k, band in enumerate(bands.bands):
@@ -298,12 +296,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    params = wio.load_parameters(args.params)
-    filters = subband_filters(params)
+    params = subband_filters(wio.load_parameters(args.params))
     band_dir = Path(args.bands)
     bands = [wio.load_signal(band_dir / f"band_{k}.csv") for k in range(params.n)]
-    rebuilt = synthesize(SubbandSet(n=params.n, bands=tuple(bands)), filters)
-    delay = synthesis_delay(filters)
+    rebuilt = synthesize(SubbandSet(n=params.n, bands=tuple(bands)), params)
+    delay = synthesis_delay(params)
     sidecar = {"delay": delay, "bands": params.n, "signal_length": int(rebuilt.size)}
     # the reference is checked before --out is written, so a bad one leaves no file
     ref = wio.load_signal(args.reference) if args.reference else None

@@ -11,9 +11,10 @@ parametrization over a real box, convenient for sampling and optimization.
 
 Two blocked kernels apply the factors: :func:`_factor_updates` for the
 evaluators, and :func:`_block_lattice`, the FIR polyphase lattice, for the
-impulse responses of :class:`SubbandFilterSet` and the subband signals of
-:mod:`wfk.signal`.  It, the polyphase split and the realization evaluator
-size their working sets by one budget, ``_WORK_ENTRIES``.
+impulse responses (:attr:`FilterParameters.responses`) and the subband
+signals of :mod:`wfk.signal`.  :func:`subband_filters` is the one gate of
+that FIR path.  The lattice, the polyphase split and the realization
+evaluator size their working sets by one budget, ``_WORK_ENTRIES``.
 
 Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
@@ -127,26 +128,27 @@ def _count(value, name: str = "band count", low: int = 2) -> int:
 
 
 def _rho(rho) -> float:
-    """``rho`` as a float in ``[0, 1]``: the rule of every entry point that takes it."""
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise InvariantError(f"rho must lie in [0, 1], got {rho!r}")
-    return rho
+    """``rho`` as a float in ``[0, 1]``: the rule of every entry point that takes it;
+    a value that ``float`` cannot convert, or a string, is named as given."""
+    try:
+        value = rho if isinstance(rho, (str, bytes)) else float(rho)
+    except (TypeError, ValueError):
+        value = rho
+    if not (isinstance(value, float) and 0.0 <= value <= 1.0):
+        raise InvariantError(f"rho must lie in [0, 1], got {value!r}")
+    return value
 
 
-def _unit_vectors(v, shape) -> np.ndarray:
-    """``v`` as a read-only complex array of ``shape`` after the vector rule, finite
-    entries and unit norm within ``_UNIT_NORM_TOL``, on one vector or all rows at once."""
-    v = np.asarray(v, dtype=complex).reshape(shape)
+def _unit_vector(v) -> np.ndarray:
+    """``v`` as a read-only complex vector after the vector rule: finite
+    entries and unit norm within ``_UNIT_NORM_TOL``."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, rejected below
-        norms = np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1))
-    good = abs(norms - 1.0) <= _UNIT_NORM_TOL
-    if not good.all():
-        k = int(np.argmin(good))
-        tag = f"factor {k}: " if v.ndim == 2 else ""
-        if not np.isfinite(np.atleast_2d(v)[k]).all():
-            raise InvariantError(f"{tag}factor vector must have finite entries")
-        raise InvariantError(f"{tag}factor vector must have unit norm, got {float(norms.flat[k])}")
+        norm = np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1))
+    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
+        if not np.isfinite(v).all():
+            raise InvariantError("factor vector must have finite entries")
+        raise InvariantError(f"factor vector must have unit norm, got {float(norm)}")
     return _frozen(v)
 
 
@@ -163,7 +165,7 @@ class Factor:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _unit_vectors(self.v, -1))
+        object.__setattr__(self, "v", _unit_vector(self.v))
         alpha = complex(self.alpha)
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise InvariantError("alpha must be finite")
@@ -242,6 +244,40 @@ class FilterParameters:
             _frozen(vectors[:, :, None] * vectors.conj()[:, None, :]),
         )
 
+    @cached_property
+    def responses(self) -> tuple[np.ndarray, ...]:
+        """The N subband impulse responses of an FIR filter: the first column
+        of ``W`` as a polynomial in ``1/z``, each trimmed after its last
+        nonzero tap, built on first use; :func:`subband_filters` is the gate.
+
+        The impulse runs through :func:`_block_lattice`, the kernel of the
+        signal path, laid out as ``y[i, r, j]`` = tap ``n*j + r`` of band
+        ``i``, so the delay ``z**-n`` of a factor is a shift by one in
+        ``j``.  The shift never wraps a nonzero tap: before factor ``k``
+        only ``j < k`` is filled.  A tap row is one panel when its work fits
+        in ``_WORK_ENTRIES``: for ``n <= 16`` whenever ``n*(m+1) <= 1024``.
+        Their lengths, and so :func:`wfk.signal.synthesis_delay`, equal the
+        one-factor lattice's; their values agree with its values up to
+        rounding.  No length exceeds ``n*(m + 1)``.
+        """
+        n, vectors = self.n, subband_filters(self)._factor_stack[0]
+        y = np.zeros((n, n, self.m + 1), dtype=complex)
+        # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
+        y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
+        _block_lattice(y.reshape(n, -1), vectors)
+        responses = []
+        for band in y:
+            coeffs = band.T.reshape(-1)
+            last = np.nonzero(np.abs(coeffs) > 0.0)[0]
+            end = last[-1] + 1 if last.size else 1
+            responses.append(_frozen(coeffs[:end]))
+        return tuple(responses)
+
+    @property
+    def max_length(self) -> int:
+        """Length of the longest subband response."""
+        return max(h.size for h in self.responses)
+
 
 @dataclass(frozen=True)
 class BoxPoint:
@@ -293,56 +329,6 @@ class BoxPoint:
     @property
     def m(self) -> int:
         return self.coords.shape[0]
-
-
-@dataclass(frozen=True)
-class SubbandFilterSet:
-    """The N subband filters of a polynomial filter, kept as its FIR factors.
-
-    ``vectors`` holds one unit vector per factor, row ``j`` for ``V_{j+1}``,
-    in stored order, each under :class:`Factor`'s vector rule; it is the only
-    data.  The impulse responses (the first column of the filter as a
-    polynomial in ``1/z``) and their maximal length are derived from it on
-    first use, by the lattice that runs the signals (:func:`_block_lattice`).
-    Their lengths, and so :func:`wfk.signal.synthesis_delay`, equal the
-    one-factor lattice's; their values agree with its values up to rounding.
-    Built by :func:`subband_filters`.
-    """
-
-    n: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n))
-        object.__setattr__(self, "vectors", _unit_vectors(self.vectors, (-1, self.n)))
-
-    @cached_property
-    def responses(self) -> tuple[np.ndarray, ...]:
-        """First-column taps, each trimmed after its last nonzero tap.
-
-        The impulse runs through :func:`_block_lattice`, the kernel of the
-        signal path, laid out as ``y[i, r, j]`` = tap ``n*j + r`` of band
-        ``i``, so the delay ``z**-n`` of a factor is a shift by one in
-        ``j``.  The shift never wraps a nonzero tap: before factor ``k``
-        only ``j < k`` is filled.  A tap row is one panel when its work fits
-        in ``_WORK_ENTRIES``: for ``n <= 16`` whenever ``n*(m+1) <= 1024``.
-        """
-        n = self.n
-        y = np.zeros((n, n, self.vectors.shape[0] + 1), dtype=complex)
-        # tap i of band i is 1/sqrt(n): the first column of diag(z**-i) @ Q
-        y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
-        _block_lattice(y.reshape(n, -1), self.vectors)
-        responses = []
-        for band in y:
-            coeffs = band.T.reshape(-1)
-            last = np.nonzero(np.abs(coeffs) > 0.0)[0]
-            end = last[-1] + 1 if last.size else 1
-            responses.append(_frozen(coeffs[:end]))
-        return tuple(responses)
-
-    @property
-    def max_length(self) -> int:
-        return max(h.size for h in self.responses)
 
 
 @dataclass(frozen=True)
@@ -544,7 +530,7 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
 
     The one FIR lattice: :func:`wfk.signal.analyze` and
     :func:`wfk.signal.synthesize` run it on polyphase rows and
-    :attr:`SubbandFilterSet.responses` on the taps.  ``S`` rolls a row
+    :attr:`FilterParameters.responses` on the taps.  ``S`` rolls a row
     circularly by one column, the unit delay ``1/w`` of a factor.  For a
     block ``V`` of rows ``v_1 .. v_k``, with ``G = conj(V) V^T`` (so
     ``G[j, i] = v_j* v_i``) and ``P = conj(V) y``::
@@ -734,14 +720,14 @@ def sample_box(seed: int, n: int, m: int, rho: float) -> BoxPoint:
     Each pole's radius is uniform on ``[0, rho)``, the paper's box, with no
     cap below ``rho``.
     """
-    n, m = _count(n), _count(m, "m", 0)
+    n, m, rho = _count(n), _count(m, "m", 0), _rho(rho)
     rng = np.random.default_rng(_count(seed, "seed", 0))
     coords = np.zeros((m, 2 * n))
     if m:
         coords[:, 0] = rng.uniform(0.0, np.pi, size=m)
         coords[:, 1 : 2 * n - 1] = rng.uniform(0.0, 2 * np.pi, size=(m, 2 * n - 2))
         if rho > 0.0:
-            coords[:, 2 * n - 1] = rng.uniform(0.0, float(rho), size=m)
+            coords[:, 2 * n - 1] = rng.uniform(0.0, rho, size=m)
     return BoxPoint(n=n, rho=rho, coords=coords)
 
 
@@ -898,14 +884,15 @@ def circle_checks(
     return tuple(_circle_reports(["symmetry", "paraunitary"], residual, sample_points, tol, seed))
 
 
-def subband_filters(params: FilterParameters) -> SubbandFilterSet:
-    """The N subband filters of a polynomial filter, kept as its factors.
+def subband_filters(params: FilterParameters) -> FilterParameters:
+    """The FIR gate of the subband path: ``params`` itself, when every
+    ``alpha_j`` is 0.
 
     For ``alpha = 0`` each factor is ``V(w) = I + (1/w - 1) v v*``: one
     inner product and one unit delay on the polyphase components, which is
     all :func:`wfk.signal.analyze` and :func:`wfk.signal.synthesize` need.
-    The impulse responses are read off the same factors (see
-    :class:`SubbandFilterSet`); the length never exceeds ``n*(m + 1)``.
+    They, :func:`wfk.signal.synthesis_delay` and
+    :attr:`FilterParameters.responses` pass this gate.
 
     Raises
     ------
@@ -914,4 +901,4 @@ def subband_filters(params: FilterParameters) -> SubbandFilterSet:
     """
     if not params.is_fir():
         raise FirRequiredError("subband impulse responses require all alpha = 0")
-    return SubbandFilterSet(n=params.n, vectors=params._factor_stack[0])
+    return params

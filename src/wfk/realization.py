@@ -307,7 +307,7 @@ def realize_decimated_unitary(v, alpha: complex, n: int) -> Realization:
     ``I - (1 + conj(alpha)) v v*``, the value of the factor at infinity
     plus the all-pass constant term.
     """
-    f = Factor(v=v, alpha=alpha)
+    n, f = _count(n, "n", 1), Factor(v=v, alpha=alpha)
     return Realization(*(x[0] for x in _section_stack(f.v[None, :], [f.alpha], n)))
 
 

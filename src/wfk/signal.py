@@ -10,7 +10,8 @@ L, whatever the tap length.  Synthesis, the adjoint lattice, is the same
 lattice with the factors in reverse order, run on time-reversed rows.
 
 The lattice is :func:`wfk.filters._block_lattice`, the one kernel that
-also builds the impulse responses of :class:`wfk.filters.SubbandFilterSet`.
+also builds the impulse responses of
+:attr:`wfk.filters.FilterParameters.responses`.
 It applies the factors a block of ``_BLOCK`` at a time, over column panels
 of the polyphase rows: one matrix product gives the block's inner products
 and one its rank-one updates (the WY form of a product of rank-one
@@ -29,9 +30,11 @@ lost by keeping only every n-th sample and makes it an isometry.  Band
 convolution of the signal with the ``k``-th response, which the tests
 compute by direct filtering as the reference.
 
-Time-domain processing is offered for FIR filters only; filters with poles
-are checked in the frequency domain, where the synthesis filter is the
-conjugate transpose of the analysis filter on the circle.
+:func:`analyze`, :func:`synthesize` and :func:`synthesis_delay` take the
+filter's parameters and pass :func:`wfk.filters.subband_filters`, the one FIR
+gate, which raises ``FirRequiredError`` unless every ``alpha`` is 0.  Filters
+with poles are checked in the frequency domain, where the synthesis filter
+is the conjugate transpose of the analysis filter on the circle.
 """
 
 from __future__ import annotations
@@ -41,11 +44,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .filters import _WORK_ENTRIES, SubbandFilterSet, _block_lattice, _count, _frozen
+from .filters import (
+    _WORK_ENTRIES,
+    FilterParameters,
+    _block_lattice,
+    _count,
+    _frozen,
+    subband_filters,
+)
 
 
 def _as_signal(x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise DimensionError(f"a signal must be one-dimensional, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise InvariantError("signal samples must be finite")
     return x
@@ -123,7 +135,7 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
     return x
 
 
-def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
+def analyze(x, params: FilterParameters) -> SubbandSet:
     """Split ``x`` into subbands: filter, decimate, and scale by ``sqrt(n)``.
 
     Runs as the polyphase lattice of the factorization: the rows
@@ -138,13 +150,14 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
     circular lattice is well defined.  Raises :class:`InvariantError` on
     overflow.
     """
+    vectors = subband_filters(params)._factor_stack[0]
     x = _as_signal(x)
-    n = filters.n
+    n = params.n
     if x.size % n != 0:
         raise DimensionError(f"signal length {x.size} not divisible by {n}")
     y = _polyphase(x, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_lattice(y, filters.vectors)
+        _block_lattice(y, vectors)
     y.flags.writeable = False  # so the set keeps the rows, not a copy
     try:
         return SubbandSet(n=n, bands=tuple(y))
@@ -152,14 +165,14 @@ def analyze(x, filters: SubbandFilterSet) -> SubbandSet:
         raise InvariantError("analysis overflowed: a band left the float range") from None
 
 
-def synthesis_delay(filters: SubbandFilterSet) -> int:
+def synthesis_delay(params: FilterParameters) -> int:
     """Shared circular delay of the analysis/synthesis round trip."""
-    return filters.max_length - 1
+    return subband_filters(params).max_length - 1
 
 
-def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
+def synthesize(bands: SubbandSet, params: FilterParameters) -> np.ndarray:
     """Rebuild a signal from subbands; the result is the input delayed by
-    ``synthesis_delay(filters)`` samples (circularly).
+    ``synthesis_delay(params)`` samples (circularly).
 
     Applies the adjoint of :func:`analyze`.  A factor's adjoint
     ``I + (w - 1) v v*`` is the factor conjugated by the time reversal ``J``
@@ -176,13 +189,14 @@ def synthesize(bands: SubbandSet, filters: SubbandFilterSet) -> np.ndarray:
     response, all responses padded to one shared delay, times ``sqrt(n)``.
     Raises :class:`InvariantError` on overflow.
     """
-    if bands.n != filters.n:
-        raise DimensionError(f"band count {bands.n} != filter count {filters.n}")
+    delay = synthesis_delay(params)  # the FIR gate first
+    if bands.n != params.n:
+        raise DimensionError(f"band count {bands.n} != filter count {params.n}")
     y = np.array([b[::-1] for b in bands.bands])
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_lattice(y, filters.vectors[::-1].copy())
+        _block_lattice(y, params._factor_stack[0][::-1].copy())
         # a finite sum proves every sample finite, at half a full pass's cost
         finite = np.isfinite(y.sum()) or np.isfinite(y).all()
     if not finite:
         raise InvariantError("synthesis overflowed: a sample left the float range")
-    return _interleave(y[:, ::-1], synthesis_delay(filters))
+    return _interleave(y[:, ::-1], delay)

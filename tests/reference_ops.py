@@ -214,10 +214,10 @@ def unitarity_residual(values: np.ndarray) -> np.ndarray:
 
 
 def _responses(filters) -> tuple[np.ndarray, ...]:
-    """First-column taps of a filter set, each trimmed after its last
+    """First-column taps of FIR parameters, each trimmed after its last
     nonzero tap, from :func:`_lattice` on the layout ``y[i, r, j]`` = tap
     ``n*j + r`` of band ``i``, the whole row at every factor."""
-    n, vectors = filters.n, filters.vectors
+    n, vectors = filters.n, filters._factor_stack[0]
     y = np.zeros((n, n, vectors.shape[0] + 1), dtype=complex)
     y[np.arange(n), np.arange(n), 0] = 1.0 / np.sqrt(n)
     _lattice(y.reshape(n, -1), vectors, 1)

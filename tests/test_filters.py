@@ -30,7 +30,6 @@ from wfk import (
     InvariantError,
     PoleError,
     SamplingError,
-    SubbandFilterSet,
     SubbandSet,
     box_to_params,
     circle_checks,
@@ -725,7 +724,7 @@ class TestInvariants:
         "circle": lambda n: int(n) if all(
             r.passed for r in circle_checks(lambda zs: elementary_wavelet_eval(int(n), zs), n, 4)
         ) else None,
-        "subband-filters": lambda n: SubbandFilterSet(n=n, vectors=np.zeros((0, int(n)))).n,
+        "subband-filters": lambda n: subband_filters(FilterParameters(n=n, rho=0.0, factors=())).n,
     }
 
     @pytest.mark.parametrize("entry", BAND_COUNT_ENTRIES)
@@ -743,7 +742,8 @@ class TestInvariants:
         assert type(kept) is int and kept == n
 
     # the other rules at each entry point that takes their input: a count
-    # or seed, rho, a factor vector (a stack names its bad row) and a pole
+    # or seed (the decimation factor too), rho (a non-number is named as
+    # given), a factor vector and a pole
     RULE_ENTRIES = {
         "sample-box-m": (lambda: sample_box(0, 2, -1, 0.0), "m must be an integer >= 0, got -1"),
         "sample-box-m-float": (lambda: sample_box(0, 2, 2.5, 0.0),
@@ -766,18 +766,37 @@ class TestInvariants:
                          "horizon must be an integer >= 1, got True"),
         "params-rho": (lambda: FilterParameters(n=2, rho=1.5, factors=()),
                        "rho must lie in [0, 1], got 1.5"),
+        "params-rho-str": (lambda: FilterParameters(n=2, rho="x", factors=()),
+                           "rho must lie in [0, 1], got 'x'"),
+        "params-rho-numeric-str": (lambda: FilterParameters(n=2, rho="0.5", factors=()),
+                                   "rho must lie in [0, 1], got '0.5'"),
+        "params-rho-none": (lambda: FilterParameters(n=2, rho=None, factors=()),
+                            "rho must lie in [0, 1], got None"),
+        "box-rho-str": (lambda: BoxPoint(n=2, rho="x", coords=np.zeros((0, 4))),
+                        "rho must lie in [0, 1], got 'x'"),
+        "box-rho-none": (lambda: BoxPoint(n=2, rho=None, coords=np.zeros((0, 4))),
+                         "rho must lie in [0, 1], got None"),
+        "sample-box-rho-str": (lambda: sample_box(0, 2, 1, "x"), "rho must lie in [0, 1], got 'x'"),
         "sample-box-rho": (lambda: sample_box(0, 2, 1, -0.5), "rho must lie in [0, 1], got -0.5"),
         "factor-norm": (lambda: Factor(np.array([1.0, 1.0]), 0.0),
                         "factor vector must have unit norm, got 1.41"),
-        "subband-filters-norm": (lambda: SubbandFilterSet(n=2, vectors=[[1, 0], [1, 1]]),
-                                 "factor 1: factor vector must have unit norm, got 1.41"),
-        "subband-filters-nan": (lambda: SubbandFilterSet(n=2, vectors=[[np.nan, 0]]),
-                                "factor 0: factor vector must have finite entries"),
         "section-nan": (lambda: realize_decimated_unitary([np.nan, 0], 0.5, 2),
                         "factor vector must have finite entries"),
         "section-alpha-nan": (lambda: realize_decimated_unitary(E1, np.nan, 2),
                               "alpha must be finite"),
         "core-nan": (lambda: realize_allpass_core(np.nan, 2), "alpha must be finite"),
+        "section-n-0": (lambda: realize_decimated_unitary(E1, 0.5, 0),
+                        "n must be an integer >= 1, got 0"),
+        "section-n-2.5": (lambda: realize_decimated_unitary(E1, 0.5, 2.5),
+                          "n must be an integer >= 1, got 2.5"),
+        "section-n-True": (lambda: realize_decimated_unitary(E1, 0.5, True),
+                           "n must be an integer >= 1, got True"),
+        "core-n-0": (lambda: realize_allpass_core(0.5, 0),
+                     "n must be an integer >= 1, got 0"),
+        "core-n-2.5": (lambda: realize_allpass_core(0.5, 2.5),
+                       "n must be an integer >= 1, got 2.5"),
+        "core-n-True": (lambda: realize_allpass_core(0.5, True),
+                        "n must be an integer >= 1, got True"),
         "factor-alpha": (lambda: Factor(E1, 1.0), "|alpha| must be < 1, got 1.0"),
     }
 

@@ -2074,12 +2074,24 @@ class TestCliSubbands:
         wio.save_signal(np.ones(7), sig)
         assert main(["analyze", str(params), "--signal", str(sig), "--out", str(tmp_path / "b")]) == 2
 
-    def test_non_fir_exit_5(self, tmp_path):
-        params = tmp_path / "p.json"
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_non_fir_exit_5(self, tmp_path, capsys, command):
+        # IIR parameters with valid inputs: the FIR gate exits 5, writes nothing
+        params = tmp_path / "iir.json"
         wio.save_parameters(sample_parameters(12, 2, 1, 0.9), params)
         sig = tmp_path / "x.csv"
         wio.save_signal(np.ones(8), sig)
-        assert main(["analyze", str(params), "--signal", str(sig), "--out", str(tmp_path / "b")]) == 5
+        bands = tmp_path / "bands"
+        fir = str(self._fir_params(tmp_path))
+        assert main(["analyze", fir, "--signal", str(sig), "--out", str(bands)]) == 0
+        out = tmp_path / "out"
+        inputs = ["--signal", str(sig)] if command == "analyze" else ["--bands", str(bands)]
+        capsys.readouterr()
+        assert main([command, str(params), *inputs, "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "unsupported mode: subband impulse responses require all alpha = 0\n"
+        )
+        assert not out.exists()
 
     def test_missing_band_file_exit_2(self, tmp_path, capsys):
         params = self._fir_params(tmp_path)

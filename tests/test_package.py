@@ -27,8 +27,8 @@ CLI_TOUR = re.search(r"^## Quick tour \(CLI\)\n\n```sh\n(.*?)^```", README, re.M
 PUBLIC_API = [
     "BoxPoint", "CheckReport", "ConvergenceError", "DimensionError", "Factor",
     "FilterParameters", "FirRequiredError", "FormatError", "InvariantError", "PoleError",
-    "Realization", "SamplingError", "SteinCertificate",
-    "SubbandFilterSet", "SubbandSet", "TOL", "WfkError", "analyze", "box_to_params",
+    "Realization", "SamplingError", "SteinCertificate", "SubbandSet", "TOL", "WfkError",
+    "analyze", "box_to_params",
     "cascade", "circle_checks", "dft_matrix", "elementary_wavelet_eval", "eval_realization",
     "impulse_response", "mcmillan_degree", "params_to_box", "realize_allpass_core",
     "realize_decimated_unitary", "realize_elementary_wavelet", "realize_wavelet",
@@ -36,14 +36,15 @@ PUBLIC_API = [
     "synthesis_delay", "synthesize", "system_matrix", "unit_circle_points", "wavelet_eval",
 ]
 # Names the package no longer has: the circle checks other than
-# circle_checks, the modulation constants, an error that nothing raised, and
-# the reference operations that the tests keep in tests/reference_ops.py.
+# circle_checks, the modulation constants, an error that nothing raised, the
+# reference operations that the tests keep in tests/reference_ops.py, and
+# the subband filter set, whose data the filter's parameters hold.
 REMOVED = [
-    "ModulationStructure", "SingularMatrixError", "adjoint", "check_paraunitary",
-    "check_symmetry", "circular_convolve", "cyclic_shift_matrix", "decimate",
-    "decimated_unitary_eval", "elementary_unitary_eval", "expand", "format_eval_csv",
-    "frequency_pr_check", "modulation_structure", "quotient_decimation_check", "simulate",
-    "spectral_radius",
+    "ModulationStructure", "SingularMatrixError", "SubbandFilterSet", "adjoint",
+    "check_paraunitary", "check_symmetry", "circular_convolve", "cyclic_shift_matrix",
+    "decimate", "decimated_unitary_eval", "elementary_unitary_eval", "expand",
+    "format_eval_csv", "frequency_pr_check", "modulation_structure",
+    "quotient_decimation_check", "simulate", "spectral_radius",
 ]
 
 

@@ -26,6 +26,7 @@ from wfk import (
     DimensionError,
     Factor,
     FilterParameters,
+    FirRequiredError,
     InvariantError,
     Realization,
     SubbandSet,
@@ -314,7 +315,7 @@ BLOCK_BOUND = 1e-13
 def _use_reference_kernels(mp):
     """Route the package's responses (in their first layout) and analysis
     through the one-factor reference lattice."""
-    mp.setattr(wfk.filters.SubbandFilterSet, "responses", property(reference_responses))
+    mp.setattr(wfk.filters.FilterParameters, "responses", property(reference_responses))
     mp.setattr(wfk.signal, "_block_lattice", lambda y, vectors: reference_lattice(y, vectors, 1))
 
 
@@ -322,12 +323,12 @@ def reference_synthesize(bands, fs):
     """The adjoint lattice as the reference runs it, the adjoint factors in
     reverse order with the roll of -1, then interleave-then-roll."""
     y = np.array(bands.bands)
-    reference_lattice(y, fs.vectors[::-1], -1)
+    reference_lattice(y, fs._factor_stack[0][::-1], -1)
     return np.roll(reference_interleave(y), synthesis_delay(fs))
 
 
 def _run_all(p, x, synth=synthesize):
-    """Responses, their delay, and the bands and output of a fresh filter set."""
+    """Responses, their delay, and the bands and output of FIR parameters ``p``."""
     fs = subband_filters(p)
     bands = analyze(x, fs)
     delays = fs.max_length, synthesis_delay(fs)
@@ -550,7 +551,7 @@ class TestBlockLattice:
         synthesize(bands, fs)
         assert [(y.flags.c_contiguous, v.flags.c_contiguous) for y, v in seen] == [(True, True)] * 2
         assert np.array_equal(seen[1][0], np.array(bands.bands)[:, ::-1])
-        assert np.array_equal(seen[1][1], fs.vectors[::-1])
+        assert np.array_equal(seen[1][1], fs._factor_stack[0][::-1])
 
     @pytest.mark.parametrize("n,m", LONG_RUNGS)
     def test_long_round_trip_error(self, n, m):
@@ -645,9 +646,34 @@ class TestSimulate:
         (lambda: synthesize(SubbandSet(n=3, bands=(np.zeros(4),) * 3),
                             subband_filters(sample_parameters(0, 2, 1, 0.0))),
          DimensionError, "band count 3 != filter count 2"),
+        # a 2 x 2 band and a 4 x 1 band hold four samples each, but are not signals
+        (lambda: SubbandSet(n=2, bands=(np.zeros((2, 2)), np.ones((4, 1)))), DimensionError,
+         "a signal must be one-dimensional, got shape (2, 2)"),
+        (lambda: SubbandSet(n=2, bands=(np.zeros(4), np.ones((4, 1)))), DimensionError,
+         "a signal must be one-dimensional, got shape (4, 1)"),
+        (lambda: analyze(np.arange(8.0).reshape(2, 4), sample_parameters(0, 2, 1, 0.0)),
+         DimensionError, "a signal must be one-dimensional, got shape (2, 4)"),
+        (lambda: analyze(1.0, sample_parameters(0, 2, 1, 0.0)), DimensionError,
+         "a signal must be one-dimensional, got shape ()"),
     ],
-    ids=["band-count", "synthesize-filters"],
+    ids=["band-count", "synthesize-filters", "band-2d", "band-column", "signal-2d", "signal-0d"],
 )
 def test_library_validation(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: analyze(np.ones(8), p),
+        lambda p: synthesize(SubbandSet(n=2, bands=(np.ones(4),) * 2), p),
+        synthesis_delay,
+        lambda p: p.responses,
+    ],
+    ids=["analyze", "synthesize", "synthesis-delay", "responses"],
+)
+def test_subband_path_requires_fir_parameters(call):
+    # IIR parameters given straight to the subband path meet its one FIR gate
+    with pytest.raises(FirRequiredError, match="^subband impulse responses require all alpha = 0$"):
+        call(sample_parameters(12, 2, 1, 0.9))
