@@ -12,9 +12,11 @@ parametrization over a real box, convenient for sampling and optimization.
 Two blocked kernels apply the factors: :func:`_factor_updates` for the
 evaluators, and :func:`_block_lattice`, the FIR polyphase lattice, for the
 impulse responses (:attr:`FilterParameters.responses`) and the subband
-signals of :mod:`wfk.signal`.  :func:`subband_filters` is the one gate of
-that FIR path.  The lattice, the polyphase split and the realization
-evaluator size their working sets by one budget, ``_WORK_ENTRIES``.
+signals of :mod:`wfk.signal` from ``n = 3`` on; at ``n = 2`` the signals
+take one product with the responses instead.  :func:`subband_filters` is
+the one gate of that FIR path.  The lattice, the polyphase split, the
+two-band window and the realization evaluator size their working sets by
+one budget, ``_WORK_ENTRIES``.
 
 Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
@@ -73,7 +75,8 @@ _BLOCK = 16
 # entries (512 KiB): each work array of an eval_realization point chunk (X
 # and the ratios that give Q in _sweep, the stacked zI - A in _lu, C X in
 # both; one point when that needs more), the samples of a _polyphase copy
-# block, and both work arrays of a _block_lattice panel.  Measured with one
+# block, both work arrays of a _block_lattice panel and the window of a
+# two-band panel (signal._two_band_panels).  Measured with one
 # BLAS thread on a 2-CPU host, eval_realization as ms for one 512-point call
 # (warm heap, median of 3 in-process runs interleaving the budgets) / minor
 # faults of one `wfk verify` of a realization file (in the certify
@@ -88,11 +91,11 @@ _BLOCK = 16
 # 2**15 faults half as often as 2**16 at n = 8 and 12; 2**14 faults no
 # less and computes slower.  _polyphase at 2**17 samples, n = 2 / 16:
 # 0.14 / 0.24 ms against 0.18 / 0.41 ms unblocked.  With one BLAS thread a
-# budget moves no bit of _polyphase or _block_lattice, and none of
-# eval_realization when N_in is a multiple of 4: otherwise BLAS rounds a
-# column of _sweep's vector-matrix products by its place in the unrolled
-# loop, which moved values by up to 6.5e-16 of their largest modulus at
-# N_in = 2, 3 and 5.
+# budget moves no bit of _polyphase, _block_lattice or the two-band path,
+# and none of eval_realization when N_in is a multiple of 4: otherwise BLAS
+# rounds a column of _sweep's vector-matrix products by its place in the
+# unrolled loop, which moved values by up to 6.5e-16 of their largest
+# modulus at N_in = 2, 3 and 5.
 _WORK_ENTRIES = 1 << 15
 
 
@@ -152,7 +155,7 @@ def _unit_vector(v) -> np.ndarray:
     return _frozen(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factor:
     """One degree-one unitary factor: a unit vector ``v`` and a pole ``alpha``.
 
@@ -174,7 +177,7 @@ class Factor:
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterParameters:
     """Full parameter point: band count, factor list and spectral-radius bound.
 
@@ -279,7 +282,7 @@ class FilterParameters:
         return max(h.size for h in self.responses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxPoint:
     """Coordinates in the real box parameterizing an index-``m`` filter.
 
@@ -566,10 +569,7 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
     per_column = k + max(k, n)
     width = min(max((2 * cols // per_column - 8) // 8 * 8, 8), _WORK_ENTRIES // 8)
     width = cols if cols * per_column <= _WORK_ENTRIES else width
-    # a remainder under 8 columns joins the last panel: a one-column panel
-    # would turn the products into matrix-vector products, with other bits
-    starts = range(0, max(cols - 7, 1), width)
-    panels = [y[:, a:b] for a, b in zip(starts, [*starts[1:], cols])]
+    panels = [y[:, a:b] for a, b in _panel_bounds(cols, width)]
     span = max(max(p.shape[1] for p in panels), k)
     d = np.empty((k, span), dtype=complex)
     work = np.empty(max(k * (span + 1), n * span), dtype=complex)
@@ -586,6 +586,17 @@ def _block_lattice(y: np.ndarray, vectors: np.ndarray) -> None:
             # numpy allocate ufunc buffers of about the panel's size
             for row, add in zip(panel, update):
                 row += add
+
+
+def _panel_bounds(cols: int, width: int) -> list[tuple[int, int]]:
+    """Column ranges ``(a, b)`` of ``width`` columns from column 0 on, the
+    last one ending at ``cols``.
+
+    A remainder under 8 columns joins the last panel: a one-column panel
+    would turn the products into matrix-vector products, with other bits.
+    """
+    starts = range(0, max(cols - 7, 1), width)
+    return list(zip(starts, [*starts[1:], cols]))
 
 
 def _block_differences(panel, vc, g, d, work, edge) -> np.ndarray:

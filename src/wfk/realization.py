@@ -57,7 +57,7 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """System matrix blocks of ``x(t+1) = A x + B u``, ``y = C x + D u``."""
 
@@ -162,7 +162,7 @@ class _HeadPlan:
         self.b_heads = r.b[heads]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteinCertificate:
     """Solution and residuals of the circle-unitarity (Stein) equation.
 

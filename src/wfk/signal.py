@@ -1,7 +1,14 @@
 """Apply filters to sampled signals: subband analysis and synthesis.
 
-FIR subband analysis runs as the polyphase lattice of the factorization
-``W(z) = V_m(z**n) ... V_1(z**n) diag(1, 1/z, ..., z**-(n-1)) Q``: the
+At ``n = 2`` analysis and synthesis are one tap-matrix product per panel
+of columns: the ``(2, S)`` taps ``sqrt(2) h_k[s]`` of the cached
+:attr:`wfk.filters.FilterParameters.responses` times a window of strided
+signal samples, or, for synthesis, of shifted band samples (Vaidyanathan,
+Multirate Systems and Filter Banks, 1993, ch. 5).  The window of a panel
+holds at most ``_WORK_ENTRIES`` entries, or 8 columns where that is more.
+
+From ``n = 3`` on, FIR subband analysis runs as the polyphase lattice of
+the factorization ``W(z) = V_m(z**n) ... V_1(z**n) diag(1, 1/z, ..., z**-(n-1)) Q``: the
 polyphase components of the signal pass through the factors in
 ``w = z**n``, and each factor ``I + (1/w - 1) v v*`` costs one inner
 product and one unit delay (Vaidyanathan, Nguyen, Doganata & Saramaki,
@@ -42,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, InvariantError
 from .filters import (
@@ -50,6 +58,7 @@ from .filters import (
     _block_lattice,
     _count,
     _frozen,
+    _panel_bounds,
     subband_filters,
 )
 
@@ -63,7 +72,7 @@ def _as_signal(x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubbandSet:
     """N equal-length subband signals produced by analysis."""
 
@@ -135,29 +144,123 @@ def _interleave(y: np.ndarray, delay: int) -> np.ndarray:
     return x
 
 
+# The two-band path.  A tap-matrix product costs n*(m + 1) multiplies per
+# sample against the lattice's 2*m, within one tap of each other only at
+# n = 2, where the product also replaces the lattice's narrow passes
+# (inner dimension 2 or 3, the per-factor recurrences) and the polyphase,
+# reversed-copy and interleave passes around them.  Analysis of a
+# 2**17-sample signal, lattice against the same product at any n, one
+# BLAS thread, 2-CPU Xeon, median of 40 alternating: (2, 3) 4.4 -> 3.4 ms,
+# (3, 6) 6.8 -> 7.1 ms, (4, 8) 7.3 -> 9.0 ms, (8, 16) 9.2 -> 14.5 ms; so
+# n >= 3 keeps the lattice.  The benchmark runs both sides of the rule:
+# `subband` at n = 2 beside 8 and 16, `cli` at n = 4.
+
+
+def _two_band_taps(params: FilterParameters) -> np.ndarray:
+    """The ``(2, S)`` tap matrix ``A[k, s] = sqrt(2) h_k[s]`` of the two
+    responses ``h_k``, zero past each, over the even span ``S >= max_length``."""
+    taps = np.zeros((2, -(-params.max_length // 2) * 2), dtype=complex)
+    for row, h in zip(taps, params.responses):
+        np.multiply(h, np.sqrt(2), out=row[: h.size])
+    return taps
+
+
+def _two_band_panels(columns: int, span: int) -> list[tuple[int, int]]:
+    """Panels of a two-band product: the ``(S, w)`` window within
+    ``_WORK_ENTRIES`` entries, ``w`` a multiple of 8 and at least 8.
+
+    With one BLAS thread every such width gives the same bits: a panel
+    starts at a multiple of 8, a product rounds a column by its place
+    modulo 4 in the panel, and the last panel ends at the last column
+    whatever its width (measured from 8 columns to the whole row).
+    """
+    return _panel_bounds(columns, max(_WORK_ENTRIES // span // 8 * 8, 8))
+
+
+def _window(signal: np.ndarray, start: int, step: int, out: np.ndarray) -> None:
+    """``out[r, c] = signal[(start - r + step*c) mod signal.size]``: a copy
+    of one strided view where no index wraps, else a gather."""
+    rows, cols = out.shape
+    if start - rows + 1 >= 0 and start + step * (cols - 1) < signal.size:
+        stride = signal.strides[0]
+        view = as_strided(signal[start:], out.shape, (-stride, step * stride), writeable=False)
+        np.copyto(out, view)
+    else:
+        index = start - np.arange(rows)[:, None] + step * np.arange(cols)
+        np.take(signal, index, mode="wrap", out=out)
+
+
+def _two_band_analysis(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The bands ``y[k, j] = sum_s A[k, s] x[(2j - s) mod L]`` as one
+    product ``A @ window`` per panel of columns ``j``, where
+    ``window[s, j] = x[(2j - s) mod L]``."""
+    half, span = x.size // 2, taps.shape[1]
+    bands = np.empty((2, half), dtype=complex)
+    panels = _two_band_panels(half, span)
+    window = np.empty((span, max(b - a for a, b in panels)), dtype=complex)
+    for a, b in panels:
+        panel = window[:, : b - a]
+        _window(x, 2 * a, 2, panel)
+        np.matmul(taps, panel, out=bands[:, a:b])
+    return bands
+
+
+def _two_band_synthesis(bands, taps: np.ndarray, delay: int) -> np.ndarray:
+    """The adjoint of :func:`_two_band_analysis` delayed by ``delay``:
+    ``x[2p + r] = sum_{k, t} conj(A[k, delay - r - 2t]) b_k[(p - t) mod L/2]``.
+
+    Each panel of output pairs ``p`` gathers the shifted band samples
+    ``b_k[p - t]``, ``t < S/2``, into the rows of one window and takes one
+    ``(2, S) @ (S, w)`` product, as its transpose, so that it writes the
+    output pairs in place and every output sample is written once.
+    ``delay`` is ``max_length - 1``, so ``delay - r - 2t`` runs from
+    ``S - 1`` down to no less than -1, where the tap is 0.
+    """
+    half, span = bands[0].size, taps.shape[1]
+    reach = span // 2
+    out = np.empty(2 * half, dtype=complex)
+    conj_taps = np.zeros((2, span + 1), dtype=complex)  # the last column, index -1, is 0
+    np.conjugate(taps, out=conj_taps[:, :span])
+    index = delay - np.arange(2)[:, None] - 2 * np.arange(reach)
+    # product[r, k*reach + t] = conj(A[k, delay - r - 2t])
+    product = conj_taps[:, index].transpose(1, 0, 2).reshape(2, span)
+    panels = _two_band_panels(half, span)
+    window = np.empty((span, max(b - a for a, b in panels)), dtype=complex)
+    pairs = out.reshape(half, 2)
+    for a, b in panels:
+        panel = window[:, : b - a]
+        for k, band in enumerate(bands):
+            _window(band, a, 1, panel[k * reach : (k + 1) * reach])
+        np.matmul(panel.T, product.T, out=pairs[a:b])
+    return out
+
+
 def analyze(x, params: FilterParameters) -> SubbandSet:
     """Split ``x`` into subbands: filter, decimate, and scale by ``sqrt(n)``.
 
-    Runs as the polyphase lattice of the factorization: the rows
+    Band ``k`` is ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]`` for
+    the response ``h_k``.  At ``n = 2`` that is one tap-matrix product per
+    panel of the bands (:func:`_two_band_analysis`).  From ``n = 3`` on it
+    runs as the polyphase lattice of the factorization: the rows
     ``y_i[j] = x[n*j - i]`` (circularly) pass through ``V_1 .. V_m`` in
     ``w = z**n``, one inner product and one unit delay per factor, so the
     work is O(L*m) whatever the tap length, ``_BLOCK`` factors at a time by
     :func:`_block_lattice`; the bands equal the one-factor lattice's up to
     rounding.  The ``sqrt(n)`` gain cancels the ``1/sqrt(n)`` of the first
-    column of ``Q``, so the rows are the bands.  Band ``k`` is
-    ``y[j] = sqrt(n) * sum_s h_k[s] x[(n*j - s) mod L]`` for the response
-    ``h_k``.  The signal length must be divisible by the band count so the
-    circular lattice is well defined.  Raises :class:`InvariantError` on
-    overflow.
+    column of ``Q``, so the rows are the bands.  The signal length must be
+    divisible by the band count so the circular bands are well defined.
+    Raises :class:`InvariantError` on overflow.
     """
-    vectors = subband_filters(params)._factor_stack[0]
+    n = subband_filters(params).n
     x = _as_signal(x)
-    n = params.n
     if x.size % n != 0:
         raise DimensionError(f"signal length {x.size} not divisible by {n}")
-    y = _polyphase(x, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_lattice(y, vectors)
+        if n == 2:
+            y = _two_band_analysis(x, _two_band_taps(params))
+        else:
+            y = _polyphase(x, n)
+            _block_lattice(y, params._factor_stack[0])
     y.flags.writeable = False  # so the set keeps the rows, not a copy
     try:
         return SubbandSet(n=n, bands=tuple(y))
@@ -174,29 +277,35 @@ def synthesize(bands: SubbandSet, params: FilterParameters) -> np.ndarray:
     """Rebuild a signal from subbands; the result is the input delayed by
     ``synthesis_delay(params)`` samples (circularly).
 
-    Applies the adjoint of :func:`analyze`.  A factor's adjoint
-    ``I + (w - 1) v v*`` is the factor conjugated by the time reversal ``J``
-    of a row, so the adjoint lattice is ``J L' J``, ``L'`` the lattice of
-    the factors in reverse order (Vaidyanathan, Multirate Systems and Filter
-    Banks, 1993, ch. 14): a reversed copy of the bands runs through
-    :func:`_block_lattice` with the reversed factors, contiguous for the
-    block products, and the interleave reads it reversed, applies the delay
-    and writes the output once.  A round trip holds three signal-length
-    arrays (the bands, the working rows, the output) and the lattice's
-    work: one panel within ``_WORK_ENTRIES`` entries, or at most two rows'
-    worth for rows that do not fit.  Equals the sum over bands of each band
+    Applies the adjoint of :func:`analyze`: the sum over bands of each band
     expanded by ``n`` and filtered with the conjugate time-reversal of its
     response, all responses padded to one shared delay, times ``sqrt(n)``.
-    Raises :class:`InvariantError` on overflow.
+    At ``n = 2`` that is one tap-matrix product per panel of output pairs
+    (:func:`_two_band_synthesis`), which holds the output and one panel's
+    window.  From ``n = 3`` on, a factor's adjoint ``I + (w - 1) v v*`` is
+    the factor conjugated by the time reversal ``J`` of a row, so the
+    adjoint lattice is ``J L' J``, ``L'`` the lattice of the factors in
+    reverse order (Vaidyanathan, Multirate Systems and Filter Banks, 1993,
+    ch. 14): a reversed copy of the bands runs through
+    :func:`_block_lattice` with the reversed factors, contiguous for the
+    block products, and the interleave reads it reversed, applies the delay
+    and writes the output once.  There a round trip holds three
+    signal-length arrays (the bands, the working rows, the output) and the
+    lattice's work: one panel within ``_WORK_ENTRIES`` entries, or at most
+    two rows' worth for rows that do not fit.  Raises
+    :class:`InvariantError` on overflow.
     """
     delay = synthesis_delay(params)  # the FIR gate first
     if bands.n != params.n:
         raise DimensionError(f"band count {bands.n} != filter count {params.n}")
-    y = np.array([b[::-1] for b in bands.bands])
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_lattice(y, params._factor_stack[0][::-1].copy())
+        if params.n == 2:
+            y = _two_band_synthesis(bands.bands, _two_band_taps(params), delay)
+        else:
+            y = np.array([b[::-1] for b in bands.bands])
+            _block_lattice(y, params._factor_stack[0][::-1].copy())
         # a finite sum proves every sample finite, at half a full pass's cost
         finite = np.isfinite(y.sum()) or np.isfinite(y).all()
     if not finite:
         raise InvariantError("synthesis overflowed: a sample left the float range")
-    return _interleave(y[:, ::-1], delay)
+    return y if params.n == 2 else _interleave(y[:, ::-1], delay)

@@ -56,6 +56,26 @@ def test_public_api_is_pinned():
         assert not present, (module.__name__, present)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wfk.Factor(v=[1.0, 0.0], alpha=0.0),
+        lambda: wfk.sample_parameters(1, 2, 2, 0.0),
+        lambda: wfk.sample_box(1, 2, 2, 0.0),
+        lambda: wfk.realize_wavelet(wfk.sample_parameters(1, 2, 2, 0.0)),
+        lambda: wfk.stein_certificate(wfk.realize_wavelet(wfk.sample_parameters(1, 2, 2, 0.0))),
+        lambda: wfk.SubbandSet(n=2, bands=(np.zeros(4), np.ones(4))),
+    ],
+    ids=["Factor", "FilterParameters", "BoxPoint", "Realization", "SteinCertificate", "SubbandSet"],
+)
+def test_records_holding_arrays_compare_by_identity(make):
+    # field-wise equality would compare arrays inside a tuple, which raises
+    # numpy's ValueError, and field-wise hashing would raise TypeError
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_exports_resolve_and_numpy_is_the_only_dependency():
     for name in wfk.__all__:
         assert getattr(wfk, name) is not None, name

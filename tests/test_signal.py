@@ -314,7 +314,8 @@ BLOCK_BOUND = 1e-13
 
 def _use_reference_kernels(mp):
     """Route the package's responses (in their first layout) and analysis
-    through the one-factor reference lattice."""
+    through the one-factor reference lattice; at n = 2 analysis multiplies
+    by those taps (:class:`TestTwoBand` checks it against the lattice)."""
     mp.setattr(wfk.filters.FilterParameters, "responses", property(reference_responses))
     mp.setattr(wfk.signal, "_block_lattice", lambda y, vectors: reference_lattice(y, vectors, 1))
 
@@ -446,14 +447,17 @@ def block_lattice(y, vectors, shift):
 
 @contextmanager
 def work_entries(budget):
-    """``filters._WORK_ENTRIES`` set to ``budget`` (None keeps the default)
-    for the ``with`` body, also where no ``monkeypatch`` is at hand."""
+    """``_WORK_ENTRIES`` of ``filters`` and ``signal`` set to ``budget``
+    (None keeps the default) for the ``with`` body, also where no
+    ``monkeypatch`` is at hand."""
     default = wfk.filters._WORK_ENTRIES
-    wfk.filters._WORK_ENTRIES = default if budget is None else budget
+    for module in (wfk.filters, wfk.signal):
+        module._WORK_ENTRIES = default if budget is None else budget
     try:
         yield
     finally:
-        wfk.filters._WORK_ENTRIES = default
+        for module in (wfk.filters, wfk.signal):
+            module._WORK_ENTRIES = default
 
 
 K = wfk.filters._BLOCK
@@ -560,6 +564,107 @@ class TestBlockLattice:
         rec = synthesize(analyze(x, fs), fs)
         err = np.linalg.norm(rec - np.roll(x, synthesis_delay(fs)))
         assert err <= 1e-14 * np.linalg.norm(x)
+
+
+def two_band_reference(x, fs):
+    """The bands and output of two-band FIR parameters ``fs`` by direct
+    circular filtering, ``np.roll(x, s)[2j] = x[(2j - s) mod L]``, and by
+    the one-factor lattice on the polyphase rows ``x[(2j - i) mod L]``."""
+    delay = synthesis_delay(fs)
+    taps = [np.sqrt(2) * h for h in fs.responses]
+    bands = np.array([sum(a * np.roll(x, s)[::2] for s, a in enumerate(t)) for t in taps])
+    # x[c] = sum_{k, s} conj(A[k, s]) expand(b_k)[(c - delay + s) mod L]
+    output = sum(
+        np.conj(a) * np.roll(expand(b, 2), delay - s) for b, t in zip(bands, taps) for s, a in enumerate(t)
+    )
+    y = x[(2 * np.arange(x.size // 2) - np.arange(2)[:, None]) % x.size]
+    reference_lattice(y, fs._factor_stack[0], 1)
+    lattice_output = reference_synthesize(SubbandSet(n=2, bands=tuple(y)), fs)
+    return (bands, output), (y, lattice_output)
+
+
+TWO_BAND_INDICES = (0, 1, 2, 3, 8, 16, 17, 33)
+# Short rows that every window wraps, more than once where the taps are
+# longer than the signal; 40005 columns end in a partial panel at every
+# index, and 2**16 + 1 in a panel that takes a one-column remainder.
+TWO_BAND_LENGTHS = (2, 4, 6, 14, 80010, LONG + 2)
+
+
+def two_band_width_outputs():
+    """The bytes of the two-band bands and output at the budgets that cap
+    the panels at 8 and 128 columns, at the least budget that makes the
+    row one panel, and at the default, for rows that end in a partial panel
+    or take a one-column remainder: one list of outputs per case."""
+    cases = []
+    for m, half in ((3, 3003), (17, 3001), (33, 2 * 4096 + 1)):
+        fs = subband_filters(sample_parameters(m, 2, m, 0.0))
+        span = -(-fs.max_length // 2) * 2
+        x = random_signal(2 * half, m)
+        outs = []
+        for budget in (8 * span, 128 * span, half * span, None):
+            with work_entries(budget):
+                bands = analyze(x, fs)
+                outs.append(np.concatenate([*bands.bands, synthesize(bands, fs)]))
+        cases.append(outs)
+    return cases
+
+
+def distinct_two_band_outputs():
+    """Distinct outputs per case of :func:`two_band_width_outputs`."""
+    return [len({z.tobytes() for z in outs}) for outs in two_band_width_outputs()]
+
+
+class TestTwoBand:
+    """The tap-matrix path of n = 2 against direct filtering and the
+    one-factor lattice."""
+
+    @pytest.mark.parametrize("m", TWO_BAND_INDICES)
+    def test_matches_direct_filtering_and_one_factor_lattice(self, m):
+        fs = subband_filters(sample_parameters(m, 2, m, 0.0))
+        for length in TWO_BAND_LENGTHS:
+            x = random_signal(length, m + length)
+            bands = analyze(x, fs)
+            got = np.array(bands.bands), synthesize(bands, fs)
+            for want in two_band_reference(x, fs):
+                for a, b in zip(got, want):
+                    assert np.abs(a - b).max() <= BLOCK_BOUND * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflow_messages(self, n):
+        # both paths name an overflow in the same words
+        fs = subband_filters(sample_parameters(1, n, 3, 0.0))
+        big = np.tile([1.7e308, -1.7e308], 4 * n)
+        with pytest.raises(InvariantError, match="^analysis overflowed: a band left the float range$"):
+            analyze(big, fs)
+        bands = SubbandSet(n=n, bands=tuple(np.full(8, (-1) ** k * 1.7e308) for k in range(n)))
+        with pytest.raises(InvariantError, match="^synthesis overflowed: a sample left the float range$"):
+            synthesize(bands, fs)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_only_n_from_three_runs_the_lattice(self, n, monkeypatch):
+        calls = []
+        for name in ("_polyphase", "_block_lattice", "_interleave"):
+            kernel = getattr(wfk.signal, name)
+            monkeypatch.setattr(
+                wfk.signal, name, lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a)
+            )
+        fs = subband_filters(sample_parameters(n, n, 4, 0.0))
+        x = random_signal(12 * n, n)
+        rec = synthesize(analyze(x, fs), fs)
+        assert np.linalg.norm(rec - np.roll(x, synthesis_delay(fs))) <= 1e-12 * np.linalg.norm(x)
+        assert calls == ([] if n == 2 else ["_polyphase", "_block_lattice", "_block_lattice", "_interleave"])
+
+    @pytest.fixture(scope="class")
+    def one_thread_distinct(self):
+        return one_thread_json("test_signal", "distinct_two_band_outputs", timeout=60)
+
+    def test_bits_independent_of_panel_width(self, one_thread_distinct):
+        # one BLAS thread: the same bytes at every width; the threads of
+        # this process: the same up to rounding
+        assert one_thread_distinct == [1, 1, 1]
+        for outs in two_band_width_outputs():
+            for z in outs[1:]:
+                assert np.abs(z - outs[0]).max() <= BLOCK_BOUND * np.abs(outs[0]).max()
 
 
 class TestFrequencyPr:
