@@ -14,9 +14,9 @@ evaluators, and :func:`_block_lattice`, the FIR polyphase lattice, for the
 impulse responses (:attr:`FilterParameters.responses`) and the subband
 signals of :mod:`wfk.signal` from ``n = 3`` on; at ``n = 2`` the signals
 take one product with the responses instead.  :func:`subband_filters` is
-the one gate of that FIR path.  The lattice, the polyphase split, the
-two-band window and the realization evaluator size their working sets by
-one budget, ``_WORK_ENTRIES``.
+the one gate of that FIR path.  One budget, ``_WORK_ENTRIES``, sizes the
+working set of every blocked loop of the package, each reading it here
+when it runs.
 
 Identities between the rational functions here are checked by sampled
 evaluation, never symbolically.  More than ``2*d + 8`` circle points would
@@ -74,13 +74,14 @@ _BLOCK = 16
 # Entries that a blocked loop's work may hold at a time, 2**15 complex
 # entries (512 KiB): each work array of an eval_realization point chunk (X
 # and the ratios that give Q in _sweep, the stacked zI - A in _lu, C X in
-# both; one point when that needs more), the samples of a _polyphase copy
-# block, both work arrays of a _block_lattice panel and the window of a
-# two-band panel (signal._two_band_panels).  Measured with one
-# BLAS thread on a 2-CPU host, eval_realization as ms for one 512-point call
-# (warm heap, median of 3 in-process runs interleaving the budgets) / minor
-# faults of one `wfk verify` of a realization file (in the certify
-# benchmark's order; at (16,32) a loop of verifies in a fresh process):
+# both; one point when that needs more), both work arrays of a
+# _block_lattice panel and a panel of the polyphase copy or a two-band
+# window (signal._panels); io derives its blocks from it.  Every loop reads
+# it here when it runs.  Measured with one BLAS thread on a 2-CPU host,
+# eval_realization as ms for one 512-point call (warm heap, median of 3
+# in-process runs interleaving the budgets) / minor faults of one
+# `wfk verify` of a realization file (in the certify benchmark's order; at
+# (16,32) a loop of verifies in a fresh process):
 #
 #   budget        2**18         2**16         2**15         2**14
 #   (4,8,.9)      1.08 / 16     1.10 / 33     1.09 / 33     1.15 / 22
@@ -122,20 +123,25 @@ def _integral(value) -> int | None:
     return None
 
 
+def _named(value):
+    """``value`` for a message: a numpy scalar as its Python value, whatever numpy's repr."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _count(value, name: str = "band count", low: int = 2) -> int:
     """``value`` as an ``int`` of at least ``low``: the rule of every count and seed."""
     count = _integral(value)
     if count is None or count < low:
-        raise InvariantError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise InvariantError(f"{name} must be an integer >= {low}, got {_named(value)!r}")
     return count
 
 
 def _rho(rho) -> float:
     """``rho`` as a float in ``[0, 1]``: the rule of every entry point that takes it;
-    a value that ``float`` cannot convert, or a string, is named as given."""
+    a value that ``float`` cannot convert, a string or a bool is named as given."""
     try:
-        value = rho if isinstance(rho, (str, bytes)) else float(rho)
-    except (TypeError, ValueError):
+        value = _named(rho) if isinstance(rho, (str, bytes, bool, np.bool_)) else float(rho)
+    except (TypeError, ValueError, OverflowError):
         value = rho
     if not (isinstance(value, float) and 0.0 <= value <= 1.0):
         raise InvariantError(f"rho must lie in [0, 1], got {value!r}")
@@ -319,7 +325,7 @@ class BoxPoint:
         if bad.any():
             # the first bad coordinate in row-major order
             row, col = divmod(int(np.argmax(bad)), 2 * self.n)
-            x = coords[row, col]
+            x = float(coords[row, col])
             if col == 0:
                 raise InvariantError(f"delta_1 = {x!r} outside [0, pi)")
             if col < 2 * self.n - 1:

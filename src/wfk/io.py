@@ -3,7 +3,11 @@
 Complex numbers are serialized as two-element ``[re, im]`` arrays
 everywhere; structured data is JSON, sampled data is CSV.  Loading always
 revalidates the domain invariants by rebuilding values through their
-constructors.
+constructors.  Its blocked loops read the package's one working-set
+budget, ``filters._WORK_ENTRIES``, when they run: CSV and JSON number
+blocks of a quarter of it in cells (a cell's float, tuple slot and text
+take about four complex entries' bytes), and :func:`load_signal`'s screen
+pieces of 32 times it in characters.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import filters
 from .errors import DimensionError, FormatError, InvariantError
 from .filters import BoxPoint, CheckReport, Factor, FilterParameters, _integral
 from .realization import Realization
@@ -93,9 +98,9 @@ def _number_blocks(flat: list, width: int, depth: int):
 
     Each row is one number, or one ``[re, im]`` pair laid out over four
     lines, indented as ``json.dumps(indent=2)`` indents them.  A block of
-    up to ``_CSV_BLOCK_CELLS`` numbers is formatted by one ``%r`` row
-    template, as in :func:`_csv_blocks`: a plain int or float is written as
-    its ``repr``, which is what ``json`` writes for it.
+    the whole rows in ``filters._WORK_ENTRIES // 4`` numbers is formatted
+    by one ``%r`` row template, as in :func:`_csv_blocks`: a plain int or
+    float is written as its ``repr``, which is what ``json`` writes for it.
     """
     outer = "\n" + "  " * (depth + 1)
     if width == 1:
@@ -104,8 +109,9 @@ def _number_blocks(flat: list, width: int, depth: int):
         inner = outer + "  "
         row = outer + "[" + inner + "%r," + inner + "%r" + outer + "]"
     first, template = "[" + row, "," + row
-    for start in range(0, len(flat), _CSV_BLOCK_CELLS):
-        block = tuple(flat[start : start + _CSV_BLOCK_CELLS])
+    step = max(1, filters._WORK_ENTRIES // 4 // width) * width
+    for start in range(0, len(flat), step):
+        block = tuple(flat[start : start + step])
         yield (first + template * (len(block) // width - 1)) % block
         first = template
     yield "\n" + "  " * depth + "]"
@@ -232,7 +238,7 @@ def parameters_from_dict(doc: dict) -> FilterParameters:
     try:
         n = _integer(doc, "n")
         m = _integer(doc, "m")
-        rho = float(doc["rho"])
+        rho = doc["rho"]  # FilterParameters applies the one rho rule
         raw = doc["factors"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"malformed parameter document: {exc}") from exc
@@ -489,24 +495,15 @@ def report_to_dict(checks: list[CheckReport], seed: int, points: int, tol: float
 # (reading text already maps "\r" to "\n"), and "\x1f", which float() does
 # not strip.
 _LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
-# Characters per piece when load_signal screens a file.
-_SCREEN_CHARS = 1 << 20
-
-
-# Cells per block of the CSV writer, 4096 rows of a signal, and numbers per
-# block of a JSON number list; even, so that a block holds whole [re, im]
-# pairs.  A block's floats, their tuple and its text are all the memory the
-# writer adds.
-_CSV_BLOCK_CELLS = 8192
 
 
 def _csv_blocks(*columns: np.ndarray):
     """The CSV text of rows of float cells, one block of rows at a time.
 
     Each of ``columns`` is a ``(K, c_i)`` float array, and row ``k`` of the
-    CSV holds row ``k`` of each in turn.  A block holds as many rows as fit
-    in ``_CSV_BLOCK_CELLS`` cells (at least one) and is formatted by one
-    ``%r`` row template: each cell is the ``repr`` of its float, so the
+    CSV holds row ``k`` of each in turn.  A block holds the rows that fit
+    in ``filters._WORK_ENTRIES // 4`` cells (at least one), formatted by
+    one ``%r`` row template: each cell is the ``repr`` of its float, so the
     text is the same whatever the block size.  No rows give a lone newline.
     """
     count = columns[0].shape[0]
@@ -515,7 +512,7 @@ def _csv_blocks(*columns: np.ndarray):
         yield "\n"
         return
     template = ",".join(["%r"] * width) + "\n"
-    step = max(1, _CSV_BLOCK_CELLS // width)
+    step = max(1, filters._WORK_ENTRIES // 4 // width)
     for start in range(0, count, step):
         block = np.hstack([c[start : start + step] for c in columns])
         yield (template * block.shape[0]) % tuple(block.reshape(-1).tolist())
@@ -535,17 +532,17 @@ def save_signal(x, path) -> None:
 def _screen(path) -> str:
     """How :func:`load_signal` reads ``path``: ``"blank"``, ``"loop"`` or ``"numpy"``.
 
-    The file is read in pieces of ``_SCREEN_CHARS`` characters, never as
-    one string.  It is blank when empty or whitespace only, and takes the
-    line loop when it holds a ``_LOOP_ONLY`` character, which numpy would
-    strip around a number.  A read error is raised by :func:`_read_text`,
-    so that its message is the same and a decode error keeps its offset in
-    the whole file.
+    The file is read in pieces of ``32 * filters._WORK_ENTRIES`` characters
+    (2**20), never as one string.  It is blank when empty or whitespace
+    only, and takes the line loop when it holds a ``_LOOP_ONLY`` character,
+    which numpy would strip around a number.  A read error is raised by
+    :func:`_read_text`, so that its message is the same and a decode error
+    keeps its offset in the whole file.
     """
     blank = True
     try:
         with open(path) as stream:
-            while piece := stream.read(_SCREEN_CHARS):
+            while piece := stream.read(32 * filters._WORK_ENTRIES):
                 if any(c in piece for c in _LOOP_ONLY):
                     return "loop"
                 blank = blank and piece.isspace()

@@ -14,7 +14,9 @@ matrix ``M`` with ``A`` stable and ``H > 0``, the ``H``-balanced system
 matrix is unitary, so both of its Gramians are the identity and the
 realization is minimal (the discrete-time bounded-real lemma).  ``H > 0``
 is tested with a relative margin, ``H > delta ||H||_1 I`` with
-``delta = 1e-12``; see :func:`stein_certificate`.
+``delta = 1e-12``; see :func:`stein_certificate`.  The point chunks of
+:func:`eval_realization` read the package's one working-set budget,
+``filters._WORK_ENTRIES``, when it runs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import filters
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -31,7 +34,6 @@ from .errors import (
     PoleError,
 )
 from .filters import (
-    _WORK_ENTRIES,
     TOL,
     Factor,
     FilterParameters,
@@ -423,9 +425,9 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     are solved one at a time, last first, for all points at once, and ``X``
     is formed only at the tops.  A state matrix that is not upper
     triangular gets one stacked LU, for a point or an array.  Both array
-    solvers take the points in chunks sized from ``_WORK_ENTRIES``, the
-    budget of every blocked loop, and each returns its chunk's values with
-    a per-point mask of where it could solve.
+    solvers take the points in chunks sized from ``filters._WORK_ENTRIES``,
+    read when they run, and each returns its chunk's values with a
+    per-point mask of where it could solve.
 
     Raises
     ------
@@ -443,7 +445,7 @@ def eval_realization(r: Realization, z) -> np.ndarray:
     else:
         solve, entries = _lu, p * max(p, r.inputs)
     # both solvers also form C X, N_out x N_in entries per point
-    chunk = max(1, _WORK_ENTRIES // max(entries, r.outputs * r.inputs, 1))
+    chunk = max(1, filters._WORK_ENTRIES // max(entries, r.outputs * r.inputs, 1))
     values = np.empty((points.size,) + r.d.shape, dtype=complex)
     finite = np.empty(points.size, dtype=bool)
     for k in range(0, points.size, chunk):

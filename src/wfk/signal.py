@@ -4,8 +4,7 @@ At ``n = 2`` analysis and synthesis are one tap-matrix product per panel
 of columns: the ``(2, S)`` taps ``sqrt(2) h_k[s]`` of the cached
 :attr:`wfk.filters.FilterParameters.responses` times a window of strided
 signal samples, or, for synthesis, of shifted band samples (Vaidyanathan,
-Multirate Systems and Filter Banks, 1993, ch. 5).  The window of a panel
-holds at most ``_WORK_ENTRIES`` entries, or 8 columns where that is more.
+Multirate Systems and Filter Banks, 1993, ch. 5).
 
 From ``n = 3`` on, FIR subband analysis runs as the polyphase lattice of
 the factorization ``W(z) = V_m(z**n) ... V_1(z**n) diag(1, 1/z, ..., z**-(n-1)) Q``: the
@@ -24,9 +23,11 @@ of the polyphase rows: one matrix product gives the block's inner products
 and one its rank-one updates (the WY form of a product of rank-one
 updates; Bischof & Van Loan, SIAM J. Sci. Stat. Comput. 8, 1987;
 Schreiber & Van Loan, ibid. 10, 1989).  Each factor's algebra is that of
-the one-factor lattice, so the bands equal its bands up to rounding.  The
-two work arrays hold a whole row when that fits in ``_WORK_ENTRIES``
-entries, else at most two rows' worth, about ``2L/n``.
+the one-factor lattice, so the bands equal its bands up to rounding.
+Every blocked loop here reads the package's one working-set budget,
+``filters._WORK_ENTRIES``, when it runs: the polyphase split and two-band
+windows in the panels of :func:`_panels`, the lattice's two work arrays
+within it or, for rows that do not fit, two rows' worth.
 
 The subband path is circular (periodic) by design: with a signal length
 divisible by the band count the round trip is an exact circular delay, so
@@ -51,16 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import filters
 from .errors import DimensionError, InvariantError
-from .filters import (
-    _WORK_ENTRIES,
-    FilterParameters,
-    _block_lattice,
-    _count,
-    _frozen,
-    _panel_bounds,
-    subband_filters,
-)
+from .filters import FilterParameters, _block_lattice, _count, _frozen, subband_filters
 
 
 def _as_signal(x) -> np.ndarray:
@@ -94,22 +88,30 @@ class SubbandSet:
         return self.bands[0].size
 
 
+def _panels(columns: int, rows: int) -> list[tuple[int, int]]:
+    """Column ranges of ``w`` columns of ``rows`` rows, ``rows * w`` within
+    ``filters._WORK_ENTRIES`` entries, ``w`` a multiple of 8 and at least 8.
+
+    With one BLAS thread every such width gives a two-band product the same
+    bits: a panel starts at a multiple of 8, a product rounds a column by
+    its place modulo 4 in the panel, and the last panel ends at the last
+    column whatever its width (measured from 8 columns to the whole row).
+    """
+    return filters._panel_bounds(columns, max(filters._WORK_ENTRIES // rows // 8 * 8, 8))
+
+
 def _polyphase(x: np.ndarray, n: int) -> np.ndarray:
     """Rows ``y_i[j] = x[n*j - i]`` (indices mod ``x.size``), ``i < n``.
 
-    A transpose of ``x`` seen as ``L/n`` rows of ``n``, copied a block of
-    about ``_WORK_ENTRIES`` samples at a time: every row takes its part of a
-    block while the block is in cache, so each cache line of ``x`` is
-    fetched once, not once per row that reads it.  A copy moves no bits.
+    A transpose of ``x`` seen as ``L/n`` rows of ``n``, copied a panel of
+    :func:`_panels` at a time: every row takes its part of a panel while
+    the panel is in cache, so each cache line of ``x`` is fetched once, not
+    once per row that reads it.  A copy moves no bits.
     """
     cols = x.reshape(-1, n).T  # cols[r, j] = x[n*j + r]
-    c = cols.shape[1]
     y = np.empty(cols.shape, dtype=complex)
-    if c:
-        y[1:, 0] = cols[:0:-1, -1]
-    step = max(_WORK_ENTRIES // n, 1)
-    for a in range(0, c, step):
-        b = min(a + step, c)
+    y[1:, :1] = cols[:0:-1, -1:]
+    for a, b in _panels(cols.shape[1], n):
         y[0, a:b] = cols[0, a:b]
         lo = max(a, 1)
         y[1:, lo:b] = cols[:0:-1, lo - 1 : b - 1]
@@ -165,18 +167,6 @@ def _two_band_taps(params: FilterParameters) -> np.ndarray:
     return taps
 
 
-def _two_band_panels(columns: int, span: int) -> list[tuple[int, int]]:
-    """Panels of a two-band product: the ``(S, w)`` window within
-    ``_WORK_ENTRIES`` entries, ``w`` a multiple of 8 and at least 8.
-
-    With one BLAS thread every such width gives the same bits: a panel
-    starts at a multiple of 8, a product rounds a column by its place
-    modulo 4 in the panel, and the last panel ends at the last column
-    whatever its width (measured from 8 columns to the whole row).
-    """
-    return _panel_bounds(columns, max(_WORK_ENTRIES // span // 8 * 8, 8))
-
-
 def _window(signal: np.ndarray, start: int, step: int, out: np.ndarray) -> None:
     """``out[r, c] = signal[(start - r + step*c) mod signal.size]``: a copy
     of one strided view where no index wraps, else a gather."""
@@ -196,7 +186,7 @@ def _two_band_analysis(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     ``window[s, j] = x[(2j - s) mod L]``."""
     half, span = x.size // 2, taps.shape[1]
     bands = np.empty((2, half), dtype=complex)
-    panels = _two_band_panels(half, span)
+    panels = _panels(half, span)
     window = np.empty((span, max(b - a for a, b in panels)), dtype=complex)
     for a, b in panels:
         panel = window[:, : b - a]
@@ -224,7 +214,7 @@ def _two_band_synthesis(bands, taps: np.ndarray, delay: int) -> np.ndarray:
     index = delay - np.arange(2)[:, None] - 2 * np.arange(reach)
     # product[r, k*reach + t] = conj(A[k, delay - r - 2t])
     product = conj_taps[:, index].transpose(1, 0, 2).reshape(2, span)
-    panels = _two_band_panels(half, span)
+    panels = _panels(half, span)
     window = np.empty((span, max(b - a for a, b in panels)), dtype=complex)
     pairs = out.reshape(half, 2)
     for a, b in panels:
@@ -291,8 +281,8 @@ def synthesize(bands: SubbandSet, params: FilterParameters) -> np.ndarray:
     block products, and the interleave reads it reversed, applies the delay
     and writes the output once.  There a round trip holds three
     signal-length arrays (the bands, the working rows, the output) and the
-    lattice's work: one panel within ``_WORK_ENTRIES`` entries, or at most
-    two rows' worth for rows that do not fit.  Raises
+    lattice's work: one panel within ``filters._WORK_ENTRIES`` entries, or
+    at most two rows' worth for rows that do not fit.  Raises
     :class:`InvariantError` on overflow.
     """
     delay = synthesis_delay(params)  # the FIR gate first

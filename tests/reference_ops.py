@@ -255,8 +255,9 @@ def _coords_to_factor(n: int, row: np.ndarray) -> Factor:
 
 
 def box_coordinate_error(n: int, rho: float, coords: np.ndarray) -> str | None:
-    """The message of the first coordinate outside the box, row by row, or None."""
-    for row in coords:
+    """The message of the first coordinate outside the box, row by row, or
+    None; a coordinate is named as a Python float."""
+    for row in coords.tolist():
         if not 0.0 <= row[0] < np.pi:
             return f"delta_1 = {row[0]!r} outside [0, pi)"
         for ang in row[1 : 2 * n - 1]:

@@ -50,6 +50,7 @@ from wfk import (
 )
 from wfk import filters
 from wfk.filters import _max_circle_residual
+from wfk.io import parameters_from_dict
 
 R2 = 1 / np.sqrt(2)
 E1 = np.array([1.0, 0.0])
@@ -645,6 +646,11 @@ class TestSampling:
         assert np.abs(pts[:4] - np.exp(2j * np.pi * np.arange(4) / 4)).max() <= 1e-15
 
 
+def rho_file(rho):
+    """A parameter document of no factors whose ``rho`` is ``rho``."""
+    return {"n": 2, "m": 0, "rho": rho, "factors": []}
+
+
 class TestInvariants:
     def test_factor_norm(self):
         with pytest.raises(InvariantError):
@@ -728,10 +734,16 @@ class TestInvariants:
     }
 
     @pytest.mark.parametrize("entry", BAND_COUNT_ENTRIES)
-    @pytest.mark.parametrize("n", [2.5, 1, True, "3"])
-    def test_band_count_rejected_by_one_rule(self, entry, n):
+    @pytest.mark.parametrize(
+        "n,shown",
+        [(2.5, "2.5"), (1, "1"), (True, "True"), ("3", "'3'"),
+         (np.float64(2.5), "2.5"), (np.int64(1), "1")],
+        ids=["2.5", "1", "True", "3", "float64", "int64"],
+    )
+    def test_band_count_rejected_by_one_rule(self, entry, n, shown):
+        # a numpy scalar is named as the Python number, whatever numpy's repr
         with pytest.raises(InvariantError, match=re.escape(
-            f"band count must be an integer >= 2, got {n!r}"
+            f"band count must be an integer >= 2, got {shown}"
         )):
             self.BAND_COUNT_ENTRIES[entry](n)
 
@@ -743,13 +755,16 @@ class TestInvariants:
 
     # the other rules at each entry point that takes their input: a count
     # or seed (the decimation factor too), rho (a non-number is named as
-    # given), a factor vector and a pole
+    # given; a parameter file's rho too), a factor vector, a pole and a box
+    # coordinate; a numpy scalar is named as the Python number
     RULE_ENTRIES = {
         "sample-box-m": (lambda: sample_box(0, 2, -1, 0.0), "m must be an integer >= 0, got -1"),
         "sample-box-m-float": (lambda: sample_box(0, 2, 2.5, 0.0),
                                "m must be an integer >= 0, got 2.5"),
         "sample-box-m-bool": (lambda: sample_box(0, 2, True, 0.0),
                               "m must be an integer >= 0, got True"),
+        "sample-box-m-int64": (lambda: sample_box(0, 2, np.int64(-1), 0.0),
+                               "m must be an integer >= 0, got -1"),
         "sample-params-m": (lambda: sample_parameters(0, 2, -1, 0.0),
                             "m must be an integer >= 0, got -1"),
         "sample-box-seed": (lambda: sample_box(-1, 2, 1, 0.0),
@@ -772,6 +787,22 @@ class TestInvariants:
                                    "rho must lie in [0, 1], got '0.5'"),
         "params-rho-none": (lambda: FilterParameters(n=2, rho=None, factors=()),
                             "rho must lie in [0, 1], got None"),
+        "params-rho-bool": (lambda: FilterParameters(n=2, rho=True, factors=()),
+                            "rho must lie in [0, 1], got True"),
+        "params-rho-numpy-bool": (lambda: FilterParameters(n=2, rho=np.True_, factors=()),
+                                  "rho must lie in [0, 1], got True"),
+        "params-rho-float64": (lambda: FilterParameters(n=2, rho=np.float64(1.5), factors=()),
+                               "rho must lie in [0, 1], got 1.5"),
+        "file-rho-numeric-str": (lambda: parameters_from_dict(rho_file("0.5")),
+                                 "rho must lie in [0, 1], got '0.5'"),
+        "file-rho-null": (lambda: parameters_from_dict(rho_file(None)),
+                          "rho must lie in [0, 1], got None"),
+        "file-rho-bool": (lambda: parameters_from_dict(rho_file(True)),
+                          "rho must lie in [0, 1], got True"),
+        "file-rho-huge-int": (lambda: parameters_from_dict(rho_file(10**400)),
+                              "rho must lie in [0, 1], got 1000000000"),
+        "box-radius": (lambda: BoxPoint(n=2, rho=0.5, coords=[[0.0, 0.0, 0.0, 0.7]]),
+                       "radius 0.7 outside [0, 0.5)"),
         "box-rho-str": (lambda: BoxPoint(n=2, rho="x", coords=np.zeros((0, 4))),
                         "rho must lie in [0, 1], got 'x'"),
         "box-rho-none": (lambda: BoxPoint(n=2, rho=None, coords=np.zeros((0, 4))),

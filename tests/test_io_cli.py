@@ -31,12 +31,13 @@ from wfk import (
     wavelet_eval,
 )
 from wfk import io as wio
-from wfk import realization
+from wfk import filters, realization
 from wfk.cli import main
 
 from edge_realizations import huge_superdiagonal, overflowing_values, rotation_on_the_circle
 from legacy_format import dense_document
 from one_thread import one_thread_peak_mb
+from work_budget import work_entries
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,14 +109,19 @@ class TestParameterFiles:
          # factors must be an array, even where m = 0 asks for none
          ({"m": 0, "factors": {}}, "field 'factors' must be a list"),
          ({"m": 0, "factors": ""}, "field 'factors' must be a list"),
-         ({"factors": "x"}, "field 'factors' must be a list")],
+         ({"factors": "x"}, "field 'factors' must be a list"),
+         # rho takes the one rho rule, as FilterParameters does
+         ({"rho": "0.9"}, "rho must lie in [0, 1], got '0.9'"),
+         ({"rho": None}, "rho must lie in [0, 1], got None"),
+         ({"rho": True}, "rho must lie in [0, 1], got True")],
         ids=["n-float", "n-bool", "m-float", "m-bool", "n-string",
-             "factors-object", "factors-empty-string", "factors-string"],
+             "factors-object", "factors-empty-string", "factors-string",
+             "rho-string", "rho-null", "rho-bool"],
     )
     def test_non_integer_field_exit_3(self, tmp_path, capsys, edit, named):
         doc = wio.parameters_to_dict(sample_parameters(2, 2, 1, 0.9))
         doc.update(edit)
-        with pytest.raises(InvariantError, match=named):
+        with pytest.raises(InvariantError, match=re.escape(named)):
             wio.parameters_from_dict(doc)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
@@ -688,34 +694,36 @@ class TestSignals:
             wio.load_signal(path)
 
     @pytest.mark.parametrize("char", ["\x85", "\x0c"])
-    def test_line_loop_character_after_the_first_piece(self, tmp_path, monkeypatch, char):
-        # the screen reads 64-character pieces here; the character sits in
-        # the third, as a line break between samples and then inside a cell
-        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+    def test_line_loop_character_after_the_first_piece(self, tmp_path, char):
+        # a budget of 2 entries makes the screen read 64-character pieces
+        # (here and below); the character sits in the third, as a line
+        # break between samples and then inside a cell
         rows = "".join(f"{k}.25,{k}.5\n" for k in range(20))
         path = tmp_path / "x.csv"
         path.write_text(rows + f"1,2{char}3,4\n")
         expected = [complex(k + 0.25, k + 0.5) for k in range(20)] + [1 + 2j, 3 + 4j]
-        assert wio.load_signal(path).tolist() == expected
-        path.write_text(rows + f"3{char},4\n")
-        with pytest.raises(InvariantError, match=re.escape(f"{path}:21:")):
-            wio.load_signal(path)
+        with work_entries(2):
+            assert wio.load_signal(path).tolist() == expected
+            path.write_text(rows + f"3{char},4\n")
+            with pytest.raises(InvariantError, match=re.escape(f"{path}:21:")):
+                wio.load_signal(path)
 
-    def test_blank_file_of_several_pieces_is_empty_signal(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+    def test_blank_file_of_several_pieces_is_empty_signal(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text(" \n\t\n" * 100)
-        x = wio.load_signal(path)
-        assert x.shape == (0,) and x.dtype == complex
-        # a number after the blank pieces still reaches numpy's reader
-        path.write_text(" \n\t\n" * 100 + "1,2\n")
-        assert wio.load_signal(path).tolist() == [1 + 2j]
+        with work_entries(2):
+            x = wio.load_signal(path)
+            assert x.shape == (0,) and x.dtype == complex
+            # a number after the blank pieces still reaches numpy's reader
+            path.write_text(" \n\t\n" * 100 + "1,2\n")
+            assert wio.load_signal(path).tolist() == [1 + 2j]
 
-    def test_decode_error_names_its_offset_in_the_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(wio, "_SCREEN_CHARS", 64)
+    def test_decode_error_names_its_offset_in_the_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"1,2\n" * 50 + b"\xff,1\n")
-        with pytest.raises(FormatError, match=re.escape(f"{path}: not a text file")) as info:
+        with work_entries(2), pytest.raises(
+            FormatError, match=re.escape(f"{path}: not a text file")
+        ) as info:
             wio.load_signal(path)
         assert "position 200" in str(info.value)
 
@@ -809,7 +817,7 @@ class TestCsvWriters:
         "blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0), (3, 7)]
     )
     def test_signal_matches_one_shot_format(self, tmp_path, blocks, extra):
-        block = wio._CSV_BLOCK_CELLS // 2  # rows of a signal per block
+        block = filters._WORK_ENTRIES // 8  # rows of a signal per block
         length = blocks * block + extra
         rng = np.random.default_rng(length)
         x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
@@ -830,7 +838,7 @@ class TestCsvWriters:
         zs = np.exp(2j * np.pi * np.arange(points) / max(points, 1))
         values = rng.standard_normal((points, n, n)) + 1j * rng.standard_normal((points, n, n))
         # special values in the last row of the first block and the first of the next
-        edge = wio._CSV_BLOCK_CELLS // (2 + 2 * n * n)
+        edge = filters._WORK_ENTRIES // 4 // (2 + 2 * n * n)
         around = values.reshape(-1)[edge * n * n - 3 : edge * n * n + 3]
         around[:] = self.SPECIAL[: around.size]
         rows = list(zip(zs, values))
@@ -951,8 +959,8 @@ class TestJsonWriter:
         "blocks": lambda: {
             # more numbers than one block holds, with extremes at its edges
             "entries": [[float(k), -0.0 if k % 2 else 5e-324] for k in range(5000)],
-            "index": list(range(wio._CSV_BLOCK_CELLS + 1)),
-            "box": [0.1 * k for k in range(wio._CSV_BLOCK_CELLS)],
+            "index": list(range(filters._WORK_ENTRIES // 4 + 1)),
+            "box": [0.1 * k for k in range(filters._WORK_ENTRIES // 4)],
         },
     }
 
@@ -1142,6 +1150,19 @@ class TestCliGen:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "box.json" in err
+        assert not out.exists()
+
+    def test_box_coordinate_outside_is_named_as_a_number(self, tmp_path, capsys):
+        # the coordinate is a numpy scalar inside BoxPoint; the message
+        # names it as the number, whatever numpy's repr
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps([0, 0, 0, 0.7]))
+        out = tmp_path / "p.json"
+        code = main(
+            ["gen", "--n", "2", "--index", "1", "--rho", "0.5", "--box", str(box), "-o", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.endswith("radius 0.7 outside [0, 0.5)\n")
         assert not out.exists()
 
     def test_box_object_input(self, tmp_path):

@@ -17,6 +17,7 @@ import wfk.io
 import wfk.realization
 import wfk.signal
 from wfk.cli import main
+from work_budget import work_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -292,3 +293,70 @@ def test_each_input_rule_is_raised_from_one_function():
                 if fragment in text:
                     owners.add(owner)
     assert {fragment: owners for fragment, owners in raisers.items() if len(owners) != 1} == {}
+
+
+def test_work_entries_has_one_home():
+    # every blocked loop reads the one budget where it is defined: only
+    # filters.py assigns it, and no module binds a copy of it by import
+    assigned, imported = set(), set()
+    for path in [*(SRC / "wfk").glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in targets}
+                if "_WORK_ENTRIES" in names and path.parent.name == "wfk":
+                    assigned.add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "_WORK_ENTRIES" for alias in node.names):
+                    imported.add(path.name)
+    assert assigned == {"filters.py"} and not imported
+
+
+def _blocked_loop_cuts(tmp_path):
+    """How many pieces each blocked loop of the package cuts its work into
+    at the budget in force: the polyphase split (n = 3) and the two-band
+    windows (n = 2), counted as the panels of ``signal._panels``;
+    ``eval_realization``'s point chunks; the CSV and JSON number blocks;
+    and the screen pieces of ``load_signal``."""
+    panels, chunks, reads = [], [], []
+    cut, sweep, real_open = wfk.signal._panels, wfk.realization._sweep, open
+
+    def spy_open(*args, **kwargs):
+        stream = real_open(*args, **kwargs)
+        read = stream.read
+        stream.read = lambda *size: reads.append(size) or read(*size)
+        return stream
+
+    path = tmp_path / "x.csv"
+    path.write_text("1.0,2.0\n" * 2**15)
+    x = np.random.default_rng(0).standard_normal(3 * 4096)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wfk.signal, "_panels", lambda *a: panels.append(p := cut(*a)) or p)
+        mp.setattr(wfk.realization, "_sweep", lambda *a: chunks.append(1) or sweep(*a))
+        mp.setattr(wfk.io, "open", spy_open, raising=False)
+        wfk.analyze(x, wfk.sample_parameters(1, 3, 2, 0.0))
+        wfk.analyze(x[:8192], wfk.sample_parameters(1, 2, 3, 0.0))
+        r = wfk.realize_wavelet(wfk.sample_parameters(1, 4, 8, 0.9))
+        wfk.eval_realization(r, wfk.unit_circle_points(512, 0))
+        wfk.io._screen(path)
+    return {
+        "polyphase": len(panels[0]),
+        "two-band": len(panels[1]),
+        "chunks": len(chunks),
+        "csv": len(list(wfk.io._csv_blocks(np.zeros((4096, 2))))),
+        "json": len(list(wfk.io._number_blocks([0.5] * 8192, 1, 0))),
+        "screen": len(reads),
+    }
+
+
+def test_one_patch_of_the_budget_moves_every_blocked_loop(tmp_path):
+    # one setting of filters._WORK_ENTRIES, and no other, changes the cuts
+    # of every blocked loop: at the default each is one piece (the JSON
+    # list adds its closing bracket, the screen its empty last read)
+    default = _blocked_loop_cuts(tmp_path)
+    with work_entries(1 << 10):
+        small = _blocked_loop_cuts(tmp_path)
+    assert default == {
+        "polyphase": 1, "two-band": 1, "chunks": 1, "csv": 1, "json": 2, "screen": 2
+    }
+    assert all(small[name] > default[name] for name in default), small

@@ -23,6 +23,7 @@ from reference_matrices import (
     reference_mhat4,
 )
 from reference_ops import adjoint, block_cascade, decimated_unitary_eval
+from work_budget import work_entries
 
 from wfk import (
     ConvergenceError,
@@ -88,17 +89,14 @@ def rotate(r, seed):
     return Realization(a=adjoint(q) @ r.a @ q, b=adjoint(q) @ r.b, c=r.c @ q, d=r.d)
 
 
-def chunk_sizes(monkeypatch, solver, budget=None):
+def chunk_sizes(monkeypatch, solver):
     """The point count of every chunk that :func:`eval_realization` hands
-    ``solver`` (``"_sweep"`` or ``"_lu"``), filled in as it runs; the entry
-    budget of a chunk becomes ``budget`` when one is given."""
+    ``solver`` (``"_sweep"`` or ``"_lu"``), filled in as it runs."""
     sizes = []
     solve = getattr(realization, solver)
     monkeypatch.setattr(
         realization, solver, lambda r, pts, out: sizes.append(pts.size) or solve(r, pts, out)
     )
-    if budget is not None:
-        monkeypatch.setattr(realization, "_WORK_ENTRIES", budget)
     return sizes
 
 
@@ -511,9 +509,10 @@ class TestEvalRealization:
 
     @staticmethod
     def _chunk_edges_match_single_points(r, solver, monkeypatch):
-        sizes = chunk_sizes(monkeypatch, solver, budget=5000)
+        sizes = chunk_sizes(monkeypatch, solver)
         pts = np.exp(2j * np.pi * np.arange(103) / 103)
-        values = eval_realization(r, pts)
+        with work_entries(5000):
+            values = eval_realization(r, pts)
         assert values.shape == (pts.size,) + r.d.shape
         chunk = sizes[0]
         assert len(sizes) > 2 and sum(sizes) == pts.size
@@ -584,7 +583,7 @@ class TestEvalRealization:
             a=r.a[order][:, order], b=r.b[order], c=r.c[:, order], d=r.d
         )
         assert not shuffled.upper_triangular
-        sizes = chunk_sizes(monkeypatch, "_lu", budget=5 * r.state_dim**2)
+        sizes = chunk_sizes(monkeypatch, "_lu")
         calls = []
         evaluate = realization.eval_realization
         monkeypatch.setattr(
@@ -593,7 +592,7 @@ class TestEvalRealization:
         pts = circle(15, seed=4)
         pole = complex(r.a[0, 0])
         pts[7] = pole
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), work_entries(5 * r.state_dim**2):
             warnings.simplefilter("error")
             with pytest.raises(
                 PoleError, match=re.escape(f"z = {pole!r} is a pole of the realization")
@@ -605,15 +604,13 @@ class TestEvalRealization:
         "a", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]], ids=["triangular", "dense"]
     )
     @pytest.mark.parametrize("chunk", [None, 1], ids=["one-chunk", "chunk-per-point"])
-    def test_overflow_names_the_first_point(self, a, chunk, monkeypatch):
+    def test_overflow_names_the_first_point(self, a, chunk):
         # poles at +-0.5 and a gain of 1e300: the values overflow near a
         # pole, where neither z - a_ii nor the LU is singular; the exact
         # pole at -0.5 comes later and is not the one named
         r = Realization(a=a, b=[[1e300], [1e300]], c=[[1.0, 1.0]], d=[[0.0]])
-        if chunk:
-            monkeypatch.setattr(realization, "_WORK_ENTRIES", chunk)
         pts = np.array([0.9, 0.5 + 1e-10, 0.1, -0.5])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"), work_entries(chunk):
             with pytest.raises(PoleError, match=re.escape(f"z = {complex(pts[1])!r}")):
                 eval_realization(r, pts)
 
@@ -767,23 +764,19 @@ def budget_values():
     bytes of ``eval_realization`` at :func:`verify_points` over the chunk
     budgets of :data:`BUDGETS` (None is the default), and their largest
     difference from the default's values relative to its largest modulus."""
-    default = realization._WORK_ENTRIES
     found = {}
-    try:
-        for name, r in budget_files().items():
-            values = []
-            for budget in BUDGETS:
-                realization._WORK_ENTRIES = default if budget is None else budget
+    for name, r in budget_files().items():
+        values = []
+        for budget in BUDGETS:
+            with work_entries(budget):
                 values.append(eval_realization(r, verify_points(r.outputs)))
-            reference = values[BUDGETS.index(None)]
-            spread = max(np.abs(v - reference).max() for v in values)
-            found[name] = (
-                r.inputs,
-                len({v.tobytes() for v in values}),
-                float(spread / np.abs(reference).max()),
-            )
-    finally:
-        realization._WORK_ENTRIES = default
+        reference = values[BUDGETS.index(None)]
+        spread = max(np.abs(v - reference).max() for v in values)
+        found[name] = (
+            r.inputs,
+            len({v.tobytes() for v in values}),
+            float(spread / np.abs(reference).max()),
+        )
     return found
 
 

@@ -2,7 +2,6 @@
 
 import re
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from reference_ops import (
     frequency_pr_check,
     simulate,
 )
+from work_budget import work_entries
 
 from wfk import (
     DimensionError,
@@ -356,19 +356,18 @@ class TestInPlaceKernels:
             assert _interleave(reversed_view, delay).tobytes() == want
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
-    def test_polyphase_is_its_definition(self, n, monkeypatch):
+    def test_polyphase_is_its_definition(self, n):
         # y_i[j] = x[(n*j - i) mod L] at lengths 0, n and 7n, and at about
-        # 2**17 samples, where the last copy block is a partial one; the
-        # same at copy blocks of one column, of 7 // n (at least one) and of
-        # the default budget
-        for budget in (1, 7, wfk.signal._WORK_ENTRIES):
-            monkeypatch.setattr(wfk.signal, "_WORK_ENTRIES", budget)
-            for length in (0, n, 7 * n, n * (LONG // n + 1)):
-                x = random_signal(length, n + length)
-                j = np.arange(length // n)
-                want = x[(n * j - np.arange(n)[:, None]) % max(length, 1)]
-                got = _polyphase(x, n)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # 2**17 samples, where the last panel is a partial one; the same at
+        # panels of 8 columns (the least), of 24 and of the default budget
+        for budget in (1, 24 * n, None):
+            with work_entries(budget):
+                for length in (0, n, 7 * n, n * (LONG // n + 1)):
+                    x = random_signal(length, n + length)
+                    j = np.arange(length // n)
+                    want = x[(n * j - np.arange(n)[:, None]) % max(length, 1)]
+                    got = _polyphase(x, n)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_outputs_match_reference(self, monkeypatch):
         # the tap lengths and the delay exactly; the taps, the bands and
@@ -443,21 +442,6 @@ def block_lattice(y, vectors, shift):
     z = y[:, ::shift].copy()
     wfk.filters._block_lattice(z, vectors)
     y[:] = z[:, ::shift]
-
-
-@contextmanager
-def work_entries(budget):
-    """``_WORK_ENTRIES`` of ``filters`` and ``signal`` set to ``budget``
-    (None keeps the default) for the ``with`` body, also where no
-    ``monkeypatch`` is at hand."""
-    default = wfk.filters._WORK_ENTRIES
-    for module in (wfk.filters, wfk.signal):
-        module._WORK_ENTRIES = default if budget is None else budget
-    try:
-        yield
-    finally:
-        for module in (wfk.filters, wfk.signal):
-            module._WORK_ENTRIES = default
 
 
 K = wfk.filters._BLOCK
